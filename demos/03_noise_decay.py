@@ -12,22 +12,17 @@ import math
 import numpy as np
 
 from remag.dynamics import PulseSequence
-from remag.models import DecayScenario, mean_signal
-from remag.noise import NoiseSpec, monte_carlo
+from remag.noise import NoiseSpec, mc_vs_model, monte_carlo
 from remag.units import mhz_to_rad
 
 omega = mhz_to_rad(20.0)
 tau_c = 200e-9
 trials = 2000
 
-# z-axis OU bath, pi rotary echo, detuned by 2 MHz
-sigma = 0.05 * omega
+# z-axis OU bath, pi rotary echo, detuned by 2 MHz: second-order cumulant model
 seq = PulseSequence.rotary_echo(math.pi, omega, 18)
-spec = NoiseSpec(axis="z", kind="ou", sigma=sigma, tau_c=tau_c, seed=1)
-res = monte_carlo(seq, mhz_to_rad(2.0), spec, trials=trials)
-scen = DecayScenario("rotary_echo", "z", "ou", sigma=sigma, tau_c=tau_c,
-                     theta=math.pi, omega=omega)
-model = np.atleast_1d(mean_signal(scen, res.times, mhz_to_rad(2.0)))
+spec = NoiseSpec(axis="z", kind="ou", sigma=0.05 * omega, tau_c=tau_c, seed=1)
+res, model = mc_vs_model(seq, mhz_to_rad(2.0), spec, trials)
 z = np.abs(res.mean - model) / np.maximum(res.stderr, 1e-12)
 print(f"OU-z pi echo:   worst deviation {z.max():.2f} standard errors "
       f"({trials} trials)")
@@ -37,11 +32,8 @@ period = 2.0 * math.pi / omega
 seq = PulseSequence.rabi(omega, 12 * period)
 spec = NoiseSpec(axis="x", kind="ou", sigma=0.05, tau_c=tau_c, seed=2,
                  relative=True)
-res = monte_carlo(seq, 0.0, spec, trials=trials,
-                  record_times=period * np.arange(13))
-scen = DecayScenario("rabi", "x", "ou", sigma=0.05 * omega, tau_c=tau_c,
-                     omega=omega)
-model = np.atleast_1d(mean_signal(scen, res.times))
+res, model = mc_vs_model(seq, 0.0, spec, trials,
+                         record_times=period * np.arange(13))
 z = np.abs(res.mean - model) / np.maximum(res.stderr, 1e-12)
 print(f"OU-x Rabi:      worst deviation {z.max():.2f} standard errors")
 

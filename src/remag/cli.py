@@ -14,27 +14,24 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, models
 from .calcium import CaDomainSpec, ca_field, ca_required_sensitivity, \
     implied_repetitions
-from .config import ConfigError, ScenarioConfig, config_hash, parse_config
-from .dynamics import PulseSequence, SignalTrace, build_waveform, \
-    full_echo_times, propagate
-from .models import DecayScenario
-from .noise import NoiseSpec, ensemble_trace, monte_carlo
+from .config import MAX_SEED, ConfigError, ScenarioConfig, config_hash, \
+    parse_config
+from .dynamics import PulseSequence, SignalTrace, build_waveform, propagate
+from .noise import NoiseSpec, decay_scenario, mc_vs_model, monte_carlo
 from .sensing import ReadoutModel, corrected_sensitivity, readout_factors, \
     sensitivity_ideal, rabi_asymptote
 from .spectral import extract_detunings, harmonic_filter, peak_significance, \
     periodogram
-from .units import GAMMA_E_RAD_PER_S_PER_T as GAMMA
 from .units import mhz_to_rad, us_to_s
-
-FIGURE_PANELS = ("1b", "1c", "2a", "2b", "3a", "3b",
-                 "4a", "4b", "4c", "s4", "s5")
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +43,8 @@ class RunWriter:
     CSV bodies carry a #-metadata block (tool version, config hash, seed,
     units) but never timestamps, so reruns with the same config and seed
     are byte-identical; timestamps go to the manifest only.
+    Each file is recorded before it is opened, so :meth:`cleanup` also
+    removes one whose write failed part-way.
     """
 
     def __init__(self, out_dir: str, subcommand: str, cfg: ScenarioConfig,
@@ -76,19 +75,19 @@ class RunWriter:
         cols = list(columns)
         data = np.column_stack([np.asarray(columns[c], dtype=float)
                                 for c in cols])
+        self.created.append(path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(self._meta_lines(extra_meta)) + "\n")
             fh.write(",".join(cols) + "\n")
             np.savetxt(fh, data, delimiter=",", fmt="%.12g")
-        self.created.append(path)
         return path
 
     def json(self, name: str, payload) -> str:
         path = os.path.join(self.out_dir, name)
+        self.created.append(path)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        self.created.append(path)
         return path
 
     def manifest(self) -> str:
@@ -148,25 +147,22 @@ def _noise_spec(cfg: ScenarioConfig, seed: int) -> NoiseSpec | None:
                      tau_c=cfg.tau_c, seed=seed, relative=relative)
 
 
-def _detuning_set(cfg: ScenarioConfig) -> list[float]:
-    """Single line, or the equal-weight hyperfine triplet b, A-b, A+b."""
-    b = cfg.detuning
-    a = cfg.hyperfine
-    if a == 0.0:
-        return [b]
-    return [b, a - b, a + b]
-
-
-def _noiseless_trace(cfg: ScenarioConfig) -> SignalTrace:
-    seq = _sequence(cfg)
-    dt_max = cfg["grid"]["dt_ns"] * 1e-9
-    detunings = _detuning_set(cfg)
+def _mean_trace(seq: PulseSequence, b: float, hyperfine: float,
+                dt_max: float) -> SignalTrace:
+    """Noiseless trace averaged over the single line b or, for a nonzero
+    hyperfine splitting A, the equal-weight triplet b, A-b, A+b."""
+    detunings = [b] if hyperfine == 0.0 else [b, hyperfine - b, hyperfine + b]
     traces = [propagate(build_waveform(seq, dw), dt_max=dt_max)
               for dw in detunings]
     values = np.mean([t.values for t in traces], axis=0)
     base = traces[0]
     return SignalTrace(times=base.times, values=values, dt=base.dt,
                        meta={"detunings": detunings})
+
+
+def _noiseless_trace(cfg: ScenarioConfig) -> SignalTrace:
+    return _mean_trace(_sequence(cfg), cfg.detuning, cfg.hyperfine,
+                       cfg["grid"]["dt_ns"] * 1e-9)
 
 
 def triplet_trace(theta: float, omega: float, b: float, hyperfine: float,
@@ -179,41 +175,13 @@ def triplet_trace(theta: float, omega: float, b: float, hyperfine: float,
     """
     cycle = 2.0 * theta / omega
     seq = PulseSequence.rotary_echo(theta, omega, max(1, int(t_total / cycle)))
-    detunings = [b] if hyperfine == 0.0 else [b, hyperfine - b, hyperfine + b]
-    traces = [propagate(build_waveform(seq, dw), dt_max=dt_max)
-              for dw in detunings]
-    values = np.mean([t.values for t in traces], axis=0)
+    trace = _mean_trace(seq, b, hyperfine, dt_max)
+    values = trace.values
     if shot_sigma > 0.0:
         rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
         values = values + shot_sigma * rng.standard_normal(values.size)
-    base = traces[0]
-    return SignalTrace(times=base.times, values=values, dt=base.dt,
-                       meta={"detunings": detunings,
-                             "shot_sigma": shot_sigma})
-
-
-def _scenario(cfg: ScenarioConfig) -> DecayScenario:
-    n = cfg["noise"]
-    sigma = n["sigma_rel"] * cfg.omega if (n["axis"] == "x" and n["sigma_rel"] > 0) \
-        else mhz_to_rad(n["sigma_mhz"])
-    return DecayScenario(sequence=cfg["sequence"]["kind"], axis=n["axis"],
-                         kind=n["kind"], sigma=sigma,
-                         tau_c=cfg.tau_c if n["kind"] == "ou" else 0.0,
-                         theta=cfg.theta, omega=cfg.omega)
-
-
-def _mean_model(scen: DecayScenario, times, delta_omega: float = 0.0):
-    """Closed-form mean signal to set beside a Monte Carlo ensemble.
-
-    A rotary echo under OU dephasing noise uses the second-order cumulant
-    model in the exact toggling frame (:func:`models.mean_signal_cumulant`);
-    the paper's first-order product (:func:`models.mean_signal`) misses the
-    intra-cycle noise coupling and the detuned frame by several standard
-    errors at 10^4 trials.  Other scenarios use :func:`models.mean_signal`.
-    """
-    if (scen.sequence, scen.axis, scen.kind) == ("rotary_echo", "z", "ou"):
-        return models.mean_signal_cumulant(scen, times, delta_omega)
-    return np.atleast_1d(models.mean_signal(scen, times, delta_omega))
+    return replace(trace, values=values,
+                   meta={**trace.meta, "shot_sigma": shot_sigma})
 
 
 def _readout(cfg: ScenarioConfig) -> ReadoutModel:
@@ -252,24 +220,33 @@ def cmd_spectrum(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     w.csv("spectrum.csv", {"freq_mhz": pgram.frequencies / 1e6,
                            "power": pgram.power},
           extra_meta={"filtered": filtered})
-    payload = [{"frequency_mhz": p.frequency / 1e6, "power": p.power,
-                "rank": p.rank, "p_value": p.p_value, "snr": p.snr,
-                "delta_f_mhz": p.delta_f / 1e6} for p in peaks]
-    w.json("peaks.json", payload)
-    if cfg["sequence"]["kind"] == "rotary_echo" and len(peaks) >= 2:
-        try:
-            est = extract_detunings(peaks, cfg.theta, cfg.omega,
-                                    pair_tolerance_hz=2.0 * pgram.grid_spacing,
-                                    trace=trace)
-        except ValueError:
-            return
-        w.json("detunings.json", {
-            "carrier_mhz": est.carrier_hz / 1e6,
-            "omega_measured_mhz": est.omega_measured / (2e6 * math.pi),
-            "theta_actual_rad": est.theta_actual,
-            "detunings_mhz": [[d / 1e6, u / 1e6]
-                              for d, u in est.detunings],
-        })
+    rotary = cfg["sequence"]["kind"] == "rotary_echo"
+    try:
+        _write_lines(w, "", pgram, peaks, trace,
+                     cfg.theta if rotary else None, cfg.omega)
+    except ValueError:
+        pass  # no symmetric line pair to invert; peaks.json stands alone
+
+
+def _write_lines(w: RunWriter, prefix: str, pgram, peaks, trace,
+                 theta: float | None, omega: float) -> None:
+    """Write ``peaks.json`` and, for a rotary echo of half-echo angle
+    ``theta``, the ``detunings.json`` its line pairs invert to."""
+    w.json(f"{prefix}peaks.json",
+           [{"frequency_mhz": p.frequency / 1e6, "power": p.power,
+             "rank": p.rank, "p_value": p.p_value, "snr": p.snr,
+             "delta_f_mhz": p.delta_f / 1e6} for p in peaks])
+    if theta is None:
+        return
+    est = extract_detunings(peaks, theta, omega,
+                            pair_tolerance_hz=2.0 * pgram.grid_spacing,
+                            trace=trace)
+    w.json(f"{prefix}detunings.json", {
+        "carrier_mhz": est.carrier_hz / 1e6,
+        "omega_measured_mhz": est.omega_measured / (2e6 * math.pi),
+        "theta_actual_rad": est.theta_actual,
+        "detunings_mhz": [[d / 1e6, u / 1e6] for d, u in est.detunings],
+    })
 
 
 def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
@@ -285,7 +262,8 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     readout = _readout(cfg)
     env = np.ones_like(times)
     if cfg["noise"]["enabled"]:
-        env = models.decay_envelope(_scenario(cfg), times)
+        env = models.decay_envelope(
+            decay_scenario(_sequence(cfg), _noise_spec(cfg, w.seed)), times)
     rows_ideal, rows_corr = [], []
     for t, e in zip(times, env):
         eta = sensitivity_ideal(kind, t,
@@ -302,21 +280,48 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
                               "eta_corrected_ut": np.array(rows_corr) * 1e6})
 
 
+class Case(NamedTuple):
+    """One Monte Carlo ensemble to set beside its closed-form model."""
+
+    seq: PulseSequence
+    spec: NoiseSpec
+    delta_omega: float = 0.0
+    record_times: np.ndarray | None = None
+
+
+def _write_cases(w: RunWriter, tables: dict, trials: int,
+                 threads: int) -> None:
+    """Run every case of ``{csv name: {label: Case}}``, one CSV per name.
+
+    Label "" writes the columns mc_mean, mc_stderr and model; any other
+    label l writes mc_l, se_l and model_l.  The model column is left out
+    where the scenario has no closed form (see :func:`mc_vs_model`).
+    """
+    cases = [case for row in tables.values() for case in row.values()]
+    results = iter(_run_jobs(
+        [(lambda c=c: mc_vs_model(c.seq, c.delta_omega, c.spec, trials,
+                                  c.record_times)) for c in cases], threads))
+    for name, row in tables.items():
+        cols = {}
+        for label in row:
+            res, model = next(results)
+            cols.setdefault("t_us", res.times * 1e6)
+            keys = (("mc_mean", "mc_stderr", "model") if label == "" else
+                    (f"mc_{label}", f"se_{label}", f"model_{label}"))
+            cols[keys[0]], cols[keys[1]] = res.mean, res.stderr
+            if model is not None:
+                cols[keys[2]] = model
+        w.csv(name, cols, extra_meta={"trials": trials})
+
+
 def cmd_noise(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     spec = _noise_spec(cfg, w.seed)
     if spec is None:
         raise ConfigError(f"{cfg.source}: noise.enabled must be true for "
                           "the noise subcommand")
-    trials = args.trials or cfg["run"]["trials"]
-    res = monte_carlo(_sequence(cfg), cfg.detuning, spec, trials=trials)
-    columns = {"t_us": res.times * 1e6, "mc_mean": res.mean,
-               "mc_stderr": res.stderr}
-    try:
-        columns["model"] = _mean_model(_scenario(cfg), res.times,
-                                       cfg.detuning)
-    except ValueError:
-        pass  # scenario without a closed-form mean; MC columns only
-    w.csv("decay.csv", columns, extra_meta={"trials": trials})
+    case = Case(_sequence(cfg), spec, cfg.detuning)
+    _write_cases(w, {"decay.csv": {"": case}},
+                 args.trials or cfg["run"]["trials"], args.threads)
 
 
 def cmd_calcium(cfg: ScenarioConfig, w: RunWriter, args) -> None:
@@ -397,20 +402,7 @@ def _spectrum_preset(w: RunWriter, tag: str, b: float, t_total: float,
     peaks = peak_significance(pgram, max_peaks=6)
     w.csv(f"{tag}_spectrum.csv", {"freq_mhz": pgram.frequencies / 1e6,
                                   "power": pgram.power})
-    w.json(f"{tag}_peaks.json",
-           [{"frequency_mhz": p.frequency / 1e6, "power": p.power,
-             "rank": p.rank, "p_value": p.p_value, "snr": p.snr,
-             "delta_f_mhz": p.delta_f / 1e6} for p in peaks])
-    est = extract_detunings(peaks, math.pi, OMEGA_17,
-                            pair_tolerance_hz=2.0 * pgram.grid_spacing,
-                            trace=trace)
-    w.json(f"{tag}_detunings.json", {
-        "carrier_mhz": est.carrier_hz / 1e6,
-        "omega_measured_mhz": est.omega_measured / (2e6 * math.pi),
-        "theta_actual_rad": est.theta_actual,
-        "detunings_mhz": [[d / 1e6, u / 1e6]
-                          for d, u in est.detunings],
-    })
+    _write_lines(w, f"{tag}_", pgram, peaks, trace, math.pi, OMEGA_17)
 
 
 def fig_2a(w: RunWriter, trials: int, threads: int) -> None:
@@ -456,133 +448,59 @@ OMEGA_20 = mhz_to_rad(20.0)
 TAU_C = 200e-9
 
 
-def _drive_noise_spec(kind: str, seed: int) -> NoiseSpec:
-    return NoiseSpec(axis="x", kind=kind, sigma=0.05,
-                     tau_c=TAU_C if kind == "ou" else 0.0,
-                     seed=seed, relative=True)
-
-
 def fig_4a(w: RunWriter, trials: int, threads: int) -> None:
     """Rabi peak decay under static and OU drive noise."""
     period = 2.0 * math.pi / OMEGA_19
-    n_peaks = 20
-    seq = PulseSequence.rabi(OMEGA_19, n_peaks * period)
-    record = period * np.arange(n_peaks + 1)
-
-    def run(kind, seed):
-        spec = _drive_noise_spec(kind, seed)
-        res = monte_carlo(seq, 0.0, spec, trials=trials, record_times=record)
-        scen = DecayScenario("rabi", "x", kind, sigma=0.05 * OMEGA_19,
-                             tau_c=spec.tau_c, omega=OMEGA_19)
-        return res, _mean_model(scen, res.times)
-
-    (r_st, m_st), (r_ou, m_ou) = _run_jobs(
-        [lambda: run("static", w.seed), lambda: run("ou", w.seed + 1)],
-        threads)
-    w.csv("fig4a_rabi_peaks.csv", {
-        "t_us": r_st.times * 1e6,
-        "mc_static": r_st.mean, "se_static": r_st.stderr,
-        "model_static": m_st,
-        "mc_ou": r_ou.mean, "se_ou": r_ou.stderr, "model_ou": m_ou,
-    }, extra_meta={"trials": trials})
-
-
-def _re_drive_noise_panel(w: RunWriter, name: str, theta: float,
-                          n_cycles: int, trials: int, threads: int,
-                          kinds=("static", "ou")) -> None:
-    seq = PulseSequence.rotary_echo(theta, OMEGA_19, n_cycles)
-
-    def run(kind, seed):
-        spec = _drive_noise_spec(kind, seed)
-        res = monte_carlo(seq, 0.0, spec, trials=trials)
-        scen = DecayScenario("rotary_echo", "x", kind, sigma=0.05 * OMEGA_19,
-                             tau_c=spec.tau_c, theta=theta, omega=OMEGA_19)
-        return res, _mean_model(scen, res.times)
-
-    results = _run_jobs([(lambda k=k, i=i: run(k, w.seed + i))
-                         for i, k in enumerate(kinds)], threads)
-    cols = {"t_us": results[0][0].times * 1e6}
-    for kind, (res, model) in zip(kinds, results):
-        cols[f"mc_{kind}"] = res.mean
-        cols[f"se_{kind}"] = res.stderr
-        cols[f"model_{kind}"] = model
-    w.csv(name, cols, extra_meta={"trials": trials})
+    seq = PulseSequence.rabi(OMEGA_19, 20 * period)
+    record = period * np.arange(21)
+    _write_cases(w, {"fig4a_rabi_peaks.csv": {
+        kind: Case(seq, NoiseSpec("x", kind, 0.05, TAU_C, w.seed + i,
+                                  relative=True), record_times=record)
+        for i, kind in enumerate(("static", "ou"))}}, trials, threads)
 
 
 def fig_4b(w: RunWriter, trials: int, threads: int) -> None:
     """5pi rotary-echo full-echo peaks under static and OU drive noise."""
-    _re_drive_noise_panel(w, "fig4b_re5pi_peaks.csv", 5.0 * math.pi, 20,
-                          trials, threads)
+    seq = PulseSequence.rotary_echo(5.0 * math.pi, OMEGA_19, 20)
+    _write_cases(w, {"fig4b_re5pi_peaks.csv": {
+        kind: Case(seq, NoiseSpec("x", kind, 0.05, TAU_C, w.seed + i,
+                                  relative=True))
+        for i, kind in enumerate(("static", "ou"))}}, trials, threads)
 
 
 def fig_4c(w: RunWriter, trials: int, threads: int) -> None:
     """pi rotary-echo full-echo peaks under OU drive noise."""
-    _re_drive_noise_panel(w, "fig4c_repi_peaks.csv", math.pi, 95,
-                          trials, threads, kinds=("ou",))
+    seq = PulseSequence.rotary_echo(math.pi, OMEGA_19, 95)
+    spec = NoiseSpec("x", "ou", 0.05, TAU_C, w.seed, relative=True)
+    _write_cases(w, {"fig4c_repi_peaks.csv": {"ou": Case(seq, spec)}},
+                 trials, threads)
 
 
 def fig_s4(w: RunWriter, trials: int, threads: int) -> None:
     """Monte Carlo decay vs closed forms: OU dephasing (panel a, detuned)
     and drive noise (panel b, resonant), one CSV per curve."""
     dw = mhz_to_rad(2.0)
-    sigma = 0.05 * OMEGA_20
-    re_cycles = {0.75 * math.pi: 16, math.pi: 18, 5.0 * math.pi: 24}
-    labels = {0.75 * math.pi: "re_3pi4", math.pi: "re_pi",
-              5.0 * math.pi: "re_5pi"}
+    period = 2.0 * math.pi / OMEGA_20
+    echoes = {"re_3pi4": PulseSequence.rotary_echo(0.75 * math.pi, OMEGA_20, 16),
+              "re_pi": PulseSequence.rotary_echo(math.pi, OMEGA_20, 18),
+              "re_5pi": PulseSequence.rotary_echo(5.0 * math.pi, OMEGA_20, 24)}
 
-    def run_z(theta, seed):
-        seq = PulseSequence.rotary_echo(theta, OMEGA_20, re_cycles[theta])
-        spec = NoiseSpec(axis="z", kind="ou", sigma=sigma, tau_c=TAU_C,
-                         seed=seed)
-        res = monte_carlo(seq, dw, spec, trials=trials)
-        scen = DecayScenario("rotary_echo", "z", "ou", sigma=sigma,
-                             tau_c=TAU_C, theta=theta, omega=OMEGA_20)
-        return res, _mean_model(scen, res.times, dw)
+    def bath(i):
+        return NoiseSpec("z", "ou", 0.05 * OMEGA_20, TAU_C, w.seed + i)
 
-    def run_ramsey(seed):
-        seq = PulseSequence.ramsey(0.5e-6)
-        spec = NoiseSpec(axis="z", kind="ou", sigma=sigma, tau_c=TAU_C,
-                         seed=seed)
-        res = monte_carlo(seq, dw, spec, trials=trials,
-                          record_times=np.linspace(0.0, 0.5e-6, 65))
-        scen = DecayScenario("ramsey", "z", "ou", sigma=sigma, tau_c=TAU_C)
-        return res, _mean_model(scen, res.times, dw)
+    def drive(i):
+        return NoiseSpec("x", "ou", 0.05, TAU_C, w.seed + i, relative=True)
 
-    def run_x(theta, seed):
-        seq = PulseSequence.rotary_echo(theta, OMEGA_20, re_cycles[theta])
-        spec = NoiseSpec(axis="x", kind="ou", sigma=0.05, tau_c=TAU_C,
-                         seed=seed, relative=True)
-        res = monte_carlo(seq, 0.0, spec, trials=trials)
-        scen = DecayScenario("rotary_echo", "x", "ou", sigma=sigma,
-                             tau_c=TAU_C, theta=theta, omega=OMEGA_20)
-        return res, _mean_model(scen, res.times)
-
-    def run_rabi_x(seed):
-        period = 2.0 * math.pi / OMEGA_20
-        seq = PulseSequence.rabi(OMEGA_20, 12 * period)
-        spec = NoiseSpec(axis="x", kind="ou", sigma=0.05, tau_c=TAU_C,
-                         seed=seed, relative=True)
-        res = monte_carlo(seq, 0.0, spec, trials=trials,
-                          record_times=period * np.arange(13))
-        scen = DecayScenario("rabi", "x", "ou", sigma=sigma, tau_c=TAU_C,
-                             omega=OMEGA_20)
-        return res, _mean_model(scen, res.times)
-
-    thetas = list(re_cycles)
-    jobs = [(lambda th=th, i=i: run_z(th, w.seed + i))
-            for i, th in enumerate(thetas)]
-    jobs.append(lambda: run_ramsey(w.seed + 3))
-    jobs += [(lambda th=th, i=i: run_x(th, w.seed + 4 + i))
-             for i, th in enumerate(thetas)]
-    jobs.append(lambda: run_rabi_x(w.seed + 7))
-    results = _run_jobs(jobs, threads)
-
-    names = [f"figs4a_{labels[th]}.csv" for th in thetas] + ["figs4a_ramsey.csv"]
-    names += [f"figs4b_{labels[th]}.csv" for th in thetas] + ["figs4b_rabi.csv"]
-    for name, (res, model) in zip(names, results):
-        w.csv(name, {"t_us": res.times * 1e6, "mc_mean": res.mean,
-                     "mc_stderr": res.stderr, "model": model},
-              extra_meta={"trials": trials})
+    cases = {f"figs4a_{label}.csv": Case(seq, bath(i), dw)
+             for i, (label, seq) in enumerate(echoes.items())}
+    cases["figs4a_ramsey.csv"] = Case(PulseSequence.ramsey(0.5e-6), bath(3),
+                                      dw, np.linspace(0.0, 0.5e-6, 65))
+    cases.update({f"figs4b_{label}.csv": Case(seq, drive(4 + i))
+                  for i, (label, seq) in enumerate(echoes.items())})
+    cases["figs4b_rabi.csv"] = Case(PulseSequence.rabi(OMEGA_20, 12 * period),
+                                    drive(7), record_times=period * np.arange(13))
+    _write_cases(w, {name: {"": case} for name, case in cases.items()},
+                 trials, threads)
 
 
 def fig_s5(w: RunWriter, trials: int, threads: int) -> None:
@@ -655,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("figure", "regenerate the data behind a figure panel")]:
         p = sub.add_parser(name, help=help_text)
         if name == "figure":
-            p.add_argument("panel", choices=FIGURE_PANELS)
+            p.add_argument("panel", choices=FIGURES)
         p.add_argument("--config", metavar="PATH")
         p.add_argument("--out", metavar="DIR", default="out")
         p.add_argument("--seed", type=int, metavar="U64")
@@ -678,8 +596,8 @@ def main(argv=None) -> int:
             cfg = parse_config(text, source=args.config)
         else:
             cfg = parse_config("")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
+        if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+            raise ConfigError("--seed must lie in [0, 2**64)")
         if args.trials is not None and args.trials < 1:
             raise ConfigError("--trials must be >= 1")
         if args.threads is not None and args.threads < 1:

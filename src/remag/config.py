@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .units import mhz_to_rad, us_to_s
 
@@ -68,6 +68,11 @@ SCHEMA = {
         "threads": (int, 1),
     },
 }
+
+
+#: largest seed: noise streams are keyed by 64-bit words, so a larger seed
+#: would silently alias a smaller one
+MAX_SEED = 2**64 - 1
 
 
 class ConfigError(ValueError):
@@ -214,6 +219,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     run = v["run"]
     if run["trials"] < 1 or run["threads"] < 1 or run["seed"] < 0:
         raise ConfigError(f"{src}: run.trials/threads >= 1, seed >= 0")
+    if run["seed"] > MAX_SEED:
+        raise ConfigError(f"{src}: run.seed must lie below 2**64")
 
     # OU-z first-order envelope validity: tau_c sigma <~ theta/2 and
     # tau_c >~ theta/(2 Omega); violations still run but are flagged

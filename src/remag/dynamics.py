@@ -30,31 +30,6 @@ MAX_GRID_STEPS = 50_000_000
 
 
 @dataclass(frozen=True)
-class NVSystemSpec:
-    """Static parameters of the NV sensor qubit.
-
-    Frequencies are angular (rad/s); the static field is in gauss and the
-    gyromagnetic ratio in rad/s per gauss.
-    """
-
-    zero_field_splitting: float
-    static_field: float
-    gyromagnetic_ratio: float
-    hyperfine: float
-
-    def __post_init__(self):
-        for name in ("zero_field_splitting", "static_field",
-                     "gyromagnetic_ratio", "hyperfine"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-    @property
-    def resonance(self) -> float:
-        """Qubit resonance w0 = splitting + gamma_e * B_parallel (rad/s)."""
-        return self.zero_field_splitting + self.gyromagnetic_ratio * self.static_field
-
-
-@dataclass(frozen=True)
 class PulseSequence:
     """Which experiment is run, with its drive parameters.
 

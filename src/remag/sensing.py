@@ -40,20 +40,6 @@ class ReadoutModel:
 
 
 @dataclass(frozen=True)
-class SensitivityResult:
-    eta: float                    # T / sqrt(Hz)
-    interrogation_time: float     # s
-    c: float = 1.0
-    c_a: float = 1.0
-    c_nr: float = 1.0
-    envelope_applied: bool = False
-
-    def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-
-
-@dataclass(frozen=True)
 class NormalizedSignal:
     values: np.ndarray
     errors: np.ndarray

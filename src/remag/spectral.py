@@ -9,10 +9,9 @@ and inverts line splittings back to physical detunings.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -362,12 +361,3 @@ def periodogram_to_csv(pgram: Periodogram, path: str) -> None:
               f"oversample={pgram.oversample}\nfreq_hz,power")
     np.savetxt(path, np.column_stack([pgram.frequencies, pgram.power]),
                delimiter=",", header=header, comments="", fmt="%.12g")
-
-
-def peaks_to_json(peaks: list[PeakReport], path: str) -> None:
-    payload = [{"frequency_hz": p.frequency, "power": p.power, "rank": p.rank,
-                "p_value": p.p_value, "snr": p.snr, "delta_f_hz": p.delta_f}
-               for p in peaks]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -15,22 +15,9 @@ TWO_PI = 2.0 * math.pi
 GAMMA_E_HZ_PER_GAUSS = 2.8e6
 GAMMA_E_RAD_PER_S_PER_T = TWO_PI * GAMMA_E_HZ_PER_GAUSS * 1e4  # rad s^-1 T^-1
 
-# NV ground-state zero-field splitting.
-ZERO_FIELD_SPLITTING_RAD = TWO_PI * 2.87e9
-
 # CODATA values, used by the calcium-flux estimates.
 MU_0 = _const.mu_0
 ELEMENTARY_CHARGE = _const.e
-
-
-def hz_to_rad(f):
-    """Ordinary frequency (Hz) to angular frequency (rad/s)."""
-    return TWO_PI * f
-
-
-def rad_to_hz(w):
-    """Angular frequency (rad/s) to ordinary frequency (Hz)."""
-    return w / TWO_PI
 
 
 def mhz_to_rad(f_mhz):

@@ -1,11 +1,15 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes, cleanup."""
 
 import json
-import os
+import math
 
+import numpy as np
 import pytest
 
-from remag.cli import main
+from remag.cli import RunWriter, main
+from remag.config import parse_config
+from remag.models import DecayScenario, mean_signal, mean_signal_cumulant
+from remag.units import mhz_to_rad
 
 SPECTRUM_INI = """\
 [sequence]
@@ -124,6 +128,31 @@ class TestExitCodes:
         rc, _ = run(tmp_path, "simulate", "--trials", "0")
         assert rc == 1
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_seed_of_2_64_or_more_exits_1(self, tmp_path, capsys, where):
+        seed = str(2**64 + 5)  # masked to 64 bits this would alias seed 5
+        argv = ["simulate", "--seed", seed]
+        if where == "config":
+            cfg = tmp_path / "seed.ini"
+            cfg.write_text(f"[run]\nseed = {seed}\n")
+            argv = ["simulate", "--config", str(cfg)]
+        rc, out = run(tmp_path, *argv)
+        assert rc == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        rc, out = run(tmp_path, "simulate", "--seed", str(2**64 - 1))
+        assert rc == 0
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        w = RunWriter(str(tmp_path), "simulate", parse_config(""), 1)
+        with pytest.raises(TypeError):
+            w.json("p.json", {"a": object()})
+        assert (tmp_path / "p.json").exists()  # the half-written file
+        w.cleanup()
+        assert not (tmp_path / "p.json").exists()
+
     def test_runtime_failure_removes_partial_outputs(self, tmp_path,
                                                      monkeypatch, capsys):
         import remag.cli as cli
@@ -171,6 +200,62 @@ class TestNoiseRun:
         header = [ln for ln in (out / "decay.csv").read_text().splitlines()
                   if not ln.startswith("#")][0]
         assert header.split(",") == ["t_us", "mc_mean", "mc_stderr", "model"]
+
+    def _decay(self, tmp_path, ini):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "out"
+        assert main(["noise", "--config", str(cfg), "--trials", "8",
+                     "--out", str(out)]) == 0
+        lines = [ln for ln in (out / "decay.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        return dict(zip(lines[0].split(","), data.T))
+
+    def test_ou_z_echo_model_is_cumulant(self, tmp_path):
+        cols = self._decay(tmp_path, NOISE_INI)
+        scen = DecayScenario("rotary_echo", "z", "ou", sigma=mhz_to_rad(1.0),
+                             tau_c=0.2e-6, theta=math.pi,
+                             omega=mhz_to_rad(17.0))
+        model = mean_signal_cumulant(scen, cols["t_us"] * 1e-6,
+                                     mhz_to_rad(0.17))
+        assert np.allclose(cols["model"], model, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("noise, sequence, scen", [
+        # relative strength: sigma_rel times the Rabi frequency
+        ("axis = x\nkind = static\nsigma_rel = 0.05\n",
+         "kind = rotary_echo\ntheta_pi = 5.0\nomega_mhz = 19.0\n"
+         "n_cycles = 6\n",
+         DecayScenario("rotary_echo", "x", "static",
+                       sigma=0.05 * mhz_to_rad(19.0), theta=5 * math.pi,
+                       omega=mhz_to_rad(19.0))),
+        ("axis = x\nkind = ou\nsigma_rel = 0.05\ntau_c_us = 0.2\n",
+         "kind = rotary_echo\ntheta_pi = 1.0\nomega_mhz = 19.0\n"
+         "n_cycles = 20\n",
+         DecayScenario("rotary_echo", "x", "ou",
+                       sigma=0.05 * mhz_to_rad(19.0), tau_c=0.2e-6,
+                       theta=math.pi, omega=mhz_to_rad(19.0))),
+        # absolute strength in MHz
+        ("axis = x\nkind = ou\nsigma_mhz = 1.0\ntau_c_us = 0.2\n",
+         "kind = rabi\nomega_mhz = 19.0\nduration_us = 0.3\n",
+         DecayScenario("rabi", "x", "ou", sigma=mhz_to_rad(1.0),
+                       tau_c=0.2e-6, omega=mhz_to_rad(19.0))),
+    ])
+    def test_drive_noise_model_is_mean_signal(self, tmp_path, noise,
+                                              sequence, scen):
+        cols = self._decay(tmp_path, f"[sequence]\n{sequence}[field]\n"
+                           f"detuning_mhz = 0.0\n[noise]\nenabled = true\n"
+                           f"{noise}")
+        model = mean_signal(scen, cols["t_us"] * 1e-6)
+        assert np.allclose(cols["model"], model, rtol=0, atol=1e-10)
+        if scen.kind == "ou":
+            assert np.ptp(cols["model"]) > 1e-3  # sigma shapes the decay
+
+    def test_ou_z_rabi_has_no_model_column(self, tmp_path):
+        cols = self._decay(tmp_path, "[sequence]\nkind = rabi\n"
+                           "duration_us = 0.3\n[noise]\nenabled = true\n"
+                           "axis = z\nkind = ou\nsigma_mhz = 1.0\n")
+        assert list(cols) == ["t_us", "mc_mean", "mc_stderr"]
 
     def test_validity_warning_propagates(self, tmp_path):
         # 3pi/4 echo under a slow strong bath sits outside the OU-z window

@@ -5,7 +5,8 @@ import pytest
 
 from remag.dynamics import PulseSequence
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
-from remag.noise import NoiseSpec, ensemble_trace, monte_carlo, sample_path
+from remag.noise import (NoiseSpec, decay_scenario, ensemble_trace,
+                         monte_carlo, sample_path)
 from remag.units import mhz_to_rad
 
 SIGMA = mhz_to_rad(1.0)
@@ -49,6 +50,25 @@ class TestGenerator:
             NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=0.0)
         with pytest.raises(ValueError):
             NoiseSpec(axis="z", kind="static", sigma=SIGMA, relative=True)
+
+
+class TestDecayScenario:
+    def test_relative_sigma_scales_with_drive(self):
+        omega = mhz_to_rad(19.0)
+        seq = PulseSequence.rotary_echo(5 * math.pi, omega, 3)
+        rel = NoiseSpec(axis="x", kind="ou", sigma=0.05, tau_c=TAU_C,
+                        relative=True)
+        scen = decay_scenario(seq, rel)
+        assert scen == DecayScenario("rotary_echo", "x", "ou",
+                                     sigma=0.05 * omega, tau_c=TAU_C,
+                                     theta=5 * math.pi, omega=omega)
+        absolute = NoiseSpec(axis="x", kind="ou", sigma=SIGMA, tau_c=TAU_C)
+        assert decay_scenario(seq, absolute).sigma == SIGMA
+
+    def test_static_noise_has_no_correlation_time(self):
+        seq = PulseSequence.ramsey(1e-6)
+        spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA, tau_c=TAU_C)
+        assert decay_scenario(seq, spec).tau_c == 0.0
 
 
 class TestMonteCarlo:
