@@ -21,12 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, models
-from .calcium import CaDomainSpec, ca_field, ca_required_sensitivity, \
-    implied_repetitions
-from .config import MAX_SEED, ConfigError, ScenarioConfig, config_hash, \
-    parse_config
+from .calcium import ca_field, ca_required_sensitivity, implied_repetitions
+from .config import ConfigError, ScenarioConfig, config_hash, parse_config
 from .dynamics import PulseSequence, SignalTrace, build_waveform, propagate
-from .noise import NoiseSpec, decay_scenario, mc_vs_model, monte_carlo
+from .noise import MAX_SEED, NoiseSpec, decay_scenario, mc_vs_model, \
+    monte_carlo, _trial_rng
 from .sensing import ReadoutModel, corrected_sensitivity, readout_factors, \
     sensitivity_ideal, rabi_asymptote
 from .spectral import extract_detunings, harmonic_filter, peak_significance, \
@@ -126,26 +125,7 @@ def _run_jobs(jobs, threads: int):
 
 
 # ---------------------------------------------------------------------------
-# config -> domain objects
-
-def _sequence(cfg: ScenarioConfig) -> PulseSequence:
-    seq = cfg["sequence"]
-    if seq["kind"] == "rotary_echo":
-        return PulseSequence.rotary_echo(cfg.theta, cfg.omega, seq["n_cycles"])
-    if seq["kind"] == "rabi":
-        return PulseSequence.rabi(cfg.omega, us_to_s(seq["duration_us"]))
-    return PulseSequence.ramsey(us_to_s(seq["duration_us"]))
-
-
-def _noise_spec(cfg: ScenarioConfig, seed: int) -> NoiseSpec | None:
-    n = cfg["noise"]
-    if not n["enabled"]:
-        return None
-    relative = n["axis"] == "x" and n["sigma_rel"] > 0.0
-    sigma = n["sigma_rel"] if relative else mhz_to_rad(n["sigma_mhz"])
-    return NoiseSpec(axis=n["axis"], kind=n["kind"], sigma=sigma,
-                     tau_c=cfg.tau_c, seed=seed, relative=relative)
-
+# noiseless traces
 
 def _mean_trace(seq: PulseSequence, b: float, hyperfine: float,
                 dt_max: float) -> SignalTrace:
@@ -161,7 +141,7 @@ def _mean_trace(seq: PulseSequence, b: float, hyperfine: float,
 
 
 def _noiseless_trace(cfg: ScenarioConfig) -> SignalTrace:
-    return _mean_trace(_sequence(cfg), cfg.detuning, cfg.hyperfine,
+    return _mean_trace(cfg.sequence, cfg.detuning, cfg.hyperfine,
                        cfg["grid"]["dt_ns"] * 1e-9)
 
 
@@ -178,30 +158,23 @@ def triplet_trace(theta: float, omega: float, b: float, hyperfine: float,
     trace = _mean_trace(seq, b, hyperfine, dt_max)
     values = trace.values
     if shot_sigma > 0.0:
-        rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+        rng = _trial_rng(seed, 0)
         values = values + shot_sigma * rng.standard_normal(values.size)
     return replace(trace, values=values,
                    meta={**trace.meta, "shot_sigma": shot_sigma})
-
-
-def _readout(cfg: ScenarioConfig) -> ReadoutModel:
-    r = cfg["readout"]
-    return ReadoutModel(n0=r["n0"], n1=r["n1"], n_r=r["n_r"],
-                        t_r=us_to_s(r["t_r_us"]), t_d=us_to_s(r["t_d_us"]))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_simulate(cfg: ScenarioConfig, w: RunWriter, args) -> None:
-    spec = _noise_spec(cfg, w.seed)
-    if spec is None:
+    if cfg.noise is None:
         trace = _noiseless_trace(cfg)
         w.csv("trace.csv", {"t_us": trace.times * 1e6,
                             "signal": trace.values})
         return
     trials = args.trials or cfg["run"]["trials"]
-    res = monte_carlo(_sequence(cfg), cfg.detuning, spec, trials=trials)
+    res = monte_carlo(cfg.sequence, cfg.detuning, cfg.noise, trials=trials)
     w.csv("trace.csv", {"t_us": res.times * 1e6, "signal": res.mean,
                         "stderr": res.stderr},
           extra_meta={"trials": trials})
@@ -259,11 +232,15 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     else:
         times = np.linspace(t_max / cfg["grid"]["points"], t_max,
                             cfg["grid"]["points"])
-    readout = _readout(cfg)
+    readout = cfg.readout
     env = np.ones_like(times)
-    if cfg["noise"]["enabled"]:
-        env = models.decay_envelope(
-            decay_scenario(_sequence(cfg), _noise_spec(cfg, w.seed)), times)
+    if cfg.noise is not None:
+        try:
+            env = models.decay_envelope(
+                decay_scenario(cfg.sequence, cfg.noise), times)
+        except ValueError as exc:  # no closed-form envelope for this pair
+            raise ConfigError(f"{cfg.source}: [noise]/[sequence] {exc}") \
+                from None
     rows_ideal, rows_corr = [], []
     for t, e in zip(times, env):
         eta = sensitivity_ideal(kind, t,
@@ -315,22 +292,17 @@ def _write_cases(w: RunWriter, tables: dict, trials: int,
 
 
 def cmd_noise(cfg: ScenarioConfig, w: RunWriter, args) -> None:
-    spec = _noise_spec(cfg, w.seed)
-    if spec is None:
+    if cfg.noise is None:
         raise ConfigError(f"{cfg.source}: noise.enabled must be true for "
                           "the noise subcommand")
-    case = Case(_sequence(cfg), spec, cfg.detuning)
+    case = Case(cfg.sequence, cfg.noise, cfg.detuning)
     _write_cases(w, {"decay.csv": {"": case}},
                  args.trials or cfg["run"]["trials"], args.threads)
 
 
 def cmd_calcium(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     c = cfg["calcium"]
-    spec = CaDomainSpec(ion_count=c["ions"],
-                        travel_distance=c["distance_nm"] * 1e-9,
-                        flux_duration=us_to_s(c["duration_us"]),
-                        standoff=c["standoff_nm"] * 1e-9,
-                        repetitions=c["repetitions"])
+    spec = cfg.calcium
     field = ca_field(spec)
     eta = ca_required_sensitivity(spec)
     target = c["eta_target_ut"] * 1e-6
@@ -607,6 +579,8 @@ def main(argv=None) -> int:
         return 1
 
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
+    if cfg.noise is not None:
+        cfg.noise = replace(cfg.noise, seed=seed)
     if args.threads is None:
         args.threads = cfg["run"]["threads"]
     os.makedirs(args.out, exist_ok=True)

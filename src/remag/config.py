@@ -2,8 +2,11 @@
 
 Configs use flat sections with frequencies in ordinary MHz and times in
 microseconds; conversion to angular rad/s and seconds happens here, at
-the boundary, and nowhere else.  Unknown sections or keys are rejected
-with file:line context.
+the boundary, and nowhere else.  Unknown sections or keys and
+non-finite numbers are rejected with file:line context.  Parsing builds
+the domain objects a run needs (pulse sequence, noise source, readout,
+calcium scenario), and their constructors own every range check; a
+rejection becomes a :class:`ConfigError` naming the section.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from .calcium import CaDomainSpec
+from .dynamics import PulseSequence
+from .noise import MAX_SEED, NoiseSpec, decay_scenario
+from .sensing import ReadoutModel
 from .units import mhz_to_rad, us_to_s
 
 # section -> key -> (type, default). Bools are "true"/"false".
@@ -70,25 +77,30 @@ SCHEMA = {
 }
 
 
-#: largest seed: noise streams are keyed by 64-bit words, so a larger seed
-#: would silently alias a smaller one
-MAX_SEED = 2**64 - 1
-
-
 class ConfigError(ValueError):
     """Invalid scenario config; message carries file:line context."""
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario with values in SI/angular units."""
+    """Validated scenario: the parsed values and the domain objects built
+    from them (in SI/angular units)."""
 
     values: dict                      # section -> key -> parsed value
     source: str = "<config>"
-    validity_warning: bool = False    # OU-z window violated
+    sequence: PulseSequence | None = None
+    noise: NoiseSpec | None = None    # None when noise is disabled
+    readout: ReadoutModel | None = None
+    calcium: CaDomainSpec | None = None
 
     def __getitem__(self, section):
         return self.values[section]
+
+    @property
+    def validity_warning(self) -> bool:
+        """The run leaves the OU-z rotary-echo envelope's validity window."""
+        return (self.noise is not None and not
+                decay_scenario(self.sequence, self.noise).in_validity_window)
 
     # convenience accessors in internal units (rad/s, s)
     @property
@@ -110,10 +122,6 @@ class ScenarioConfig:
     @property
     def tau_c(self) -> float:
         return us_to_s(self.values["noise"]["tau_c_us"])
-
-    @property
-    def noise_sigma(self) -> float:
-        return mhz_to_rad(self.values["noise"]["sigma_mhz"])
 
 
 def _key_lines(text: str) -> dict:
@@ -140,9 +148,12 @@ def _coerce(raw: str, typ, where: str):
             if low in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected {typ.__name__}, got {raw!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite float, got {raw!r}")
+    return value
 
 
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -173,64 +184,70 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
     cfg = ScenarioConfig(values=values, source=source)
     _validate(cfg)
+    for section, build in _BUILDERS.items():
+        try:
+            setattr(cfg, section, build(cfg))
+        except ValueError as exc:
+            ln = lines.get((section, None), "?")
+            raise ConfigError(f"{source}:{ln}: [{section}] {exc}") from None
     return cfg
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    v = cfg.values
+    """Checks no domain object covers; the builders below do the rest."""
     src = cfg.source
-    seq = v["sequence"]
-    if seq["kind"] not in ("rotary_echo", "rabi", "ramsey"):
-        raise ConfigError(f"{src}: sequence.kind must be rotary_echo, "
-                          f"rabi or ramsey, got {seq['kind']!r}")
-    if seq["kind"] != "ramsey" and seq["omega_mhz"] <= 0:
-        raise ConfigError(f"{src}: sequence.omega_mhz must be positive")
-    if seq["kind"] == "rotary_echo":
-        if seq["theta_pi"] <= 0:
-            raise ConfigError(f"{src}: sequence.theta_pi must be positive")
-        if seq["n_cycles"] < 1:
-            raise ConfigError(f"{src}: sequence.n_cycles must be >= 1")
-    elif seq["duration_us"] <= 0:
-        raise ConfigError(f"{src}: sequence.duration_us must be positive")
-
-    noise = v["noise"]
-    if noise["enabled"]:
-        if noise["axis"] not in ("z", "x"):
-            raise ConfigError(f"{src}: noise.axis must be z or x")
-        if noise["kind"] not in ("static", "ou"):
-            raise ConfigError(f"{src}: noise.kind must be static or ou")
-        if noise["kind"] == "ou" and noise["tau_c_us"] <= 0:
-            raise ConfigError(f"{src}: noise.tau_c_us must be positive")
-        if noise["sigma_mhz"] < 0 or noise["sigma_rel"] < 0:
-            raise ConfigError(f"{src}: noise strength must be nonnegative")
-        if noise["axis"] == "z" and noise["sigma_rel"]:
-            raise ConfigError(f"{src}: sigma_rel applies to x-axis noise only")
-
-    ro = v["readout"]
-    if not ro["n0"] > ro["n1"] >= 0:
-        raise ConfigError(f"{src}: readout needs n0 > n1 >= 0")
-    if ro["n_r"] < 1 or ro["t_r_us"] < 0 or ro["t_d_us"] < 0:
-        raise ConfigError(f"{src}: readout timing must be nonnegative, n_r >= 1")
-
-    grid = v["grid"]
+    grid = cfg["grid"]
     if grid["dt_ns"] <= 0 or grid["t_max_us"] <= 0 or grid["points"] < 2:
         raise ConfigError(f"{src}: grid values must be positive")
 
-    run = v["run"]
+    run = cfg["run"]
     if run["trials"] < 1 or run["threads"] < 1 or run["seed"] < 0:
         raise ConfigError(f"{src}: run.trials/threads >= 1, seed >= 0")
     if run["seed"] > MAX_SEED:
         raise ConfigError(f"{src}: run.seed must lie below 2**64")
 
-    # OU-z first-order envelope validity: tau_c sigma <~ theta/2 and
-    # tau_c >~ theta/(2 Omega); violations still run but are flagged
-    if (noise["enabled"] and noise["axis"] == "z" and noise["kind"] == "ou"
-            and seq["kind"] == "rotary_echo"):
-        theta = cfg.theta
-        tau_c = cfg.tau_c
-        sigma = cfg.noise_sigma
-        if tau_c * sigma > theta / 2.0 or tau_c < theta / (2.0 * cfg.omega):
-            cfg.validity_warning = True
+
+def _sequence(cfg: ScenarioConfig) -> PulseSequence:
+    seq = cfg["sequence"]
+    kind = seq["kind"]
+    if kind == "rotary_echo":
+        return PulseSequence.rotary_echo(cfg.theta, cfg.omega, seq["n_cycles"])
+    # rabi, ramsey (no drive) or an unknown kind, which the constructor rejects
+    return PulseSequence(kind, omega=0.0 if kind == "ramsey" else cfg.omega,
+                         duration=us_to_s(seq["duration_us"]))
+
+
+def _noise(cfg: ScenarioConfig) -> NoiseSpec | None:
+    n = cfg["noise"]
+    if not n["enabled"]:
+        return None
+    if n["sigma_mhz"] and n["sigma_rel"]:
+        raise ValueError("set sigma_mhz or sigma_rel, not both")
+    relative = n["sigma_rel"] != 0.0
+    sigma = n["sigma_rel"] if relative else mhz_to_rad(n["sigma_mhz"])
+    return NoiseSpec(axis=n["axis"], kind=n["kind"], sigma=sigma,
+                     tau_c=cfg.tau_c, seed=cfg["run"]["seed"],
+                     relative=relative)
+
+
+def _readout(cfg: ScenarioConfig) -> ReadoutModel:
+    r = cfg["readout"]
+    return ReadoutModel(n0=r["n0"], n1=r["n1"], n_r=r["n_r"],
+                        t_r=us_to_s(r["t_r_us"]), t_d=us_to_s(r["t_d_us"]))
+
+
+def _calcium(cfg: ScenarioConfig) -> CaDomainSpec:
+    c = cfg["calcium"]
+    return CaDomainSpec(ion_count=c["ions"],
+                        travel_distance=c["distance_nm"] * 1e-9,
+                        flux_duration=us_to_s(c["duration_us"]),
+                        standoff=c["standoff_nm"] * 1e-9,
+                        repetitions=c["repetitions"])
+
+
+#: ScenarioConfig attribute = config section -> its builder
+_BUILDERS = {"sequence": _sequence, "noise": _noise, "readout": _readout,
+             "calcium": _calcium}
 
 
 def config_hash(cfg: ScenarioConfig) -> str:

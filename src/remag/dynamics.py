@@ -231,18 +231,13 @@ def _hamiltonian_coeffs(amplitude, detuning_total):
 
 
 def segment_unitary(amplitude: float, detuning_total: float, duration: float) -> np.ndarray:
-    """Exact 2x2 propagator of one constant segment."""
+    """Exact 2x2 propagator of one constant segment.
+
+    Its columns are :func:`su2_step` applied to the basis states |0>, |1>.
+    """
     hx, hz, ident = _hamiltonian_coeffs(amplitude, detuning_total)
-    h = math.hypot(hx, hz)
-    phi = h * duration
-    c, s = math.cos(phi), math.sin(phi)
-    if h > 0.0:
-        nx, nz = hx / h, hz / h
-    else:
-        nx = nz = 0.0
-    u = np.array([[c - 1j * s * nz, -1j * s * nx],
-                  [-1j * s * nx, c + 1j * s * nz]], dtype=complex)
-    return np.exp(-1j * ident * duration) * u
+    return np.array(su2_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                             hx, hz, ident, duration))
 
 
 def total_propagator(wave: DriveWaveform, t: float | None = None) -> np.ndarray:

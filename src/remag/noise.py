@@ -22,6 +22,10 @@ from .models import DecayScenario, mean_signal, mean_signal_cumulant
 
 _OU_MIN_SAMPLES_PER_TAU = 20
 
+#: largest seed: streams are keyed by 64-bit words, so a larger seed
+#: would silently alias a smaller one
+MAX_SEED = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -51,6 +55,8 @@ class NoiseSpec:
             raise ValueError("OU noise requires tau_c > 0")
         if self.relative and self.axis != "x":
             raise ValueError("relative sigma is only meaningful for x-axis noise")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError("seed must lie in [0, 2**64)")
 
     def sigma_abs(self, omega: float) -> float:
         """Noise strength in rad/s under a drive of Rabi frequency omega."""
@@ -81,8 +87,10 @@ class EnsembleResult:
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1),
-                                                     trial_index & (2**64 - 1)]))
+    # an explicit uint64 key: numpy turns a list holding an int of 2**63 or
+    # more into float64, which rounds such seeds onto each other
+    key = np.array([seed, trial_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _normals(rng: np.random.Generator, shape) -> np.ndarray:

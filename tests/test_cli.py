@@ -145,6 +145,31 @@ class TestExitCodes:
         rc, out = run(tmp_path, "simulate", "--seed", str(2**64 - 1))
         assert rc == 0
 
+    def test_figure_case_seed_past_64_bits_fails_clean(self, tmp_path, capsys):
+        # 4a seeds its second case with seed + 1, which would wrap to 0
+        rc, out = run(tmp_path, "figure", "4a", "--seed", str(2**64 - 1),
+                      "--trials", "2")
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("line", ["theta_pi = nan", "omega_mhz = inf"])
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[sequence]\n{line}\n")
+        rc, out = run(tmp_path, "simulate", "--config", str(cfg))
+        assert rc == 1
+        assert "bad.ini:2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_calcium_section_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "ca.ini"
+        cfg.write_text("[calcium]\ndistance_nm = 0\n")
+        rc, out = run(tmp_path, "calcium", "--config", str(cfg))
+        assert rc == 1
+        assert "ca.ini:1: [calcium]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         w = RunWriter(str(tmp_path), "simulate", parse_config(""), 1)
         with pytest.raises(TypeError):
@@ -295,6 +320,16 @@ class TestSensitivity:
         assert lines[0].split(",") == ["t_us", "eta_ideal_ut",
                                        "eta_corrected_ut"]
         assert len(lines) > 10
+
+    def test_scenario_without_envelope_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "rabi.ini"
+        cfg.write_text("[sequence]\nkind = rabi\nduration_us = 0.3\n"
+                       "[noise]\nenabled = true\naxis = z\nkind = ou\n"
+                       "sigma_mhz = 1.0\n")
+        rc, out = run(tmp_path, "sensitivity", "--config", str(cfg))
+        assert rc == 1
+        assert "[noise]" in capsys.readouterr().err
+        assert not (out / "sensitivity.csv").exists()
 
 
 class TestFigurePresets:

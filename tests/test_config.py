@@ -78,6 +78,28 @@ class TestErrors:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_float_reports_location(self, raw):
+        text = f"[sequence]\ntheta_pi = 1\nomega_mhz = {raw}\n"
+        with pytest.raises(ConfigError, match=r"bad\.ini:3: omega_mhz: .*finite"):
+            parse_config(text, source="bad.ini")
+
+    def test_domain_rejection_reports_section(self):
+        text = "[run]\nseed = 1\n\n[calcium]\ndistance_nm = 0\n"
+        with pytest.raises(ConfigError,
+                           match=r"bad\.ini:4: \[calcium\] travel_distance"):
+            parse_config(text, source="bad.ini")
+
+    def test_sigma_mhz_and_sigma_rel_exclusive(self):
+        text = ("[noise]\nenabled = true\naxis = x\nsigma_mhz = 1.0\n"
+                "sigma_rel = 0.05\n")
+        with pytest.raises(ConfigError, match=r"\[noise\].*sigma_mhz.*sigma_rel"):
+            parse_config(text)
+        # either one alone is a valid strength
+        assert parse_config(text.replace("sigma_mhz = 1.0\n", "")).noise.relative
+        assert not parse_config(text.replace("sigma_rel = 0.05\n", "")
+                                ).noise.relative
+
 
 class TestValidityWindow:
 

@@ -51,6 +51,21 @@ class TestGenerator:
         with pytest.raises(ValueError):
             NoiseSpec(axis="z", kind="static", sigma=SIGMA, relative=True)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 + 5 seed 5
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=seed)
+
+    @pytest.mark.parametrize("a, b", [(2**64 - 1, 0), (2**64 - 1, 2**64 - 2),
+                                      (2**63 + 1, 2**63)])
+    def test_seeds_above_2_63_keep_their_own_stream(self, a, b):
+        def path(seed):
+            spec = NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C,
+                             seed=seed)
+            return sample_path(spec, 1e-7, 1e-9).values
+        assert not np.array_equal(path(a), path(b))
+
 
 class TestDecayScenario:
     def test_relative_sigma_scales_with_drive(self):
