@@ -8,15 +8,15 @@ assisted) readout beats a plain Ramsey measurement.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from remag.models import t_prime_re
-from remag.sensing import (ReadoutModel, corrected_sensitivity,
-                           optimal_interrogation_times, re_coefficient,
-                           readout_factors, repeated_readout_gain,
-                           sensitivity_ideal)
+from remag.sensing import (ReadoutModel, optimal_interrogation_times,
+                           re_coefficient, readout_factors,
+                           repeated_readout_gain, sensitivity_sweep)
 from remag.units import mhz_to_rad
 
 omega = mhz_to_rad(17.0)
@@ -40,14 +40,13 @@ t_r = 1.5e-6
 
 def best(theta, horizon, n_r):
     t_p = t_prime_re(theta, sigma)
-    etas = []
-    for t in optimal_interrogation_times(theta, omega, 0.0, horizon):
-        cc, ca, _ = readout_factors(readout, theta, 0.0, t)
-        etas.append((corrected_sensitivity(
-            sensitivity_ideal("rotary_echo", t, theta=theta), cc, ca,
-            math.exp((t / t_p) ** 2), t, n_r=n_r, t_r=t_r,
-            readout=readout), t))
-    return min(etas)
+    times = optimal_interrogation_times(theta, omega, 0.0, horizon)
+    _, etas = sensitivity_sweep("rotary_echo", times,
+                                replace(readout, n_r=n_r, t_r=t_r),
+                                [math.exp((t / t_p) ** 2) for t in times],
+                                theta=theta)
+    i = int(np.argmin(etas))
+    return etas[i], times[i]
 
 
 for theta, n_r in ((math.pi, 1), (math.pi, 100), (11 * math.pi, 100)):
@@ -55,9 +54,7 @@ for theta, n_r in ((math.pi, 1), (math.pi, 100), (11 * math.pi, 100)):
     print(f"{theta / math.pi:4.0f} pi echo, n_r = {n_r:3d}: "
           f"eta = {eta * 1e6:6.3f} uT/rtHz at t = {t * 1e6:5.2f} us")
 
-eta_ram = min(
-    corrected_sensitivity(sensitivity_ideal("ramsey", t),
-                          *readout_factors(readout, math.pi, 0.0, t)[:2],
-                          math.exp((t / t2_star) ** 2), t, n_r=1, t_r=t_r)
-    for t in np.linspace(0.2e-6, 6e-6, 240))
-print(f"Ramsey baseline:           eta = {eta_ram * 1e6:6.3f} uT/rtHz")
+times = np.linspace(0.2e-6, 6e-6, 240)
+_, etas = sensitivity_sweep("ramsey", times, replace(readout, t_r=t_r),
+                            [math.exp((t / t2_star) ** 2) for t in times])
+print(f"Ramsey baseline:           eta = {min(etas) * 1e6:6.3f} uT/rtHz")

@@ -26,8 +26,8 @@ from .config import ConfigError, ScenarioConfig, config_hash, parse_config
 from .dynamics import PulseSequence, SignalTrace, build_waveform, propagate
 from .noise import MAX_SEED, NoiseSpec, decay_scenario, mc_vs_model, \
     monte_carlo, _trial_rng
-from .sensing import ReadoutModel, corrected_sensitivity, readout_factors, \
-    sensitivity_ideal, rabi_asymptote
+from .sensing import ReadoutModel, optimal_interrogation_times, \
+    rabi_asymptote, sensitivity_ideal, sensitivity_sweep
 from .spectral import extract_detunings, harmonic_filter, peak_significance, \
     periodogram
 from .units import mhz_to_rad, us_to_s
@@ -232,29 +232,20 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     else:
         times = np.linspace(t_max / cfg["grid"]["points"], t_max,
                             cfg["grid"]["points"])
-    readout = cfg.readout
-    env = np.ones_like(times)
+    envelope = np.ones_like(times)
     if cfg.noise is not None:
         try:
-            env = models.decay_envelope(
+            envelope = 1.0 / models.decay_envelope(
                 decay_scenario(cfg.sequence, cfg.noise), times)
         except ValueError as exc:  # no closed-form envelope for this pair
             raise ConfigError(f"{cfg.source}: [noise]/[sequence] {exc}") \
                 from None
-    rows_ideal, rows_corr = [], []
-    for t, e in zip(times, env):
-        eta = sensitivity_ideal(kind, t,
-                                theta=cfg.theta if kind == "rotary_echo" else None,
-                                omega=cfg.omega if kind != "ramsey" else None)
-        theta_eff = cfg.theta if kind == "rotary_echo" else math.pi
-        c, c_a, _ = readout_factors(readout, theta_eff, cfg.hyperfine, t)
-        rows_ideal.append(eta)
-        rows_corr.append(corrected_sensitivity(
-            eta, c, c_a, 1.0 / e, t, t_d=readout.t_d,
-            n_r=readout.n_r, t_r=readout.t_r, readout=readout))
+    ideal, corrected = sensitivity_sweep(kind, times, cfg.readout, envelope,
+                                         theta=cfg.theta, omega=cfg.omega,
+                                         hyperfine=cfg.hyperfine)
     w.csv("sensitivity.csv", {"t_us": times * 1e6,
-                              "eta_ideal_ut": np.array(rows_ideal) * 1e6,
-                              "eta_corrected_ut": np.array(rows_corr) * 1e6})
+                              "eta_ideal_ut": ideal * 1e6,
+                              "eta_corrected_ut": corrected * 1e6})
 
 
 class Case(NamedTuple):
@@ -397,22 +388,16 @@ def fig_3a(w: RunWriter, trials: int, threads: int) -> None:
 
 def fig_3b(w: RunWriter, trials: int, threads: int) -> None:
     """Corrected pi-RE sensitivity at the usable interrogation times."""
-    from .sensing import optimal_interrogation_times
     theta = math.pi
-    sigma = math.sqrt(2.0) / T2_STAR_FIT
-    t_p = models.t_prime_re(theta, sigma)
-    readout = ReadoutModel(n0=0.0022, n1=0.0015)
+    t_p = models.t_prime_re(theta, math.sqrt(2.0) / T2_STAR_FIT)
     times = optimal_interrogation_times(theta, OMEGA_17, A_HYPERFINE, 10e-6)
-    ideal, corrected = [], []
-    for t in times:
-        eta = sensitivity_ideal("rotary_echo", t, theta=theta)
-        c, c_a, _ = readout_factors(readout, theta, A_HYPERFINE, t)
-        ideal.append(eta)
-        corrected.append(corrected_sensitivity(
-            eta, c, c_a, math.exp((t / t_p) ** 2), t))
+    ideal, corrected = sensitivity_sweep(
+        "rotary_echo", times, ReadoutModel(n0=0.0022, n1=0.0015),
+        [math.exp((t / t_p) ** 2) for t in times], theta=theta,
+        hyperfine=A_HYPERFINE)
     w.csv("fig3b_sensitivity.csv", {"t_us": times * 1e6,
-                                    "eta_ideal_ut": np.array(ideal) * 1e6,
-                                    "eta_corrected_ut": np.array(corrected) * 1e6})
+                                    "eta_ideal_ut": ideal * 1e6,
+                                    "eta_corrected_ut": corrected * 1e6})
 
 
 OMEGA_19 = mhz_to_rad(19.0)
@@ -479,41 +464,22 @@ def fig_s5(w: RunWriter, trials: int, threads: int) -> None:
     """Sensitivity with repeated readout: Ramsey vs pi-RE vs 11pi-RE."""
     t2_star = 3e-6
     sigma = math.sqrt(2.0) / t2_star
-    t_r = 1.5e-6
     base = ReadoutModel(n0=0.0022, n1=0.0015)
-    n_r = 100
 
-    def re_curve(theta, horizon):
-        cycle = 2.0 * theta / OMEGA_17
-        times = cycle * np.arange(1, int(horizon / cycle) + 1)
-        t_p = models.t_prime_re(theta, sigma)
-        eta = []
-        for t in times:
-            ideal = sensitivity_ideal("rotary_echo", t, theta=theta)
-            c, c_a, _ = readout_factors(base, theta, 0.0, t)
-            eta.append(corrected_sensitivity(
-                ideal, c, c_a, math.exp((t / t_p) ** 2), t,
-                n_r=n_r, t_r=t_r, readout=base))
-        return times, np.array(eta)
+    def curve(label, kind, times, t_p, readout, theta=None):
+        _, eta = sensitivity_sweep(kind, times, readout,
+                                   [math.exp((t / t_p) ** 2) for t in times],
+                                   theta=theta)
+        w.csv(f"figs5_{label}.csv", {"t_us": times * 1e6, "eta_ut": eta * 1e6})
 
-    def ramsey_curve():
-        times = np.linspace(0.2e-6, 6e-6, 120)
-        eta = []
-        for t in times:
-            ideal = sensitivity_ideal("ramsey", t)
-            c, c_a, _ = readout_factors(base, math.pi, 0.0, t)
-            eta.append(corrected_sensitivity(
-                ideal, c, c_a, math.exp((t / t2_star) ** 2), t,
-                n_r=1, t_r=t_r))
-        return times, np.array(eta)
-
-    (t_ram, e_ram), (t_pi, e_pi), (t_11, e_11) = _run_jobs(
-        [ramsey_curve,
-         lambda: re_curve(math.pi, 12e-6),
-         lambda: re_curve(11.0 * math.pi, 60e-6)], threads)
-    w.csv("figs5_ramsey.csv", {"t_us": t_ram * 1e6, "eta_ut": e_ram * 1e6})
-    w.csv("figs5_re_pi.csv", {"t_us": t_pi * 1e6, "eta_ut": e_pi * 1e6})
-    w.csv("figs5_re_11pi.csv", {"t_us": t_11 * 1e6, "eta_ut": e_11 * 1e6})
+    curve("ramsey", "ramsey", np.linspace(0.2e-6, 6e-6, 120), t2_star,
+          replace(base, t_r=1.5e-6))
+    for label, theta, horizon in (("re_pi", math.pi, 12e-6),
+                                  ("re_11pi", 11.0 * math.pi, 60e-6)):
+        curve(label, "rotary_echo",
+              optimal_interrogation_times(theta, OMEGA_17, 0.0, horizon),
+              models.t_prime_re(theta, sigma),
+              replace(base, n_r=100, t_r=1.5e-6), theta)
 
 
 FIGURES = {"1b": fig_1b, "1c": fig_1c, "2a": fig_2a, "2b": fig_2b,

@@ -238,6 +238,8 @@ def _readout(cfg: ScenarioConfig) -> ReadoutModel:
 
 def _calcium(cfg: ScenarioConfig) -> CaDomainSpec:
     c = cfg["calcium"]
+    if c["eta_target_ut"] <= 0:  # not a CaDomainSpec field
+        raise ValueError("eta_target_ut must be positive")
     return CaDomainSpec(ion_count=c["ions"],
                         travel_distance=c["distance_nm"] * 1e-9,
                         flux_duration=us_to_s(c["duration_us"]),

@@ -198,23 +198,6 @@ def rabi_static_z_mean(omega, sigma, t):
     return 0.5 * (1.0 + term1 + term2)
 
 
-def rabi_bath_reference_envelope(omega, sigma, tau_c, t, regime):
-    """Quoted asymptotic Rabi decay under OU dephasing, per bath regime.
-
-    Reference envelopes only; no crossover/stitching between regimes.
-    ``regime`` is "slow" (1/tau_c << sigma^2/Omega, long-time decay
-    exp(-sigma t / (2 sqrt(tau_c Omega)))) or "fast" (decay rate
-    sigma^4 tau_c / (4 Omega^2), read as exp(-t/T) by dimensional
-    analysis of the quoted constant).
-    """
-    t = np.asarray(t, dtype=float)
-    if regime == "slow":
-        return np.exp(-sigma * t / (2.0 * math.sqrt(tau_c * omega)))
-    if regime == "fast":
-        return np.exp(-t * sigma ** 4 * tau_c / (4.0 * omega ** 2))
-    raise ValueError("regime must be 'slow' or 'fast'")
-
-
 # ---------------------------------------------------------------------------
 # decay scenarios
 
@@ -307,8 +290,8 @@ def decay_envelope(scenario: DecayScenario, t):
         if k == "static":
             raise ValueError("static-z Rabi has no multiplicative envelope; "
                              "use mean_signal")
-        raise ValueError("OU-z Rabi has only asymptotic reference envelopes; "
-                         "use rabi_bath_reference_envelope")
+        raise ValueError("OU-z Rabi has no closed-form envelope, only "
+                         "asymptotes per bath regime")
     # x axis
     if s == "rotary_echo":
         if k == "static":

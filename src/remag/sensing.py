@@ -71,8 +71,7 @@ def re_coefficient(theta: float) -> float:
 
 
 def sensitivity_ideal(kind: str, t: float, theta: float | None = None,
-                      omega: float | None = None,
-                      gamma: float = GAMMA_E_RAD_PER_S_PER_T) -> float:
+                      omega: float | None = None) -> float:
     """Ideal (no decoherence, perfect readout) sensitivity in T/sqrt(Hz).
 
     kind "rotary_echo" needs theta and is meant for complete echo cycles
@@ -90,9 +89,10 @@ def sensitivity_ideal(kind: str, t: float, theta: float | None = None,
             if abs(t / cycle - round(t / cycle)) > 1e-6:
                 warnings.warn("rotary-echo sensitivity formula assumes "
                               "complete echo cycles t = n 2 theta/Omega")
-        return re_coefficient(theta) / (gamma * math.sqrt(t))
+        return re_coefficient(theta) / (GAMMA_E_RAD_PER_S_PER_T
+                                        * math.sqrt(t))
     if kind == "ramsey":
-        return 1.0 / (gamma * math.sqrt(t))
+        return 1.0 / (GAMMA_E_RAD_PER_S_PER_T * math.sqrt(t))
     if kind == "rabi":
         if omega is None:
             raise ValueError("rabi needs omega")
@@ -100,14 +100,13 @@ def sensitivity_ideal(kind: str, t: float, theta: float | None = None,
         denom = 2.0 - 2.0 * math.cos(x) - x * math.sin(x)
         if denom <= 0.0:
             return math.inf  # insensitive phase of the beat
-        return (math.sqrt(2.0 * omega) / gamma) * math.sqrt(x / denom)
+        return rabi_asymptote(omega) * math.sqrt(x / denom)
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def rabi_asymptote(omega: float,
-                   gamma: float = GAMMA_E_RAD_PER_S_PER_T) -> float:
+def rabi_asymptote(omega: float) -> float:
     """Large-t limit sqrt(2 Omega)/gamma of the Rabi-beat sensitivity."""
-    return math.sqrt(2.0 * omega) / gamma
+    return math.sqrt(2.0 * omega) / GAMMA_E_RAD_PER_S_PER_T
 
 
 def sensitivity_ratio_re_ramsey(theta: float) -> float:
@@ -149,14 +148,11 @@ def _richardson_derivative(y: np.ndarray, h: float) -> np.ndarray:
 
 def sensitivity_from_trace(delta_omega: np.ndarray, sbar: np.ndarray,
                            t: float, *,
-                           gamma: float = GAMMA_E_RAD_PER_S_PER_T,
-                           n_shots: float = 1.0, t_d: float = 0.0,
-                           dsbar: np.ndarray | None = None,
                            theta: float | None = None) -> SensitivityCurve:
-    """Numerical sensitivity eta(dw) = dS / |dS/d(dw)| sqrt(N (t+t_d)) / gamma.
+    """Numerical sensitivity eta(dw) = dS / |dS/d(dw)| sqrt(t) / gamma.
 
     The derivative uses Richardson-extrapolated central differences; the
-    shot-noise error bar is sqrt(S(1-S)) unless dsbar is given.  When
+    shot-noise error bar is dS = sqrt(S(1-S)) for a single shot.  When
     theta is supplied, the grid must resolve the oscillation (>= 8
     points per period) and the reported minimum is searched within the
     first period; its error bar follows from the |1-2S| expansion.
@@ -180,10 +176,7 @@ def sensitivity_from_trace(delta_omega: np.ndarray, sbar: np.ndarray,
             window = dw <= dw[0] + p_dw
 
     deriv = _richardson_derivative(sbar, h)
-    if dsbar is None:
-        errs = np.sqrt(np.clip(sbar * (1.0 - sbar), 0.0, None))
-    else:
-        errs = np.asarray(dsbar, dtype=float)
+    errs = np.sqrt(np.clip(sbar * (1.0 - sbar), 0.0, None))
 
     floor = 64.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(sbar))) / h
     insensitive = np.abs(deriv) <= floor
@@ -191,7 +184,7 @@ def sensitivity_from_trace(delta_omega: np.ndarray, sbar: np.ndarray,
     # there is finite but the grid-point ratio is 0/0, so skip it
     insensitive |= errs == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = errs / np.abs(deriv) * math.sqrt(n_shots * (t + t_d)) / gamma
+        eta = errs / np.abs(deriv) * math.sqrt(t) / GAMMA_E_RAD_PER_S_PER_T
     eta[insensitive] = np.inf
 
     usable = window & ~insensitive
@@ -202,7 +195,7 @@ def sensitivity_from_trace(delta_omega: np.ndarray, sbar: np.ndarray,
     s_min = float(np.clip(sbar[idx], 1e-15, 1.0 - 1e-15))
     d_eta = (abs(1.0 - 2.0 * s_min) / (2.0 * math.sqrt(s_min * (1.0 - s_min)))
              * errs[idx] / abs(deriv[idx])
-             * math.sqrt(n_shots * (t + t_d)) / gamma)
+             * math.sqrt(t) / GAMMA_E_RAD_PER_S_PER_T)
     return SensitivityCurve(dw, eta, insensitive, float(eta[idx]),
                             float(d_eta), float(dw[idx]), period)
 
@@ -240,14 +233,14 @@ def repeated_readout_gain(r: ReadoutModel) -> float:
 
 
 def corrected_sensitivity(eta_ideal: float, c: float, c_a: float,
-                          envelope: float, t: float, t_d: float = 0.0,
-                          n_r: int = 1, t_r: float = 0.0,
+                          envelope: float, t: float,
                           readout: ReadoutModel | None = None) -> float:
     """Apply readout factors, decoherence envelope and time overhead.
 
     eta = eta_ideal * envelope / (C_eff * C_A) * sqrt((t + t_d + n_r t_r)/t),
-    where C_eff is C boosted by the repeated-readout gain when n_r > 1
-    (requires the readout model for the photon counts).
+    where n_r, t_r and t_d come from the readout model and C_eff is C
+    boosted by its repeated-readout gain.  Without a readout model the
+    overhead is 1 and C_eff = C.
     """
     if not (0.0 < c <= 1.0) or not (0.0 <= c_a <= 1.0):
         raise ValueError("factors must lie in (0, 1]")
@@ -255,15 +248,31 @@ def corrected_sensitivity(eta_ideal: float, c: float, c_a: float,
         return math.inf  # insensitive interrogation time
     if envelope <= 0.0:
         raise ValueError("envelope must be positive")
-    c_eff = c
-    if n_r > 1:
-        if readout is None:
-            raise ValueError("n_r > 1 needs the readout model")
-        c_eff = c * repeated_readout_gain(
-            ReadoutModel(readout.n0, readout.n1, n_r, readout.t_r,
-                         readout.t_d))
-    overhead = math.sqrt((t + t_d + n_r * t_r) / t)
+    if readout is None:
+        return eta_ideal * envelope / (c * c_a)
+    c_eff = c * repeated_readout_gain(readout)
+    overhead = math.sqrt((t + readout.t_d + readout.n_r * readout.t_r) / t)
     return eta_ideal * envelope / (c_eff * c_a) * overhead
+
+
+def sensitivity_sweep(kind: str, times, readout: ReadoutModel, envelope,
+                      theta: float | None = None, omega: float | None = None,
+                      hyperfine: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal and corrected sensitivity at each interrogation time.
+
+    ``envelope`` holds the decoherence factor (>= 1) for each time, and
+    ``theta``/``omega`` go to :func:`sensitivity_ideal`.  Ramsey and Rabi
+    use the detection factor of a pi rotation, a rotary echo that of its
+    half-echo angle theta.  Returns the two arrays (ideal, corrected).
+    """
+    theta_c = theta if kind == "rotary_echo" else math.pi
+    ideal, corrected = [], []
+    for t, env in zip(times, envelope):
+        eta = sensitivity_ideal(kind, t, theta=theta, omega=omega)
+        c, c_a, _ = readout_factors(readout, theta_c, hyperfine, t)
+        ideal.append(eta)
+        corrected.append(corrected_sensitivity(eta, c, c_a, env, t, readout))
+    return np.array(ideal), np.array(corrected)
 
 
 def optimal_interrogation_times(theta: float, omega: float, hyperfine: float,

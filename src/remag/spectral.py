@@ -222,18 +222,18 @@ def carrier_frequency(theta: float, omega: float) -> float:
     return (math.pi * omega / rem) / (2.0 * math.pi)
 
 
-def harmonic_filter(trace: SignalTrace, omega: float, theta: float,
-                    stop_halfwidth: float | None = None) -> SignalTrace:
+def harmonic_filter(trace: SignalTrace, omega: float,
+                    theta: float) -> SignalTrace:
     """Notch the even harmonics of the carrier out of a trace.
 
-    Frequency-domain notches with cosine-tapered edges of width 2/t are
-    centered at 2k * carrier; the split pairs around odd multiples are
-    untouched.  Warns if a notch encroaches on an odd-harmonic region.
+    Frequency-domain notches of half-width 2/t, with cosine-tapered edges
+    of width 2/t, are centered at 2k * carrier; the split pairs around odd
+    multiples are untouched.  Warns if a notch encroaches on an
+    odd-harmonic region.
     """
     f_c = carrier_frequency(theta, omega)
     t_total = trace.values.size * trace.dt
-    taper = 2.0 / t_total
-    halfwidth = taper if stop_halfwidth is None else stop_halfwidth
+    halfwidth = taper = 2.0 / t_total
     nyquist = 1.0 / (2.0 * trace.dt)
 
     values = np.asarray(trace.values, dtype=float)

@@ -212,7 +212,8 @@ def _best_corrected_re(theta, horizon, sigma, readout, n_r, t_r):
         c, c_a, _ = readout_factors(readout, theta, 0.0, t)
         eta = corrected_sensitivity(
             sensitivity_ideal("rotary_echo", t, theta=theta), c, c_a,
-            math.exp((t / t_p) ** 2), t, n_r=n_r, t_r=t_r, readout=readout)
+            math.exp((t / t_p) ** 2), t,
+            readout=ReadoutModel(readout.n0, readout.n1, n_r=n_r, t_r=t_r))
         best = min(best, eta)
     return best
 
@@ -229,7 +230,8 @@ def test_criterion_08_repeated_readout_crossover():
         c, c_a, _ = readout_factors(readout, math.pi, 0.0, t)
         eta = corrected_sensitivity(
             sensitivity_ideal("ramsey", t), c, c_a,
-            math.exp((t / t2_star) ** 2), t, n_r=1, t_r=t_r)
+            math.exp((t / t2_star) ** 2), t,
+            readout=ReadoutModel(readout.n0, readout.n1, n_r=1, t_r=t_r))
         best_ram = min(best_ram, eta)
     ok = best_re < best_ram
     report(8, ok, f"11pi-RE optimum {best_re * 1e6:.3f} uT/rtHz vs Ramsey "

@@ -8,7 +8,10 @@ import pytest
 
 from remag.cli import RunWriter, main
 from remag.config import parse_config
-from remag.models import DecayScenario, mean_signal, mean_signal_cumulant
+from remag.models import DecayScenario, decay_envelope, mean_signal, \
+    mean_signal_cumulant
+from remag.sensing import ReadoutModel, readout_factors, \
+    repeated_readout_gain, sensitivity_ideal
 from remag.units import mhz_to_rad
 
 SPECTRUM_INI = """\
@@ -170,6 +173,14 @@ class TestExitCodes:
         assert "ca.ini:1: [calcium]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_positive_eta_target_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "ca.ini"
+        cfg.write_text("[calcium]\neta_target_ut = 0\n")
+        rc, out = run(tmp_path, "calcium", "--config", str(cfg))
+        assert rc == 1
+        assert "ca.ini:1: [calcium] eta_target_ut" in capsys.readouterr().err
+        assert not (out / "calcium.csv").exists()
+
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         w = RunWriter(str(tmp_path), "simulate", parse_config(""), 1)
         with pytest.raises(TypeError):
@@ -320,6 +331,39 @@ class TestSensitivity:
         assert lines[0].split(",") == ["t_us", "eta_ideal_ut",
                                        "eta_corrected_ut"]
         assert len(lines) > 10
+
+    def test_readout_overheads(self, tmp_path):
+        cfg = tmp_path / "ro.ini"
+        cfg.write_text(NOISE_INI + "[field]\nhyperfine_mhz = 2.14\n"
+                       "[readout]\nn_r = 100\nt_r_us = 1.5\nt_d_us = 0.7\n")
+        rc, out = run(tmp_path, "sensitivity", "--config", str(cfg))
+        assert rc == 0
+        lines = [ln for ln in (out / "sensitivity.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        # by hand: pi echo at full-echo times up to t_max = 5 us, first-order
+        # OU-z envelope, C boosted by the n_r = 100 gain, C_A of the triplet,
+        # and the time overhead sqrt((t + t_d + n_r t_r) / t)
+        theta, omega = math.pi, mhz_to_rad(17.0)
+        cycle = 2 * theta / omega
+        times = cycle * np.arange(1, int(5e-6 / cycle) + 1)
+        env = decay_envelope(DecayScenario("rotary_echo", "z", "ou",
+                                           mhz_to_rad(1.0), 0.2e-6, theta,
+                                           omega), times)
+        r = ReadoutModel(n0=0.0022, n1=0.0015, n_r=100, t_r=1.5e-6,
+                         t_d=0.7e-6)
+        ideal, corrected = [], []
+        for t, e in zip(times, env):
+            eta = sensitivity_ideal("rotary_echo", t, theta=theta)
+            c, c_a, _ = readout_factors(r, theta, mhz_to_rad(2.14), t)
+            c_eff = c * repeated_readout_gain(r)
+            ideal.append(eta)
+            corrected.append(eta / e / (c_eff * c_a)
+                             * math.sqrt((t + 0.7e-6 + 100 * 1.5e-6) / t))
+        assert rows[:, 0] == pytest.approx(times * 1e6, rel=1e-10)
+        assert rows[:, 1] == pytest.approx(np.array(ideal) * 1e6, rel=1e-10)
+        assert rows[:, 2] == pytest.approx(np.array(corrected) * 1e6,
+                                           rel=1e-10)
 
     def test_scenario_without_envelope_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "rabi.ini"

@@ -143,7 +143,8 @@ class TestReadout:
         assert corrected_sensitivity(1.0, 0.5, 0.0, 1.0, 1e-6) == math.inf
 
     def test_corrected_overhead(self):
-        eta = corrected_sensitivity(1.0, 1.0, 1.0, 1.0, t=1e-6, t_d=3e-6)
+        r = ReadoutModel(n0=0.0022, n1=0.0015, t_d=3e-6)
+        eta = corrected_sensitivity(1.0, 1.0, 1.0, 1.0, t=1e-6, readout=r)
         assert eta == pytest.approx(2.0)
 
     def test_optimal_times_spacing(self):

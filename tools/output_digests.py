@@ -1,7 +1,8 @@
 """SHA-256 of every CSV and JSON body that a fixed set of remag runs writes.
 
 The set is every `remag figure` preset, plus `simulate`, `noise`,
-`sensitivity` and `spectrum` on one config per scenario family.  A
+`sensitivity` and `spectrum` on one config per scenario family, and
+`sensitivity` on one config with non-default readout overheads.  A
 refactor that must keep outputs byte-identical prints the same lines as
 its parent commit; manifests are hashed without their `started` and
 `finished` timestamps, the only fields allowed to differ between reruns.
@@ -62,15 +63,25 @@ FAMILIES = {
                           "detuning_mhz = 0.17\nhyperfine_mhz = 2.14\n",
                           "enabled = false\n"),
 }
-COMMANDS = {"simulate": FAMILIES, "noise": FAMILIES,
-            "sensitivity": FAMILIES, "spectrum": ("noiseless_triplet",)}
-SPECTRUM_EXTRA = "\n[spectrum]\nmax_peaks = 6\nfilter_harmonics = true\n"
+SHARED = tuple(FAMILIES)
+# sensitivity only: repeated readout, readout and dead time, and hyperfine
+# averaging on top of an OU-z envelope
+FAMILIES["ou_z_echo_readout"] = (ECHO_PI, "detuning_mhz = 2.0\n"
+                                 "hyperfine_mhz = 2.14\n",
+                                 OU + "axis = z\nsigma_mhz = 1.0\n")
+COMMANDS = {"simulate": SHARED, "noise": SHARED,
+            "sensitivity": SHARED + ("ou_z_echo_readout",),
+            "spectrum": ("noiseless_triplet",)}
+EXTRA = {"noiseless_triplet":
+         "\n[spectrum]\nmax_peaks = 6\nfilter_harmonics = true\n",
+         "ou_z_echo_readout":
+         "\n[readout]\nn_r = 100\nt_r_us = 1.5\nt_d_us = 0.7\n"}
 
 
 def _config_text(name: str) -> str:
     seq, field, noise = FAMILIES[name]
     return (f"[sequence]\n{seq}\n[field]\n{field}\n[noise]\n{noise}"
-            + (SPECTRUM_EXTRA if name == "noiseless_triplet" else ""))
+            + EXTRA.get(name, ""))
 
 
 def _body_digest(path: Path) -> str:
