@@ -24,10 +24,10 @@ from . import __version__, models
 from .calcium import ca_field, ca_required_sensitivity, implied_repetitions
 from .config import ConfigError, ScenarioConfig, config_hash, parse_config
 from .dynamics import PulseSequence, SignalTrace, build_waveform, propagate
-from .noise import MAX_SEED, NoiseSpec, decay_scenario, mc_vs_model, \
-    monte_carlo, _trial_rng
+from .noise import MAX_SEED, EnsembleResult, NoiseSpec, decay_scenario, \
+    mc_vs_model, monte_carlo, _trial_rng
 from .sensing import ReadoutModel, optimal_interrogation_times, \
-    rabi_asymptote, sensitivity_ideal, sensitivity_sweep
+    rabi_asymptote, re_coefficient, sensitivity_ideal, sensitivity_sweep
 from .spectral import extract_detunings, harmonic_filter, peak_significance, \
     periodogram
 from .units import mhz_to_rad, us_to_s
@@ -43,7 +43,9 @@ class RunWriter:
     units) but never timestamps, so reruns with the same config and seed
     are byte-identical; timestamps go to the manifest only.
     Each file is recorded before it is opened, so :meth:`cleanup` also
-    removes one whose write failed part-way.
+    removes one whose write failed part-way.  ``monte_carlo`` maps each
+    Monte Carlo CSV to the trials and grid facts in its metadata block;
+    the manifest repeats them.
     """
 
     def __init__(self, out_dir: str, subcommand: str, cfg: ScenarioConfig,
@@ -54,6 +56,7 @@ class RunWriter:
         self.seed = seed
         self.hash = config_hash(cfg)
         self.created: list[str] = []
+        self.monte_carlo: dict = {}
         self.started = datetime.now(timezone.utc).isoformat()
 
     def _meta_lines(self, extra: dict | None) -> list[str]:
@@ -102,6 +105,8 @@ class RunWriter:
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": [os.path.basename(p) for p in self.created],
         }
+        if self.monte_carlo:
+            payload["monte_carlo"] = self.monte_carlo
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -167,6 +172,15 @@ def triplet_trace(theta: float, omega: float, b: float, hyperfine: float,
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _grid_facts(res: EnsembleResult, label: str = "") -> dict:
+    """Grid step (ns), step count and trial chunks of a Monte Carlo run,
+    keyed like its CSV columns: ``dt_ns`` or, for label l, ``dt_ns_l``."""
+    suffix = f"_{label}" if label else ""
+    return {f"dt_ns{suffix}": res.meta["dt"] * 1e9,
+            f"n_steps{suffix}": res.meta["n_steps"],
+            f"chunks{suffix}": res.meta["chunks"]}
+
+
 def cmd_simulate(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     if cfg.noise is None:
         trace = _noiseless_trace(cfg)
@@ -175,9 +189,9 @@ def cmd_simulate(cfg: ScenarioConfig, w: RunWriter, args) -> None:
         return
     trials = args.trials or cfg["run"]["trials"]
     res = monte_carlo(cfg.sequence, cfg.detuning, cfg.noise, trials=trials)
+    meta = w.monte_carlo["trace.csv"] = {"trials": trials, **_grid_facts(res)}
     w.csv("trace.csv", {"t_us": res.times * 1e6, "signal": res.mean,
-                        "stderr": res.stderr},
-          extra_meta={"trials": trials})
+                        "stderr": res.stderr}, extra_meta=meta)
 
 
 def cmd_spectrum(cfg: ScenarioConfig, w: RunWriter, args) -> None:
@@ -229,6 +243,10 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
         cycle = 2.0 * cfg.theta / cfg.omega
         n_max = max(1, int(t_max / cycle))
         times = cycle * np.arange(1, n_max + 1)
+        try:
+            re_coefficient(cfg.theta)
+        except ValueError as exc:  # theta = 2 pi k: no field response
+            raise cfg.error("sequence", exc) from None
     else:
         times = np.linspace(t_max / cfg["grid"]["points"], t_max,
                             cfg["grid"]["points"])
@@ -263,14 +281,15 @@ def _write_cases(w: RunWriter, tables: dict, trials: int,
 
     Label "" writes the columns mc_mean, mc_stderr and model; any other
     label l writes mc_l, se_l and model_l.  The model column is left out
-    where the scenario has no closed form (see :func:`mc_vs_model`).
+    where the scenario has no closed form (see :func:`mc_vs_model`).  The
+    metadata block and the manifest get each case's grid facts.
     """
     cases = [case for row in tables.values() for case in row.values()]
     results = iter(_run_jobs(
         [(lambda c=c: mc_vs_model(c.seq, c.delta_omega, c.spec, trials,
                                   c.record_times)) for c in cases], threads))
     for name, row in tables.items():
-        cols = {}
+        cols, meta = {}, {"trials": trials}
         for label in row:
             res, model = next(results)
             cols.setdefault("t_us", res.times * 1e6)
@@ -279,7 +298,9 @@ def _write_cases(w: RunWriter, tables: dict, trials: int,
             cols[keys[0]], cols[keys[1]] = res.mean, res.stderr
             if model is not None:
                 cols[keys[2]] = model
-        w.csv(name, cols, extra_meta={"trials": trials})
+            meta.update(_grid_facts(res, label))
+        w.monte_carlo[name] = meta
+        w.csv(name, cols, extra_meta=meta)
 
 
 def cmd_noise(cfg: ScenarioConfig, w: RunWriter, args) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .calcium import CaDomainSpec
 from .dynamics import PulseSequence
@@ -92,9 +92,16 @@ class ScenarioConfig:
     noise: NoiseSpec | None = None    # None when noise is disabled
     readout: ReadoutModel | None = None
     calcium: CaDomainSpec | None = None
+    #: section -> line of its header in the source (absent: defaults)
+    lines: dict = field(default_factory=dict, init=False, repr=False)
 
     def __getitem__(self, section):
         return self.values[section]
+
+    def error(self, section: str, message) -> ConfigError:
+        """A :class:`ConfigError` with ``section``'s file:line context."""
+        return ConfigError(f"{self.source}:{self.lines.get(section, '?')}: "
+                           f"[{section}] {message}")
 
     @property
     def validity_warning(self) -> bool:
@@ -183,13 +190,13 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             values[sec][key] = _coerce(raw, typ, f"{source}:{ln}: {key}")
 
     cfg = ScenarioConfig(values=values, source=source)
+    cfg.lines = {sec: ln for (sec, key), ln in lines.items() if key is None}
     _validate(cfg)
     for section, build in _BUILDERS.items():
         try:
             setattr(cfg, section, build(cfg))
         except ValueError as exc:
-            ln = lines.get((section, None), "?")
-            raise ConfigError(f"{source}:{ln}: [{section}] {exc}") from None
+            raise cfg.error(section, exc) from None
     return cfg
 
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from .dynamics import (PulseSequence, SignalTrace, build_waveform,
-                       default_dt_max, full_echo_times, su2_step,
-                       uniform_grid_step, _hamiltonian_coeffs)
+from .dynamics import (DriveWaveform, PulseSequence, SignalTrace,
+                       build_waveform, default_dt_max, full_echo_times,
+                       su2_step, uniform_grid_step, _hamiltonian_coeffs)
 from .models import DecayScenario, mean_signal, mean_signal_cumulant
 
 _OU_MIN_SAMPLES_PER_TAU = 20
@@ -157,6 +158,48 @@ def _default_record_times(seq: PulseSequence) -> np.ndarray:
     return np.linspace(0.0, seq.total_duration, n + 1)
 
 
+def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
+                     record_times: np.ndarray) -> float:
+    """Grid step of a Monte Carlo run, sized to the noise.
+
+    Each step is an exact SU(2) exponential with the noise held constant,
+    so the grid only has to sample the noise.  The step is the largest
+    uniform one that lands on every breakpoint and on every record time
+    (|t/dt - round(t/dt)| < 1e-6), capped by the noise: no cap for static
+    noise (one step per constant run between records), tau_c/20 for OU
+    dephasing during a rotary echo.  Every other case keeps the drive grid
+    min(T_Rabi/200, tau_c/20): held over tau_c/20, OU drive noise biases a
+    rotary echo by several standard errors at 10^4 trials (the echo
+    refocuses it to second order, so the standard error is tiny), and OU
+    dephasing biases Ramsey by 0.3 of one.  The drive grid is also the
+    fallback when no step under the cap lands on the record times.
+    """
+    tau_c = spec.tau_c if spec.kind == "ou" else None
+    drive_grid = uniform_grid_step(wave, default_dt_max(wave, tau_c))
+    base = float(wave.segment_lengths[0])
+    if spec.kind == "static":
+        n_min = 1
+    elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # an echo
+        n_min = math.ceil(base / (spec.tau_c / _OU_MIN_SAMPLES_PER_TAU)
+                          - 1e-9)
+    else:
+        return drive_grid
+    # breakpoints lie at whole segments, so steps of base/n land on them;
+    # a record time at t = (p/q) base lands when q divides n
+    n_max = int(round(base / drive_grid))
+    fracs = np.unique(np.asarray(record_times, dtype=float)) / base
+    n = 1
+    for f in fracs:
+        n = math.lcm(n, Fraction(float(f)).limit_denominator(n_max).denominator)
+        if n > n_max:
+            return drive_grid
+    n *= math.ceil(n_min / n)
+    x = fracs * n
+    if n > n_max or np.any(np.abs(x - np.rint(x)) >= 1e-6):
+        return drive_grid
+    return base / n
+
+
 def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
                 trials: int, dt_max: float | None = None,
                 record_times: np.ndarray | None = None,
@@ -167,18 +210,26 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     reduced in a fixed chunked order (Welford merging), so results are
     bit-reproducible for a given trial count and chunk size.  Defaults:
     record at full-echo times for rotary echo, a uniform grid otherwise.
+
+    The noise is held constant over each grid step.  ``dt_max`` forces a
+    grid no coarser than it; by default the grid is sized to the noise
+    (see :func:`_noise_grid_step`): one step per constant run between
+    records under static noise, tau_c/20 under OU dephasing during a
+    rotary echo, and min(T_Rabi/200, tau_c/20) otherwise.  ``meta``
+    records the step ``dt``, the step count ``n_steps`` and the number of
+    trial ``chunks``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wave = build_waveform(seq, delta_omega)
-    tau_c = spec.tau_c if spec.kind == "ou" else None
-    if dt_max is None:
-        dt_max = default_dt_max(wave, tau_c)
-    dt = uniform_grid_step(wave, dt_max)
-    n_steps = int(round(wave.total_duration / dt))
-
     if record_times is None:
         record_times = _default_record_times(seq)
+    if dt_max is None:
+        dt = _noise_grid_step(wave, spec, record_times)
+    else:
+        dt = uniform_grid_step(wave, dt_max)
+    n_steps = int(round(wave.total_duration / dt))
+
     record_idx = np.unique(np.clip(
         np.rint(np.asarray(record_times, dtype=float) / dt).astype(int),
         0, n_steps))
@@ -205,7 +256,9 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
         stderr = np.zeros_like(mean)
     return EnsembleResult(times=times, mean=mean, stderr=stderr,
                           trials=trials, spec=spec, seed=spec.seed,
-                          meta={"dt": dt, "delta_omega": delta_omega,
+                          meta={"dt": dt, "n_steps": n_steps,
+                                "chunks": math.ceil(trials / chunk),
+                                "delta_omega": delta_omega,
                                 "kind": seq.kind})
 
 

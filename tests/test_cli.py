@@ -181,6 +181,15 @@ class TestExitCodes:
         assert "ca.ini:1: [calcium] eta_target_ut" in capsys.readouterr().err
         assert not (out / "calcium.csv").exists()
 
+    def test_sensitivity_at_even_theta_exits_1(self, tmp_path, capsys):
+        # theta = 2 pi k refocuses the field: no sensitivity to report
+        cfg = tmp_path / "re.ini"
+        cfg.write_text("[sequence]\ntheta_pi = 2.0\n")
+        rc, out = run(tmp_path, "sensitivity", "--config", str(cfg))
+        assert rc == 1
+        assert "re.ini:1: [sequence]" in capsys.readouterr().err
+        assert not (out / "sensitivity.csv").exists()
+
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         w = RunWriter(str(tmp_path), "simulate", parse_config(""), 1)
         with pytest.raises(TypeError):
@@ -236,6 +245,37 @@ class TestNoiseRun:
         header = [ln for ln in (out / "decay.csv").read_text().splitlines()
                   if not ln.startswith("#")][0]
         assert header.split(",") == ["t_us", "mc_mean", "mc_stderr", "model"]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["noise", "--trials", "20"], "decay.csv"),
+        (["simulate", "--trials", "20"], "trace.csv")])
+    def test_grid_facts_in_metadata_and_manifest(self, tmp_path, argv, name):
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(NOISE_INI)
+        rc, out = run(tmp_path, *argv, "--config", str(cfg))
+        assert rc == 0
+        meta = dict(ln[2:].split(": ", 1)
+                    for ln in (out / name).read_text().splitlines()
+                    if ln.startswith("# ") and ": " in ln)
+        facts = json.loads((out / "manifest.json").read_text())["monte_carlo"]
+        # OU dephasing on a rotary echo: tau_c/20 = 10 ns caps the step;
+        # a pi half echo at 17 MHz lasts 29.4 ns, so three steps of 9.8 ns
+        half_ns = 1e9 / (2.0 * 17e6)
+        assert facts == {name: {"trials": 20, "dt_ns": pytest.approx(half_ns / 3),
+                                "n_steps": 60, "chunks": 1}}
+        assert float(meta["dt_ns"]) == facts[name]["dt_ns"]
+        assert (meta["n_steps"], meta["chunks"], meta["trials"]) == \
+            ("60", "1", "20")
+
+    def test_figure_grid_facts_per_label(self, tmp_path):
+        rc, out = run(tmp_path, "figure", "4a", "--trials", "4")
+        assert rc == 0
+        facts = json.loads((out / "manifest.json").read_text())["monte_carlo"]
+        rabi = facts["fig4a_rabi_peaks.csv"]
+        # static noise: one step per recorded Rabi period; OU drive noise
+        # keeps the drive grid of T_Rabi/200
+        assert (rabi["n_steps_static"], rabi["n_steps_ou"]) == (20, 4000)
+        assert rabi["chunks_static"] == rabi["chunks_ou"] == 1
 
     def _decay(self, tmp_path, ini):
         cfg = tmp_path / "case.ini"

@@ -6,15 +6,20 @@ The set is every `remag figure` preset, plus `simulate`, `noise`,
 refactor that must keep outputs byte-identical prints the same lines as
 its parent commit; manifests are hashed without their `started` and
 `finished` timestamps, the only fields allowed to differ between reruns.
+The grid facts of a Monte Carlo run (its step, step count and trial
+chunks: the `# dt_ns`, `# n_steps` and `# chunks` lines of a CSV and the
+manifest's `monte_carlo` section) are printed on a `grid` line of their
+own, so a changed grid shows apart from changed numbers.
 
     python tools/output_digests.py                     # this checkout
     python tools/output_digests.py --src OTHER/src     # another checkout
     diff <(python tools/output_digests.py) \\
          <(python tools/output_digests.py --src OTHER/src)
 
-Each line is `<run> <file> <sha256>`; a run that exits nonzero prints
-`<run> exit=<code>` instead of its files.  Monte Carlo runs use 60 trials
-and 2 threads, so the whole set takes well under a minute on two cores.
+Each line is `<run> <file> <sha256>`, or `<run> <file> grid <facts>`; a
+run that exits nonzero prints `<run> exit=<code>` instead of its files.
+Monte Carlo runs use 60 trials and 2 threads, so the whole set takes well
+under a minute on two cores.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ FAMILIES = {
                                                  "theta_pi = 0.75"),
                                  "detuning_mhz = 2.0\n",
                                  OU + "axis = z\nsigma_mhz = 1.0\n"),
+    "ou_x_echo_rel": ("kind = rotary_echo\ntheta_pi = 1.0\n"
+                      "omega_mhz = 19.0\nn_cycles = 12\n",
+                      "detuning_mhz = 0.0\n",
+                      OU + "axis = x\nsigma_rel = 0.05\n"),
     "static_x_echo_rel": ("kind = rotary_echo\ntheta_pi = 5.0\n"
                           "omega_mhz = 19.0\nn_cycles = 8\n",
                           "detuning_mhz = 0.0\n",
@@ -84,14 +93,30 @@ def _config_text(name: str) -> str:
             + EXTRA.get(name, ""))
 
 
-def _body_digest(path: Path) -> str:
+GRID_LINES = ("# dt_ns", "# n_steps", "# chunks")
+
+
+def _digest_lines(tag: str, path: Path) -> list[str]:
+    """The file's digest line, and its grid line if it has grid facts."""
     data = path.read_bytes()
+    grid = ""
     if path.name == "manifest.json":
         payload = json.loads(data)
         payload.pop("started", None)
         payload.pop("finished", None)
+        facts = payload.pop("monte_carlo", None)
+        if facts is not None:
+            grid = hashlib.sha256(json.dumps(facts, sort_keys=True)
+                                  .encode()).hexdigest()
         data = json.dumps(payload, indent=2, sort_keys=True).encode()
-    return hashlib.sha256(data).hexdigest()
+    elif path.suffix == ".csv":
+        lines = data.decode().splitlines(keepends=True)
+        grid = "; ".join(ln[2:].strip() for ln in lines
+                         if ln.startswith(GRID_LINES))
+        data = "".join(ln for ln in lines
+                       if not ln.startswith(GRID_LINES)).encode()
+    out = [f"{tag} {path.name} {hashlib.sha256(data).hexdigest()}"]
+    return out + [f"{tag} {path.name} grid {grid}"] if grid else out
 
 
 def _run(main, tag: str, argv: list[str], work: Path) -> list[str]:
@@ -101,7 +126,8 @@ def _run(main, tag: str, argv: list[str], work: Path) -> list[str]:
                           "--trials", TRIALS, "--threads", THREADS])
     if rc != 0:
         return [f"{tag} exit={rc}"]
-    return [f"{tag} {p.name} {_body_digest(p)}" for p in sorted(out.iterdir())]
+    return [line for p in sorted(out.iterdir())
+            for line in _digest_lines(tag, p)]
 
 
 def digests(src: Path) -> list[str]:
