@@ -163,27 +163,25 @@ def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
     """Grid step of a Monte Carlo run, sized to the noise.
 
     Each step is an exact SU(2) exponential with the noise held constant,
-    so the grid only has to sample the noise.  The step is the largest
-    uniform one that lands on every breakpoint and on every record time
-    (|t/dt - round(t/dt)| < 1e-6), capped by the noise: no cap for static
-    noise (one step per constant run between records), tau_c/20 for OU
-    dephasing during a rotary echo.  Every other case keeps the drive grid
+    so the grid only has to sample the noise.  For OU dephasing during a
+    rotary echo the step is the largest uniform one no longer than
+    tau_c/20 that lands on every breakpoint and on every record time
+    (|t/dt - round(t/dt)| < 1e-6).  Every other case keeps the drive grid
     min(T_Rabi/200, tau_c/20): held over tau_c/20, OU drive noise biases a
     rotary echo by several standard errors at 10^4 trials (the echo
     refocuses it to second order, so the standard error is tiny), and OU
-    dephasing biases Ramsey by 0.3 of one.  The drive grid is also the
-    fallback when no step under the cap lands on the record times.
+    dephasing biases Ramsey by 0.3 of one.  Static noise keeps it too,
+    although one step per constant run would be exact (ROADMAP item 3).
+    The drive grid is also the fallback when no step under the cap lands
+    on the record times.
     """
     tau_c = spec.tau_c if spec.kind == "ou" else None
     drive_grid = uniform_grid_step(wave, default_dt_max(wave, tau_c))
-    base = float(wave.segment_lengths[0])
-    if spec.kind == "static":
-        n_min = 1
-    elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # an echo
-        n_min = math.ceil(base / (spec.tau_c / _OU_MIN_SAMPLES_PER_TAU)
-                          - 1e-9)
-    else:
+    if not (tau_c is not None and spec.axis == "z"
+            and np.any(wave.amplitudes < 0.0)):         # OU-z on an echo
         return drive_grid
+    base = float(wave.segment_lengths[0])
+    n_min = math.ceil(base / (tau_c / _OU_MIN_SAMPLES_PER_TAU) - 1e-9)
     # breakpoints lie at whole segments, so steps of base/n land on them;
     # a record time at t = (p/q) base lands when q divides n
     n_max = int(round(base / drive_grid))
@@ -213,8 +211,7 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
 
     The noise is held constant over each grid step.  ``dt_max`` forces a
     grid no coarser than it; by default the grid is sized to the noise
-    (see :func:`_noise_grid_step`): one step per constant run between
-    records under static noise, tau_c/20 under OU dephasing during a
+    (see :func:`_noise_grid_step`): tau_c/20 under OU dephasing during a
     rotary echo, and min(T_Rabi/200, tau_c/20) otherwise.  ``meta``
     records the step ``dt``, the step count ``n_steps`` and the number of
     trial ``chunks``.

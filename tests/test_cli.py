@@ -272,9 +272,8 @@ class TestNoiseRun:
         assert rc == 0
         facts = json.loads((out / "manifest.json").read_text())["monte_carlo"]
         rabi = facts["fig4a_rabi_peaks.csv"]
-        # static noise: one step per recorded Rabi period; OU drive noise
-        # keeps the drive grid of T_Rabi/200
-        assert (rabi["n_steps_static"], rabi["n_steps_ou"]) == (20, 4000)
+        # static and OU drive noise both keep the drive grid of T_Rabi/200
+        assert (rabi["n_steps_static"], rabi["n_steps_ou"]) == (4000, 4000)
         assert rabi["chunks_static"] == rabi["chunks_ou"] == 1
 
     def _decay(self, tmp_path, ini):

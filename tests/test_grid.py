@@ -5,9 +5,9 @@ the expected estimator on a grid of step dt follows the Hermite hierarchy
 of Kubo's stochastic Liouville equation (Tanimura & Kubo 1989) with the
 noise frozen over each step, and the ensemble it estimates follows the
 continuous hierarchy; their difference is the grid's bias, computed here
-without sampling.  Static noise is constant over a whole run, so one step
-per constant run is exact; that is checked against independent per-trial
-noiseless propagation.
+without sampling.  Static noise is constant over a whole run, so any grid
+that lands on the breakpoints is exact for it; the drive grid it keeps is
+checked against independent per-trial noiseless propagation.
 """
 
 import math
@@ -187,12 +187,27 @@ def test_ou_dephasing_echo_uses_tau_c_over_20():
     assert res.meta["n_steps"] == 2 * 24 * 13
 
 
+def test_ou_dephasing_echo_step_lands_on_record_times():
+    # records every half echo / 25 need steps of that size, finer than
+    # the tau_c/20 step of half echo / 13; a record that no coarser step
+    # lands on keeps the drive grid of T_Rabi/200
+    seq = PulseSequence.rotary_echo(5.0 * math.pi, W20, 24)
+    half = seq.theta / seq.omega
+    record = half / 25 * np.arange(2 * 25 * 3 + 1)
+    res = monte_carlo(seq, DW, _z(1), trials=1, record_times=record)
+    assert res.meta["dt"] == pytest.approx(half / 25, rel=1e-12)
+    np.testing.assert_allclose(res.times, record, rtol=1e-12, atol=0.0)
+    res = monte_carlo(seq, DW, _z(1), trials=1,
+                      record_times=[0.0, half / math.sqrt(2.0), 2 * half])
+    assert res.meta["n_steps"] == 2 * 24 * 500
+
+
 def test_static_z_ramsey_matches_per_trial_propagation():
     seq = PulseSequence.ramsey(0.5e-6)
     spec = NoiseSpec("z", "static", 0.05 * W20, seed=17)
     record = np.linspace(0.0, 0.5e-6, 65)
     res = monte_carlo(seq, DW, spec, trials=16, record_times=record)
-    assert res.meta["n_steps"] == 64          # one step per record interval
+    assert res.meta["n_steps"] == 512         # the drive grid of ~1 ns
     np.testing.assert_allclose(res.times, record, rtol=1e-12, atol=0.0)
     opened = np.array([1.0, -1.0j]) / math.sqrt(2.0)
     ref = []
@@ -211,7 +226,7 @@ def test_static_x_echo_matches_per_trial_propagation():
     seq = PulseSequence.rotary_echo(theta, W19, n)
     spec = NoiseSpec("x", "static", 0.05, seed=19, relative=True)
     res = monte_carlo(seq, DW, spec, trials=16)
-    assert res.meta["n_steps"] == 2 * n       # one step per half echo
+    assert res.meta["n_steps"] == 2 * n * 500   # T_Rabi/200 per step
     ref = []
     for i in range(16):
         eps = sample_path(spec, seq.total_duration, seq.total_duration,
@@ -220,12 +235,13 @@ def test_static_x_echo_matches_per_trial_propagation():
         trace = propagate(build_waveform(noisy, DW))
         per_cycle = int(round(noisy.cycle_period / trace.dt))
         ref.append(trace.values[::per_cycle])
-    assert np.max(np.abs(np.mean(ref, axis=0) - res.mean)) < 1e-12
+    # each side rounds through 20,000 step products (2e-16 each): 1.1e-12
+    assert np.max(np.abs(np.mean(ref, axis=0) - res.mean)) < 1e-11
 
 
 def test_static_rabi_records_whole_periods_exactly():
     seq, record = RABI_19
     spec = NoiseSpec("x", "static", 0.05, seed=23, relative=True)
     res = monte_carlo(seq, 0.0, spec, trials=4, record_times=record)
-    assert res.meta["n_steps"] == 20
+    assert res.meta["n_steps"] == 20 * 200
     np.testing.assert_allclose(res.times, record, rtol=1e-12, atol=0.0)
