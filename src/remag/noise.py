@@ -3,7 +3,12 @@
 Streams are counter-based (Philox) and keyed by (seed, trial_index), so
 every trial's path is deterministic and independent of evaluation order;
 Gaussian variates use the inverse-CDF transform so a reimplementation
-can match the distributions statistically.
+can match the distributions statistically.  :func:`monte_carlo` draws a
+chunk of trials at a time, in blocks of ``_BLOCK_STEPS`` time steps that
+the SU(2) kernel steps through as they are drawn, so its memory is
+O(chunk x block) however long the run; a trial's values are the same
+whichever chunk or block they are drawn in, and :func:`sample_path`
+returns them for one trial.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from .dynamics import (DriveWaveform, PulseSequence, SignalTrace,
+from .dynamics import (DriveWaveform, PulseSequence,
                        build_waveform, default_dt_max, full_echo_times,
                        su2_step, uniform_grid_step, _hamiltonian_coeffs)
 from .models import DecayScenario, mean_signal, mean_signal_cumulant
@@ -94,28 +99,63 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via the inverse CDF of uniforms."""
-    return ndtri(rng.random(shape))
+#: time steps per block of a chunk's noise; a multiple of 4, since Philox
+#: yields four 64-bit words per counter value, so every block after the
+#: first starts on a counter boundary
+_BLOCK_STEPS = 128
 
 
-def _path_values(spec: NoiseSpec, n_steps: int, dt: float, trial_index: int,
-                 sigma: float) -> np.ndarray:
-    rng = _trial_rng(spec.seed, trial_index)
+def _noise_blocks(spec: NoiseSpec, sigma: float, dt: float, first: int,
+                  count: int, n_steps: int, block: int):
+    """Noise of trials ``first .. first+count-1``, in time blocks.
+
+    Yields ``(count, m)`` arrays of values (rad/s) over successive runs of
+    at most ``block`` steps; static noise yields one read-only
+    ``(count, n_steps)`` view of a single value per trial.  Trial i draws
+    from the Philox stream keyed by (spec.seed, i): one bit generator is
+    re-keyed per trial and block, its counter set to the block's first
+    word, and the words are turned into uniforms exactly as
+    ``Generator.random`` does, so a trial's values do not depend on the
+    chunk or the block it is drawn in.  OU noise uses the exact stationary
+    update x_{k+1} = alpha x_k + beta xi_k (Gillespie, Phys. Rev. E 54,
+    2084 (1996)), filtered per block with each trial's state carried into
+    the next.
+    """
+    counter = np.zeros(4, dtype=np.uint64)
+    key = np.array([spec.seed, first], dtype=np.uint64)   # see _trial_rng
+    bitgen = np.random.Philox(key=key)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+
+    def normals(offset, m):
+        # standard normals from words offset .. offset+m-1 of each stream,
+        # via the inverse CDF of uniforms
+        raw = np.empty((count, m), dtype=np.uint64)
+        counter[0] = offset // 4
+        for i in range(count):
+            key[1] = first + i
+            bitgen.state = state
+            raw[i] = bitgen.random_raw(m)
+        return ndtri((raw >> 11) * 2.0 ** -53)
+
     if spec.kind == "static":
-        return np.full(n_steps, sigma * float(_normals(rng, ())))
+        yield np.broadcast_to(sigma * normals(0, 1), (count, n_steps))
+        return
     if dt > spec.tau_c / _OU_MIN_SAMPLES_PER_TAU * (1.0 + 1e-9):
         raise ValueError(
             f"OU noise requires dt <= tau_c/{_OU_MIN_SAMPLES_PER_TAU}")
-    xi = _normals(rng, n_steps)
     alpha = math.exp(-dt / spec.tau_c)
-    beta = sigma * math.sqrt(1.0 - alpha * alpha)
-    x0 = sigma * xi[0]
-    if n_steps == 1:
-        return np.array([x0])
-    # exact stationary update x_{k+1} = alpha x_k + beta xi_k
-    rest, _ = lfilter([beta], [1.0, -alpha], xi[1:], zi=np.array([alpha * x0]))
-    return np.concatenate(([x0], rest))
+    b, a = [sigma * math.sqrt(1.0 - alpha * alpha)], [1.0, -alpha]
+    xi = normals(0, min(block, n_steps))
+    x0 = sigma * xi[:, :1]
+    rest, zi = lfilter(b, a, xi[:, 1:], axis=1, zi=alpha * x0)
+    yield np.concatenate((x0, rest), axis=1)
+    for offset in range(block, n_steps, block):
+        xi = normals(offset, min(block, n_steps - offset))
+        values, zi = lfilter(b, a, xi, axis=1, zi=zi)
+        yield values
 
 
 def sample_path(spec: NoiseSpec, t_end: float, dt: float,
@@ -126,11 +166,15 @@ def sample_path(spec: NoiseSpec, t_end: float, dt: float,
     grid; OU noise uses the exact stationary one-step update.  The values
     are offsets in rad/s (relative x-noise is scaled by the drive inside
     :func:`monte_carlo`, through :meth:`NoiseSpec.sigma_abs`, not here).
+    Otherwise they are the values that :func:`monte_carlo` draws for trial
+    ``trial_index`` on the same grid.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("t_end and dt must be positive")
     n_steps = max(1, int(round(t_end / dt)))
-    values = _path_values(spec, n_steps, dt, trial_index, spec.sigma)
+    values, = _noise_blocks(spec, spec.sigma, dt, trial_index, 1, n_steps,
+                            block=n_steps)
+    values = np.array(values[0])
     if not np.all(np.isfinite(values)):
         raise ValueError("noise path contains non-finite samples")
     return NoisePath(times=dt * np.arange(n_steps), values=values,
@@ -212,9 +256,10 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     The noise is held constant over each grid step.  ``dt_max`` forces a
     grid no coarser than it; by default the grid is sized to the noise
     (see :func:`_noise_grid_step`): tau_c/20 under OU dephasing during a
-    rotary echo, and min(T_Rabi/200, tau_c/20) otherwise.  ``meta``
-    records the step ``dt``, the step count ``n_steps`` and the number of
-    trial ``chunks``.
+    rotary echo, and min(T_Rabi/200, tau_c/20) otherwise.  A record time
+    off the run (nearest grid index outside [0, n_steps]) is an error.
+    ``meta`` records the step ``dt``, the step count ``n_steps`` and the
+    number of trial ``chunks``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -227,9 +272,11 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
         dt = uniform_grid_step(wave, dt_max)
     n_steps = int(round(wave.total_duration / dt))
 
-    record_idx = np.unique(np.clip(
-        np.rint(np.asarray(record_times, dtype=float) / dt).astype(int),
-        0, n_steps))
+    record_idx = np.rint(np.asarray(record_times, dtype=float) / dt)
+    if not np.all((record_idx >= 0) & (record_idx <= n_steps)):
+        raise ValueError(
+            f"record times must lie in [0, {wave.total_duration:.6g}] s")
+    record_idx = np.unique(record_idx.astype(int))
     times = dt * record_idx
 
     n_sub = int(round(float(wave.segment_lengths[0]) / dt))
@@ -239,12 +286,11 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     count, mean, m2 = 0, None, None
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        c = stop - start
-        paths = np.empty((c, n_steps))
-        for i in range(c):
-            paths[i] = _path_values(spec, n_steps, dt, start + i, sigma)
-        batch = _propagate_batch(amp_steps, delta_omega, spec.axis, paths,
-                                 dt, record_idx, ramsey=seq.kind == "ramsey")
+        blocks = _noise_blocks(spec, sigma, dt, start, stop - start, n_steps,
+                               _BLOCK_STEPS)
+        batch = _propagate_batch(amp_steps, delta_omega, spec.axis, blocks,
+                                 stop - start, dt, record_idx,
+                                 ramsey=seq.kind == "ramsey")
         count, mean, m2 = _merge_welford(count, mean, m2, batch)
 
     if count > 1:
@@ -300,43 +346,41 @@ def _population(psi0, psi1, ramsey):
     return np.abs(psi0) ** 2
 
 
-def _propagate_batch(amp_steps, delta_omega, axis, paths, dt, record_idx,
-                     ramsey=False):
-    """Propagate a batch of trials; returns populations (trials, n_record)."""
-    c, n_steps = paths.shape
+def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
+                     record_idx, ramsey=False):
+    """Propagate a batch of ``count`` trials through their noise blocks.
+
+    Each ``(count, m)`` block of ``blocks`` is stepped through as soon as
+    it is drawn; returns populations (count, n_record).
+    """
     if ramsey:
         # state right after the ideal opening pi/2 pulse about x
-        psi0 = np.full(c, 1.0 / math.sqrt(2.0), dtype=complex)
-        psi1 = np.full(c, -1j / math.sqrt(2.0), dtype=complex)
+        psi0 = np.full(count, 1.0 / math.sqrt(2.0), dtype=complex)
+        psi1 = np.full(count, -1j / math.sqrt(2.0), dtype=complex)
     else:
-        psi0 = np.ones(c, dtype=complex)
-        psi1 = np.zeros(c, dtype=complex)
-    out = np.empty((c, record_idx.size))
+        psi0 = np.ones(count, dtype=complex)
+        psi1 = np.zeros(count, dtype=complex)
+    out = np.empty((count, record_idx.size))
     pos = 0
     if record_idx[0] == 0:
         out[:, 0] = _population(psi0, psi1, ramsey)
         pos = 1
-    for k in range(n_steps):
-        amp = amp_steps[k]
-        if axis == "x":
-            amp_k = amp + math.copysign(1.0, amp) * paths[:, k] if amp != 0.0 \
-                else paths[:, k]
-            w_k = delta_omega
-        else:
-            amp_k = amp
-            w_k = delta_omega + paths[:, k]
-        hx, hz, ident = _hamiltonian_coeffs(amp_k, w_k)
-        psi0, psi1 = su2_step(psi0, psi1, hx, hz, ident, dt)
-        if pos < record_idx.size and record_idx[pos] == k + 1:
-            out[:, pos] = _population(psi0, psi1, ramsey)
-            pos += 1
+    k = 0
+    for block in blocks:
+        for noise in block.T:
+            amp = amp_steps[k]
+            if axis == "x":
+                amp_k = amp + math.copysign(1.0, amp) * noise if amp != 0.0 \
+                    else noise
+                w_k = delta_omega
+            else:
+                amp_k = amp
+                w_k = delta_omega + noise
+            hx, hz, ident = _hamiltonian_coeffs(amp_k, w_k)
+            psi0, psi1 = su2_step(psi0, psi1, hx, hz, ident, dt)
+            k += 1
+            if pos < record_idx.size and record_idx[pos] == k:
+                out[:, pos] = _population(psi0, psi1, ramsey)
+                pos += 1
     np.clip(out, 0.0, 1.0, out=out)
     return out
-
-
-def ensemble_trace(result: EnsembleResult) -> SignalTrace:
-    """View an ensemble mean as a SignalTrace (dt = spacing of records)."""
-    dt = float(result.times[1] - result.times[0]) if result.times.size > 1 else 0.0
-    return SignalTrace(times=result.times, values=result.mean, dt=dt,
-                       stderr=result.stderr, trials=result.trials,
-                       meta=dict(result.meta))

@@ -207,13 +207,6 @@ def frequency_uncertainty(sigma_noise: float, amplitude: float,
         amplitude * total_time * math.sqrt(n_samples))
 
 
-def snr_to_noise_ratio(snr: float) -> float:
-    """sigma/K for a given S/N, from S/N = K / (sqrt(2) sigma)."""
-    if snr <= 0:
-        raise ValueError("S/N must be positive")
-    return 1.0 / (math.sqrt(2.0) * snr)
-
-
 def carrier_frequency(theta: float, omega: float) -> float:
     """Hz position of the intra-cycle carrier pi*Omega/(theta mod 2pi)."""
     rem = math.fmod(theta, 2.0 * math.pi)
@@ -355,9 +348,3 @@ def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
     fit = least_squares(residual, x0, method="lm", xtol=1e-14)
     return float(fit.x[0]), np.abs(fit.x[1:])
 
-
-def periodogram_to_csv(pgram: Periodogram, path: str) -> None:
-    header = (f"# periodogram M={pgram.n_samples} t={pgram.total_time!r} "
-              f"oversample={pgram.oversample}\nfreq_hz,power")
-    np.savetxt(path, np.column_stack([pgram.frequencies, pgram.power]),
-               delimiter=",", header=header, comments="", fmt="%.12g")

@@ -1,16 +1,56 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
+from scipy.special import ndtri
 
-from remag.dynamics import PulseSequence
+from remag.dynamics import PulseSequence, build_waveform, segment_unitary
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
-from remag.noise import (NoiseSpec, decay_scenario, ensemble_trace,
+from remag.noise import (_BLOCK_STEPS, NoiseSpec, _noise_blocks, decay_scenario,
                          monte_carlo, sample_path)
 from remag.units import mhz_to_rad
 
 SIGMA = mhz_to_rad(1.0)
 TAU_C = 2e-7
+BIG_SEED = 2**63 + 12345
+
+
+def reference_path(spec, n_steps, dt, trial_index, sigma):
+    """One trial drawn on its own: Generator(Philox(key)) -> ndtri -> lfilter."""
+    key = np.array([spec.seed, trial_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    if spec.kind == "static":
+        return np.full(n_steps, sigma * float(ndtri(rng.random(()))))
+    xi = ndtri(rng.random(n_steps))
+    alpha = math.exp(-dt / spec.tau_c)
+    beta = sigma * math.sqrt(1.0 - alpha * alpha)
+    x0 = sigma * xi[0]
+    rest, _ = lfilter([beta], [1.0, -alpha], xi[1:], zi=np.array([alpha * x0]))
+    return np.concatenate(([x0], rest))
+
+
+def recompute(seq, delta_omega, spec, res):
+    """Mean over trials of sample_path stepped through exact SU(2) steps."""
+    dt, n_steps = res.meta["dt"], res.meta["n_steps"]
+    wave = build_waveform(seq, delta_omega)
+    amp_steps = np.repeat(wave.amplitudes, n_steps // wave.amplitudes.size)
+    idx = np.rint(res.times / dt).astype(int)
+    pops = []
+    for i in range(res.trials):
+        x = sample_path(spec, n_steps * dt, dt, trial_index=i).values
+        psi = np.array([1.0 + 0j, 0j])
+        pop = [1.0]
+        for amp, xk in zip(amp_steps, x):
+            if spec.axis == "x":
+                psi = segment_unitary(amp + math.copysign(1.0, amp) * xk,
+                                      delta_omega, dt) @ psi
+            else:
+                psi = segment_unitary(amp, delta_omega + xk, dt) @ psi
+            pop.append(abs(psi[0]) ** 2)
+        pops.append(np.asarray(pop)[idx])
+    return np.mean(pops, axis=0)
 
 
 class TestGenerator:
@@ -65,6 +105,76 @@ class TestGenerator:
                              seed=seed)
             return sample_path(spec, 1e-7, 1e-9).values
         assert not np.array_equal(path(a), path(b))
+
+
+# (spec, n_steps, dt): n_steps is no multiple of 4 and spans four blocks
+BLOCK_CASES = [
+    (NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=BIG_SEED),
+     3 * _BLOCK_STEPS + 7, TAU_C / 20),
+    (NoiseSpec(axis="x", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=5),
+     3 * _BLOCK_STEPS + 5, TAU_C / 23),
+    (NoiseSpec(axis="x", kind="static", sigma=SIGMA, seed=BIG_SEED),
+     3 * _BLOCK_STEPS + 3, 1e-9),
+]
+BLOCK_IDS = ["ou-z", "ou-x", "static-x"]
+
+
+class TestBlockedStreams:
+    @pytest.mark.parametrize("spec, n_steps, dt", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_sample_path_is_the_per_trial_formula(self, spec, n_steps, dt):
+        for i in (0, 3):
+            path = sample_path(spec, n_steps * dt, dt, trial_index=i)
+            assert np.array_equal(path.values,
+                                  reference_path(spec, n_steps, dt, i,
+                                                 spec.sigma))
+
+    @pytest.mark.parametrize("spec, n_steps, dt", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_time_blocks_are_the_per_trial_formula(self, spec, n_steps, dt):
+        sigma = 2.5 * SIGMA
+        blocks = list(_noise_blocks(spec, sigma, dt, 2, 3, n_steps,
+                                    _BLOCK_STEPS))
+        if spec.kind == "ou":
+            assert [b.shape[1] for b in blocks] == [_BLOCK_STEPS] * 3 + [
+                n_steps - 3 * _BLOCK_STEPS]
+        got = np.concatenate(blocks, axis=1)
+        want = np.stack([reference_path(spec, n_steps, dt, i, sigma)
+                         for i in (2, 3, 4)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seq, dt_max, spec", [
+        # tau_c/20 grid: 13 steps per half echo, 390 steps
+        (PulseSequence.rotary_echo(5 * math.pi, mhz_to_rad(20.0), 15), None,
+         NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C,
+                   seed=BIG_SEED)),
+        # 201 steps per half echo, 402 steps
+        (PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 1), 25e-9 / 200.5,
+         NoiseSpec(axis="x", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=17)),
+        (PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 1), 25e-9 / 200.5,
+         NoiseSpec(axis="x", kind="static", sigma=SIGMA, seed=BIG_SEED)),
+    ], ids=BLOCK_IDS)
+    def test_monte_carlo_matches_per_trial_recompute(self, seq, dt_max, spec):
+        # five trials in unequal chunks of 3 and 2
+        delta = mhz_to_rad(2.0)
+        res = monte_carlo(seq, delta, spec, trials=5, dt_max=dt_max, chunk=3)
+        assert res.meta["n_steps"] % 4 != 0
+        assert res.meta["n_steps"] > 3 * _BLOCK_STEPS
+        assert res.meta["chunks"] == 2
+        assert np.max(np.abs(res.mean - recompute(seq, delta, spec, res))) < 1e-12
+
+    def test_memory_stays_bounded_on_long_runs(self):
+        # 256 trials x 10,000 steps: the whole path array would be 20 MB
+        seq = PulseSequence.ramsey(10e-6)
+        spec = NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=8)
+        tracemalloc.start()
+        try:
+            res = monte_carlo(seq, mhz_to_rad(1.0), spec, trials=256,
+                              dt_max=1e-9,
+                              record_times=np.linspace(0.0, 10e-6, 11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.meta["n_steps"] == 10_000
+        assert peak < 4e6
 
 
 class TestDecayScenario:
@@ -139,13 +249,12 @@ class TestMonteCarlo:
         se = np.where(res.stderr > 0, res.stderr, 1.0)
         assert np.max(np.abs(res.mean - model) / se) < 4.0
 
-    def test_ensemble_trace_view(self):
-        seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 4)
-        spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA, seed=3)
-        res = monte_carlo(seq, 0.0, spec, trials=16)
-        trace = ensemble_trace(res)
-        assert np.array_equal(trace.values, res.mean)
-        assert trace.dt == pytest.approx(res.times[1] - res.times[0])
+    def test_record_times_outside_the_run_rejected(self):
+        seq = PulseSequence.ramsey(0.5e-6)
+        spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA, seed=1)
+        with pytest.raises(ValueError, match="record times"):
+            monte_carlo(seq, 0.0, spec, trials=4, record_times=1e-6 * np.array(
+                [0.0, 0.25, 0.5, 0.75, 1.0, -0.1]))
 
     def test_chunking_does_not_change_result(self):
         seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 4)

@@ -12,8 +12,6 @@ from remag.spectral import (
     harmonic_filter,
     peak_significance,
     periodogram,
-    periodogram_to_csv,
-    snr_to_noise_ratio,
 )
 from remag.units import mhz_to_rad
 
@@ -42,13 +40,6 @@ class TestPeriodogram:
         with pytest.raises(ValueError):
             periodogram(make_trace(np.ones(4), 1e-8))
 
-    def test_csv_roundtrip(self, tmp_path):
-        pgram = periodogram(make_trace(np.sin(np.arange(64)), 1e-8))
-        path = tmp_path / "p.csv"
-        periodogram_to_csv(pgram, str(path))
-        data = np.loadtxt(path, delimiter=",", skiprows=2)
-        assert data.shape[0] == pgram.frequencies.size
-
 
 class TestSignificance:
     def test_injected_tone_found(self):
@@ -75,9 +66,6 @@ class TestSignificance:
         val = frequency_uncertainty(0.05, 0.4, 5e-6, 500)
         assert val == pytest.approx(
             (2 * math.sqrt(3) / math.pi) * 0.05 / (0.4 * 5e-6 * math.sqrt(500)))
-
-    def test_snr_to_noise_ratio(self):
-        assert snr_to_noise_ratio(2.0) == pytest.approx(1.0 / (2.0 * math.sqrt(2)))
 
 
 class TestCarrierAndFilter:

@@ -1,8 +1,9 @@
 """SHA-256 of every CSV and JSON body that a fixed set of remag runs writes.
 
 The set is every `remag figure` preset, plus `simulate`, `noise`,
-`sensitivity` and `spectrum` on one config per scenario family, and
-`sensitivity` on one config with non-default readout overheads.  A
+`sensitivity` and `spectrum` on one config per scenario family,
+`sensitivity` on one config with non-default readout overheads, and
+`noise` on one OU-z echo whose grid crosses several noise time blocks.  A
 refactor that must keep outputs byte-identical prints the same lines as
 its parent commit; manifests are hashed without their `started` and
 `finished` timestamps, the only fields allowed to differ between reruns.
@@ -78,7 +79,13 @@ SHARED = tuple(FAMILIES)
 FAMILIES["ou_z_echo_readout"] = (ECHO_PI, "detuning_mhz = 2.0\n"
                                  "hyperfine_mhz = 2.14\n",
                                  OU + "axis = z\nsigma_mhz = 1.0\n")
-COMMANDS = {"simulate": SHARED, "noise": SHARED,
+# noise only: a 5 pi echo whose 624-step grid crosses five noise time blocks
+FAMILIES["ou_z_echo_blocks"] = (ECHO_PI.replace("theta_pi = 1.0",
+                                                "theta_pi = 5.0")
+                                .replace("n_cycles = 12", "n_cycles = 24"),
+                                "detuning_mhz = 2.0\n",
+                                OU + "axis = z\nsigma_mhz = 1.0\n")
+COMMANDS = {"simulate": SHARED, "noise": SHARED + ("ou_z_echo_blocks",),
             "sensitivity": SHARED + ("ou_z_echo_readout",),
             "spectrum": ("noiseless_triplet",)}
 EXTRA = {"noiseless_triplet":
