@@ -92,69 +92,76 @@ class EnsembleResult:
     meta: dict = field(default_factory=dict)
 
 
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+def _trial_bitgen(seed: int, trial_index: int) -> np.random.Philox:
     # an explicit uint64 key: numpy turns a list holding an int of 2**63 or
     # more into float64, which rounds such seeds onto each other
     key = np.array([seed, trial_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
 
 
-#: time steps per block of a chunk's noise; a multiple of 4, since Philox
-#: yields four 64-bit words per counter value, so every block after the
-#: first starts on a counter boundary
+def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    return np.random.Generator(_trial_bitgen(seed, trial_index))
+
+
+#: time steps per block of a chunk's noise
 _BLOCK_STEPS = 128
+
+#: chunks of this many trials or more step the OU update through a
+#: block's rows in Python; narrower ones filter along time with lfilter,
+#: which is faster below about 200 trials and slower above
+_ROW_LOOP_MIN_TRIALS = 128
 
 
 def _noise_blocks(spec: NoiseSpec, sigma: float, dt: float, first: int,
                   count: int, n_steps: int, block: int):
     """Noise of trials ``first .. first+count-1``, in time blocks.
 
-    Yields ``(count, m)`` arrays of values (rad/s) over successive runs of
-    at most ``block`` steps; static noise yields one read-only
-    ``(count, n_steps)`` view of a single value per trial.  Trial i draws
-    from the Philox stream keyed by (spec.seed, i): one bit generator is
-    re-keyed per trial and block, its counter set to the block's first
-    word, and the words are turned into uniforms exactly as
-    ``Generator.random`` does, so a trial's values do not depend on the
+    Yields ``(m, count)`` arrays, one row of values (rad/s) per step, over
+    successive runs of at most ``block`` steps; static noise yields one
+    read-only ``(n_steps, count)`` view of a single value per trial.
+    Trial i draws from its own Philox stream keyed by (spec.seed, i),
+    which each block advances; the words are turned into uniforms exactly
+    as ``Generator.random`` does, so a trial's values do not depend on the
     chunk or the block it is drawn in.  OU noise uses the exact stationary
     update x_{k+1} = alpha x_k + beta xi_k (Gillespie, Phys. Rev. E 54,
-    2084 (1996)), filtered per block with each trial's state carried into
-    the next.
+    2084 (1996)), applied block by block with each trial's state carried
+    into the next.
     """
-    counter = np.zeros(4, dtype=np.uint64)
-    key = np.array([spec.seed, first], dtype=np.uint64)   # see _trial_rng
-    bitgen = np.random.Philox(key=key)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": counter, "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
+    streams = [_trial_bitgen(spec.seed, first + i) for i in range(count)]
 
-    def normals(offset, m):
-        # standard normals from words offset .. offset+m-1 of each stream,
+    def normals(m):
+        # the next m standard normals of each stream, one row per step,
         # via the inverse CDF of uniforms
         raw = np.empty((count, m), dtype=np.uint64)
-        counter[0] = offset // 4
-        for i in range(count):
-            key[1] = first + i
-            bitgen.state = state
+        for i, bitgen in enumerate(streams):
             raw[i] = bitgen.random_raw(m)
-        return ndtri((raw >> 11) * 2.0 ** -53)
+        xi = np.multiply(raw.T >> 11, 2.0 ** -53, out=np.empty((m, count)))
+        return ndtri(xi, out=xi)
 
     if spec.kind == "static":
-        yield np.broadcast_to(sigma * normals(0, 1), (count, n_steps))
+        yield np.broadcast_to(sigma * normals(1), (n_steps, count))
         return
     if dt > spec.tau_c / _OU_MIN_SAMPLES_PER_TAU * (1.0 + 1e-9):
         raise ValueError(
             f"OU noise requires dt <= tau_c/{_OU_MIN_SAMPLES_PER_TAU}")
     alpha = math.exp(-dt / spec.tau_c)
-    b, a = [sigma * math.sqrt(1.0 - alpha * alpha)], [1.0, -alpha]
-    xi = normals(0, min(block, n_steps))
-    x0 = sigma * xi[:, :1]
-    rest, zi = lfilter(b, a, xi[:, 1:], axis=1, zi=alpha * x0)
-    yield np.concatenate((x0, rest), axis=1)
-    for offset in range(block, n_steps, block):
-        xi = normals(offset, min(block, n_steps - offset))
-        values, zi = lfilter(b, a, xi, axis=1, zi=zi)
+    beta = sigma * math.sqrt(1.0 - alpha * alpha)
+    x = None
+    for offset in range(0, n_steps, block):
+        values = normals(min(block, n_steps - offset))
+        rows = values
+        if x is None:                   # stationary start
+            values[0] *= sigma
+            x, rows = values[0], values[1:]
+        if count < _ROW_LOOP_MIN_TRIALS:
+            rows[:], _ = lfilter([beta], [1.0, -alpha], rows, axis=0,
+                                 zi=alpha * x[None])
+        else:
+            for row in rows:
+                row *= beta
+                row += alpha * x
+                x = row
+        x = values[-1]
         yield values
 
 
@@ -174,7 +181,7 @@ def sample_path(spec: NoiseSpec, t_end: float, dt: float,
     n_steps = max(1, int(round(t_end / dt)))
     values, = _noise_blocks(spec, spec.sigma, dt, trial_index, 1, n_steps,
                             block=n_steps)
-    values = np.array(values[0])
+    values = np.array(values[:, 0])
     if not np.all(np.isfinite(values)):
         raise ValueError("noise path contains non-finite samples")
     return NoisePath(times=dt * np.arange(n_steps), values=values,
@@ -350,8 +357,8 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
                      record_idx, ramsey=False):
     """Propagate a batch of ``count`` trials through their noise blocks.
 
-    Each ``(count, m)`` block of ``blocks`` is stepped through as soon as
-    it is drawn; returns populations (count, n_record).
+    Each ``(m, count)`` block of ``blocks``, one row per step, is stepped
+    through as soon as it is drawn; returns populations (count, n_record).
     """
     if ramsey:
         # state right after the ideal opening pi/2 pulse about x
@@ -367,7 +374,7 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
         pos = 1
     k = 0
     for block in blocks:
-        for noise in block.T:
+        for noise in block:
             amp = amp_steps[k]
             if axis == "x":
                 amp_k = amp + math.copysign(1.0, amp) * noise if amp != 0.0 \

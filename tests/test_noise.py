@@ -8,8 +8,9 @@ from scipy.special import ndtri
 
 from remag.dynamics import PulseSequence, build_waveform, segment_unitary
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
-from remag.noise import (_BLOCK_STEPS, NoiseSpec, _noise_blocks, decay_scenario,
-                         monte_carlo, sample_path)
+from remag.noise import (_BLOCK_STEPS, _ROW_LOOP_MIN_TRIALS, NoiseSpec,
+                         _noise_blocks, decay_scenario, monte_carlo,
+                         sample_path)
 from remag.units import mhz_to_rad
 
 SIGMA = mhz_to_rad(1.0)
@@ -107,7 +108,7 @@ class TestGenerator:
         assert not np.array_equal(path(a), path(b))
 
 
-# (spec, n_steps, dt): n_steps is no multiple of 4 and spans four blocks
+# (spec, n_steps, dt): n_steps spans four blocks and is no multiple of 4
 BLOCK_CASES = [
     (NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=BIG_SEED),
      3 * _BLOCK_STEPS + 7, TAU_C / 20),
@@ -128,17 +129,29 @@ class TestBlockedStreams:
                                   reference_path(spec, n_steps, dt, i,
                                                  spec.sigma))
 
+    def test_one_step_ou_path_is_its_first_value(self):
+        spec = BLOCK_CASES[0][0]
+        dt = TAU_C / 20
+        path = sample_path(spec, dt, dt, trial_index=3)
+        assert np.array_equal(path.values,
+                              reference_path(spec, 1, dt, 3, spec.sigma))
+
+    # a block of 127 steps ends inside a Philox counter's four words; the
+    # two chunk widths take the two ways of applying the OU update
+    @pytest.mark.parametrize("count", [3, _ROW_LOOP_MIN_TRIALS])
+    @pytest.mark.parametrize("block", [_BLOCK_STEPS, 127])
     @pytest.mark.parametrize("spec, n_steps, dt", BLOCK_CASES, ids=BLOCK_IDS)
-    def test_time_blocks_are_the_per_trial_formula(self, spec, n_steps, dt):
+    def test_time_blocks_are_the_per_trial_formula(self, spec, n_steps, dt,
+                                                   block, count):
         sigma = 2.5 * SIGMA
-        blocks = list(_noise_blocks(spec, sigma, dt, 2, 3, n_steps,
-                                    _BLOCK_STEPS))
+        blocks = list(_noise_blocks(spec, sigma, dt, 2, count, n_steps,
+                                    block))
         if spec.kind == "ou":
-            assert [b.shape[1] for b in blocks] == [_BLOCK_STEPS] * 3 + [
-                n_steps - 3 * _BLOCK_STEPS]
-        got = np.concatenate(blocks, axis=1)
+            assert [b.shape[0] for b in blocks] == [block] * 3 + [
+                n_steps - 3 * block]
+        got = np.concatenate(blocks).T
         want = np.stack([reference_path(spec, n_steps, dt, i, sigma)
-                         for i in (2, 3, 4)])
+                         for i in range(2, 2 + count)])
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seq, dt_max, spec", [
