@@ -8,12 +8,17 @@ chunk of trials at a time, in blocks of ``_BLOCK_STEPS`` time steps that
 the SU(2) kernel steps through as they are drawn, so its memory is
 O(chunk x block) however long the run; a trial's values are the same
 whichever chunk or block they are drawn in, and :func:`sample_path`
-returns them for one trial.
+returns them for one trial.  Each thread keeps a pool of bit generators
+that it re-keys for every trial of a chunk, which costs a fraction of
+building one.  The kernel applies each step's SU(2) rotation in place and
+drops the global phase that :func:`remag.dynamics.su2_step` keeps, since
+no readout sees it; ``su2_step`` stays the per-trial reference.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +28,7 @@ from scipy.special import ndtri
 
 from .dynamics import (DriveWaveform, PulseSequence,
                        build_waveform, default_dt_max, full_echo_times,
-                       su2_step, uniform_grid_step, _hamiltonian_coeffs)
+                       uniform_grid_step)
 from .models import DecayScenario, mean_signal, mean_signal_cumulant
 
 _OU_MIN_SAMPLES_PER_TAU = 20
@@ -112,6 +117,34 @@ _BLOCK_STEPS = 128
 _ROW_LOOP_MIN_TRIALS = 128
 
 
+class _BitgenPool(threading.local):
+    """Each thread's idle Philox bit generators.
+
+    Re-keying one for a trial costs under 1 us; building one with
+    ``Philox(key=...)`` costs about 6.5 us, most of it the SeedSequence
+    entropy that a keyed stream never uses.  A generator is checked out
+    for the life of the draw that uses it, so two live draws never share
+    one.  The pool's generators share one seed sequence, which spares
+    each its own (about 300 bytes); their first key is never drawn from.
+    """
+
+    seed = np.random.SeedSequence(0)
+
+    def __init__(self):
+        self.free = []
+
+
+_BITGENS = _BitgenPool()
+
+
+def _keyed_state(seed: int, trial_index: int) -> dict:
+    """State of ``_trial_bitgen(seed, trial_index)`` before its first draw."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, trial_index]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
+
 def _noise_blocks(spec: NoiseSpec, sigma: float, dt: float, first: int,
                   count: int, n_steps: int, block: int):
     """Noise of trials ``first .. first+count-1``, in time blocks.
@@ -122,12 +155,16 @@ def _noise_blocks(spec: NoiseSpec, sigma: float, dt: float, first: int,
     Trial i draws from its own Philox stream keyed by (spec.seed, i),
     which each block advances; the words are turned into uniforms exactly
     as ``Generator.random`` does, so a trial's values do not depend on the
-    chunk or the block it is drawn in.  OU noise uses the exact stationary
-    update x_{k+1} = alpha x_k + beta xi_k (Gillespie, Phys. Rev. E 54,
-    2084 (1996)), applied block by block with each trial's state carried
-    into the next.
+    chunk or the block it is drawn in.  The bit generators come from the
+    calling thread's pool, re-keyed for each trial, and go back to it when
+    the generator finishes or is closed.  OU noise uses the exact
+    stationary update x_{k+1} = alpha x_k + beta xi_k (Gillespie, Phys.
+    Rev. E 54, 2084 (1996)), applied block by block with each trial's
+    state carried into the next.
     """
-    streams = [_trial_bitgen(spec.seed, first + i) for i in range(count)]
+    free = _BITGENS.free
+    streams = [free.pop() if free else np.random.Philox(_BITGENS.seed)
+               for _ in range(count)]
 
     def normals(m):
         # the next m standard normals of each stream, one row per step,
@@ -138,31 +175,36 @@ def _noise_blocks(spec: NoiseSpec, sigma: float, dt: float, first: int,
         xi = np.multiply(raw.T >> 11, 2.0 ** -53, out=np.empty((m, count)))
         return ndtri(xi, out=xi)
 
-    if spec.kind == "static":
-        yield np.broadcast_to(sigma * normals(1), (n_steps, count))
-        return
-    if dt > spec.tau_c / _OU_MIN_SAMPLES_PER_TAU * (1.0 + 1e-9):
-        raise ValueError(
-            f"OU noise requires dt <= tau_c/{_OU_MIN_SAMPLES_PER_TAU}")
-    alpha = math.exp(-dt / spec.tau_c)
-    beta = sigma * math.sqrt(1.0 - alpha * alpha)
-    x = None
-    for offset in range(0, n_steps, block):
-        values = normals(min(block, n_steps - offset))
-        rows = values
-        if x is None:                   # stationary start
-            values[0] *= sigma
-            x, rows = values[0], values[1:]
-        if count < _ROW_LOOP_MIN_TRIALS:
-            rows[:], _ = lfilter([beta], [1.0, -alpha], rows, axis=0,
-                                 zi=alpha * x[None])
-        else:
-            for row in rows:
-                row *= beta
-                row += alpha * x
-                x = row
-        x = values[-1]
-        yield values
+    try:
+        for i, bitgen in enumerate(streams):
+            bitgen.state = _keyed_state(spec.seed, first + i)
+        if spec.kind == "static":
+            yield np.broadcast_to(sigma * normals(1), (n_steps, count))
+            return
+        if dt > spec.tau_c / _OU_MIN_SAMPLES_PER_TAU * (1.0 + 1e-9):
+            raise ValueError(
+                f"OU noise requires dt <= tau_c/{_OU_MIN_SAMPLES_PER_TAU}")
+        alpha = math.exp(-dt / spec.tau_c)
+        beta = sigma * math.sqrt(1.0 - alpha * alpha)
+        x = None
+        for offset in range(0, n_steps, block):
+            values = normals(min(block, n_steps - offset))
+            rows = values
+            if x is None:                   # stationary start
+                values[0] *= sigma
+                x, rows = values[0], values[1:]
+            if count < _ROW_LOOP_MIN_TRIALS:
+                rows[:], _ = lfilter([beta], [1.0, -alpha], rows, axis=0,
+                                     zi=alpha * x[None])
+            else:
+                for row in rows:
+                    row *= beta
+                    row += alpha * x
+                    x = row
+            x = values[-1]
+            yield values
+    finally:
+        free.extend(streams)
 
 
 def sample_path(spec: NoiseSpec, t_end: float, dt: float,
@@ -264,7 +306,8 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     grid no coarser than it; by default the grid is sized to the noise
     (see :func:`_noise_grid_step`): tau_c/20 under OU dephasing during a
     rotary echo, and min(T_Rabi/200, tau_c/20) otherwise.  A record time
-    off the run (nearest grid index outside [0, n_steps]) is an error.
+    off the run (nearest grid index outside [0, n_steps]) is an error, and
+    so are two record times with the same nearest grid index.
     ``meta`` records the step ``dt``, the step count ``n_steps`` and the
     number of trial ``chunks``.
     """
@@ -279,11 +322,14 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
         dt = uniform_grid_step(wave, dt_max)
     n_steps = int(round(wave.total_duration / dt))
 
-    record_idx = np.rint(np.asarray(record_times, dtype=float) / dt)
-    if not np.all((record_idx >= 0) & (record_idx <= n_steps)):
+    requested = np.rint(np.asarray(record_times, dtype=float) / dt)
+    if not np.all((requested >= 0) & (requested <= n_steps)):
         raise ValueError(
             f"record times must lie in [0, {wave.total_duration:.6g}] s")
-    record_idx = np.unique(record_idx.astype(int))
+    record_idx = np.unique(requested.astype(int))
+    if record_idx.size < requested.size:
+        raise ValueError(f"record times must be at least one grid step "
+                         f"(dt = {dt:.6g} s) apart")
     times = dt * record_idx
 
     n_sub = int(round(float(wave.segment_lengths[0]) / dt))
@@ -359,6 +405,13 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
 
     Each ``(m, count)`` block of ``blocks``, one row per step, is stepped
     through as soon as it is drawn; returns populations (count, n_record).
+    A step applies exp(-i (hx sx + hz sz) dt), with hx = amp/2 and
+    hz = -w/2 for drive amplitude amp and total detuning w, in place:
+    a = cos(phi) - i hz dt sinc, b = -i hx dt sinc, with phi = |h| dt and
+    sinc = sin(phi)/phi, then psi0' = a psi0 + b psi1 and
+    psi1' = b psi0 + conj(a) psi1.  It drops the global phase
+    exp(-i w dt/2) that :func:`remag.dynamics.su2_step` keeps: both
+    readouts are invariant under a phase shared by a trial's amplitudes.
     """
     if ramsey:
         # state right after the ideal opening pi/2 pulse about x
@@ -372,19 +425,55 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     if record_idx[0] == 0:
         out[:, 0] = _population(psi0, psi1, ramsey)
         pos = 1
+
+    # per step, -h dt = (-hx dt, -hz dt) is one component that the noise
+    # moves, gain * noise + offset, and one that it does not, fixed; all
+    # three follow from the step's drive amplitude
+    half = 0.5 * dt
+
+    def coeffs(amp):
+        if axis == "x":
+            # the noise adds to the drive's magnitude (to the drive
+            # itself where there is none)
+            gain = -math.copysign(half, amp) if amp != 0.0 else -half
+            return gain, -half * amp, half * delta_omega
+        return half, half * delta_omega, -half * amp
+
+    step_coeffs = {amp: coeffs(amp) for amp in np.unique(amp_steps).tolist()}
+
+    moved, phi, sinc = np.empty(count), np.empty(count), np.empty(count)
+    a, b = np.empty(count, dtype=complex), np.zeros(count, dtype=complex)
+    new0, tmp = np.empty(count, dtype=complex), np.empty(count, dtype=complex)
+    # a.imag = -hz dt sinc and b.imag = -hx dt sinc
+    moved_imag, fixed_imag = ((b.imag, a.imag) if axis == "x"
+                              else (a.imag, b.imag))
+    a_real = a.real
+    # sin(phi)/phi is exactly 1 at the smallest normal float, so h = 0
+    # gives the identity
+    tiny = np.finfo(float).tiny
     k = 0
     for block in blocks:
         for noise in block:
-            amp = amp_steps[k]
-            if axis == "x":
-                amp_k = amp + math.copysign(1.0, amp) * noise if amp != 0.0 \
-                    else noise
-                w_k = delta_omega
-            else:
-                amp_k = amp
-                w_k = delta_omega + noise
-            hx, hz, ident = _hamiltonian_coeffs(amp_k, w_k)
-            psi0, psi1 = su2_step(psi0, psi1, hx, hz, ident, dt)
+            g, o, f = step_coeffs[amp_steps[k]]
+            np.multiply(noise, g, out=moved)
+            moved += o
+            np.multiply(moved, moved, out=phi)
+            phi += f * f
+            np.sqrt(phi, out=phi)
+            np.maximum(phi, tiny, out=phi)
+            np.cos(phi, out=a_real)
+            np.sin(phi, out=sinc)
+            sinc /= phi
+            np.multiply(sinc, moved, out=moved_imag)
+            np.multiply(sinc, f, out=fixed_imag)
+            np.multiply(a, psi0, out=new0)
+            np.multiply(b, psi1, out=tmp)
+            new0 += tmp
+            np.multiply(b, psi0, out=tmp)
+            np.conjugate(a, out=a)
+            psi1 *= a
+            psi1 += tmp
+            psi0, new0 = new0, psi0
             k += 1
             if pos < record_idx.size and record_idx[pos] == k:
                 out[:, pos] = _population(psi0, psi1, ramsey)

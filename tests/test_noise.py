@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from remag.dynamics import PulseSequence, build_waveform, segment_unitary
+from remag.cli import _run_jobs
+from remag.dynamics import (PulseSequence, build_waveform, segment_unitary,
+                            su2_step, _hamiltonian_coeffs)
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
 from remag.noise import (_BLOCK_STEPS, _ROW_LOOP_MIN_TRIALS, NoiseSpec,
-                         _noise_blocks, decay_scenario, monte_carlo,
-                         sample_path)
+                         _noise_blocks, _propagate_batch, decay_scenario,
+                         monte_carlo, sample_path)
 from remag.units import mhz_to_rad
 
 SIGMA = mhz_to_rad(1.0)
@@ -52,6 +55,32 @@ def recompute(seq, delta_omega, spec, res):
             pop.append(abs(psi[0]) ** 2)
         pops.append(np.asarray(pop)[idx])
     return np.mean(pops, axis=0)
+
+
+def reference_populations(amp_steps, delta_omega, axis, noise, dt, ramsey):
+    """Populations after every step of su2_step, exact phase included."""
+    count = noise.shape[1]
+    if ramsey:
+        psi0 = np.full(count, 1 / math.sqrt(2), dtype=complex)
+        psi1 = np.full(count, -1j / math.sqrt(2), dtype=complex)
+    else:
+        psi0, psi1 = np.ones(count, complex), np.zeros(count, complex)
+
+    def readout():
+        if ramsey:
+            return np.abs((psi0 + 1j * psi1) / math.sqrt(2)) ** 2
+        return np.abs(psi0) ** 2
+
+    pops = [readout()]
+    for amp, x in zip(amp_steps, noise):
+        if axis == "x":
+            amp_k = amp + math.copysign(1.0, amp) * x if amp != 0.0 else x
+            w = delta_omega
+        else:
+            amp_k, w = amp, delta_omega + x
+        psi0, psi1 = su2_step(psi0, psi1, *_hamiltonian_coeffs(amp_k, w), dt)
+        pops.append(readout())
+    return np.array(pops).T
 
 
 class TestGenerator:
@@ -190,6 +219,93 @@ class TestBlockedStreams:
         assert peak < 4e6
 
 
+class TestKernel:
+    # a 260-step rotary echo at 20 MHz and a Ramsey free evolution (amp
+    # 0), each under dephasing (z) and under drive (x) noise
+    @pytest.mark.parametrize("axis, amp_steps, ramsey", [
+        ("z", np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
+        ("x", np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
+        ("z", np.zeros(260), True),
+        ("x", np.zeros(260), True),
+    ], ids=["ou-z-echo", "ou-x-echo", "ou-z-ramsey", "ou-x-ramsey"])
+    def test_step_matches_su2_step(self, axis, amp_steps, ramsey):
+        spec = NoiseSpec(axis=axis, kind="ou", sigma=SIGMA, tau_c=TAU_C,
+                         seed=3)
+        dt, delta = TAU_C / 20, mhz_to_rad(2.0)
+        blocks = list(_noise_blocks(spec, 3 * SIGMA, dt, 0, 16,
+                                    amp_steps.size, _BLOCK_STEPS))
+        got = _propagate_batch(amp_steps, delta, axis, iter(blocks), 16, dt,
+                               np.arange(amp_steps.size + 1), ramsey)
+        want = reference_populations(amp_steps, delta, axis,
+                                     np.concatenate(blocks), dt, ramsey)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_zero_field_step_is_the_identity(self):
+        # noise of exactly -delta cancels the only field of a Ramsey run
+        delta, n_steps = mhz_to_rad(2.0), 50
+        blocks = [np.full((n_steps, 4), -delta)]
+        got = _propagate_batch(np.zeros(n_steps), delta, "z", iter(blocks), 4,
+                               1e-8, np.arange(n_steps + 1), ramsey=True)
+        assert np.all(got == got[:, :1])
+        assert np.allclose(got, 1.0, rtol=0.0, atol=1e-15)
+
+
+class TestBitgenPool:
+    SPEC = BLOCK_CASES[0][0]
+    N_STEPS, DT = BLOCK_CASES[0][1], BLOCK_CASES[0][2]
+
+    def blocks(self, seed, first, count):
+        spec = NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C,
+                         seed=seed)
+        return _noise_blocks(spec, SIGMA, self.DT, first, count, self.N_STEPS,
+                             127)
+
+    def reference(self, seed, first, count):
+        spec = NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C,
+                         seed=seed)
+        return np.stack([reference_path(spec, self.N_STEPS, self.DT, i, SIGMA)
+                         for i in range(first, first + count)])
+
+    def test_reuse_after_a_wider_chunk_is_a_fresh_stream(self):
+        # the wider chunk leaves its generators mid-counter and mid-buffer
+        list(self.blocks(5, 0, 40))
+        got = np.concatenate(list(self.blocks(BIG_SEED, 7, 3))).T
+        assert np.array_equal(got, self.reference(BIG_SEED, 7, 3))
+
+    def test_closed_and_live_draws_do_not_shift_each_other(self):
+        closed = self.blocks(5, 0, 6)
+        next(closed)
+        closed.close()
+        a, b = self.blocks(1, 0, 4), self.blocks(2, 10, 4)
+        got_a, got_b = [], []
+        for block_a, block_b in zip(a, b):      # two live draws interleaved
+            got_a.append(block_a)
+            got_b.append(block_b)
+        assert np.array_equal(np.concatenate(got_a).T, self.reference(1, 0, 4))
+        assert np.array_equal(np.concatenate(got_b).T,
+                              self.reference(2, 10, 4))
+
+    def test_threaded_runs_equal_the_serial_run(self):
+        # more worker threads than cores, switching as often as possible
+        seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 4)
+        jobs = [lambda seed=seed: monte_carlo(
+                    seq, mhz_to_rad(2.0),
+                    NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C,
+                              seed=seed),
+                    trials=30, chunk=7)
+                for seed in range(8)]
+        serial = _run_jobs(jobs, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _run_jobs(jobs, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.mean, b.mean)
+            assert np.array_equal(a.stderr, b.stderr)
+
+
 class TestDecayScenario:
     def test_relative_sigma_scales_with_drive(self):
         omega = mhz_to_rad(19.0)
@@ -268,6 +384,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="record times"):
             monte_carlo(seq, 0.0, spec, trials=4, record_times=1e-6 * np.array(
                 [0.0, 0.25, 0.5, 0.75, 1.0, -0.1]))
+
+    def test_record_times_on_one_grid_step_rejected(self):
+        # 0.25 and 0.2501 us round to one step of the 0.98 ns grid
+        seq = PulseSequence.ramsey(0.5e-6)
+        spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA, seed=1)
+        with pytest.raises(ValueError, match="one grid step"):
+            monte_carlo(seq, 0.0, spec, trials=4, record_times=1e-6 * np.array(
+                [0.0, 0.25, 0.2501, 0.5]))
 
     def test_chunking_does_not_change_result(self):
         seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 4)

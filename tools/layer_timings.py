@@ -1,0 +1,155 @@
+"""Per-layer timings of the Monte Carlo engine on the benchmark's noise cases.
+
+Times three layers of `remag.noise.monte_carlo` apart, on one trial chunk
+of each `noise-ou-large` case (OU dephasing, rotary echoes, on the grid
+`monte_carlo` picks) and on one `noise-static-small`-style case (static
+drive noise on a 13,000-step rotary echo, 64 trials):
+
+- `setup_us_per_trial`: starting the chunk's per-trial streams, timed as
+  a whole one-step static draw of the chunk (one word per trial included);
+  `warm` in a thread that has drawn before, `cold` in a new thread;
+- `noise_ns_per_value`: a whole `_noise_blocks` draw of the case with a
+  warm thread, set-up included, per value drawn (one per trial-step for
+  OU noise, one per trial for static noise);
+- `kernel_ns_per_trial_step`: `_propagate_batch` on blocks drawn
+  beforehand.
+
+    python tools/layer_timings.py                    # this checkout
+    python tools/layer_timings.py --src OTHER/src    # another checkout
+
+Prints one JSON object; each figure is the median of `--repeats` runs
+(BLAS pinned to one thread).  A run takes about a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import json
+import math
+import os
+import statistics
+import sys
+import threading
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+STATIC_CASE = (1.0, 19.0, 65, 64)   # theta/pi, omega (MHz), cycles, trials
+
+
+def _cases(noise, dynamics):
+    """(label, sequence, detuning, spec, trials) of each timed case."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads as w
+
+    mhz = 2e6 * math.pi
+    out = []
+    for theta_pi, n_cycles in w.OU_CASES:
+        seq = dynamics.PulseSequence.rotary_echo(
+            theta_pi * math.pi, w.OU_OMEGA_MHZ * mhz, n_cycles)
+        spec = noise.NoiseSpec(axis="z", kind="ou", sigma=w.OU_SIGMA_MHZ * mhz,
+                               tau_c=w.OU_TAU_C_US * 1e-6, seed=1)
+        out.append((f"ou-{theta_pi}pi-x{n_cycles}", seq,
+                    w.OU_DETUNING_MHZ * mhz, spec, w.OU_TRIALS))
+    theta_pi, omega_mhz, n_cycles, trials = STATIC_CASE
+    seq = dynamics.PulseSequence.rotary_echo(theta_pi * math.pi,
+                                             omega_mhz * mhz, n_cycles)
+    spec = noise.NoiseSpec(axis="x", kind="static", sigma=0.05, seed=1,
+                           relative=True)
+    out.append((f"static-{theta_pi}pi-x{n_cycles}", seq, 0.0, spec, trials))
+    return out
+
+
+def _median_s(run, repeats: int) -> float:
+    """Median wall time of ``run()``, which returns its own timing."""
+    return statistics.median(run() for _ in range(repeats))
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _in_new_thread(fn) -> float:
+    box = []
+    worker = threading.Thread(target=lambda: box.append(_timed(fn)))
+    worker.start()
+    worker.join(timeout=60.0)
+    if worker.is_alive() or not box:
+        raise RuntimeError("timed draw did not finish in a new thread")
+    return box[0]
+
+
+def time_case(noise, dynamics, seq, delta, spec, trials, repeats) -> dict:
+    """The three layer figures of one case, on its first trial chunk."""
+    chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
+    count = min(trials, chunk)
+    wave = dynamics.build_waveform(seq, delta)
+    record_times = noise._default_record_times(seq)
+    dt = noise._noise_grid_step(wave, spec, record_times)
+    n_steps = int(round(wave.total_duration / dt))
+    record_idx = np.unique(np.rint(record_times / dt).astype(int))
+    n_sub = int(round(float(wave.segment_lengths[0]) / dt))
+    amp_steps = np.repeat(wave.amplitudes, n_sub)
+    sigma = spec.sigma_abs(seq.omega)
+
+    def draw(n, block):
+        return noise._noise_blocks(spec, sigma, dt, 0, count, n, block)
+
+    one_word = noise.NoiseSpec(axis="x", kind="static", sigma=1.0, seed=1)
+
+    def setup():
+        for _ in noise._noise_blocks(one_word, 1.0, dt, 0, count, 1, 1):
+            pass
+
+    def whole_draw():
+        for _ in draw(n_steps, noise._BLOCK_STEPS):
+            pass
+
+    setup()
+    warm = _median_s(lambda: _timed(setup), repeats)
+    cold = _median_s(lambda: _in_new_thread(setup), repeats)
+    values = count * (n_steps if spec.kind == "ou" else 1)
+    noise_s = _median_s(lambda: _timed(whole_draw), repeats)
+    blocks = list(draw(n_steps, noise._BLOCK_STEPS))
+    kernel_s = _median_s(lambda: _timed(lambda: noise._propagate_batch(
+        amp_steps, delta, spec.axis, iter(blocks), count, dt, record_idx)),
+        repeats)
+    return {"trials": count, "n_steps": n_steps,
+            "setup_us_per_trial": {"warm": warm / count * 1e6,
+                                   "cold": cold / count * 1e6},
+            "noise_ns_per_value": noise_s / values * 1e9,
+            "kernel_ns_per_trial_step": kernel_s / (count * n_steps) * 1e9}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src/ directory of the checkout to time")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="runs per figure (median reported)")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    sys.path.insert(0, str(args.src.resolve()))
+    from remag import dynamics, noise
+
+    report = {"numpy": np.__version__,
+              "python": sys.version.split()[0], "repeats": args.repeats,
+              "cases": {}}
+    for label, seq, delta, spec, trials in _cases(noise, dynamics):
+        report["cases"][label] = time_case(noise, dynamics, seq, delta, spec,
+                                           trials, args.repeats)
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

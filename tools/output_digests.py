@@ -14,11 +14,16 @@ own, so a changed grid shows apart from changed numbers.
 
     python tools/output_digests.py                     # this checkout
     python tools/output_digests.py --src OTHER/src     # another checkout
-    diff <(python tools/output_digests.py) \\
-         <(python tools/output_digests.py --src OTHER/src)
+    python tools/output_digests.py --diff OTHER/src    # this against another
 
 Each line is `<run> <file> <sha256>`, or `<run> <file> grid <facts>`; a
 run that exits nonzero prints `<run> exit=<code>` instead of its files.
+`--diff` runs both checkouts, each in its own interpreter, and prints each
+line that differs as `- <other>` / `+ <this>`.  Below a file's changed
+digest it prints `  |d| <column>=<max>, ...`: the largest absolute
+difference of each numeric CSV column or JSON field (list positions
+merged), so a change that only moves rounding shows in one line.  The last
+line counts the differing lines and names the largest difference.
 Monte Carlo runs use 60 trials and 2 threads, so the whole set takes well
 under a minute on two cores.
 """
@@ -27,11 +32,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 SEED = "11"
@@ -137,22 +145,98 @@ def _run(main, tag: str, argv: list[str], work: Path) -> list[str]:
             for line in _digest_lines(tag, p)]
 
 
-def digests(src: Path) -> list[str]:
+def digests(src: Path, work: Path) -> list[str]:
+    """Digest lines of the runs of the checkout at ``src``; files stay in
+    ``work``, one directory per run."""
     sys.path.insert(0, str(src.resolve()))
     from remag.cli import FIGURES, main
 
+    work.mkdir(parents=True, exist_ok=True)
     lines = []
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for panel in FIGURES:
-            lines += _run(main, f"figure {panel}", ["figure", panel], work)
-        for command, names in COMMANDS.items():
-            for name in names:
-                cfg = work / f"{name}.ini"
-                cfg.write_text(_config_text(name), encoding="utf-8")
-                lines += _run(main, f"{command} {name}",
-                              [command, "--config", str(cfg)], work)
+    for panel in FIGURES:
+        lines += _run(main, f"figure {panel}", ["figure", panel], work)
+    for command, names in COMMANDS.items():
+        for name in names:
+            cfg = work / f"{name}.ini"
+            cfg.write_text(_config_text(name), encoding="utf-8")
+            lines += _run(main, f"{command} {name}",
+                          [command, "--config", str(cfg)], work)
     return lines
+
+
+def _line_key(line: str) -> tuple:
+    """A line's run, file and kind: what is compared across checkouts."""
+    command, name, rest = line.split(" ", 2)
+    if rest.startswith("exit="):
+        return command, name, "exit"
+    file, kind = rest.split(" ", 2)[:2]
+    return command, name, file, "grid" if kind == "grid" else "sha"
+
+
+def _numbers(path: Path) -> dict:
+    """Numeric values of a CSV (by column) or JSON file (by field path)."""
+    if path.suffix == ".csv":
+        text = path.read_text(encoding="utf-8").splitlines()
+        rows = list(csv.reader(ln for ln in text if not ln.startswith("#")))
+        return {col: [float(r[j]) for r in rows[1:]]
+                for j, col in enumerate(rows[0])}
+    values: dict = {}
+
+    def walk(node, name):
+        if isinstance(node, dict):
+            for key, child in node.items():
+                walk(child, f"{name}.{key}" if name else key)
+        elif isinstance(node, list):
+            for child in node:
+                walk(child, f"{name}[]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            values.setdefault(name, []).append(float(node))
+
+    walk(json.loads(path.read_bytes()), "")
+    return values
+
+
+def _largest_differences(a: Path, b: Path) -> dict:
+    """Largest |a - b| of each numeric column or field; None where the
+    two files do not hold the same number of values there."""
+    na, nb = _numbers(a), _numbers(b)
+    return {name: (max((abs(x - y) for x, y in zip(na[name], nb[name])),
+                       default=0.0)
+                   if name in nb and len(na[name]) == len(nb[name]) else None)
+            for name in na}
+
+
+def compare(this: Path, other: Path, work: Path) -> list[str]:
+    """Lines that differ between two checkouts, with the numeric size of
+    each changed file's difference."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        mine = pool.submit(digests, this, work / "this")
+        theirs = pool.submit(digests, other, work / "other")
+        mine, theirs = mine.result(), theirs.result()
+    old = {_line_key(ln): ln for ln in theirs}
+    new = {_line_key(ln): ln for ln in mine}
+    out, changed, largest = [], 0, (0.0, "none")
+    for key in list(new) + [k for k in old if k not in new]:
+        if old.get(key) == new.get(key):
+            continue
+        changed += 1
+        out += [f"- {old[key]}"] if key in old else []
+        out += [f"+ {new[key]}"] if key in new else []
+        if key[-1] != "sha" or key not in old or key not in new:
+            continue
+        run = "_".join(key[:2])
+        diffs = _largest_differences(work / "this" / run / key[2],
+                                     work / "other" / run / key[2])
+        out.append("  |d| " + ", ".join(
+            f"{name}={'shape' if d is None else f'{d:.3g}'}"
+            for name, d in diffs.items()))
+        for name, d in diffs.items():
+            if d is not None and d >= largest[0]:
+                largest = (d, f"{' '.join(key[:3])} {name}")
+    out.append(f"{changed} of {len(set(old) | set(new))} lines differ; "
+               f"largest |d| {largest[0]:.3g} ({largest[1]})")
+    return out
 
 
 def main() -> int:
@@ -160,8 +244,16 @@ def main() -> int:
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src",
                         help="the src/ directory of the checkout to run")
+    parser.add_argument("--diff", type=Path, metavar="OTHER_SRC",
+                        help="the src/ directory of a checkout to compare "
+                             "with: print only what differs")
     args = parser.parse_args()
-    print("\n".join(digests(args.src)))
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.diff is None:
+            lines = digests(args.src, Path(tmp))
+        else:
+            lines = compare(args.src, args.diff, Path(tmp))
+    print("\n".join(lines))
     return 0
 
 
