@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -119,14 +118,6 @@ class RunWriter:
                 os.unlink(path)
             except OSError:
                 pass
-
-
-def _run_jobs(jobs, threads: int):
-    """Evaluate callables, possibly in parallel; results keep job order."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: job(), jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +266,7 @@ class Case(NamedTuple):
     record_times: np.ndarray | None = None
 
 
-def _write_cases(w: RunWriter, tables: dict, trials: int,
-                 threads: int) -> None:
+def _write_cases(w: RunWriter, tables: dict, trials: int) -> None:
     """Run every case of ``{csv name: {label: Case}}``, one CSV per name.
 
     Label "" writes the columns mc_mean, mc_stderr and model; any other
@@ -284,14 +274,11 @@ def _write_cases(w: RunWriter, tables: dict, trials: int,
     where the scenario has no closed form (see :func:`mc_vs_model`).  The
     metadata block and the manifest get each case's grid facts.
     """
-    cases = [case for row in tables.values() for case in row.values()]
-    results = iter(_run_jobs(
-        [(lambda c=c: mc_vs_model(c.seq, c.delta_omega, c.spec, trials,
-                                  c.record_times)) for c in cases], threads))
     for name, row in tables.items():
         cols, meta = {}, {"trials": trials}
-        for label in row:
-            res, model = next(results)
+        for label, case in row.items():
+            res, model = mc_vs_model(case.seq, case.delta_omega, case.spec,
+                                     trials, case.record_times)
             cols.setdefault("t_us", res.times * 1e6)
             keys = (("mc_mean", "mc_stderr", "model") if label == "" else
                     (f"mc_{label}", f"se_{label}", f"model_{label}"))
@@ -309,7 +296,7 @@ def cmd_noise(cfg: ScenarioConfig, w: RunWriter, args) -> None:
                           "the noise subcommand")
     case = Case(cfg.sequence, cfg.noise, cfg.detuning)
     _write_cases(w, {"decay.csv": {"": case}},
-                 args.trials or cfg["run"]["trials"], args.threads)
+                 args.trials or cfg["run"]["trials"])
 
 
 def cmd_calcium(cfg: ScenarioConfig, w: RunWriter, args) -> None:
@@ -337,7 +324,7 @@ B_LINE = mhz_to_rad(0.17)
 A_HYPERFINE = mhz_to_rad(2.14)
 
 
-def fig_1b(w: RunWriter, trials: int, threads: int) -> None:
+def fig_1b(w: RunWriter, trials: int) -> None:
     """Ideal sensitivity vs interrogation time under a static bath."""
     sigma = math.sqrt(2.0) / T2_STAR_FIT
     times = np.linspace(0.05e-6, 6.0e-6, 240)
@@ -360,7 +347,7 @@ def fig_1b(w: RunWriter, trials: int, threads: int) -> None:
           extra_meta={"sigma_mhz": sigma / (2e6 * math.pi)})
 
 
-def fig_1c(w: RunWriter, trials: int, threads: int) -> None:
+def fig_1c(w: RunWriter, trials: int) -> None:
     """A pi rotary-echo trace with its first-order model and the
     even-harmonic-filtered version used for spectral analysis."""
     theta = math.pi
@@ -389,17 +376,17 @@ def _spectrum_preset(w: RunWriter, tag: str, b: float, t_total: float,
     _write_lines(w, f"{tag}_", pgram, peaks, trace, math.pi, OMEGA_17)
 
 
-def fig_2a(w: RunWriter, trials: int, threads: int) -> None:
+def fig_2a(w: RunWriter, trials: int) -> None:
     """Six-line spectrum of a 5 us pi-RE trace over the hyperfine triplet."""
     _spectrum_preset(w, "fig2a", B_LINE, 5e-6, w.seed)
 
 
-def fig_2b(w: RunWriter, trials: int, threads: int) -> None:
+def fig_2b(w: RunWriter, trials: int) -> None:
     """15 us trace resolving a 64 kHz line pair."""
     _spectrum_preset(w, "fig2b", mhz_to_rad(0.064), 15e-6, w.seed)
 
 
-def fig_3a(w: RunWriter, trials: int, threads: int) -> None:
+def fig_3a(w: RunWriter, trials: int) -> None:
     """Full-echo signal vs detuning after n = 4 pi-RE cycles."""
     dw = mhz_to_rad(np.linspace(-10.0, 10.0, 401))
     sbar = models.re_signal_full_echo(math.pi, OMEGA_17, dw, 4)
@@ -407,7 +394,7 @@ def fig_3a(w: RunWriter, trials: int, threads: int) -> None:
                                "sbar": sbar})
 
 
-def fig_3b(w: RunWriter, trials: int, threads: int) -> None:
+def fig_3b(w: RunWriter, trials: int) -> None:
     """Corrected pi-RE sensitivity at the usable interrogation times."""
     theta = math.pi
     t_p = models.t_prime_re(theta, math.sqrt(2.0) / T2_STAR_FIT)
@@ -426,7 +413,7 @@ OMEGA_20 = mhz_to_rad(20.0)
 TAU_C = 200e-9
 
 
-def fig_4a(w: RunWriter, trials: int, threads: int) -> None:
+def fig_4a(w: RunWriter, trials: int) -> None:
     """Rabi peak decay under static and OU drive noise."""
     period = 2.0 * math.pi / OMEGA_19
     seq = PulseSequence.rabi(OMEGA_19, 20 * period)
@@ -434,27 +421,26 @@ def fig_4a(w: RunWriter, trials: int, threads: int) -> None:
     _write_cases(w, {"fig4a_rabi_peaks.csv": {
         kind: Case(seq, NoiseSpec("x", kind, 0.05, TAU_C, w.seed + i,
                                   relative=True), record_times=record)
-        for i, kind in enumerate(("static", "ou"))}}, trials, threads)
+        for i, kind in enumerate(("static", "ou"))}}, trials)
 
 
-def fig_4b(w: RunWriter, trials: int, threads: int) -> None:
+def fig_4b(w: RunWriter, trials: int) -> None:
     """5pi rotary-echo full-echo peaks under static and OU drive noise."""
     seq = PulseSequence.rotary_echo(5.0 * math.pi, OMEGA_19, 20)
     _write_cases(w, {"fig4b_re5pi_peaks.csv": {
         kind: Case(seq, NoiseSpec("x", kind, 0.05, TAU_C, w.seed + i,
                                   relative=True))
-        for i, kind in enumerate(("static", "ou"))}}, trials, threads)
+        for i, kind in enumerate(("static", "ou"))}}, trials)
 
 
-def fig_4c(w: RunWriter, trials: int, threads: int) -> None:
+def fig_4c(w: RunWriter, trials: int) -> None:
     """pi rotary-echo full-echo peaks under OU drive noise."""
     seq = PulseSequence.rotary_echo(math.pi, OMEGA_19, 95)
     spec = NoiseSpec("x", "ou", 0.05, TAU_C, w.seed, relative=True)
-    _write_cases(w, {"fig4c_repi_peaks.csv": {"ou": Case(seq, spec)}},
-                 trials, threads)
+    _write_cases(w, {"fig4c_repi_peaks.csv": {"ou": Case(seq, spec)}}, trials)
 
 
-def fig_s4(w: RunWriter, trials: int, threads: int) -> None:
+def fig_s4(w: RunWriter, trials: int) -> None:
     """Monte Carlo decay vs closed forms: OU dephasing (panel a, detuned)
     and drive noise (panel b, resonant), one CSV per curve."""
     dw = mhz_to_rad(2.0)
@@ -477,11 +463,10 @@ def fig_s4(w: RunWriter, trials: int, threads: int) -> None:
                   for i, (label, seq) in enumerate(echoes.items())})
     cases["figs4b_rabi.csv"] = Case(PulseSequence.rabi(OMEGA_20, 12 * period),
                                     drive(7), record_times=period * np.arange(13))
-    _write_cases(w, {name: {"": case} for name, case in cases.items()},
-                 trials, threads)
+    _write_cases(w, {name: {"": case} for name, case in cases.items()}, trials)
 
 
-def fig_s5(w: RunWriter, trials: int, threads: int) -> None:
+def fig_s5(w: RunWriter, trials: int) -> None:
     """Sensitivity with repeated readout: Ramsey vs pi-RE vs 11pi-RE."""
     t2_star = 3e-6
     sigma = math.sqrt(2.0) / t2_star
@@ -510,7 +495,7 @@ FIGURES = {"1b": fig_1b, "1c": fig_1c, "2a": fig_2a, "2b": fig_2b,
 
 def cmd_figure(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     trials = args.trials or 1000
-    FIGURES[args.panel](w, trials, args.threads or cfg["run"]["threads"])
+    FIGURES[args.panel](w, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", default="out")
         p.add_argument("--seed", type=int, metavar="U64")
         p.add_argument("--trials", type=int, metavar="N")
-        p.add_argument("--threads", type=int, metavar="N")
     return parser
 
 
@@ -559,8 +543,6 @@ def main(argv=None) -> int:
             raise ConfigError("--seed must lie in [0, 2**64)")
         if args.trials is not None and args.trials < 1:
             raise ConfigError("--trials must be >= 1")
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -568,8 +550,6 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
     if cfg.noise is not None:
         cfg.noise = replace(cfg.noise, seed=seed)
-    if args.threads is None:
-        args.threads = cfg["run"]["threads"]
     os.makedirs(args.out, exist_ok=True)
     writer = RunWriter(args.out, args.subcommand, cfg, seed)
     try:

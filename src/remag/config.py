@@ -72,7 +72,6 @@ SCHEMA = {
     "run": {
         "trials": (int, 1),
         "seed": (int, 12345),
-        "threads": (int, 1),
     },
 }
 
@@ -208,8 +207,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"{src}: grid values must be positive")
 
     run = cfg["run"]
-    if run["trials"] < 1 or run["threads"] < 1 or run["seed"] < 0:
-        raise ConfigError(f"{src}: run.trials/threads >= 1, seed >= 0")
+    if run["trials"] < 1 or run["seed"] < 0:
+        raise ConfigError(f"{src}: run.trials >= 1, seed >= 0")
     if run["seed"] > MAX_SEED:
         raise ConfigError(f"{src}: run.seed must lie below 2**64")
 

@@ -21,8 +21,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 #: hard ceiling on grid size; propagation refuses to build larger grids
@@ -128,10 +126,6 @@ class EffectiveHamiltonian:
     h_z: float
     identity: float = 0.0
 
-    def matrix(self) -> np.ndarray:
-        return (self.identity * IDENTITY + self.h_x * SIGMA_X
-                + self.h_y * SIGMA_Y + self.h_z * SIGMA_Z)
-
 
 @dataclass(frozen=True)
 class SignalTrace:
@@ -140,8 +134,6 @@ class SignalTrace:
     times: np.ndarray
     values: np.ndarray
     dt: float
-    stderr: np.ndarray | None = None
-    trials: int = 1
     meta: dict = field(default_factory=dict)
 
     def __len__(self):

@@ -93,7 +93,6 @@ class EnsembleResult:
     stderr: np.ndarray
     trials: int
     spec: NoiseSpec
-    seed: int
     meta: dict = field(default_factory=dict)
 
 
@@ -351,11 +350,9 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     else:
         stderr = np.zeros_like(mean)
     return EnsembleResult(times=times, mean=mean, stderr=stderr,
-                          trials=trials, spec=spec, seed=spec.seed,
+                          trials=trials, spec=spec,
                           meta={"dt": dt, "n_steps": n_steps,
-                                "chunks": math.ceil(trials / chunk),
-                                "delta_omega": delta_omega,
-                                "kind": seq.kind})
+                                "chunks": math.ceil(trials / chunk)})
 
 
 def decay_scenario(seq: PulseSequence, spec: NoiseSpec) -> DecayScenario:

@@ -1,5 +1,4 @@
-"""Magnetometer sensitivity: ideal formulas, trace-based estimates,
-and readout corrections.
+"""Magnetometer sensitivity: ideal formulas and readout corrections.
 
 Sensitivities are in T/sqrt(Hz).  The ideal rotary-echo magnetometer
 interrogated at complete echo cycles has
@@ -37,29 +36,6 @@ class ReadoutModel:
             raise ValueError("n_r must be >= 1")
         if self.t_r < 0.0 or self.t_d < 0.0:
             raise ValueError("t_r and t_d must be nonnegative")
-
-
-@dataclass(frozen=True)
-class NormalizedSignal:
-    values: np.ndarray
-    errors: np.ndarray
-    r0: np.ndarray
-    r1: np.ndarray
-    dr0: np.ndarray
-    dr1: np.ndarray
-
-
-@dataclass(frozen=True)
-class SensitivityCurve:
-    """eta(delta_omega) at fixed interrogation time, with its minimum."""
-
-    delta_omega: np.ndarray
-    eta: np.ndarray
-    insensitive: np.ndarray       # bool: derivative below numerical floor
-    eta_min: float
-    delta_eta_min: float
-    delta_omega_min: float
-    period: float | None          # oscillation period tau = 2 t sin(th/2)/th
 
 
 def re_coefficient(theta: float) -> float:
@@ -114,90 +90,6 @@ def sensitivity_ratio_re_ramsey(theta: float) -> float:
     if not 0.0 < theta < 2.0 * math.pi:
         raise ValueError("theta must lie in (0, 2 pi)")
     return math.sqrt(theta / (2.0 * math.sin(theta / 2.0) ** 3))
-
-
-def normalize(s, r0, r1, ds=0.0, dr0=0.0, dr1=0.0) -> NormalizedSignal:
-    """Reference-normalized signal (S - R1)/(R0 - R1) with propagated errors.
-
-    s, r0 and r1 broadcast against each other, and the errors against
-    their shape; scalar inputs give 0-d arrays.
-    """
-    s, r0, r1 = np.broadcast_arrays(*(np.asarray(x) for x in (s, r0, r1)))
-    ds, dr0, dr1 = (np.broadcast_to(np.asarray(x, dtype=float), s.shape)
-                    for x in (ds, dr0, dr1))
-    span = r0 - r1
-    if np.any(span == 0.0):
-        raise ZeroDivisionError("references coincide; normalization undefined")
-    sbar = (s - r1) / span
-    err = np.sqrt(dr0 ** 2 * np.abs((s - r1) / span ** 2) ** 2
-                  + dr1 ** 2 * np.abs((s - r1) / span ** 2 - 1.0 / span) ** 2
-                  + ds ** 2 * np.abs(1.0 / span) ** 2)
-    return NormalizedSignal(values=np.asarray(sbar), errors=np.asarray(err),
-                            r0=r0, r1=r1, dr0=dr0, dr1=dr1)
-
-
-def _richardson_derivative(y: np.ndarray, h: float) -> np.ndarray:
-    """Central differences with one Richardson step on a uniform grid."""
-    d = np.gradient(y, h)
-    if y.size >= 5:
-        d1 = (y[3:-1] - y[1:-3]) / (2.0 * h)
-        d2 = (y[4:] - y[:-4]) / (4.0 * h)
-        d[2:-2] = (4.0 * d1 - d2) / 3.0
-    return d
-
-
-def sensitivity_from_trace(delta_omega: np.ndarray, sbar: np.ndarray,
-                           t: float, *,
-                           theta: float | None = None) -> SensitivityCurve:
-    """Numerical sensitivity eta(dw) = dS / |dS/d(dw)| sqrt(t) / gamma.
-
-    The derivative uses Richardson-extrapolated central differences; the
-    shot-noise error bar is dS = sqrt(S(1-S)) for a single shot.  When
-    theta is supplied, the grid must resolve the oscillation (>= 8
-    points per period) and the reported minimum is searched within the
-    first period; its error bar follows from the |1-2S| expansion.
-    """
-    dw = np.asarray(delta_omega, dtype=float)
-    sbar = np.asarray(sbar, dtype=float)
-    if dw.size < 5:
-        raise ValueError("need at least 5 grid points")
-    h = dw[1] - dw[0]
-    if not np.allclose(np.diff(dw), h):
-        raise ValueError("delta_omega grid must be uniform")
-
-    period = None
-    window = np.ones(dw.size, dtype=bool)
-    if theta is not None:
-        period = 2.0 * t * abs(math.sin(theta / 2.0)) / theta
-        if period > 0.0:
-            p_dw = 2.0 * math.pi / period
-            if h > p_dw / 8.0:
-                raise ValueError("grid too coarse: need >= 8 points per period")
-            window = dw <= dw[0] + p_dw
-
-    deriv = _richardson_derivative(sbar, h)
-    errs = np.sqrt(np.clip(sbar * (1.0 - sbar), 0.0, None))
-
-    floor = 64.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(sbar))) / h
-    insensitive = np.abs(deriv) <= floor
-    # S = 0 or 1 has zero binomial noise and zero slope; the eta limit
-    # there is finite but the grid-point ratio is 0/0, so skip it
-    insensitive |= errs == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = errs / np.abs(deriv) * math.sqrt(t) / GAMMA_E_RAD_PER_S_PER_T
-    eta[insensitive] = np.inf
-
-    usable = window & ~insensitive
-    if not np.any(usable):
-        return SensitivityCurve(dw, eta, insensitive, math.inf, math.inf,
-                                math.nan, period)
-    idx = int(np.flatnonzero(usable)[np.argmin(eta[usable])])
-    s_min = float(np.clip(sbar[idx], 1e-15, 1.0 - 1e-15))
-    d_eta = (abs(1.0 - 2.0 * s_min) / (2.0 * math.sqrt(s_min * (1.0 - s_min)))
-             * errs[idx] / abs(deriv[idx])
-             * math.sqrt(t) / GAMMA_E_RAD_PER_S_PER_T)
-    return SensitivityCurve(dw, eta, insensitive, float(eta[idx]),
-                            float(d_eta), float(dw[idx]), period)
 
 
 def readout_factors(r: ReadoutModel, theta: float, hyperfine: float,

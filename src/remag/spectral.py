@@ -253,7 +253,7 @@ def harmonic_filter(trace: SignalTrace, omega: float,
     meta = dict(trace.meta)
     meta["harmonic_filter"] = {"carrier_hz": f_c, "halfwidth_hz": halfwidth}
     return SignalTrace(times=trace.times, values=filtered, dt=trace.dt,
-                       stderr=trace.stderr, trials=trace.trials, meta=meta)
+                       meta=meta)
 
 
 def extract_detunings(peaks: list[PeakReport], theta_nominal: float,

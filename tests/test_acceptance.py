@@ -276,8 +276,7 @@ def test_criterion_11_figure_determinism(tmp_path):
         bodies = []
         for tag in ("a", "b"):
             out = tmp_path / f"{panel}_{tag}"
-            argv = ["figure", panel, "--out", str(out), "--seed", "11",
-                    "--threads", "2"]
+            argv = ["figure", panel, "--out", str(out), "--seed", "11"]
             if panel in heavy:
                 argv += ["--trials", "60"]
             assert main(argv) == 0

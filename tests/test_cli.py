@@ -432,7 +432,7 @@ class TestFigurePresets:
         for tag in ("a", "b"):
             out = tmp_path / tag
             rc = main(["figure", "4a", "--out", str(out), "--seed", "5",
-                       "--trials", "40", "--threads", "2"])
+                       "--trials", "40"])
             assert rc == 0
             outs.append((out / "fig4a_rabi_peaks.csv").read_bytes())
         assert outs[0] == outs[1]

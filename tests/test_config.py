@@ -42,8 +42,9 @@ class TestUnits:
 
 class TestErrors:
 
-    def test_unknown_key_reports_file_and_line(self):
-        text = "[sequence]\nbogus_key = 1\n"
+    @pytest.mark.parametrize("text", ["[sequence]\nbogus_key = 1\n",
+                                      "[run]\nthreads = 2\n"])
+    def test_unknown_key_reports_file_and_line(self, text):
         with pytest.raises(ConfigError, match=r"bad\.ini:2: unknown key"):
             parse_config(text, source="bad.ini")
 

@@ -1,13 +1,13 @@
 import math
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from remag.cli import _run_jobs
 from remag.dynamics import (PulseSequence, build_waveform, segment_unitary,
                             su2_step, _hamiltonian_coeffs)
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
@@ -294,11 +294,12 @@ class TestBitgenPool:
                               seed=seed),
                     trials=30, chunk=7)
                 for seed in range(8)]
-        serial = _run_jobs(jobs, 1)
+        serial = [job() for job in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = _run_jobs(jobs, 4)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda job: job(), jobs))
         finally:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):

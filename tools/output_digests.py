@@ -24,8 +24,8 @@ digest it prints `  |d| <column>=<max>, ...`: the largest absolute
 difference of each numeric CSV column or JSON field (list positions
 merged), so a change that only moves rounding shows in one line.  The last
 line counts the differing lines and names the largest difference.
-Monte Carlo runs use 60 trials and 2 threads, so the whole set takes well
-under a minute on two cores.
+Monte Carlo runs use 60 trials, and each run's cases run one after another,
+so the whole set takes well under a minute on two cores.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from pathlib import Path
 
 SEED = "11"
 TRIALS = "60"
-THREADS = "2"
 
 # one config per scenario family: (sequence section, field section, noise section)
 ECHO_PI = "kind = rotary_echo\ntheta_pi = 1.0\nomega_mhz = 20.0\nn_cycles = 12\n"
@@ -138,7 +137,7 @@ def _run(main, tag: str, argv: list[str], work: Path) -> list[str]:
     out = work / tag.replace(" ", "_")
     with contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv + ["--out", str(out), "--seed", SEED,
-                          "--trials", TRIALS, "--threads", THREADS])
+                          "--trials", TRIALS])
     if rc != 0:
         return [f"{tag} exit={rc}"]
     return [line for p in sorted(out.iterdir())
