@@ -30,8 +30,7 @@ print(f"OU-z pi echo:   worst deviation {z.max():.2f} standard errors "
 # x-axis OU drive noise, resonant Rabi, sampled at the Rabi peaks
 period = 2.0 * math.pi / omega
 seq = PulseSequence.rabi(omega, 12 * period)
-spec = NoiseSpec(axis="x", kind="ou", sigma=0.05, tau_c=tau_c, seed=2,
-                 relative=True)
+spec = NoiseSpec(axis="x", kind="ou", sigma=0.05 * omega, tau_c=tau_c, seed=2)
 res, model = mc_vs_model(seq, 0.0, spec, trials,
                          record_times=period * np.arange(13))
 z = np.abs(res.mean - model) / np.maximum(res.stderr, 1e-12)
@@ -39,7 +38,7 @@ print(f"OU-x Rabi:      worst deviation {z.max():.2f} standard errors")
 
 # static x error: the echo refocuses it exactly at every full echo
 seq = PulseSequence.rotary_echo(5.0 * math.pi, omega, 20)
-spec = NoiseSpec(axis="x", kind="static", sigma=0.05, seed=3, relative=True)
+spec = NoiseSpec(axis="x", kind="static", sigma=0.05 * omega, seed=3)
 res = monte_carlo(seq, 0.0, spec, trials=500)
 print(f"static-x 5pi echo: max |signal - 1| = {np.abs(res.mean - 1).max():.1e}"
       "  (exact refocusing)")

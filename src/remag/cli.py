@@ -107,6 +107,7 @@ class RunWriter:
         if self.monte_carlo:
             payload["monte_carlo"] = self.monte_carlo
         path = os.path.join(self.out_dir, "manifest.json")
+        self.created.append(path)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -419,8 +420,8 @@ def fig_4a(w: RunWriter, trials: int) -> None:
     seq = PulseSequence.rabi(OMEGA_19, 20 * period)
     record = period * np.arange(21)
     _write_cases(w, {"fig4a_rabi_peaks.csv": {
-        kind: Case(seq, NoiseSpec("x", kind, 0.05, TAU_C, w.seed + i,
-                                  relative=True), record_times=record)
+        kind: Case(seq, NoiseSpec("x", kind, 0.05 * OMEGA_19, TAU_C,
+                                  w.seed + i), record_times=record)
         for i, kind in enumerate(("static", "ou"))}}, trials)
 
 
@@ -428,15 +429,15 @@ def fig_4b(w: RunWriter, trials: int) -> None:
     """5pi rotary-echo full-echo peaks under static and OU drive noise."""
     seq = PulseSequence.rotary_echo(5.0 * math.pi, OMEGA_19, 20)
     _write_cases(w, {"fig4b_re5pi_peaks.csv": {
-        kind: Case(seq, NoiseSpec("x", kind, 0.05, TAU_C, w.seed + i,
-                                  relative=True))
+        kind: Case(seq, NoiseSpec("x", kind, 0.05 * OMEGA_19, TAU_C,
+                                  w.seed + i))
         for i, kind in enumerate(("static", "ou"))}}, trials)
 
 
 def fig_4c(w: RunWriter, trials: int) -> None:
     """pi rotary-echo full-echo peaks under OU drive noise."""
     seq = PulseSequence.rotary_echo(math.pi, OMEGA_19, 95)
-    spec = NoiseSpec("x", "ou", 0.05, TAU_C, w.seed, relative=True)
+    spec = NoiseSpec("x", "ou", 0.05 * OMEGA_19, TAU_C, w.seed)
     _write_cases(w, {"fig4c_repi_peaks.csv": {"ou": Case(seq, spec)}}, trials)
 
 
@@ -453,7 +454,7 @@ def fig_s4(w: RunWriter, trials: int) -> None:
         return NoiseSpec("z", "ou", 0.05 * OMEGA_20, TAU_C, w.seed + i)
 
     def drive(i):
-        return NoiseSpec("x", "ou", 0.05, TAU_C, w.seed + i, relative=True)
+        return NoiseSpec("x", "ou", 0.05 * OMEGA_20, TAU_C, w.seed + i)
 
     cases = {f"figs4a_{label}.csv": Case(seq, bath(i), dw)
              for i, (label, seq) in enumerate(echoes.items())}
@@ -550,10 +551,11 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
     if cfg.noise is not None:
         cfg.noise = replace(cfg.noise, seed=seed)
-    os.makedirs(args.out, exist_ok=True)
     writer = RunWriter(args.out, args.subcommand, cfg, seed)
     try:
+        os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.subcommand](cfg, writer, args)
+        writer.manifest()
     except ConfigError as exc:
         writer.cleanup()
         print(f"error: {exc}", file=sys.stderr)
@@ -562,7 +564,6 @@ def main(argv=None) -> int:
         writer.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    writer.manifest()
     return 0
 
 

@@ -229,11 +229,16 @@ def _noise(cfg: ScenarioConfig) -> NoiseSpec | None:
         return None
     if n["sigma_mhz"] and n["sigma_rel"]:
         raise ValueError("set sigma_mhz or sigma_rel, not both")
-    relative = n["sigma_rel"] != 0.0
-    sigma = n["sigma_rel"] if relative else mhz_to_rad(n["sigma_mhz"])
+    sigma = mhz_to_rad(n["sigma_mhz"])
+    if n["sigma_rel"]:
+        if n["axis"] != "x":
+            raise ValueError("sigma_rel is only meaningful for x-axis noise")
+        # checked here: times Ramsey's omega of 0 it would become -0.0
+        if n["sigma_rel"] < 0.0:
+            raise ValueError("sigma_rel must be nonnegative")
+        sigma = n["sigma_rel"] * cfg.sequence.omega
     return NoiseSpec(axis=n["axis"], kind=n["kind"], sigma=sigma,
-                     tau_c=cfg.tau_c, seed=cfg["run"]["seed"],
-                     relative=relative)
+                     tau_c=cfg.tau_c, seed=cfg["run"]["seed"])
 
 
 def _readout(cfg: ScenarioConfig) -> ReadoutModel:

@@ -87,34 +87,22 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class DriveWaveform:
-    """Piecewise-constant drive: contiguous segments with signed amplitude.
+    """Piecewise-constant drive: equal contiguous segments from t = 0,
+    each with a signed amplitude.
 
     The sign of the amplitude encodes the pi phase flips of the square
     wave; for a rotary-echo waveform the amplitude integral over each
-    full cycle is exactly zero.
+    full cycle is exactly zero.  Segment i spans
+    [segment * i, segment * (i + 1)].
     """
 
-    breakpoints: np.ndarray  # shape (n_segments + 1,), seconds, increasing
+    segment: float           # seconds, the length of every segment
     amplitudes: np.ndarray   # shape (n_segments,), rad/s, signed
     detuning: float          # rad/s
 
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        amp = np.asarray(self.amplitudes, dtype=float)
-        if bp.ndim != 1 or amp.ndim != 1 or bp.size != amp.size + 1:
-            raise ValueError("breakpoints must have one more entry than amplitudes")
-        if not np.all(np.diff(bp) > 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "amplitudes", amp)
-
     @property
     def total_duration(self) -> float:
-        return float(self.breakpoints[-1] - self.breakpoints[0])
-
-    @property
-    def segment_lengths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
+        return self.segment * self.amplitudes.size
 
 
 @dataclass(frozen=True)
@@ -149,17 +137,13 @@ def build_waveform(seq: PulseSequence, delta_omega: float) -> DriveWaveform:
     analysis, not the waveform).
     """
     if seq.kind == "rotary_echo":
-        half = seq.theta / seq.omega
         n_seg = 2 * seq.n_cycles
-        breakpoints = half * np.arange(n_seg + 1)
         amplitudes = seq.omega * np.where(np.arange(n_seg) % 2 == 0, 1.0, -1.0)
-        return DriveWaveform(breakpoints, amplitudes, delta_omega)
+        return DriveWaveform(seq.theta / seq.omega, amplitudes, delta_omega)
     if seq.kind == "rabi":
-        return DriveWaveform(np.array([0.0, seq.duration]),
-                             np.array([seq.omega]), delta_omega)
+        return DriveWaveform(seq.duration, np.array([seq.omega]), delta_omega)
     # ramsey: free evolution
-    return DriveWaveform(np.array([0.0, seq.duration]),
-                         np.array([0.0]), delta_omega)
+    return DriveWaveform(seq.duration, np.array([0.0]), delta_omega)
 
 
 def default_dt_max(wave: DriveWaveform, tau_c: float | None = None) -> float:
@@ -175,22 +159,15 @@ def default_dt_max(wave: DriveWaveform, tau_c: float | None = None) -> float:
 
 
 def uniform_grid_step(wave: DriveWaveform, dt_max: float) -> float:
-    """Largest uniform step <= dt_max that lands exactly on every breakpoint.
-
-    Requires all segments to share a common length (true for every
-    waveform built here); raises otherwise.
-    """
+    """Largest uniform step <= dt_max that lands exactly on every segment
+    boundary."""
     if dt_max <= 0.0:
         raise ValueError("dt_max must be positive")
-    lengths = wave.segment_lengths
-    base = float(lengths[0])
-    if not np.allclose(lengths, base, rtol=1e-12, atol=0.0):
-        raise ValueError("waveform segments must have a common length")
-    n_sub = max(1, math.ceil(base / dt_max - 1e-9))
-    n_total = n_sub * lengths.size
+    n_sub = max(1, math.ceil(wave.segment / dt_max - 1e-9))
+    n_total = n_sub * wave.amplitudes.size
     if n_total > MAX_GRID_STEPS:
         raise ValueError(f"grid of {n_total} steps exceeds MAX_GRID_STEPS")
-    return base / n_sub
+    return wave.segment / n_sub
 
 
 def su2_step(psi0, psi1, hx, hz, ident, dt):
@@ -239,9 +216,9 @@ def total_propagator(wave: DriveWaveform, t: float | None = None) -> np.ndarray:
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     u = IDENTITY.copy()
-    t0 = float(wave.breakpoints[0])
+    t0 = 0.0
     for i, amp in enumerate(wave.amplitudes):
-        seg_end = float(wave.breakpoints[i + 1])
+        seg_end = wave.segment * (i + 1)
         if t0 >= t:
             break
         dt_seg = min(seg_end, t) - t0
@@ -258,7 +235,7 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
     one sample per grid step, held constant over the step; pass the
     values of a :class:`remag.noise.NoisePath` sampled on the same grid.
     The grid is uniform, no coarser than dt_max, and lands exactly on
-    every segment breakpoint.
+    every segment boundary.
     """
     if dt_max is None:
         dt_max = default_dt_max(wave)
@@ -267,8 +244,7 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
     times = dt * np.arange(n_steps + 1)
 
     # signed amplitude per step
-    seg_len = float(wave.segment_lengths[0])
-    n_sub = int(round(seg_len / dt))
+    n_sub = int(round(wave.segment / dt))
     amp_steps = np.repeat(wave.amplitudes, n_sub)
 
     values = np.empty(n_steps + 1)

@@ -13,6 +13,11 @@ that it re-keys for every trial of a chunk, which costs a fraction of
 building one.  The kernel applies each step's SU(2) rotation in place and
 drops the global phase that :func:`remag.dynamics.su2_step` keeps, since
 no readout sees it; ``su2_step`` stays the per-trial reference.
+
+Noise strengths are in rad/s on both axes; a drive-noise strength stated
+as a fraction of the Rabi frequency is converted where it arrives
+(:mod:`remag.config`, the figure presets), so every consumer here reads
+``NoiseSpec.sigma`` as it is.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ class NoiseSpec:
     """Axis, statistics, strength and stream seed of a noise source.
 
     axis "z" is dephasing (adds to the detuning); axis "x" perturbs the
-    drive amplitude.  For axis "x", ``relative=True`` means sigma is a
-    fraction of the Rabi frequency (e.g. 0.05 for "strength 0.05 Omega"),
-    otherwise sigma is absolute in rad/s.
+    drive amplitude.  sigma is in rad/s on both axes; a strength given as
+    a fraction of the Rabi frequency ("0.05 Omega") is that fraction
+    times the drive's omega.
     """
 
     axis: str
@@ -53,7 +58,6 @@ class NoiseSpec:
     sigma: float
     tau_c: float = 0.0
     seed: int = 0
-    relative: bool = False
 
     def __post_init__(self):
         if self.axis not in ("z", "x"):
@@ -64,14 +68,8 @@ class NoiseSpec:
             raise ValueError("sigma must be nonnegative")
         if self.kind == "ou" and self.tau_c <= 0.0:
             raise ValueError("OU noise requires tau_c > 0")
-        if self.relative and self.axis != "x":
-            raise ValueError("relative sigma is only meaningful for x-axis noise")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must lie in [0, 2**64)")
-
-    def sigma_abs(self, omega: float) -> float:
-        """Noise strength in rad/s under a drive of Rabi frequency omega."""
-        return self.sigma * omega if self.relative else self.sigma
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,6 @@ class NoisePath:
 
     times: np.ndarray
     values: np.ndarray
-    spec: NoiseSpec
-    trial_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,19 +88,15 @@ class EnsembleResult:
     mean: np.ndarray
     stderr: np.ndarray
     trials: int
-    spec: NoiseSpec
     meta: dict = field(default_factory=dict)
 
 
-def _trial_bitgen(seed: int, trial_index: int) -> np.random.Philox:
+def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    """A generator on the Philox stream keyed by (seed, trial_index)."""
     # an explicit uint64 key: numpy turns a list holding an int of 2**63 or
     # more into float64, which rounds such seeds onto each other
     key = np.array([seed, trial_index], dtype=np.uint64)
-    return np.random.Philox(key=key)
-
-
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(_trial_bitgen(seed, trial_index))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 #: time steps per block of a chunk's noise
@@ -137,15 +129,16 @@ _BITGENS = _BitgenPool()
 
 
 def _keyed_state(seed: int, trial_index: int) -> dict:
-    """State of ``_trial_bitgen(seed, trial_index)`` before its first draw."""
+    """State of the Philox stream that ``_trial_rng(seed, trial_index)``
+    draws from, before its first draw."""
     return {"bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [seed, trial_index]},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0}
 
 
-def _noise_blocks(spec: NoiseSpec, sigma: float, dt: float, first: int,
-                  count: int, n_steps: int, block: int):
+def _noise_blocks(spec: NoiseSpec, dt: float, first: int, count: int,
+                  n_steps: int, block: int):
     """Noise of trials ``first .. first+count-1``, in time blocks.
 
     Yields ``(m, count)`` arrays, one row of values (rad/s) per step, over
@@ -178,19 +171,19 @@ def _noise_blocks(spec: NoiseSpec, sigma: float, dt: float, first: int,
         for i, bitgen in enumerate(streams):
             bitgen.state = _keyed_state(spec.seed, first + i)
         if spec.kind == "static":
-            yield np.broadcast_to(sigma * normals(1), (n_steps, count))
+            yield np.broadcast_to(spec.sigma * normals(1), (n_steps, count))
             return
         if dt > spec.tau_c / _OU_MIN_SAMPLES_PER_TAU * (1.0 + 1e-9):
             raise ValueError(
                 f"OU noise requires dt <= tau_c/{_OU_MIN_SAMPLES_PER_TAU}")
         alpha = math.exp(-dt / spec.tau_c)
-        beta = sigma * math.sqrt(1.0 - alpha * alpha)
+        beta = spec.sigma * math.sqrt(1.0 - alpha * alpha)
         x = None
         for offset in range(0, n_steps, block):
             values = normals(min(block, n_steps - offset))
             rows = values
             if x is None:                   # stationary start
-                values[0] *= sigma
+                values[0] *= spec.sigma
                 x, rows = values[0], values[1:]
             if count < _ROW_LOOP_MIN_TRIALS:
                 rows[:], _ = lfilter([beta], [1.0, -alpha], rows, axis=0,
@@ -212,21 +205,17 @@ def sample_path(spec: NoiseSpec, t_end: float, dt: float,
 
     Static noise is a single Normal(0, sigma^2) value held for the whole
     grid; OU noise uses the exact stationary one-step update.  The values
-    are offsets in rad/s (relative x-noise is scaled by the drive inside
-    :func:`monte_carlo`, through :meth:`NoiseSpec.sigma_abs`, not here).
-    Otherwise they are the values that :func:`monte_carlo` draws for trial
-    ``trial_index`` on the same grid.
+    are offsets in rad/s, the values that :func:`monte_carlo` draws for
+    trial ``trial_index`` on the same grid.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("t_end and dt must be positive")
     n_steps = max(1, int(round(t_end / dt)))
-    values, = _noise_blocks(spec, spec.sigma, dt, trial_index, 1, n_steps,
-                            block=n_steps)
+    values, = _noise_blocks(spec, dt, trial_index, 1, n_steps, block=n_steps)
     values = np.array(values[:, 0])
     if not np.all(np.isfinite(values)):
         raise ValueError("noise path contains non-finite samples")
-    return NoisePath(times=dt * np.arange(n_steps), values=values,
-                     spec=spec, trial_index=trial_index)
+    return NoisePath(times=dt * np.arange(n_steps), values=values)
 
 
 def _merge_welford(count, mean, m2, batch):
@@ -272,10 +261,10 @@ def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
     if not (tau_c is not None and spec.axis == "z"
             and np.any(wave.amplitudes < 0.0)):         # OU-z on an echo
         return drive_grid
-    base = float(wave.segment_lengths[0])
+    base = wave.segment
     n_min = math.ceil(base / (tau_c / _OU_MIN_SAMPLES_PER_TAU) - 1e-9)
-    # breakpoints lie at whole segments, so steps of base/n land on them;
-    # a record time at t = (p/q) base lands when q divides n
+    # segment boundaries lie at multiples of base, so steps of base/n land
+    # on them; a record time at t = (p/q) base lands when q divides n
     n_max = int(round(base / drive_grid))
     fracs = np.unique(np.asarray(record_times, dtype=float)) / base
     n = 1
@@ -331,14 +320,13 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
                          f"(dt = {dt:.6g} s) apart")
     times = dt * record_idx
 
-    n_sub = int(round(float(wave.segment_lengths[0]) / dt))
+    n_sub = int(round(wave.segment / dt))
     amp_steps = np.repeat(wave.amplitudes, n_sub)
-    sigma = spec.sigma_abs(seq.omega)
 
     count, mean, m2 = 0, None, None
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        blocks = _noise_blocks(spec, sigma, dt, start, stop - start, n_steps,
+        blocks = _noise_blocks(spec, dt, start, stop - start, n_steps,
                                _BLOCK_STEPS)
         batch = _propagate_batch(amp_steps, delta_omega, spec.axis, blocks,
                                  stop - start, dt, record_idx,
@@ -350,7 +338,7 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     else:
         stderr = np.zeros_like(mean)
     return EnsembleResult(times=times, mean=mean, stderr=stderr,
-                          trials=trials, spec=spec,
+                          trials=trials,
                           meta={"dt": dt, "n_steps": n_steps,
                                 "chunks": math.ceil(trials / chunk)})
 
@@ -358,7 +346,7 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
 def decay_scenario(seq: PulseSequence, spec: NoiseSpec) -> DecayScenario:
     """The closed-form models' view of ``seq`` run under ``spec``."""
     return DecayScenario(sequence=seq.kind, axis=spec.axis, kind=spec.kind,
-                         sigma=spec.sigma_abs(seq.omega),
+                         sigma=spec.sigma,
                          tau_c=spec.tau_c if spec.kind == "ou" else 0.0,
                          theta=seq.theta, omega=seq.omega)
 

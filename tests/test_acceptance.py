@@ -144,8 +144,8 @@ def _mc_z_case(theta, cycles, trials):
 def _mc_rabi_x(trials):
     period = 2.0 * math.pi / W20
     seq = PulseSequence.rabi(W20, 12 * period)
-    spec = NoiseSpec(axis="x", kind="ou", sigma=0.05, tau_c=TAU_C,
-                     seed=303, relative=True)
+    spec = NoiseSpec(axis="x", kind="ou", sigma=0.05 * W20, tau_c=TAU_C,
+                     seed=303)
     res = monte_carlo(seq, 0.0, spec, trials=trials,
                       record_times=period * np.arange(13))
     scen = models.DecayScenario("rabi", "x", "ou", sigma=0.05 * W20,
@@ -172,8 +172,7 @@ def test_criterion_05_mc_vs_closed_form():
 
     # static drive noise refocuses exactly at every full echo
     seq = PulseSequence.rotary_echo(5.0 * math.pi, W20, 20)
-    spec = NoiseSpec(axis="x", kind="static", sigma=0.05, seed=404,
-                     relative=True)
+    spec = NoiseSpec(axis="x", kind="static", sigma=0.05 * W20, seed=404)
     res = monte_carlo(seq, 0.0, spec, trials=2000)
     dev = np.max(np.abs(res.mean - 1.0) - np.maximum(res.stderr, 1e-12))
     details.append(f"static-x 5pi echo dev {dev:.1e}")

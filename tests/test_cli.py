@@ -214,6 +214,21 @@ class TestExitCodes:
         # spectrum.csv and peaks.json were written before the failure
         assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
 
+    def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["calcium", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "not a directory\n"
+
+    def test_unwritable_manifest_removes_outputs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["calcium", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").is_dir()     # left as it was
+
 
 class TestSpectrum:
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from remag.config import (ConfigError, SCHEMA, config_hash, parse_config)
+from remag.units import mhz_to_rad
 
 
 class TestDefaults:
@@ -70,6 +71,8 @@ class TestErrors:
         "[noise]\nenabled = true\naxis = y\n",
         "[noise]\nenabled = true\nkind = ou\ntau_c_us = 0\n",
         "[noise]\nenabled = true\naxis = z\nsigma_rel = 0.05\n",
+        "[sequence]\nkind = ramsey\n[noise]\nenabled = true\naxis = x\n"
+        "sigma_rel = -0.05\n",
         "[readout]\nn0 = 0.001\nn1 = 0.002\n",
         "[readout]\nn_r = 0\n",
         "[grid]\ndt_ns = 0\n",
@@ -96,10 +99,11 @@ class TestErrors:
                 "sigma_rel = 0.05\n")
         with pytest.raises(ConfigError, match=r"\[noise\].*sigma_mhz.*sigma_rel"):
             parse_config(text)
-        # either one alone is a valid strength
-        assert parse_config(text.replace("sigma_mhz = 1.0\n", "")).noise.relative
-        assert not parse_config(text.replace("sigma_rel = 0.05\n", "")
-                                ).noise.relative
+        # either one alone is a valid strength, in rad/s once parsed
+        cfg = parse_config(text.replace("sigma_mhz = 1.0\n", ""))
+        assert cfg.noise.sigma == 0.05 * cfg.sequence.omega
+        assert parse_config(text.replace("sigma_rel = 0.05\n", "")
+                            ).noise.sigma == mhz_to_rad(1.0)
 
 
 class TestValidityWindow:

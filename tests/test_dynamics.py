@@ -61,7 +61,8 @@ def test_rotary_echo_waveform_layout():
     assert np.all(wave.amplitudes[::2] == W17)
     assert np.all(wave.amplitudes[1::2] == -W17)
     half = math.pi / W17
-    assert np.allclose(np.diff(wave.breakpoints), half)
+    assert wave.segment == pytest.approx(half)
+    assert wave.total_duration == pytest.approx(6 * half)
     assert seq.cycle_period == pytest.approx(2 * half)
 
 
@@ -76,7 +77,7 @@ def test_uniform_grid_step_lands_on_breakpoints():
     seq = PulseSequence.rotary_echo(0.75 * math.pi, W17, 2)
     wave = build_waveform(seq, 0.0)
     dt = uniform_grid_step(wave, default_dt_max(wave))
-    seg = float(wave.segment_lengths[0])
+    seg = wave.segment
     assert abs(seg / dt - round(seg / dt)) < 1e-9
 
 

@@ -49,8 +49,8 @@ def _hierarchy_moment(seq, delta_omega, spec, dt, record_idx, order, frozen,
     M = diag(exp(-k dt/tau_c)) is the AR(1) update (Mehler's formula).
     """
     wave = build_waveform(seq, delta_omega)
-    n_sub = int(round(float(wave.segment_lengths[0]) / dt))
-    sigma = spec.sigma_abs(seq.omega)
+    n_sub = int(round(wave.segment / dt))
+    sigma = spec.sigma
     k = np.arange(k_max + 1)
     x_op = sigma * (np.diag(np.sqrt(k[1:]), 1) + np.diag(np.sqrt(k[1:]), -1))
     ramsey = seq.kind == "ramsey"
@@ -126,8 +126,8 @@ def _z(i):
     return NoiseSpec("z", "ou", 0.05 * W20, TAU_C, seed=i)
 
 
-def _x(i):
-    return NoiseSpec("x", "ou", 0.05, TAU_C, seed=i, relative=True)
+def _x(i, omega):
+    return NoiseSpec("x", "ou", 0.05 * omega, TAU_C, seed=i)
 
 
 def _rabi(omega, periods):
@@ -149,16 +149,16 @@ PRESET_OU_CASES = {
        for name, (theta, n) in ECHOES_20.items()},
     "ou-z ramsey (s4a)": (PulseSequence.ramsey(0.5e-6), DW, _z(2),
                           np.linspace(0.0, 0.5e-6, 65)),
-    "ou-x rabi 20 MHz (criterion 5, s4b)": (RABI_20[0], 0.0, _x(3),
+    "ou-x rabi 20 MHz (criterion 5, s4b)": (RABI_20[0], 0.0, _x(3, W20),
                                             RABI_20[1]),
     **{f"ou-x {name} (s4b)":
-       (PulseSequence.rotary_echo(theta, W20, n), 0.0, _x(4), None)
+       (PulseSequence.rotary_echo(theta, W20, n), 0.0, _x(4, W20), None)
        for name, (theta, n) in ECHOES_20.items()},
-    "ou-x rabi 19 MHz (4a)": (RABI_19[0], 0.0, _x(5), RABI_19[1]),
+    "ou-x rabi 19 MHz (4a)": (RABI_19[0], 0.0, _x(5, W19), RABI_19[1]),
     "ou-x 5pi (4b)": (PulseSequence.rotary_echo(5.0 * math.pi, W19, 20), 0.0,
-                      _x(6), None),
-    "ou-x pi (4c)": (PulseSequence.rotary_echo(math.pi, W19, 95), 0.0, _x(7),
-                     None),
+                      _x(6, W19), None),
+    "ou-x pi (4c)": (PulseSequence.rotary_echo(math.pi, W19, 95), 0.0,
+                     _x(7, W19), None),
 }
 
 
@@ -220,17 +220,17 @@ def test_static_z_ramsey_matches_per_trial_propagation():
 
 
 def test_static_x_echo_matches_per_trial_propagation():
-    # relative drive noise eps scales the drive, so trial i is the echo of
-    # angle theta (1 + eps_i) at Rabi frequency Omega (1 + eps_i)
+    # drive noise of value eps_i Omega scales the drive, so trial i is the
+    # echo of angle theta (1 + eps_i) at Rabi frequency Omega (1 + eps_i)
     theta, n = 5.0 * math.pi, 20
     seq = PulseSequence.rotary_echo(theta, W19, n)
-    spec = NoiseSpec("x", "static", 0.05, seed=19, relative=True)
+    spec = NoiseSpec("x", "static", 0.05 * W19, seed=19)
     res = monte_carlo(seq, DW, spec, trials=16)
     assert res.meta["n_steps"] == 2 * n * 500   # T_Rabi/200 per step
     ref = []
     for i in range(16):
         eps = sample_path(spec, seq.total_duration, seq.total_duration,
-                          trial_index=i).values[0]
+                          trial_index=i).values[0] / W19
         noisy = PulseSequence.rotary_echo(theta * (1 + eps), W19 * (1 + eps), n)
         trace = propagate(build_waveform(noisy, DW))
         per_cycle = int(round(noisy.cycle_period / trace.dt))
@@ -241,7 +241,7 @@ def test_static_x_echo_matches_per_trial_propagation():
 
 def test_static_rabi_records_whole_periods_exactly():
     seq, record = RABI_19
-    spec = NoiseSpec("x", "static", 0.05, seed=23, relative=True)
+    spec = NoiseSpec("x", "static", 0.05 * W19, seed=23)
     res = monte_carlo(seq, 0.0, spec, trials=4, record_times=record)
     assert res.meta["n_steps"] == 20 * 200
     np.testing.assert_allclose(res.times, record, rtol=1e-12, atol=0.0)

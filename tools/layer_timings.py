@@ -17,6 +17,11 @@ drive noise on a 13,000-step rotary echo, 64 trials):
     python tools/layer_timings.py                    # this checkout
     python tools/layer_timings.py --src OTHER/src    # another checkout
 
+It calls private API (`_noise_blocks`, `_noise_grid_step`,
+`_propagate_batch`), so `--src` takes only checkouts whose signatures
+match this one's: `_noise_blocks(spec, dt, ...)` reading `spec.sigma`,
+and `DriveWaveform.segment`.
+
 Prints one JSON object; each figure is the median of `--repeats` runs
 (BLAS pinned to one thread).  A run takes about a minute on two cores.
 """
@@ -60,8 +65,8 @@ def _cases(noise, dynamics):
     theta_pi, omega_mhz, n_cycles, trials = STATIC_CASE
     seq = dynamics.PulseSequence.rotary_echo(theta_pi * math.pi,
                                              omega_mhz * mhz, n_cycles)
-    spec = noise.NoiseSpec(axis="x", kind="static", sigma=0.05, seed=1,
-                           relative=True)
+    spec = noise.NoiseSpec(axis="x", kind="static", sigma=0.05 * seq.omega,
+                           seed=1)
     out.append((f"static-{theta_pi}pi-x{n_cycles}", seq, 0.0, spec, trials))
     return out
 
@@ -96,17 +101,16 @@ def time_case(noise, dynamics, seq, delta, spec, trials, repeats) -> dict:
     dt = noise._noise_grid_step(wave, spec, record_times)
     n_steps = int(round(wave.total_duration / dt))
     record_idx = np.unique(np.rint(record_times / dt).astype(int))
-    n_sub = int(round(float(wave.segment_lengths[0]) / dt))
+    n_sub = int(round(wave.segment / dt))
     amp_steps = np.repeat(wave.amplitudes, n_sub)
-    sigma = spec.sigma_abs(seq.omega)
 
     def draw(n, block):
-        return noise._noise_blocks(spec, sigma, dt, 0, count, n, block)
+        return noise._noise_blocks(spec, dt, 0, count, n, block)
 
     one_word = noise.NoiseSpec(axis="x", kind="static", sigma=1.0, seed=1)
 
     def setup():
-        for _ in noise._noise_blocks(one_word, 1.0, dt, 0, count, 1, 1):
+        for _ in noise._noise_blocks(one_word, dt, 0, count, 1, 1):
             pass
 
     def whole_draw():
