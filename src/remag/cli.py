@@ -12,19 +12,21 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__, models
 from .calcium import ca_field, ca_required_sensitivity, implied_repetitions
 from .config import ConfigError, ScenarioConfig, config_hash, parse_config
 from .dynamics import PulseSequence, SignalTrace, build_waveform, propagate
 from .noise import MAX_SEED, EnsembleResult, NoiseSpec, decay_scenario, \
-    mc_vs_model, monte_carlo, _trial_rng
+    mc_vs_model, monte_carlo, _trial_rng, _usable_cpus
 from .sensing import ReadoutModel, optimal_interrogation_times, \
     rabi_asymptote, re_coefficient, sensitivity_ideal, sensitivity_sweep
 from .spectral import extract_detunings, harmonic_filter, peak_significance, \
@@ -40,7 +42,9 @@ class RunWriter:
 
     CSV bodies carry a #-metadata block (tool version, config hash, seed,
     units) but never timestamps, so reruns with the same config and seed
-    are byte-identical; timestamps go to the manifest only.
+    are byte-identical; timestamps and the environment (Python, numpy and
+    scipy versions, and the CPUs ``monte_carlo`` may spread trial chunks
+    over) go to the manifest only.
     Each file is recorded before it is opened, so :meth:`cleanup` also
     removes one whose write failed part-way.  ``monte_carlo`` maps each
     Monte Carlo CSV to the trials and grid facts in its metadata block;
@@ -103,6 +107,10 @@ class RunWriter:
             "started": self.started,
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": [os.path.basename(p) for p in self.created],
+            "environment": {"python": platform.python_version(),
+                            "numpy": np.__version__,
+                            "scipy": scipy.__version__,
+                            "cpus": _usable_cpus()},
         }
         if self.monte_carlo:
             payload["monte_carlo"] = self.monte_carlo

@@ -233,9 +233,14 @@ def _noise(cfg: ScenarioConfig) -> NoiseSpec | None:
     if n["sigma_rel"]:
         if n["axis"] != "x":
             raise ValueError("sigma_rel is only meaningful for x-axis noise")
-        # checked here: times Ramsey's omega of 0 it would become -0.0
         if n["sigma_rel"] < 0.0:
             raise ValueError("sigma_rel must be nonnegative")
+        # a fraction of no drive would be a silent sigma of 0, although
+        # x-axis noise does act on an undriven sequence: give sigma_mhz
+        if cfg.sequence.omega == 0.0:
+            raise ValueError(f"sigma_rel needs a driven sequence; "
+                             f"{cfg.sequence.kind} has no drive, so set "
+                             f"sigma_mhz")
         sigma = n["sigma_rel"] * cfg.sequence.omega
     return NoiseSpec(axis=n["axis"], kind=n["kind"], sigma=sigma,
                      tau_c=cfg.tau_c, seed=cfg["run"]["seed"])

@@ -8,11 +8,19 @@ chunk of trials at a time, in blocks of ``_BLOCK_STEPS`` time steps that
 the SU(2) kernel steps through as they are drawn, so its memory is
 O(chunk x block) however long the run; a trial's values are the same
 whichever chunk or block they are drawn in, and :func:`sample_path`
-returns them for one trial.  Each thread keeps a pool of bit generators
+returns them for one trial.  Each thread keeps a pool of generators
 that it re-keys for every trial of a chunk, which costs a fraction of
 building one.  The kernel applies each step's SU(2) rotation in place and
 drops the global phase that :func:`remag.dynamics.su2_step` keeps, since
 no readout sees it; ``su2_step`` stays the per-trial reference.
+
+A run of several chunks, each of at least ``_FORK_MIN_TRIAL_STEPS``
+trial-steps, spreads its chunks over forked worker processes, one per
+usable CPU (``os.sched_getaffinity``) and no more than there are chunks,
+unless ``os.fork`` is missing or another thread is live.  Every chunk's
+trials are keyed and the chunks are merged in chunk order, so results do
+not depend on the CPU count or on whether a run forked.  No worker
+outlives the call.
 
 Noise strengths are in rad/s on both axes; a drive-noise strength stated
 as a fraction of the Rabi frequency is converted where it arrives
@@ -23,7 +31,10 @@ as a fraction of the Rabi frequency is converted where it arrives
 from __future__ import annotations
 
 import math
+import os
+import signal
 import threading
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -109,13 +120,13 @@ _ROW_LOOP_MIN_TRIALS = 128
 
 
 class _BitgenPool(threading.local):
-    """Each thread's idle Philox bit generators.
+    """Each thread's idle generators, each on its own Philox bit generator.
 
     Re-keying one for a trial costs under 1 us; building one with
     ``Philox(key=...)`` costs about 6.5 us, most of it the SeedSequence
     entropy that a keyed stream never uses.  A generator is checked out
     for the life of the draw that uses it, so two live draws never share
-    one.  The pool's generators share one seed sequence, which spares
+    one.  The pool's bit generators share one seed sequence, which spares
     each its own (about 300 bytes); their first key is never drawn from.
     """
 
@@ -145,31 +156,31 @@ def _noise_blocks(spec: NoiseSpec, dt: float, first: int, count: int,
     successive runs of at most ``block`` steps; static noise yields one
     read-only ``(n_steps, count)`` view of a single value per trial.
     Trial i draws from its own Philox stream keyed by (spec.seed, i),
-    which each block advances; the words are turned into uniforms exactly
-    as ``Generator.random`` does, so a trial's values do not depend on the
-    chunk or the block it is drawn in.  The bit generators come from the
-    calling thread's pool, re-keyed for each trial, and go back to it when
-    the generator finishes or is closed.  OU noise uses the exact
-    stationary update x_{k+1} = alpha x_k + beta xi_k (Gillespie, Phys.
-    Rev. E 54, 2084 (1996)), applied block by block with each trial's
-    state carried into the next.
+    which each block advances; ``Generator.random`` turns its words into
+    uniforms, so a trial's values do not depend on the chunk or the block
+    it is drawn in.  The generators come from the calling thread's pool,
+    re-keyed for each trial, and go back to it when the draw finishes or
+    is closed.  OU noise uses the exact stationary update
+    x_{k+1} = alpha x_k + beta xi_k (Gillespie, Phys. Rev. E 54, 2084
+    (1996)), applied block by block with each trial's state carried into
+    the next.
     """
     free = _BITGENS.free
-    streams = [free.pop() if free else np.random.Philox(_BITGENS.seed)
+    streams = [free.pop() if free
+               else np.random.Generator(np.random.Philox(_BITGENS.seed))
                for _ in range(count)]
 
     def normals(m):
         # the next m standard normals of each stream, one row per step,
         # via the inverse CDF of uniforms
-        raw = np.empty((count, m), dtype=np.uint64)
-        for i, bitgen in enumerate(streams):
-            raw[i] = bitgen.random_raw(m)
-        xi = np.multiply(raw.T >> 11, 2.0 ** -53, out=np.empty((m, count)))
-        return ndtri(xi, out=xi)
+        u = np.empty((count, m))
+        for i, gen in enumerate(streams):
+            gen.random(out=u[i])
+        return ndtri(u.T, out=np.empty((m, count)))
 
     try:
-        for i, bitgen in enumerate(streams):
-            bitgen.state = _keyed_state(spec.seed, first + i)
+        for i, gen in enumerate(streams):
+            gen.bit_generator.state = _keyed_state(spec.seed, first + i)
         if spec.kind == "static":
             yield np.broadcast_to(spec.sigma * normals(1), (n_steps, count))
             return
@@ -297,7 +308,8 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     off the run (nearest grid index outside [0, n_steps]) is an error, and
     so are two record times with the same nearest grid index.
     ``meta`` records the step ``dt``, the step count ``n_steps`` and the
-    number of trial ``chunks``.
+    number of trial ``chunks``.  Large chunks may run in forked worker
+    processes (see :func:`_workers`); the result is the same either way.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -323,15 +335,18 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     n_sub = int(round(wave.segment / dt))
     amp_steps = np.repeat(wave.amplitudes, n_sub)
 
-    count, mean, m2 = 0, None, None
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
+    def run_chunk(start, stop):
         blocks = _noise_blocks(spec, dt, start, stop - start, n_steps,
                                _BLOCK_STEPS)
-        batch = _propagate_batch(amp_steps, delta_omega, spec.axis, blocks,
-                                 stop - start, dt, record_idx,
-                                 ramsey=seq.kind == "ramsey")
-        count, mean, m2 = _merge_welford(count, mean, m2, batch)
+        return _propagate_batch(amp_steps, delta_omega, spec.axis, blocks,
+                                stop - start, dt, record_idx,
+                                ramsey=seq.kind == "ramsey")
+
+    chunks = [(start, min(start + chunk, trials))
+              for start in range(0, trials, chunk)]
+    count, mean, m2 = _run_chunks(
+        run_chunk, chunks, record_idx.size,
+        _workers(len(chunks), min(chunk, trials) * n_steps))
 
     if count > 1:
         stderr = np.sqrt(m2 / (count - 1)) / math.sqrt(count)
@@ -340,7 +355,123 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     return EnsembleResult(times=times, mean=mean, stderr=stderr,
                           trials=trials,
                           meta={"dt": dt, "n_steps": n_steps,
-                                "chunks": math.ceil(trials / chunk)})
+                                "chunks": len(chunks)})
+
+
+#: a run whose chunks hold fewer trial-steps than this stays in the calling
+#: process.  A worker costs 3-5 ms to fork and reap plus copy-on-write
+#: faults: the benchmark's 0.75 pi and pi echoes (2,048 x 64 and 2,048 x
+#: 108 trial-steps per chunk) lose or break even, its 5 pi echo (2,048 x
+#: 624) gains; ``tools/layer_timings.py`` measures both sides
+_FORK_MIN_TRIAL_STEPS = 500_000
+
+
+def _usable_cpus() -> int:
+    """CPUs that :func:`monte_carlo` may spread trial chunks over."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _workers(n_chunks: int, chunk_trial_steps: int) -> int:
+    """Processes that share a run's chunks, the calling one included.
+
+    One unless the run has several chunks large enough to pay for a fork,
+    and no other thread is live: a forked child holds only the forking
+    thread, so a lock that another one held would stay held in it.
+    """
+    if (n_chunks < 2 or chunk_trial_steps < _FORK_MIN_TRIAL_STEPS
+            or threading.active_count() > 1):
+        return 1
+    return min(_usable_cpus(), n_chunks)
+
+
+def _run_chunks(run_chunk, chunks, n_record: int, workers: int):
+    """Welford totals (count, mean, M2) of the chunks' batches.
+
+    ``run_chunk(start, stop)`` returns the ``(stop - start, n_record)``
+    populations of one chunk.  Chunk c runs in worker c % workers: worker
+    0 is the calling process, each other one a forked child that sends its
+    batches back over a pipe.  Batches are merged in chunk order whichever
+    process ran them, so the totals are bit-identical for any worker
+    count.  A child's failure is raised here as a RuntimeError naming the
+    chunk, and no child outlives the call, whether it returns or raises.
+    """
+    children = []                   # (pid, read end) of workers 1, 2, ...
+    done = False
+    try:
+        for w in range(1, workers):
+            children.append(_fork_worker(run_chunk, chunks, w, workers,
+                                         n_record))
+        count, mean, m2 = 0, None, None
+        for c, (start, stop) in enumerate(chunks):
+            w = c % workers
+            if w == 0:
+                batch = run_chunk(start, stop)
+            else:
+                batch = _receive(children[w - 1][1], c, start, stop,
+                                 n_record)
+            count, mean, m2 = _merge_welford(count, mean, m2, batch)
+        done = True
+        return count, mean, m2
+    finally:
+        for pid, reader in children:
+            reader.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_worker(run_chunk, chunks, w: int, workers: int, n_record: int):
+    """Fork worker ``w`` to run chunks w, w + workers, ...; returns
+    ``(pid, read end of its pipe)`` in the parent.
+
+    The child writes b"D" and the batch's bytes for each chunk, or b"E"
+    and the error's text for the first one that fails, and leaves through
+    ``os._exit``, so it never flushes the parent's stdio buffers or runs
+    its exit handlers.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            for start, stop in chunks[w::workers]:
+                try:
+                    batch = run_chunk(start, stop)
+                except BaseException as exc:
+                    text = "".join(traceback.format_exception_only(exc))
+                    pipe.write(b"E" + text.strip().encode())
+                    break
+                pipe.write(b"D")
+                pipe.write(memoryview(batch))
+                pipe.flush()
+            else:
+                status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(reader, c: int, start: int, stop: int, n_record: int):
+    """Chunk c's batch, read from the worker that ran it."""
+    tag = reader.read(1)
+    if tag == b"D":
+        batch = np.empty((stop - start, n_record))
+        if reader.readinto(memoryview(batch).cast("B")) == batch.nbytes:
+            return batch
+    cause = (reader.read().decode(errors="replace") if tag == b"E"
+             else "the worker ended without sending it")
+    raise RuntimeError(f"trial chunk {c} (trials {start}..{stop - 1}) "
+                       f"failed in a worker process: {cause}")
 
 
 def decay_scenario(seq: PulseSequence, spec: NoiseSpec) -> DecayScenario:

@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from remag.cli import RunWriter, main
 from remag.config import parse_config
@@ -64,6 +67,20 @@ class TestSimulate:
         assert manifest["outputs"] == ["trace.csv"]
         assert manifest["seed"] == 12345
         assert len(manifest["config_hash"]) == 64
+
+    def test_manifest_records_environment(self, tmp_path):
+        rc, out = run(tmp_path, "simulate")
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpus": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1}
+        # machine facts stay out of the CSVs, whose bytes are reproducible
+        meta = (out / "trace.csv").read_text().split("\nt_us,")[0]
+        assert all(v not in meta for v in ("cpus", "numpy", "scipy",
+                                           "python"))
 
     def test_csv_metadata_block_has_no_timestamps(self, tmp_path):
         rc, out = run(tmp_path, "simulate", "--seed", "7")
@@ -126,6 +143,15 @@ class TestExitCodes:
         rc, _ = run(tmp_path, "noise")
         assert rc == 1
         assert "noise.enabled" in capsys.readouterr().err
+
+    def test_sigma_rel_on_ramsey_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "ramsey.ini"
+        cfg.write_text("[sequence]\nkind = ramsey\n[noise]\nenabled = true\n"
+                       "axis = x\nsigma_rel = 0.05\n")
+        rc, out = run(tmp_path, "noise", "--config", str(cfg))
+        assert rc == 1
+        assert "ramsey.ini:3: [noise] sigma_rel" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_trials_flag_exits_1(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "simulate", "--trials", "0")

@@ -73,6 +73,9 @@ class TestErrors:
         "[noise]\nenabled = true\naxis = z\nsigma_rel = 0.05\n",
         "[sequence]\nkind = ramsey\n[noise]\nenabled = true\naxis = x\n"
         "sigma_rel = -0.05\n",
+        # a fraction of no drive: Ramsey x-axis noise takes sigma_mhz
+        "[sequence]\nkind = ramsey\n[noise]\nenabled = true\naxis = x\n"
+        "sigma_rel = 0.05\n",
         "[readout]\nn0 = 0.001\nn1 = 0.002\n",
         "[readout]\nn_r = 0\n",
         "[grid]\ndt_ns = 0\n",

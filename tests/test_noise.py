@@ -1,5 +1,7 @@
 import math
+import os
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -11,6 +13,7 @@ from scipy.special import ndtri
 
 from remag.dynamics import (PulseSequence, build_waveform, segment_unitary,
                             su2_step, _hamiltonian_coeffs)
+from remag import noise as noise_module
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
 from remag.noise import (_BLOCK_STEPS, _ROW_LOOP_MIN_TRIALS, NoiseSpec,
                          _noise_blocks, _propagate_batch, decay_scenario,
@@ -303,6 +306,120 @@ class TestBitgenPool:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.mean, b.mean)
             assert np.array_equal(a.stderr, b.stderr)
+
+
+class TestWorkers:
+    """Trial chunks in forked workers, forced by a size threshold of 0."""
+
+    SEQ = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 4)
+    SPECS = [
+        NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=7),
+        NoiseSpec(axis="x", kind="ou", sigma=0.05 * mhz_to_rad(20.0),
+                  tau_c=TAU_C, seed=BIG_SEED),
+        NoiseSpec(axis="x", kind="static", sigma=0.05 * mhz_to_rad(20.0),
+                  seed=9),
+    ]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls made by this process."""
+        calls, real, parent = [], os.fork, os.getpid()
+
+        def counted():
+            if os.getpid() == parent:
+                calls.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def force(monkeypatch, cpus):
+        monkeypatch.setattr(noise_module, "_FORK_MIN_TRIAL_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+
+    def run(self, spec, trials=40, chunk=20):
+        return monte_carlo(self.SEQ, mhz_to_rad(2.0), spec, trials=trials,
+                           chunk=chunk)
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["ou-z", "ou-x", "static-x"])
+    @pytest.mark.parametrize("trials, cpus, n_forks", [
+        (40, 2, 1),         # two equal chunks
+        (50, 2, 1),         # three uneven chunks: 0 and 2 in the caller
+        (50, 3, 2),         # three uneven chunks, one per process
+        (50, 8, 2),         # no more workers than chunks
+    ])
+    def test_forked_run_is_bit_identical(self, monkeypatch, forks, spec,
+                                         trials, cpus, n_forks):
+        in_process = self.run(spec, trials)
+        assert not forks                    # below the size threshold
+        self.force(monkeypatch, cpus)
+        forked = self.run(spec, trials)
+        assert len(forks) == n_forks
+        self.assert_no_children()
+        assert np.array_equal(forked.times, in_process.times)
+        assert np.array_equal(forked.mean, in_process.mean)
+        assert np.array_equal(forked.stderr, in_process.stderr)
+        assert forked.meta == in_process.meta
+
+    def test_child_error_names_its_chunk(self, monkeypatch, forks):
+        real = noise_module._noise_blocks
+
+        def failing(spec, dt, first, *rest):
+            if first > 0:
+                raise ValueError("injected")
+            return real(spec, dt, first, *rest)
+
+        monkeypatch.setattr(noise_module, "_noise_blocks", failing)
+        self.force(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"trial chunk 1 \(trials "
+                           r"20\.\.39\) .*ValueError: injected"):
+            self.run(self.SPECS[0])
+        assert len(forks) == 1
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_caller_error_reaps_the_children(self, monkeypatch, forks, exc):
+        real = noise_module._noise_blocks
+
+        def failing(spec, dt, first, *rest):
+            if first == 0:
+                raise exc("injected")
+            return real(spec, dt, first, *rest)
+
+        monkeypatch.setattr(noise_module, "_noise_blocks", failing)
+        self.force(monkeypatch, 3)
+        with pytest.raises(exc, match="injected"):
+            self.run(self.SPECS[0], trials=60)
+        assert len(forks) == 2
+        self.assert_no_children()
+
+    def test_no_fork_with_one_cpu_or_a_second_thread(self, monkeypatch):
+        spec = self.SPECS[0]
+        in_process = self.run(spec)
+
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.force(monkeypatch, 1)
+        assert np.array_equal(self.run(spec).mean, in_process.mean)
+        self.force(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = self.run(spec)
+        finally:
+            release.set()
+            other.join()
+        assert np.array_equal(got.mean, in_process.mean)
 
 
 class TestDecayScenario:

@@ -14,16 +14,30 @@ drive noise on a 13,000-step rotary echo, 64 trials):
 - `kernel_ns_per_trial_step`: `_propagate_batch` on blocks drawn
   beforehand.
 
+Two more figures rest the size threshold of `monte_carlo`'s worker
+processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
+
+- `fork_reap_ms`: forking this process, once the cases are timed, and
+  reaping the child, which leaves at once;
+- `monte_carlo_s` of each `noise-ou-large` case: the whole
+  `monte_carlo` call at the case's trial count, `in_process` and
+  `forked` (the threshold set to keep every chunk in the calling process,
+  then to fork for any), beside `chunk_trial_steps`, the figure the
+  threshold is compared with.
+
     python tools/layer_timings.py                    # this checkout
     python tools/layer_timings.py --src OTHER/src    # another checkout
 
 It calls private API (`_noise_blocks`, `_noise_grid_step`,
 `_propagate_batch`), so `--src` takes only checkouts whose signatures
 match this one's: `_noise_blocks(spec, dt, ...)` reading `spec.sigma`,
-and `DriveWaveform.segment`.
+and `DriveWaveform.segment`.  A checkout without worker processes reports
+`forked` as null.
 
 Prints one JSON object; each figure is the median of `--repeats` runs
-(BLAS pinned to one thread).  A run takes about a minute on two cores.
+(BLAS pinned to one thread).  A run takes about ten seconds on two cores
+at the default `--repeats`; a forked figure depends on whether the host
+leaves the second core free.
 """
 
 from __future__ import annotations
@@ -133,6 +147,36 @@ def time_case(noise, dynamics, seq, delta, spec, trials, repeats) -> dict:
             "kernel_ns_per_trial_step": kernel_s / (count * n_steps) * 1e9}
 
 
+def time_monte_carlo(noise, seq, delta, spec, trials, repeats) -> dict:
+    """Whole `monte_carlo` calls, in turn with every chunk in this process
+    and with chunks forked whatever their size."""
+    chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
+    n_steps = noise.monte_carlo(seq, delta, spec, 1).meta["n_steps"]
+    times = {"in_process": [], "forked": []}
+    sides = (("in_process", math.inf), ("forked", 0))
+    default = getattr(noise, "_FORK_MIN_TRIAL_STEPS", None)
+    if default is None:                 # a checkout without workers
+        sides = sides[:1]
+    try:
+        for _ in range(repeats):
+            for label, threshold in sides:
+                noise._FORK_MIN_TRIAL_STEPS = threshold
+                times[label].append(_timed(
+                    lambda: noise.monte_carlo(seq, delta, spec, trials)))
+    finally:
+        noise._FORK_MIN_TRIAL_STEPS = default
+    return {"chunk_trial_steps": min(trials, chunk) * n_steps,
+            **{label: statistics.median(ts) if ts else None
+               for label, ts in times.items()}}
+
+
+def _fork_and_reap() -> None:
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -147,10 +191,17 @@ def main() -> int:
 
     report = {"numpy": np.__version__,
               "python": sys.version.split()[0], "repeats": args.repeats,
+              "fork_min_trial_steps": getattr(noise, "_FORK_MIN_TRIAL_STEPS",
+                                              None),
               "cases": {}}
     for label, seq, delta, spec, trials in _cases(noise, dynamics):
         report["cases"][label] = time_case(noise, dynamics, seq, delta, spec,
                                            trials, args.repeats)
+        if spec.kind == "ou":
+            report["cases"][label]["monte_carlo_s"] = time_monte_carlo(
+                noise, seq, delta, spec, trials, args.repeats)
+    report["fork_reap_ms"] = _median_s(lambda: _timed(_fork_and_reap),
+                                       max(args.repeats, 20)) * 1e3
     print(json.dumps(report, indent=1))
     return 0
 
