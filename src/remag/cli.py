@@ -9,6 +9,7 @@ config and seed (timestamps live only in the manifest).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,6 +37,10 @@ from .units import mhz_to_rad, us_to_s
 
 # ---------------------------------------------------------------------------
 # output plumbing
+
+#: rows of a CSV body formatted per write
+_CSV_BATCH_ROWS = 256
+
 
 class RunWriter:
     """Collects output files for one run and writes the manifest.
@@ -80,11 +85,15 @@ class RunWriter:
         cols = list(columns)
         data = np.column_stack([np.asarray(columns[c], dtype=float)
                                 for c in cols])
+        row = ",".join(["%.12g"] * len(cols)) + "\n"
         self.created.append(path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(self._meta_lines(extra_meta)) + "\n")
             fh.write(",".join(cols) + "\n")
-            np.savetxt(fh, data, delimiter=",", fmt="%.12g")
+            # np.savetxt(fmt="%.12g")'s text, formatted in bounded batches
+            for start in range(0, len(data), _CSV_BATCH_ROWS):
+                batch = data[start:start + _CSV_BATCH_ROWS].tolist()
+                fh.write("".join([row % tuple(r) for r in batch]))
         return path
 
     def json(self, name: str, payload) -> str:
@@ -510,7 +519,9 @@ def cmd_figure(cfg: ScenarioConfig, w: RunWriter, args) -> None:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="remag",
         description="Rotary-echo magnetometry simulations and analysis")

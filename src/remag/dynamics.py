@@ -170,13 +170,10 @@ def uniform_grid_step(wave: DriveWaveform, dt_max: float) -> float:
     return wave.segment / n_sub
 
 
-def su2_step(psi0, psi1, hx, hz, ident, dt):
-    """Advance states by exp(-i H dt), H = ident*1 + hx*sx + hz*sz.
-
-    All of hx, hz, ident may be scalars or arrays broadcastable against
-    the state amplitudes; the closed-form axis-angle exponential keeps
-    unitarity at machine precision.
-    """
+def _su2_factors(hx, hz, ident, dt):
+    """Entries of exp(-i H dt), H = ident*1 + hx*sx + hz*sz, as
+    (phase, a0, b, mb, a1): the step maps (psi0, psi1) to
+    phase * (a0 psi0 - b psi1, mb psi0 + a1 psi1)."""
     h = np.hypot(hx, hz)
     phi = h * dt
     c = np.cos(phi)
@@ -186,9 +183,19 @@ def su2_step(psi0, psi1, hx, hz, ident, dt):
     nx = hx / safe
     nz = hz / safe
     phase = np.exp(-1j * ident * dt)
-    new0 = phase * ((c - 1j * s * nz) * psi0 - 1j * s * nx * psi1)
-    new1 = phase * (-1j * s * nx * psi0 + (c + 1j * s * nz) * psi1)
-    return new0, new1
+    return (phase, c - 1j * s * nz, 1j * s * nx, -1j * s * nx,
+            c + 1j * s * nz)
+
+
+def su2_step(psi0, psi1, hx, hz, ident, dt):
+    """Advance states by exp(-i H dt), H = ident*1 + hx*sx + hz*sz.
+
+    All of hx, hz, ident may be scalars or arrays broadcastable against
+    the state amplitudes; the closed-form axis-angle exponential keeps
+    unitarity at machine precision.
+    """
+    ph, a0, b, mb, a1 = _su2_factors(hx, hz, ident, dt)
+    return ph * (a0 * psi0 - b * psi1), ph * (mb * psi0 + a1 * psi1)
 
 
 def _hamiltonian_coeffs(amplitude, detuning_total):
@@ -267,14 +274,23 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
             values[k + 1] = abs(psi0) ** 2
     else:
         # noiseless: each segment has a constant Hamiltonian, so the
-        # whole segment evolves in closed form without stepping
+        # whole segment evolves in closed form without stepping.  The
+        # step factors depend only on the amplitude, so they are computed
+        # once per distinct amplitude (two for a rotary echo), over the
+        # in-segment offsets tau and over the whole segment
         psi0, psi1 = 1.0 + 0.0j, 0.0j
         tau = dt * np.arange(1, n_sub + 1)
+        factors = {}
         for i, amp in enumerate(wave.amplitudes):
-            hx, hz, ident = _hamiltonian_coeffs(amp, wave.detuning)
-            new0, _ = su2_step(psi0, psi1, hx, hz, ident, tau)
+            if amp not in factors:
+                coeffs = _hamiltonian_coeffs(amp, wave.detuning)
+                factors[amp] = (_su2_factors(*coeffs, tau),
+                                _su2_factors(*coeffs, float(tau[-1])))
+            (ph, a0, b, _, _), (sph, sa0, sb, smb, sa1) = factors[amp]
+            new0 = ph * (a0 * psi0 - b * psi1)
             values[i * n_sub + 1:(i + 1) * n_sub + 1] = np.abs(new0) ** 2
-            psi0, psi1 = su2_step(psi0, psi1, hx, hz, ident, float(tau[-1]))
+            psi0, psi1 = (sph * (sa0 * psi0 - sb * psi1),
+                          sph * (smb * psi0 + sa1 * psi1))
 
     np.clip(values, 0.0, 1.0, out=values)
     return SignalTrace(times=times, values=values, dt=dt,

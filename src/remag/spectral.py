@@ -319,32 +319,60 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
                             pair_residual_hz=residual)
 
 
+class _ColumnCache:
+    """The (cos, sin) columns of 2 pi f t, keyed by the bits of f.
+
+    The finite-difference Jacobian of the refit moves one parameter per
+    evaluation, so most of an evaluation's frequencies are bitwise equal
+    to ones computed before.  At most ``limit`` frequencies are kept;
+    the least recently used one goes first.
+    """
+
+    def __init__(self, t: np.ndarray, limit: int):
+        self.t = t
+        self.limit = limit
+        self.entries: dict = {}
+
+    def columns(self, f) -> tuple:
+        key = float(f).hex()
+        cols = self.entries.pop(key, None)
+        if cols is None:
+            w = 2.0 * math.pi * f * self.t
+            cols = (np.cos(w), np.sin(w))
+            if len(self.entries) >= self.limit:
+                del self.entries[next(iter(self.entries))]
+        self.entries[key] = cols
+        return cols
+
+
 def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
     """Least-squares refinement of carrier and pair splittings.
 
     Model: sum over pairs of quadrature cosines at f_c +/- split plus a
     constant; amplitudes are solved linearly at each frequency guess
     (separable least squares), so the nonlinear search runs only over
-    the carrier and the splittings.
+    the carrier and the splittings.  Every evaluation fills one basis
+    array in place, from columns cached across evaluations; the cache
+    holds at most as many frequencies as the basis has columns.
     """
     from scipy.optimize import least_squares
 
     t = np.asarray(trace.times, dtype=float)
     d = np.asarray(trace.values, dtype=float)
+    basis = np.empty((t.size, 1 + 4 * splittings.size))
+    basis[:, 0] = 1.0
+    cache = _ColumnCache(t, basis.shape[1])
 
     def residual(params):
         fc = params[0]
-        cols = [np.ones_like(t)]
+        j = 1
         for sp in params[1:]:
             for f in (fc - sp, fc + sp):
-                w = 2.0 * math.pi * f * t
-                cols.append(np.cos(w))
-                cols.append(np.sin(w))
-        basis = np.column_stack(cols)
+                basis[:, j], basis[:, j + 1] = cache.columns(f)
+                j += 2
         coef, *_ = np.linalg.lstsq(basis, d, rcond=None)
         return d - basis @ coef
 
     x0 = np.concatenate(([f_c], splittings))
     fit = least_squares(residual, x0, method="lm", xtol=1e-14)
     return float(fit.x[0]), np.abs(fit.x[1:])
-

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes, cleanup."""
 
+import io
 import json
 import math
 import os
@@ -121,6 +122,44 @@ class TestDeterminism:
         a = self._trace_bytes(tmp_path, "a", 42)
         b = self._trace_bytes(tmp_path, "b", 43)
         assert a != b
+
+
+class TestCsvWriter:
+
+    @pytest.mark.parametrize("batch_rows", [256, 2])
+    @pytest.mark.parametrize("rows", [
+        [[0.1, -0.0, 1e-300], [math.nan, math.inf, -math.inf],
+         [1.0 / 3.0, 123456789012345.0, -2.5e-7], [0.0, 1e300, -1e-300],
+         [7.0, 6.02214076e23, 1.0 + 2 ** -52]],
+        [[math.nan, -0.0, 1e-300]]], ids=["table", "single-row"])
+    def test_csv_body_is_savetxt_text(self, tmp_path, monkeypatch, rows,
+                                      batch_rows):
+        import remag.cli as cli
+
+        monkeypatch.setattr(cli, "_CSV_BATCH_ROWS", batch_rows)
+        data = np.array(rows)
+        w = RunWriter(str(tmp_path), "simulate", parse_config(""), 1)
+        path = w.csv("t.csv", {"a": data[:, 0], "b": data[:, 1],
+                               "c": data[:, 2]})
+        with open(path, encoding="utf-8") as fh:
+            body = [ln for ln in fh if not ln.startswith("#")]
+        expected = io.StringIO()
+        np.savetxt(expected, data, delimiter=",", fmt="%.12g")
+        assert body[0] == "a,b,c\n"
+        assert "".join(body[1:]) == expected.getvalue()
+
+
+class TestParser:
+
+    def test_built_once_and_not_changed_by_parsing(self):
+        import remag.cli as cli
+
+        parser = cli._build_parser()
+        first = parser.parse_args(["simulate", "--seed", "5", "--out", "x"])
+        assert cli._build_parser() is parser
+        second = parser.parse_args(["figure", "2a"])
+        assert (first.seed, first.out) == (5, "x")
+        assert (second.seed, second.out, second.panel) == (None, "out", "2a")
 
 
 class TestExitCodes:

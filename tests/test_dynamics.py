@@ -130,6 +130,53 @@ def test_propagate_with_zero_noise_matches_noiseless():
     assert np.max(np.abs(clean.values - noisy.values)) < 1e-12
 
 
+def _per_segment_reference(wave, dt_max):
+    """Noiseless populations from two su2_step calls per segment: one over
+    the in-segment offsets, one to the next segment's start state."""
+    dt = uniform_grid_step(wave, dt_max)
+    n_sub = int(round(wave.segment / dt))
+    values = np.empty(n_sub * wave.amplitudes.size + 1)
+    values[0] = 1.0
+    psi0, psi1 = 1.0 + 0.0j, 0.0j
+    tau = dt * np.arange(1, n_sub + 1)
+    for i, amp in enumerate(wave.amplitudes):
+        hx, hz, ident = amp / 2.0, -wave.detuning / 2.0, wave.detuning / 2.0
+        new0, _ = su2_step(psi0, psi1, hx, hz, ident, tau)
+        values[i * n_sub + 1:(i + 1) * n_sub + 1] = np.abs(new0) ** 2
+        psi0, psi1 = su2_step(psi0, psi1, hx, hz, ident, float(tau[-1]))
+    return np.clip(values, 0.0, 1.0)
+
+
+ECHOES = [(0.75 * math.pi, 10.0, 14), (math.pi, 17.0, 25),
+          (2.7, 21.3, 9), (5.0 * math.pi, 25.0, 4)]
+
+
+@pytest.mark.parametrize("dt_max", [1e-9, 2e-9, 10e-9, "segment"])
+@pytest.mark.parametrize("delta_mhz", [0.0, 0.37])
+@pytest.mark.parametrize("theta, omega_mhz, n_cycles", ECHOES)
+def test_noiseless_propagate_bit_identical_to_per_segment_steps(
+        theta, omega_mhz, n_cycles, delta_mhz, dt_max):
+    seq = PulseSequence.rotary_echo(theta, mhz_to_rad(omega_mhz), n_cycles)
+    wave = build_waveform(seq, mhz_to_rad(delta_mhz))
+    if dt_max == "segment":             # one grid step per segment
+        dt_max = wave.segment
+    trace = propagate(wave, dt_max=dt_max)
+    assert np.array_equal(trace.values, _per_segment_reference(wave, dt_max))
+
+
+@pytest.mark.parametrize("seq", [PulseSequence.rabi(mhz_to_rad(13.0), 0.7e-6),
+                                 PulseSequence.ramsey(0.9e-6)],
+                         ids=["rabi", "ramsey"])
+@pytest.mark.parametrize("delta_mhz", [0.0, 1.3])
+def test_noiseless_rabi_ramsey_bit_identical_to_per_segment_steps(
+        seq, delta_mhz):
+    wave = build_waveform(seq, mhz_to_rad(delta_mhz))
+    for dt_max in (2e-9, default_dt_max(wave)):
+        trace = propagate(wave, dt_max=dt_max)
+        assert np.array_equal(trace.values,
+                              _per_segment_reference(wave, dt_max))
+
+
 def test_ramsey_and_rabi_waveforms():
     ram = build_waveform(PulseSequence.ramsey(1e-6), mhz_to_rad(2.0))
     assert ram.amplitudes.tolist() == [0.0]

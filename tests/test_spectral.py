@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from remag import spectral
 from remag.dynamics import SignalTrace
 from remag.spectral import (
     carrier_frequency,
@@ -125,3 +127,92 @@ class TestDetunings:
                             p_value=1e-5, snr=3.0, delta_f=1e3)]
         with pytest.raises(ValueError):
             extract_detunings(peaks, math.pi, mhz_to_rad(17.0), 1e4)
+
+
+def _uncached_refit(trace, f_c, splittings):
+    """The refit with every basis column recomputed and stacked anew."""
+    t = np.asarray(trace.times, dtype=float)
+    d = np.asarray(trace.values, dtype=float)
+
+    def residual(params):
+        fc = params[0]
+        cols = [np.ones_like(t)]
+        for sp in params[1:]:
+            for f in (fc - sp, fc + sp):
+                w = 2.0 * math.pi * f * t
+                cols.append(np.cos(w))
+                cols.append(np.sin(w))
+        basis = np.column_stack(cols)
+        coef, *_ = np.linalg.lstsq(basis, d, rcond=None)
+        return d - basis @ coef
+
+    x0 = np.concatenate(([f_c], splittings))
+    fit = least_squares(residual, x0, method="lm", xtol=1e-14)
+    return float(fit.x[0]), np.abs(fit.x[1:])
+
+
+class TestRefit:
+    @pytest.mark.parametrize("b_mhz, t_total, seed",
+                             [(0.17, 5e-6, 3), (0.17, 5e-6, 8),
+                              (0.064, 15e-6, 3), (0.064, 15e-6, 8)],
+                             ids=["2a-3", "2a-8", "2b-3", "2b-8"])
+    def test_cached_columns_bit_identical(self, monkeypatch, b_mhz,
+                                          t_total, seed):
+        # the figure 2a / 2b traces: pi echo at 17 MHz over the hyperfine
+        # triplet, 10 ns grid, shot noise
+        from remag.cli import triplet_trace
+        omega = mhz_to_rad(17.0)
+        trace = triplet_trace(math.pi, omega, mhz_to_rad(b_mhz),
+                              mhz_to_rad(2.14), t_total, dt_max=10e-9,
+                              shot_sigma=0.035, seed=seed)
+        pgram = periodogram(trace)
+        peaks = peak_significance(pgram, max_peaks=6)
+
+        caches = []
+
+        class Recording(spectral._ColumnCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.calls = self.misses = self.largest = 0
+                caches.append(self)
+
+            def columns(self, f):
+                self.misses += float(f).hex() not in self.entries
+                cols = super().columns(f)
+                self.calls += 1
+                self.largest = max(self.largest, len(self.entries))
+                return cols
+
+        refits = []
+        refine = spectral._refine_pairs
+
+        def both(trace, f_c, splittings):
+            got = refine(trace, f_c, splittings)
+            refits.append((got, _uncached_refit(trace, f_c, splittings),
+                           splittings.size))
+            return got
+
+        monkeypatch.setattr(spectral, "_ColumnCache", Recording)
+        monkeypatch.setattr(spectral, "_refine_pairs", both)
+        extract_detunings(peaks, math.pi, omega,
+                          pair_tolerance_hz=2 * pgram.grid_spacing,
+                          trace=trace)
+        [((fc, splits), (ref_fc, ref_splits), n_pairs)] = refits
+        assert fc == ref_fc
+        assert np.array_equal(splits, ref_splits)
+        [cache] = caches
+        assert cache.limit == 1 + 4 * n_pairs   # the basis's column count
+        assert cache.largest <= cache.limit
+        # a Jacobian column that moves one splitting reuses the other
+        # pairs' columns
+        assert cache.misses < 0.7 * cache.calls
+
+    def test_column_cache_evicts_least_recently_used(self):
+        t = 1e-8 * np.arange(50)
+        cache = spectral._ColumnCache(t, 3)
+        for f in (1e6, 2e6, 3e6, 1e6, 4e6):
+            cos, sin = cache.columns(np.float64(f))
+            assert np.array_equal(cos, np.cos(2.0 * math.pi * f * t))
+            assert np.array_equal(sin, np.sin(2.0 * math.pi * f * t))
+        assert list(cache.entries) == [float(f).hex()
+                                       for f in (3e6, 1e6, 4e6)]

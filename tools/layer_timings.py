@@ -1,4 +1,4 @@
-"""Per-layer timings of the Monte Carlo engine on the benchmark's noise cases.
+"""Per-layer timings of the Monte Carlo engine and the analysis chain.
 
 Times three layers of `remag.noise.monte_carlo` apart, on one trial chunk
 of each `noise-ou-large` case (OU dephasing, rotary echoes, on the grid
@@ -25,17 +25,29 @@ processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
   then to fork for any), beside `chunk_trial_steps`, the figure the
   threshold is compared with.
 
+Two layers of the analysis chain, on the pi echoes at 17 MHz of
+`remag spectrum` and figures 1c, 2a and 2b (`analysis`):
+
+- `propagate_ms`: one noiseless `dynamics.propagate` call, at the sizes
+  of the spectrum ops (100 and 510 segments on the 10 ns grid) and of
+  figure 1c (102 segments on its 2 ns grid);
+- `refit`: one `spectral._refine_pairs` call (`ms_per_refit`) and the
+  residual evaluations it makes (`evaluations_per_refit`), on the
+  figure 2a and 2b triplet traces with shot noise at seed 3.
+
     python tools/layer_timings.py                    # this checkout
     python tools/layer_timings.py --src OTHER/src    # another checkout
 
 It calls private API (`_noise_blocks`, `_noise_grid_step`,
-`_propagate_batch`), so `--src` takes only checkouts whose signatures
-match this one's: `_noise_blocks(spec, dt, ...)` reading `spec.sigma`,
-and `DriveWaveform.segment`.  A checkout without worker processes reports
-`forked` as null.
+`_propagate_batch`, `_refine_pairs`), so `--src` takes only checkouts
+whose signatures match this one's: `_noise_blocks(spec, dt, ...)`
+reading `spec.sigma`, `DriveWaveform.segment`, and
+`_refine_pairs(trace, f_c, splittings)` importing `least_squares` from
+`scipy.optimize` when called (how the evaluations are counted).  A
+checkout without worker processes reports `forked` as null.
 
 Prints one JSON object; each figure is the median of `--repeats` runs
-(BLAS pinned to one thread).  A run takes about ten seconds on two cores
+(BLAS pinned to one thread).  A run takes about fifteen seconds on two cores
 at the default `--repeats`; a forked figure depends on whether the host
 leaves the second core free.
 """
@@ -170,6 +182,63 @@ def time_monte_carlo(noise, seq, delta, spec, trials, repeats) -> dict:
                for label, ts in times.items()}}
 
 
+ANALYSIS_OMEGA_MHZ = 17.0
+ANALYSIS_LINE_MHZ = 0.17
+PROPAGATE_CASES = (("spectrum-100seg-10ns", 50, 10e-9),
+                   ("spectrum-510seg-10ns", 255, 10e-9),
+                   ("fig1c-102seg-2ns", 51, 2e-9))  # (label, cycles, dt_max)
+REFIT_CASES = (("fig2a", 0.17, 5e-6), ("fig2b", 0.064, 15e-6))  # b, t_total
+REFIT_SEED = 3
+
+
+def time_propagate(dynamics, n_cycles, dt_max, repeats) -> float:
+    """Median ms of one noiseless `propagate` call on a pi echo."""
+    mhz = 2e6 * math.pi
+    seq = dynamics.PulseSequence.rotary_echo(
+        math.pi, ANALYSIS_OMEGA_MHZ * mhz, n_cycles)
+    wave = dynamics.build_waveform(seq, ANALYSIS_LINE_MHZ * mhz)
+    return _median_s(lambda: _timed(
+        lambda: dynamics.propagate(wave, dt_max=dt_max)), repeats) * 1e3
+
+
+def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
+    """`_refine_pairs` on a figure 2 trace: ms and residual evaluations
+    per refit, from the start point `extract_detunings` hands it."""
+    import scipy.optimize
+
+    mhz = 2e6 * math.pi
+    omega = ANALYSIS_OMEGA_MHZ * mhz
+    trace = cli.triplet_trace(math.pi, omega, b_mhz * mhz, 2.14 * mhz,
+                              t_total, dt_max=10e-9, shot_sigma=0.035,
+                              seed=REFIT_SEED)
+    pgram = spectral.periodogram(trace)
+    peaks = spectral.peak_significance(pgram, max_peaks=6)
+    refine, calls = spectral._refine_pairs, []
+    spectral._refine_pairs = lambda *a: calls.append(a) or refine(*a)
+    try:
+        spectral.extract_detunings(peaks, math.pi, omega,
+                                   pair_tolerance_hz=2 * pgram.grid_spacing,
+                                   trace=trace)
+    finally:
+        spectral._refine_pairs = refine
+    [args] = calls
+    least_squares, evaluations = scipy.optimize.least_squares, []
+
+    def counted(fun, *a, **k):
+        return least_squares(lambda x: evaluations.append(1) or fun(x),
+                             *a, **k)
+
+    scipy.optimize.least_squares = counted
+    try:
+        refine(*args)
+    finally:
+        scipy.optimize.least_squares = least_squares
+    return {"samples": trace.values.size, "pairs": args[2].size,
+            "ms_per_refit": _median_s(lambda: _timed(lambda: refine(*args)),
+                                      repeats) * 1e3,
+            "evaluations_per_refit": len(evaluations)}
+
+
 def _fork_and_reap() -> None:
     pid = os.fork()
     if pid == 0:
@@ -187,7 +256,7 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     sys.path.insert(0, str(args.src.resolve()))
-    from remag import dynamics, noise
+    from remag import cli, dynamics, noise, spectral
 
     report = {"numpy": np.__version__,
               "python": sys.version.split()[0], "repeats": args.repeats,
@@ -202,6 +271,12 @@ def main() -> int:
                 noise, seq, delta, spec, trials, args.repeats)
     report["fork_reap_ms"] = _median_s(lambda: _timed(_fork_and_reap),
                                        max(args.repeats, 20)) * 1e3
+    report["analysis"] = {
+        "propagate_ms": {label: time_propagate(dynamics, n_cycles, dt_max,
+                                               args.repeats)
+                         for label, n_cycles, dt_max in PROPAGATE_CASES},
+        "refit": {label: time_refit(cli, spectral, b, t_total, args.repeats)
+                  for label, b, t_total in REFIT_CASES}}
     print(json.dumps(report, indent=1))
     return 0
 

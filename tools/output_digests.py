@@ -22,8 +22,13 @@ run that exits nonzero prints `<run> exit=<code>` instead of its files.
 line that differs as `- <other>` / `+ <this>`.  Below a file's changed
 digest it prints `  |d| <column>=<max>, ...`: the largest absolute
 difference of each numeric CSV column or JSON field (list positions
-merged), so a change that only moves rounding shows in one line.  The last
-line counts the differing lines and names the largest difference.
+merged) that differs, `shape` where the two files hold a different
+number of values there, `changed` for a differing string, boolean or
+null field, and then the names of the fields only this
+checkout writes (`added ...`) and only the other writes (`removed ...`),
+so a change that only moves rounding or adds one field shows in one short
+line.  The last line counts the differing lines and names the largest
+difference.
 Monte Carlo runs use 60 trials, and each run's cases run one after another,
 so the whole set takes well under a minute on two cores.
 """
@@ -36,6 +41,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import sys
 import tempfile
@@ -172,8 +178,10 @@ def _line_key(line: str) -> tuple:
     return command, name, file, "grid" if kind == "grid" else "sha"
 
 
-def _numbers(path: Path) -> dict:
-    """Numeric values of a CSV (by column) or JSON file (by field path)."""
+def _fields(path: Path) -> dict:
+    """Values of a CSV (by column, as floats) or JSON file (by field path,
+    every leaf value; numbers as floats; a manifest without its
+    timestamps)."""
     if path.suffix == ".csv":
         text = path.read_text(encoding="utf-8").splitlines()
         rows = list(csv.reader(ln for ln in text if not ln.startswith("#")))
@@ -188,21 +196,52 @@ def _numbers(path: Path) -> dict:
         elif isinstance(node, list):
             for child in node:
                 walk(child, f"{name}[]")
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            values.setdefault(name, []).append(float(node))
+        else:
+            numeric = isinstance(node, (int, float)) and \
+                not isinstance(node, bool)
+            values.setdefault(name, []).append(float(node) if numeric
+                                               else node)
 
-    walk(json.loads(path.read_bytes()), "")
+    payload = json.loads(path.read_bytes())
+    if path.name == "manifest.json":    # timestamps differ between reruns
+        payload.pop("started", None)
+        payload.pop("finished", None)
+    walk(payload, "")
     return values
 
 
-def _largest_differences(a: Path, b: Path) -> dict:
-    """Largest |a - b| of each numeric column or field; None where the
-    two files do not hold the same number of values there."""
-    na, nb = _numbers(a), _numbers(b)
-    return {name: (max((abs(x - y) for x, y in zip(na[name], nb[name])),
-                       default=0.0)
-                   if name in nb and len(na[name]) == len(nb[name]) else None)
-            for name in na}
+def _largest_differences(a: Path, b: Path) -> tuple[dict, list, list]:
+    """For each column or field that differs, the largest |a - b| of its
+    numbers, "shape" where the files hold a different number of values
+    there, or "changed" for other values; and the names only ``a`` has
+    and only ``b`` has."""
+    na, nb = _fields(a), _fields(b)
+    diffs = {}
+    for name in na.keys() & nb.keys():
+        x, y = na[name], nb[name]
+        if len(x) != len(y):
+            diffs[name] = "shape"
+        elif not all(isinstance(v, float) for v in x + y):
+            if x != y:
+                diffs[name] = "changed"
+        else:
+            # nan on both sides is no difference; nan on one side is nan
+            gaps = [abs(u - v) for u, v in zip(x, y)
+                    if u != v and not (math.isnan(u) and math.isnan(v))]
+            if gaps:
+                diffs[name] = (math.nan if any(map(math.isnan, gaps))
+                               else max(gaps))
+    return (dict(sorted(diffs.items())), sorted(na.keys() - nb.keys()),
+            sorted(nb.keys() - na.keys()))
+
+
+def _describe(diffs: dict, added: list, removed: list) -> str:
+    """One `|d|` line: the differing fields, then added and removed keys."""
+    parts = [", ".join(f"{name}={d if isinstance(d, str) else f'{d:.3g}'}"
+                       for name, d in diffs.items())] if diffs else []
+    parts += [f"added {', '.join(added)}"] if added else []
+    parts += [f"removed {', '.join(removed)}"] if removed else []
+    return "  |d| " + ("; ".join(parts) or "no field differs")
 
 
 def compare(this: Path, other: Path, work: Path) -> list[str]:
@@ -225,13 +264,11 @@ def compare(this: Path, other: Path, work: Path) -> list[str]:
         if key[-1] != "sha" or key not in old or key not in new:
             continue
         run = "_".join(key[:2])
-        diffs = _largest_differences(work / "this" / run / key[2],
-                                     work / "other" / run / key[2])
-        out.append("  |d| " + ", ".join(
-            f"{name}={'shape' if d is None else f'{d:.3g}'}"
-            for name, d in diffs.items()))
+        diffs, added, removed = _largest_differences(
+            work / "this" / run / key[2], work / "other" / run / key[2])
+        out.append(_describe(diffs, added, removed))
         for name, d in diffs.items():
-            if d is not None and d >= largest[0]:
+            if not isinstance(d, str) and d >= largest[0]:
                 largest = (d, f"{' '.join(key[:3])} {name}")
     out.append(f"{changed} of {len(set(old) | set(new))} lines differ; "
                f"largest |d| {largest[0]:.3g} ({largest[1]})")
