@@ -9,6 +9,7 @@ config and seed (timestamps live only in the manifest).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -50,10 +51,12 @@ class RunWriter:
     are byte-identical; timestamps and the environment (Python, numpy and
     scipy versions, and the CPUs ``monte_carlo`` may spread trial chunks
     over) go to the manifest only.
-    Each file is recorded before it is opened, so :meth:`cleanup` also
-    removes one whose write failed part-way.  ``monte_carlo`` maps each
-    Monte Carlo CSV to the trials and grid facts in its metadata block;
-    the manifest repeats them.
+    Each file is written under a temporary name in ``out_dir`` and renamed
+    onto its own once whole, so a run killed mid-write never leaves a
+    truncated file under a real name; :meth:`cleanup` removes every file
+    the run wrote, and the temporary one of a write that failed.
+    ``monte_carlo`` maps each Monte Carlo CSV to the trials and grid facts
+    in its metadata block; the manifest repeats them.
     """
 
     def __init__(self, out_dir: str, subcommand: str, cfg: ScenarioConfig,
@@ -64,6 +67,7 @@ class RunWriter:
         self.seed = seed
         self.hash = config_hash(cfg)
         self.created: list[str] = []
+        self.pending: str | None = None     # temporary name being written
         self.monte_carlo: dict = {}
         self.started = datetime.now(timezone.utc).isoformat()
 
@@ -86,8 +90,7 @@ class RunWriter:
         data = np.column_stack([np.asarray(columns[c], dtype=float)
                                 for c in cols])
         row = ",".join(["%.12g"] * len(cols)) + "\n"
-        self.created.append(path)
-        with open(path, "w", encoding="utf-8") as fh:
+        with self._open(name) as fh:
             fh.write("\n".join(self._meta_lines(extra_meta)) + "\n")
             fh.write(",".join(cols) + "\n")
             # np.savetxt(fmt="%.12g")'s text, formatted in bounded batches
@@ -97,12 +100,22 @@ class RunWriter:
         return path
 
     def json(self, name: str, payload) -> str:
-        path = os.path.join(self.out_dir, name)
-        self.created.append(path)
-        with open(path, "w", encoding="utf-8") as fh:
+        with self._open(name) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
+        return os.path.join(self.out_dir, name)
+
+    @contextlib.contextmanager
+    def _open(self, name: str):
+        """A text file written as ``.NAME.tmp`` in out_dir and renamed to
+        NAME once the block leaves without raising."""
+        path = os.path.join(self.out_dir, name)
+        self.created.append(path)
+        self.pending = os.path.join(self.out_dir, f".{name}.tmp")
+        with open(self.pending, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(self.pending, path)
+        self.pending = None
 
     def manifest(self) -> str:
         payload = {
@@ -123,15 +136,10 @@ class RunWriter:
         }
         if self.monte_carlo:
             payload["monte_carlo"] = self.monte_carlo
-        path = os.path.join(self.out_dir, "manifest.json")
-        self.created.append(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return self.json("manifest.json", payload)
 
     def cleanup(self) -> None:
-        for path in self.created:
+        for path in filter(None, [*self.created, self.pending]):
             try:
                 os.unlink(path)
             except OSError:

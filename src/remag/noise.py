@@ -14,6 +14,11 @@ building one.  The kernel applies each step's SU(2) rotation in place and
 drops the global phase that :func:`remag.dynamics.su2_step` keeps, since
 no readout sees it; ``su2_step`` stays the per-trial reference.
 
+The grid is sized to the noise (:func:`_noise_grid_step`).  Static noise
+leaves the Hamiltonian constant between breakpoints, so its runs take one
+exact step per constant run between record times (40 steps for a 5 pi
+echo of 20 cycles); OU noise is sampled at tau_c/20 or finer.
+
 A run of several chunks, each of at least ``_FORK_MIN_TRIAL_STEPS``
 trial-steps, spreads its chunks over forked worker processes, one per
 usable CPU (``os.sched_getaffinity``) and no more than there are chunks,
@@ -255,25 +260,31 @@ def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
     """Grid step of a Monte Carlo run, sized to the noise.
 
     Each step is an exact SU(2) exponential with the noise held constant,
-    so the grid only has to sample the noise.  For OU dephasing during a
-    rotary echo the step is the largest uniform one no longer than
-    tau_c/20 that lands on every breakpoint and on every record time
-    (|t/dt - round(t/dt)| < 1e-6).  Every other case keeps the drive grid
-    min(T_Rabi/200, tau_c/20): held over tau_c/20, OU drive noise biases a
-    rotary echo by several standard errors at 10^4 trials (the echo
-    refocuses it to second order, so the standard error is tiny), and OU
-    dephasing biases Ramsey by 0.3 of one.  Static noise keeps it too,
-    although one step per constant run would be exact (ROADMAP item 3).
-    The drive grid is also the fallback when no step under the cap lands
-    on the record times.
+    so the grid only has to sample the noise.  Two cases take the
+    largest uniform step that lands on every breakpoint and on every
+    record time (|t/dt - round(t/dt)| < 1e-6):
+
+    - static noise, on any sequence and either axis, with no cap: the
+      Hamiltonian is constant between breakpoints, so one step per
+      constant run between records is exact;
+    - OU dephasing during a rotary echo, no longer than tau_c/20.
+
+    Every other case keeps the drive grid min(T_Rabi/200, tau_c/20): held
+    over tau_c/20, OU drive noise biases a rotary echo by several
+    standard errors at 10^4 trials (the echo refocuses it to second
+    order, so the standard error is tiny), and OU dephasing biases Ramsey
+    by 0.3 of one.  The drive grid is also the fallback when no step
+    under the cap lands on the record times.
     """
     tau_c = spec.tau_c if spec.kind == "ou" else None
     drive_grid = uniform_grid_step(wave, default_dt_max(wave, tau_c))
-    if not (tau_c is not None and spec.axis == "z"
-            and np.any(wave.amplitudes < 0.0)):         # OU-z on an echo
-        return drive_grid
     base = wave.segment
-    n_min = math.ceil(base / (tau_c / _OU_MIN_SAMPLES_PER_TAU) - 1e-9)
+    if spec.kind == "static":
+        n_min = 1
+    elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # OU-z echo
+        n_min = math.ceil(base / (tau_c / _OU_MIN_SAMPLES_PER_TAU) - 1e-9)
+    else:
+        return drive_grid
     # segment boundaries lie at multiples of base, so steps of base/n land
     # on them; a record time at t = (p/q) base lands when q divides n
     n_max = int(round(base / drive_grid))
@@ -303,7 +314,8 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
 
     The noise is held constant over each grid step.  ``dt_max`` forces a
     grid no coarser than it; by default the grid is sized to the noise
-    (see :func:`_noise_grid_step`): tau_c/20 under OU dephasing during a
+    (see :func:`_noise_grid_step`): one step per constant run between
+    records under static noise, tau_c/20 under OU dephasing during a
     rotary echo, and min(T_Rabi/200, tau_c/20) otherwise.  A record time
     off the run (nearest grid index outside [0, n_steps]) is an error, and
     so are two record times with the same nearest grid index.

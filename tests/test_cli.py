@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,9 +260,43 @@ class TestExitCodes:
         w = RunWriter(str(tmp_path), "simulate", parse_config(""), 1)
         with pytest.raises(TypeError):
             w.json("p.json", {"a": object()})
-        assert (tmp_path / "p.json").exists()  # the half-written file
+        # the half-written file sits under its temporary name only
+        assert [p.name for p in tmp_path.iterdir()] == [".p.json.tmp"]
         w.cleanup()
-        assert not (tmp_path / "p.json").exists()
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("write", [
+        lambda w: w.csv("c.csv", {"t": np.arange(600.0)}),
+        lambda w: w.json("j.json", {"t": list(range(600))})],
+        ids=["csv", "json"])
+    def test_write_failing_mid_file_leaves_neither_name(self, tmp_path,
+                                                         monkeypatch, write):
+        import remag.cli as cli
+
+        class Failing(io.StringIO):
+            # accepts the first write, fails on the second
+            def write(self, text):
+                if self.tell():
+                    raise OSError("disk full")
+                return super().write(text)
+
+            def close(self):
+                path.write_text(self.getvalue())
+
+        def failing_open(name, *a, **k):
+            nonlocal path
+            path = Path(name)
+            return Failing()
+
+        path = None
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        w = RunWriter(str(tmp_path), "simulate", parse_config(""), 1)
+        with pytest.raises(OSError, match="disk full"):
+            write(w)
+        assert path.name.endswith(".tmp") and path.read_text()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        w.cleanup()
+        assert not list(tmp_path.iterdir())
 
     def test_runtime_failure_removes_partial_outputs(self, tmp_path,
                                                      monkeypatch, capsys):
@@ -352,8 +387,9 @@ class TestNoiseRun:
         assert rc == 0
         facts = json.loads((out / "manifest.json").read_text())["monte_carlo"]
         rabi = facts["fig4a_rabi_peaks.csv"]
-        # static and OU drive noise both keep the drive grid of T_Rabi/200
-        assert (rabi["n_steps_static"], rabi["n_steps_ou"]) == (4000, 4000)
+        # static noise: one step per recorded Rabi period; OU drive noise
+        # keeps the drive grid of T_Rabi/200
+        assert (rabi["n_steps_static"], rabi["n_steps_ou"]) == (20, 4000)
         assert rabi["chunks_static"] == rabi["chunks_ou"] == 1
 
     def _decay(self, tmp_path, ini):
@@ -411,6 +447,14 @@ class TestNoiseRun:
                            "duration_us = 0.3\n[noise]\nenabled = true\n"
                            "axis = z\nkind = ou\nsigma_mhz = 1.0\n")
         assert list(cols) == ["t_us", "mc_mean", "mc_stderr"]
+
+    def test_static_ramsey_records_its_default_times(self, tmp_path):
+        # 501 records 1 ns apart: one step each, not snapped onto a grid
+        cols = self._decay(tmp_path, "[sequence]\nkind = ramsey\n"
+                           "duration_us = 0.5\n[noise]\nenabled = true\n"
+                           "axis = z\nkind = static\nsigma_mhz = 1.0\n")
+        np.testing.assert_allclose(cols["t_us"], np.linspace(0.0, 0.5, 501),
+                                   rtol=1e-11, atol=1e-14)
 
     def test_validity_warning_propagates(self, tmp_path):
         # 3pi/4 echo under a slow strong bath sits outside the OU-z window

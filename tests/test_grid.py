@@ -5,9 +5,9 @@ the expected estimator on a grid of step dt follows the Hermite hierarchy
 of Kubo's stochastic Liouville equation (Tanimura & Kubo 1989) with the
 noise frozen over each step, and the ensemble it estimates follows the
 continuous hierarchy; their difference is the grid's bias, computed here
-without sampling.  Static noise is constant over a whole run, so any grid
-that lands on the breakpoints is exact for it; the drive grid it keeps is
-checked against independent per-trial noiseless propagation.
+without sampling.  Static noise is constant over a whole run, so one step
+per constant run between records is exact; that is checked against
+independent per-trial noiseless propagation and against the drive grid.
 """
 
 import math
@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from remag.dynamics import (PulseSequence, build_waveform, propagate,
-                            total_propagator)
+from remag import noise
+from remag.dynamics import (PulseSequence, build_waveform, default_dt_max,
+                            full_echo_times, propagate, total_propagator)
 from remag.noise import NoiseSpec, monte_carlo, sample_path
 from remag.units import mhz_to_rad
 
@@ -207,7 +208,7 @@ def test_static_z_ramsey_matches_per_trial_propagation():
     spec = NoiseSpec("z", "static", 0.05 * W20, seed=17)
     record = np.linspace(0.0, 0.5e-6, 65)
     res = monte_carlo(seq, DW, spec, trials=16, record_times=record)
-    assert res.meta["n_steps"] == 512         # the drive grid of ~1 ns
+    assert res.meta["n_steps"] == 64          # one step per record interval
     np.testing.assert_allclose(res.times, record, rtol=1e-12, atol=0.0)
     opened = np.array([1.0, -1.0j]) / math.sqrt(2.0)
     ref = []
@@ -226,7 +227,7 @@ def test_static_x_echo_matches_per_trial_propagation():
     seq = PulseSequence.rotary_echo(theta, W19, n)
     spec = NoiseSpec("x", "static", 0.05 * W19, seed=19)
     res = monte_carlo(seq, DW, spec, trials=16)
-    assert res.meta["n_steps"] == 2 * n * 500   # T_Rabi/200 per step
+    assert res.meta["n_steps"] == 2 * n       # one step per half echo
     ref = []
     for i in range(16):
         eps = sample_path(spec, seq.total_duration, seq.total_duration,
@@ -235,13 +236,92 @@ def test_static_x_echo_matches_per_trial_propagation():
         trace = propagate(build_waveform(noisy, DW))
         per_cycle = int(round(noisy.cycle_period / trace.dt))
         ref.append(trace.values[::per_cycle])
-    # each side rounds through 20,000 step products (2e-16 each): 1.1e-12
-    assert np.max(np.abs(np.mean(ref, axis=0) - res.mean)) < 1e-11
+    assert np.max(np.abs(np.mean(ref, axis=0) - res.mean)) < 1e-12
 
 
 def test_static_rabi_records_whole_periods_exactly():
     seq, record = RABI_19
     spec = NoiseSpec("x", "static", 0.05 * W19, seed=23)
     res = monte_carlo(seq, 0.0, spec, trials=4, record_times=record)
-    assert res.meta["n_steps"] == 20 * 200
+    assert res.meta["n_steps"] == 20          # one step per Rabi period
     np.testing.assert_allclose(res.times, record, rtol=1e-12, atol=0.0)
+
+
+# static cases, each on the collapsed grid and on the drive grid of
+# T_Rabi/200: (sequence, detuning, noise, record times or None)
+STATIC_CASES = {
+    "static-x 5pi echo": (PulseSequence.rotary_echo(5.0 * math.pi, W19, 20),
+                          0.0, NoiseSpec("x", "static", 0.05 * W19, seed=29),
+                          None),
+    "static-x rabi": (RABI_19[0], 0.0,
+                      NoiseSpec("x", "static", 0.05 * W19, seed=31),
+                      RABI_19[1]),
+    "static-z ramsey": (PulseSequence.ramsey(0.5e-6), DW,
+                        NoiseSpec("z", "static", 0.05 * W20, seed=37),
+                        np.linspace(0.0, 0.5e-6, 65)),
+    "static-z detuned 3pi4 echo": (
+        PulseSequence.rotary_echo(0.75 * math.pi, W20, 16), DW,
+        NoiseSpec("z", "static", 0.05 * W20, seed=41), None),
+}
+
+
+@pytest.mark.parametrize("label", STATIC_CASES)
+def test_static_collapsed_grid_matches_drive_grid(label):
+    seq, dw, spec, record = STATIC_CASES[label]
+    wave = build_waveform(seq, dw)
+    collapsed = monte_carlo(seq, dw, spec, trials=64, record_times=record)
+    drive = monte_carlo(seq, dw, spec, trials=64, record_times=record,
+                        dt_max=default_dt_max(wave))
+    assert collapsed.meta["n_steps"] < drive.meta["n_steps"]
+    np.testing.assert_allclose(collapsed.times, drive.times, rtol=1e-12,
+                               atol=0.0)
+    assert np.max(np.abs(collapsed.mean - drive.mean)) <= 1e-11
+    assert np.max(np.abs(collapsed.stderr - drive.stderr)) <= 1e-11
+
+
+def test_static_record_off_every_coarser_step_keeps_drive_grid():
+    seq, dw, spec, _ = STATIC_CASES["static-x 5pi echo"]
+    half = seq.theta / seq.omega
+    res = monte_carlo(seq, dw, spec, trials=1,
+                      record_times=[0.0, half / math.sqrt(2.0), 2 * half])
+    assert res.meta["n_steps"] == 2 * 20 * 500
+
+
+def test_static_run_never_forks(monkeypatch):
+    # 4 chunks of 64 trials: 64 x 20,000 drive-grid steps would fork,
+    # 64 x 40 collapsed ones stay in the calling process
+    seq, dw, spec, _ = STATIC_CASES["static-x 5pi echo"]
+    monkeypatch.setattr(noise, "_usable_cpus", lambda: 4)
+    assert noise._workers(4, 64 * 2 * 20 * 500) > 1
+    picked, workers = [], noise._workers
+    monkeypatch.setattr(noise, "_workers",
+                        lambda *a: picked.append(workers(*a)) or picked[-1])
+    res = monte_carlo(seq, dw, spec, trials=256, chunk=64)
+    assert (res.meta["n_steps"], res.meta["chunks"], picked) == (40, 4, [1])
+
+
+# steps per segment that the OU rule picks: OU dephasing echoes at
+# tau_c/20 or finer, every other OU case on the drive grid
+OU_STEPS_PER_SEGMENT = {
+    "ou-z 3pi4 (criterion 5, s4a)": 2,
+    "ou-z pi (criterion 5, s4a)": 3,
+    "ou-z 5pi (criterion 5, s4a)": 13,
+    "ou-z ramsey (s4a)": 512,
+    "ou-x rabi 20 MHz (criterion 5, s4b)": 2400,
+    "ou-x 3pi4 (s4b)": 75,
+    "ou-x pi (s4b)": 100,
+    "ou-x 5pi (s4b)": 500,
+    "ou-x rabi 19 MHz (4a)": 4000,
+    "ou-x 5pi (4b)": 500,
+    "ou-x pi (4c)": 100,
+}
+
+
+@pytest.mark.parametrize("label", PRESET_OU_CASES)
+def test_ou_grid_step_unchanged(label):
+    seq, dw, spec, record = PRESET_OU_CASES[label]
+    wave = build_waveform(seq, dw)
+    if record is None:
+        record = full_echo_times(seq)
+    assert noise._noise_grid_step(wave, spec, record) == \
+        wave.segment / OU_STEPS_PER_SEGMENT[label]

@@ -3,7 +3,9 @@
 Times three layers of `remag.noise.monte_carlo` apart, on one trial chunk
 of each `noise-ou-large` case (OU dephasing, rotary echoes, on the grid
 `monte_carlo` picks) and on one `noise-static-small`-style case (static
-drive noise on a 13,000-step rotary echo, 64 trials):
+drive noise on a pi rotary echo of 130 half echoes, 64 trials: 130 steps,
+one per half echo, or 13,000 on a checkout that keeps static noise on the
+drive grid of T_Rabi/200):
 
 - `setup_us_per_trial`: starting the chunk's per-trial streams, timed as
   a whole one-step static draw of the chunk (one word per trial included);
@@ -19,11 +21,12 @@ processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
 
 - `fork_reap_ms`: forking this process, once the cases are timed, and
   reaping the child, which leaves at once;
-- `monte_carlo_s` of each `noise-ou-large` case: the whole
-  `monte_carlo` call at the case's trial count, `in_process` and
-  `forked` (the threshold set to keep every chunk in the calling process,
-  then to fork for any), beside `chunk_trial_steps`, the figure the
-  threshold is compared with.
+- `monte_carlo_s` of each case: the whole `monte_carlo` call at the
+  case's trial count, `in_process` and `forked` (the threshold set to
+  keep every chunk in the calling process, then to fork for any), beside
+  `n_steps`, the step count `monte_carlo` picks, and `chunk_trial_steps`,
+  the figure the threshold is compared with.  A run of one chunk, as the
+  static case is, never forks, so its `forked` is null.
 
 Two layers of the analysis chain, on the pi echoes at 17 MHz of
 `remag spectrum` and figures 1c, 2a and 2b (`analysis`):
@@ -167,7 +170,7 @@ def time_monte_carlo(noise, seq, delta, spec, trials, repeats) -> dict:
     times = {"in_process": [], "forked": []}
     sides = (("in_process", math.inf), ("forked", 0))
     default = getattr(noise, "_FORK_MIN_TRIAL_STEPS", None)
-    if default is None:                 # a checkout without workers
+    if default is None or trials <= chunk:  # no workers, or one chunk
         sides = sides[:1]
     try:
         for _ in range(repeats):
@@ -177,7 +180,8 @@ def time_monte_carlo(noise, seq, delta, spec, trials, repeats) -> dict:
                     lambda: noise.monte_carlo(seq, delta, spec, trials)))
     finally:
         noise._FORK_MIN_TRIAL_STEPS = default
-    return {"chunk_trial_steps": min(trials, chunk) * n_steps,
+    return {"n_steps": n_steps,
+            "chunk_trial_steps": min(trials, chunk) * n_steps,
             **{label: statistics.median(ts) if ts else None
                for label, ts in times.items()}}
 
@@ -266,9 +270,8 @@ def main() -> int:
     for label, seq, delta, spec, trials in _cases(noise, dynamics):
         report["cases"][label] = time_case(noise, dynamics, seq, delta, spec,
                                            trials, args.repeats)
-        if spec.kind == "ou":
-            report["cases"][label]["monte_carlo_s"] = time_monte_carlo(
-                noise, seq, delta, spec, trials, args.repeats)
+        report["cases"][label]["monte_carlo_s"] = time_monte_carlo(
+            noise, seq, delta, spec, trials, args.repeats)
     report["fork_reap_ms"] = _median_s(lambda: _timed(_fork_and_reap),
                                        max(args.repeats, 20)) * 1e3
     report["analysis"] = {
