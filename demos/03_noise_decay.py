@@ -1,10 +1,11 @@
-"""Monte Carlo decoherence vs closed-form envelopes.
+"""Monte Carlo decoherence vs model mean signals.
 
 An Ornstein-Uhlenbeck bath along z dephases the spin; drive-amplitude
 noise along x attacks the rotation itself.  Rotary echoes suppress the
 former far better than a plain Rabi drive and, for static amplitude
 errors, refocus exactly.  Each case is averaged over noise realizations
-and compared to its cumulant-expansion envelope.
+and compared to its model: the exact OU mean from the Kubo-Tanimura
+hierarchy for the dephased echo, the closed-form envelope for Rabi.
 """
 
 import math
@@ -19,7 +20,7 @@ omega = mhz_to_rad(20.0)
 tau_c = 200e-9
 trials = 2000
 
-# z-axis OU bath, pi rotary echo, detuned by 2 MHz: second-order cumulant model
+# z-axis OU bath, pi rotary echo, detuned by 2 MHz: exact OU mean
 seq = PulseSequence.rotary_echo(math.pi, omega, 18)
 spec = NoiseSpec(axis="z", kind="ou", sigma=0.05 * omega, tau_c=tau_c, seed=1)
 res, model = mc_vs_model(seq, mhz_to_rad(2.0), spec, trials)

@@ -540,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("simulate", "time-domain signal trace"),
             ("spectrum", "periodogram with significant peaks"),
             ("sensitivity", "sensitivity sweep over interrogation time"),
-            ("noise", "Monte Carlo decay vs the closed-form envelope"),
+            ("noise", "Monte Carlo decay vs its model mean signal"),
             ("calcium", "calcium-flux detection scenario table"),
             ("figure", "regenerate the data behind a figure panel")]:
         p = sub.add_parser(name, help=help_text)

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,7 +158,7 @@ def ou_zeta_re_z(theta, sigma, tau_c, t):
 
     First order: second order in sigma, but the noise couples only through
     the cycle-averaged toggling-frame axis, to zeroth order in dw/Omega.
-    :func:`mean_signal_cumulant` keeps the full intra-cycle modulation.
+    :func:`remag.noise.exact_mean` is exact.
     """
     factor = 4.0 * math.sin(theta / 2.0) ** 2 / theta ** 2
     return ou_zeta_prime(sigma, tau_c, t) * factor
@@ -238,11 +237,11 @@ class DecayScenario:
         The closed form is backed by simulations for
         tau_c * sigma <~ theta/2 and tau_c >~ theta/(2 Omega); other
         scenarios have no window restriction.  Inside the window the
-        cycle-averaged exponent still misses the noise's intra-cycle
-        coupling, a relative error of up to about
-        (theta / (2 sin(theta/2) Omega tau_c))^2 (8% at theta = 5 pi,
-        Omega = 2 pi 20 MHz, tau_c = 0.2 us), and the detuned toggling
-        frame; :func:`mean_signal_cumulant` keeps both.
+        cycle-averaged exponent still misses the detuned toggling frame
+        and the noise's intra-cycle coupling, a relative error of up to
+        about (theta / (2 sin(theta/2) Omega tau_c))^2 (8% at theta =
+        5 pi, Omega = 2 pi 20 MHz, tau_c = 0.2 us); the exact mean
+        (:func:`remag.noise.exact_mean`) has neither error.
         """
         if not (self.sequence == "rotary_echo" and self.axis == "z"
                 and self.kind == "ou"):
@@ -318,9 +317,8 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
     :func:`re_signal_full_echo` (beat-phase error n eps^3 (theta c - 2 s +
     2 s^3/3) after n echoes, eps = dw/Omega) times the cycle-averaged
     envelope of :func:`decay_envelope`.  :func:`re_signal_full_echo_eps4`
-    is the higher-order beat and, under OU-z noise,
-    :func:`mean_signal_cumulant` the second-order mean signal, which the
-    command line sets beside its Monte Carlo ensembles.
+    is the higher-order beat, and :func:`remag.noise.exact_mean` the exact
+    mean under OU noise.
     """
     t = np.asarray(t, dtype=float)
     s, a, k = scenario.sequence, scenario.axis, scenario.kind
@@ -336,102 +334,6 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
                       + math.sin(half) ** 2 * osc * env)
     # ramsey
     return 0.5 * (1.0 + np.cos(delta_omega * t) * env)
-
-
-def _bloch_rotation(axis, angle):
-    """Rotation by ``angle`` about the unit ``axis`` (Rodrigues)."""
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
-def _exp_integral(z, length):
-    """int_0^length exp(z s) ds for complex z, free of cancellation."""
-    z = np.asarray(z, dtype=complex)
-    a, b = z.real * length, z.imag * length
-    num = (np.expm1(a) * np.exp(1j * b)
-           + 2j * np.sin(b / 2.0) * np.exp(0.5j * b))
-    zero = z == 0.0
-    return np.where(zero, length, num / np.where(zero, 1.0, z))
-
-
-def mean_signal_cumulant(scenario: DecayScenario, t, delta_omega: float = 0.0):
-    """Second-order cumulant mean signal of a rotary echo under OU-z noise.
-
-    Unlike :func:`mean_signal`, the noise couples through the exact
-    noiseless toggling frame, detuning included, not its cycle average.
-    With R0(t) the noiseless Bloch rotation, m(t) = R0(t)^T z and
-    C(tau) = sigma^2 exp(-|tau|/tau_c):
-
-        <S>(T) = [1 + z . R0(T) exp(A) z] / 2,
-        A      = (Sigma - tr(Sigma) 1)/2 + [Phi_2]x,
-        Sigma  = int int C(t1 - t2) m(t1) m(t2)^T,
-        Phi_2  = 1/2 int dt1 int^t1 dt2 C(t1 - t2) m(t1) x m(t2),
-
-    the variance of the first Magnus term plus the mean of the second
-    (Cywinski et al., PRB 77, 174509 (2008); Blanes et al., Phys. Rep.
-    470, 151 (2009)).  Terms of fourth order in sigma are dropped.  Within
-    each half echo m = a + b cos(W t) + c sin(W t), W = sqrt(Omega^2 +
-    dw^2), and the OU kernel factorises across segments, so both integrals
-    are closed form at O(segments) cost.  ``t`` must sit on full-echo
-    times n 2 theta / Omega.
-    """
-    if (scenario.sequence, scenario.axis, scenario.kind) != \
-            ("rotary_echo", "z", "ou"):
-        raise ValueError("the cumulant model covers rotary echo under "
-                         "OU-z noise only")
-    theta, omega = scenario.theta, scenario.omega
-    if theta <= 0.0 or omega <= 0.0:
-        raise ValueError("rotary echo requires theta > 0 and omega > 0")
-    cycles = np.asarray(t, dtype=float) * omega / (2.0 * theta)
-    n = np.rint(cycles).astype(int)
-    if np.any(n < 0) or np.any(np.abs(cycles - n) > 1e-6):
-        raise ValueError("t must sit on full-echo times n 2 theta/Omega")
-    n_max = int(n.max())
-
-    w_eff = math.hypot(omega, delta_omega)
-    half = theta / omega
-    g = 1.0 / scenario.tau_c
-    # m(t_k + s) = sum_q u_kq exp(i w_q s) over the three modes w_q
-    w = np.array([0.0, w_eff, -w_eff])
-    fwd = _exp_integral(-g + 1j * w, half)      # int e^{-g s} e^{i w s}
-    back = np.exp(1j * w * half) * _exp_integral(-g - 1j * w, half)
-    # ordered within-segment integral of e^{-g(s1-s2)} e^{i(w_q s1 + w_p s2)}
-    inner = ((_exp_integral(1j * (w[:, None] + w[None, :]), half)
-              - fwd[:, None]) / (g + 1j * w[None, :]))
-    z = np.array([0.0, 0.0, 1.0])
-    modes, rotations = [], []
-    for sign in (1.0, -1.0):
-        axis = np.array([sign * omega, 0.0, -delta_omega]) / w_eff
-        a = axis * axis[2]
-        b, c = z - a, -np.cross(axis, z)
-        modes.append(np.column_stack([a, 0.5 * (b - 1j * c),
-                                      0.5 * (b + 1j * c)]))
-        rotations.append(_bloch_rotation(axis, w_eff * half))
-
-    # P = int dt1 int^t1 dt2 C m(t1) m(t2)^T / sigma^2, accumulated per
-    # segment; ``tail`` carries the earlier segments' decayed coupling
-    decay = math.exp(-g * half)
-    rot = np.eye(3)
-    tail = np.zeros(3, dtype=complex)
-    p = np.zeros((3, 3), dtype=complex)
-    p_rec = np.empty((n_max + 1, 3, 3))
-    rot_rec = np.empty((n_max + 1, 3, 3))
-    p_rec[0], rot_rec[0] = 0.0, rot
-    for k in range(2 * n_max):
-        u = rot.T @ modes[k % 2]
-        p = p + u @ inner @ u.T + np.outer(u @ fwd, tail)
-        tail = decay * tail + u @ back
-        rot = rotations[k % 2] @ rot
-        if k % 2:
-            p_rec[k // 2 + 1] = p.real
-            rot_rec[k // 2 + 1] = rot
-    # (Sigma - tr Sigma)/2 + [Phi_2]x collapses to P^T - tr(P) 1
-    p_rec *= scenario.sigma ** 2
-    a_mat = (np.swapaxes(p_rec, 1, 2)
-             - np.trace(p_rec, axis1=1, axis2=2)[:, None, None] * np.eye(3))
-    s_z = (rot_rec @ expm(a_mat))[:, 2, 2]
-    return 0.5 * (1.0 + s_z[n])
 
 
 # ---------------------------------------------------------------------------

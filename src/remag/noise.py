@@ -1,31 +1,22 @@
-"""Reproducible noise processes and Monte Carlo ensemble averaging.
+"""Reproducible noise processes, Monte Carlo ensembles and exact OU means.
 
 Streams are counter-based (Philox) and keyed by (seed, trial_index), so
 every trial's path is deterministic and independent of evaluation order;
 Gaussian variates use the inverse-CDF transform so a reimplementation
 can match the distributions statistically.  :func:`monte_carlo` draws a
 chunk of trials at a time, in blocks of ``_BLOCK_STEPS`` time steps that
-the SU(2) kernel steps through as they are drawn, so its memory is
-O(chunk x block) however long the run; a trial's values are the same
-whichever chunk or block they are drawn in, and :func:`sample_path`
-returns them for one trial.  Each thread keeps a pool of generators
-that it re-keys for every trial of a chunk, which costs a fraction of
-building one.  The kernel applies each step's SU(2) rotation in place and
-drops the global phase that :func:`remag.dynamics.su2_step` keeps, since
-no readout sees it; ``su2_step`` stays the per-trial reference.
+the SU(2) kernel (:func:`_propagate_batch`) steps through as they are
+drawn, so its memory is O(chunk x block) however long the run; a trial's
+values are the same whichever chunk or block they are drawn in, and
+:func:`sample_path` returns them for one trial.
 
-The grid is sized to the noise (:func:`_noise_grid_step`).  Static noise
-leaves the Hamiltonian constant between breakpoints, so its runs take one
-exact step per constant run between record times (40 steps for a 5 pi
-echo of 20 cycles); OU noise is sampled at tau_c/20 or finer.
-
-A run of several chunks, each of at least ``_FORK_MIN_TRIAL_STEPS``
-trial-steps, spreads its chunks over forked worker processes, one per
-usable CPU (``os.sched_getaffinity``) and no more than there are chunks,
-unless ``os.fork`` is missing or another thread is live.  Every chunk's
-trials are keyed and the chunks are merged in chunk order, so results do
-not depend on the CPU count or on whether a run forked.  No worker
-outlives the call.
+The grid is sized to the noise (:func:`_noise_grid_step`): one exact step
+per constant run between record times under static noise, tau_c/20 or
+finer under OU noise.  A run of several large chunks spreads them over
+forked worker processes (:func:`_workers`); chunks are merged in chunk
+order, so results do not depend on the CPU count or on whether a run
+forked.  :func:`exact_mean` is the mean an OU ensemble estimates, solved
+with no sampling and no grid.
 
 Noise strengths are in rad/s on both axes; a drive-noise strength stated
 as a fraction of the Rabi frequency is converted where it arrives
@@ -44,13 +35,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .dynamics import (DriveWaveform, PulseSequence,
                        build_waveform, default_dt_max, full_echo_times,
                        uniform_grid_step)
-from .models import DecayScenario, mean_signal, mean_signal_cumulant
+from .models import DecayScenario, mean_signal
 
 _OU_MIN_SAMPLES_PER_TAU = 20
 
@@ -496,27 +488,92 @@ def decay_scenario(seq: PulseSequence, spec: NoiseSpec) -> DecayScenario:
 
 def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
                 trials: int, record_times: np.ndarray | None = None):
-    """Monte Carlo ensemble and the closed-form mean signal beside it.
+    """``(EnsembleResult, model)``, the model on the ensemble's times.
 
-    Returns ``(EnsembleResult, model)`` with the model on the ensemble's
-    record times.  A rotary echo under OU dephasing noise uses the
-    second-order cumulant model in the exact toggling frame
-    (:func:`remag.models.mean_signal_cumulant`); the paper's first-order
-    product (:func:`remag.models.mean_signal`) misses the intra-cycle
-    noise coupling and the detuned frame by several standard errors at
-    10^4 trials.  Other scenarios use :func:`remag.models.mean_signal`,
-    and ``model`` is None where that has no closed form (OU-z Rabi, drive
-    noise on Ramsey).
+    The model is :func:`exact_mean` for a rotary echo under OU dephasing
+    noise, where the paper's first-order product misses by several
+    standard errors at 10^4 trials, and :func:`remag.models.mean_signal`
+    otherwise; None where the one does not converge or the other has no
+    closed form (OU-z Rabi, drive noise on Ramsey).
     """
     res = monte_carlo(seq, delta_omega, spec, trials=trials,
                       record_times=record_times)
     scen = decay_scenario(seq, spec)
-    if (scen.sequence, scen.axis, scen.kind) == ("rotary_echo", "z", "ou"):
-        return res, mean_signal_cumulant(scen, res.times, delta_omega)
     try:
+        if (scen.sequence, scen.axis, scen.kind) == ("rotary_echo", "z", "ou"):
+            return res, exact_mean(seq, delta_omega, spec, res.times)
         return res, np.atleast_1d(mean_signal(scen, res.times, delta_omega))
     except ValueError:
         return res, None
+
+
+#: :func:`exact_mean`'s first and largest hierarchy depth, and the gap
+#: between the means at K and 2K levels below which it stops
+_HIERARCHY_LEVELS = 12
+_HIERARCHY_MAX_LEVELS = 96
+_HIERARCHY_TOL = 1e-9
+
+
+def exact_mean(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
+               times) -> np.ndarray:
+    """Exact noise-averaged signal under OU noise at ``times`` (s).
+
+    The readout is :func:`monte_carlo`'s; the mean Bloch vector is R_0 of
+    the Hermite hierarchy of Kubo's stochastic Liouville equation (Kubo,
+    J. Math. Phys. 4, 174 (1963); Tanimura & Kubo, J. Phys. Soc. Jpn. 58,
+    101 (1989)).  R_k = E[r He_k(x/sigma)/sqrt(k!)], x the noise value,
+    obeys dR/dt = (1 (x) A0 + X (x) B - D (x) 1) R: A0 the noiseless
+    generator, B its derivative in x, X = sigma tridiag(sqrt k) and
+    D = diag(k/tau_c).  It is stepped from record to record by one matrix
+    exponential per distinct (amplitude, length) of piece.  K = 12 levels
+    double while the means at K and 2K differ by more than 1e-9; static
+    noise, and a bath that needs more than 96 levels, are a ValueError.
+    """
+    if spec.kind != "ou":
+        raise ValueError("the exact mean covers OU noise only")
+    wave = build_waveform(seq, delta_omega)
+    # record times in segments, snapped onto nearby segment boundaries
+    pos = np.atleast_1d(times) / wave.segment
+    pos = np.where(np.abs(pos - np.rint(pos)) < 1e-9, np.rint(pos), pos)
+    if np.any(pos < 0.0) or np.any(pos > wave.amplitudes.size):
+        raise ValueError("times must lie within the sequence")
+    grid = np.union1d(np.arange(math.ceil(pos.max())), pos)
+    pieces = list(zip(wave.amplitudes[grid[:-1].astype(int)].tolist(),
+                      np.round(np.diff(grid), 12).tolist()))
+    # Ramsey starts after the opening pi/2 pulse about x and reads out
+    # (1 - r_y)/2 through the closing one
+    read = np.array([0.0, -1.0, 0.0] if seq.kind == "ramsey"
+                    else [0.0, 0.0, 1.0])
+    # rotation generators: lx r = x cross r, lz r = z cross r
+    lx = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    lz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    def solve(levels):
+        root = np.sqrt(np.arange(1, levels + 1))
+        x_op = spec.sigma * (np.diag(root, 1) + np.diag(root, -1))
+        decay = np.diag(np.repeat(np.arange(levels + 1) / spec.tau_c, 3))
+        state = np.concatenate([read, np.zeros(3 * levels)])
+        bloch, steps = [read], {}
+        for amp, length in pieces:
+            if (amp, length) not in steps:
+                a0 = amp * lx - delta_omega * lz
+                b = math.copysign(1.0, amp) * lx if spec.axis == "x" else -lz
+                # 1 (x) A0 + X (x) B - D, with [k, i, l, j] blocks
+                gen = (np.eye(levels + 1)[:, None, :, None] * a0[:, None]
+                       + x_op[:, None, :, None] * b[:, None])
+                gen = gen.reshape(decay.shape) - decay
+                steps[amp, length] = expm(length * wave.segment * gen)
+            state = steps[amp, length] @ state
+            bloch.append(state[:3])
+        return 0.5 * (1.0 + np.array(bloch)[np.searchsorted(grid, pos)] @ read)
+
+    levels, mean = _HIERARCHY_LEVELS, solve(_HIERARCHY_LEVELS)
+    while levels < _HIERARCHY_MAX_LEVELS:
+        levels, coarse, mean = 2 * levels, mean, solve(2 * levels)
+        if np.max(np.abs(mean - coarse)) <= _HIERARCHY_TOL:
+            return mean
+    raise ValueError(f"the exact mean needs more than "
+                     f"{_HIERARCHY_MAX_LEVELS} hierarchy levels")
 
 
 def _population(psi0, psi1, ramsey):

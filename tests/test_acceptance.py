@@ -16,7 +16,7 @@ from remag import models
 from remag.calcium import CaDomainSpec, ca_field, ca_required_sensitivity
 from remag.cli import FIGURES, main, triplet_trace
 from remag.dynamics import PulseSequence, SignalTrace, build_waveform, propagate
-from remag.noise import NoiseSpec, monte_carlo, sample_path
+from remag.noise import NoiseSpec, exact_mean, monte_carlo, sample_path
 from remag.sensing import (ReadoutModel, corrected_sensitivity,
                            optimal_interrogation_times, re_coefficient,
                            readout_factors, repeated_readout_gain,
@@ -134,11 +134,8 @@ def _mc_z_case(theta, cycles, trials):
     spec = NoiseSpec(axis="z", kind="ou", sigma=0.05 * W20, tau_c=TAU_C,
                      seed=202)
     res = monte_carlo(seq, mhz_to_rad(2.0), spec, trials=trials)
-    scen = models.DecayScenario("rotary_echo", "z", "ou", sigma=0.05 * W20,
-                                tau_c=TAU_C, theta=theta, omega=W20)
     # the model column `remag noise` and figure s4 print for these cases
-    model = models.mean_signal_cumulant(scen, res.times, mhz_to_rad(2.0))
-    return res, model
+    return res, exact_mean(seq, mhz_to_rad(2.0), spec, res.times)
 
 
 def _mc_rabi_x(trials):

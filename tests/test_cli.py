@@ -13,8 +13,9 @@ import scipy
 
 from remag.cli import RunWriter, main
 from remag.config import parse_config
-from remag.models import DecayScenario, decay_envelope, mean_signal, \
-    mean_signal_cumulant
+from remag.dynamics import PulseSequence
+from remag.models import DecayScenario, decay_envelope, mean_signal
+from remag.noise import NoiseSpec, exact_mean
 from remag.sensing import ReadoutModel, readout_factors, \
     repeated_readout_gain, sensitivity_ideal
 from remag.units import mhz_to_rad
@@ -403,14 +404,18 @@ class TestNoiseRun:
         data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
         return dict(zip(lines[0].split(","), data.T))
 
-    def test_ou_z_echo_model_is_cumulant(self, tmp_path):
+    def test_ou_z_echo_model_is_exact_mean(self, tmp_path):
         cols = self._decay(tmp_path, NOISE_INI)
-        scen = DecayScenario("rotary_echo", "z", "ou", sigma=mhz_to_rad(1.0),
-                             tau_c=0.2e-6, theta=math.pi,
-                             omega=mhz_to_rad(17.0))
-        model = mean_signal_cumulant(scen, cols["t_us"] * 1e-6,
-                                     mhz_to_rad(0.17))
+        seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(17.0), 10)
+        spec = NoiseSpec("z", "ou", mhz_to_rad(1.0), 0.2e-6)
+        model = exact_mean(seq, mhz_to_rad(0.17), spec, cols["t_us"] * 1e-6)
         assert np.allclose(cols["model"], model, rtol=0, atol=1e-10)
+
+    def test_ou_z_echo_past_the_level_cap_has_no_model_column(self, tmp_path):
+        # sigma tau_c = 38: 96 Hermite levels do not settle the exact mean
+        cols = self._decay(tmp_path, NOISE_INI.replace("sigma_mhz = 1.0",
+                                                       "sigma_mhz = 30.0"))
+        assert list(cols) == ["t_us", "mc_mean", "mc_stderr"]
 
     @pytest.mark.parametrize("noise, sequence, scen", [
         # relative strength: sigma_rel times the Rabi frequency

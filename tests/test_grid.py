@@ -4,10 +4,11 @@ Monte Carlo holds the noise constant over each grid step.  Under OU noise
 the expected estimator on a grid of step dt follows the Hermite hierarchy
 of Kubo's stochastic Liouville equation (Tanimura & Kubo 1989) with the
 noise frozen over each step, and the ensemble it estimates follows the
-continuous hierarchy; their difference is the grid's bias, computed here
-without sampling.  Static noise is constant over a whole run, so one step
-per constant run between records is exact; that is checked against
-independent per-trial noiseless propagation and against the drive grid.
+continuous hierarchy (:func:`remag.noise.exact_mean`); their difference
+is the grid's bias, computed here without sampling.  Static noise is
+constant over a whole run, so one step per constant run between records
+is exact; that is checked against independent per-trial noiseless
+propagation and against the drive grid.
 """
 
 import math
@@ -36,18 +37,17 @@ def _cross(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _hierarchy_moment(seq, delta_omega, spec, dt, record_idx, order, frozen,
-                      k_max):
-    """E[(s.r)^order] at the record steps, hierarchy truncated at k_max.
+def _hierarchy_moment(seq, delta_omega, spec, dt, record_idx, order, k_max):
+    """E[(s.r)^order] on the grid of step dt at the record steps, with the
+    noise frozen over each step, hierarchy truncated at k_max.
 
     r is the Bloch vector and s.r the read-out component (S = (1 + s.r)/2).
     R_k = E[m h_k(x)], with m = r (order 1) or r (x) r (order 2) and
-    h_k = He_k(x/sigma)/sqrt(k!), obeys dR/dt = (1 (x) A0 + X (x) B
-    - D (x) 1) R: A0 the noiseless generator, B its derivative in the
-    noise value x, X = sigma tridiag(sqrt k) the product with x and
-    D = diag(k/tau_c) the OU decay.  With the noise frozen over each step,
-    R <- (M (x) 1) exp(dt (1 (x) A0 + X (x) B)) R instead, where
-    M = diag(exp(-k dt/tau_c)) is the AR(1) update (Mehler's formula).
+    h_k = He_k(x/sigma)/sqrt(k!), is stepped by
+    R <- (M (x) 1) exp(dt (1 (x) A0 + X (x) B)) R: A0 the noiseless
+    generator, B its derivative in the noise value x, X = sigma
+    tridiag(sqrt k) the product with x and M = diag(exp(-k dt/tau_c)) the
+    AR(1) update (Mehler's formula).
     """
     wave = build_waveform(seq, delta_omega)
     n_sub = int(round(wave.segment / dt))
@@ -75,14 +75,8 @@ def _hierarchy_moment(seq, delta_omega, spec, dt, record_idx, order, frozen,
             b = lift(_cross((0.0, 0.0, -1.0)) if spec.axis == "z" else
                      _cross((math.copysign(1.0, amp), 0.0, 0.0)))
             gen = np.kron(np.eye(k_max + 1), a0) + np.kron(x_op, b)
-            if frozen:
-                decay = np.kron(np.diag(np.exp(-k * dt / spec.tau_c)),
-                                np.eye(dim))
-                cache[amp, n] = np.linalg.matrix_power(decay @ expm(dt * gen),
-                                                       n)
-            else:
-                gen -= np.kron(np.diag(k / spec.tau_c), np.eye(dim))
-                cache[amp, n] = expm(n * dt * gen)
+            decay = np.kron(np.diag(np.exp(-k * dt / spec.tau_c)), np.eye(dim))
+            cache[amp, n] = np.linalg.matrix_power(decay @ expm(dt * gen), n)
         return cache[amp, n]
 
     state = np.zeros((k_max + 1) * dim)
@@ -98,12 +92,13 @@ def _hierarchy_moment(seq, delta_omega, spec, dt, record_idx, order, frozen,
     return np.array(out)
 
 
-def _bias_se(seq, delta_omega, spec, dt, record_idx, k_max):
-    """|grid bias| / SE at 10^4 trials per record (nan where SE < 1e-9)."""
+def _bias_se(seq, delta_omega, spec, dt, record_idx, exact, k_max):
+    """|grid bias| / SE at 10^4 trials per record (nan where SE < 1e-9),
+    the continuous mean signal being ``exact``."""
     args = (seq, delta_omega, spec, dt, record_idx)
-    m1 = _hierarchy_moment(*args, 1, True, k_max)
-    m2 = _hierarchy_moment(*args, 2, True, k_max)
-    bias = np.abs(m1 - _hierarchy_moment(*args, 1, False, k_max)) / 2
+    m1 = _hierarchy_moment(*args, 1, k_max)
+    m2 = _hierarchy_moment(*args, 2, k_max)
+    bias = np.abs((1.0 + m1) / 2 - exact)
     se = np.sqrt(np.maximum(m2 - m1 ** 2, 0.0) / 4 / TRIALS)
     return np.where(se >= 1e-9, bias / np.maximum(se, 1e-9), np.nan)
 
@@ -111,10 +106,12 @@ def _bias_se(seq, delta_omega, spec, dt, record_idx, k_max):
 def grid_bias_se(seq, delta_omega, spec, dt, times):
     """Largest |grid bias| / SE at 10^4 trials over records with SE >= 1e-9.
 
-    Computed at K = K_HIERARCHY and refused unless 2K agrees to 1e-3.
+    The frozen-step moments are computed at K = K_HIERARCHY and refused
+    unless 2K agrees to 1e-3 SE.
     """
     idx = np.rint(np.asarray(times) / dt).astype(int)
-    low, high = (_bias_se(seq, delta_omega, spec, dt, idx, k)
+    exact = noise.exact_mean(seq, delta_omega, spec, dt * idx)
+    low, high = (_bias_se(seq, delta_omega, spec, dt, idx, exact, k)
                  for k in (K_HIERARCHY, 2 * K_HIERARCHY))
     gap = float(np.nanmax(np.abs(low - high)))
     if not gap <= 1e-3:

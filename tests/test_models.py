@@ -10,7 +10,6 @@ from remag.models import (
     decay_envelope,
     infidelity,
     mean_signal,
-    mean_signal_cumulant,
     ou_zeta_prime,
     ou_zeta_re_x,
     ou_zeta_re_z,
@@ -26,49 +25,6 @@ from remag.models import (
 from remag.units import mhz_to_rad
 
 W17 = mhz_to_rad(17.0)
-PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-def _toggling_axis(us):
-    """m with U^dag sz U = m . sigma, for one or a stack of unitaries U."""
-    heis = np.conj(np.swapaxes(us, -1, -2)) @ PAULI[2] @ us
-    return 0.5 * np.einsum("...ij,aji->...a", heis, PAULI).real
-
-
-def _cumulant_by_quadrature(theta, omega, dw, sigma, tau_c, n_cycles,
-                            per_half):
-    """<S> after n_cycles echoes from the cumulant formula, by brute force.
-
-    m(t) comes from the SU(2) propagator of H = (amp sx - dw sz)/2 at the
-    midpoints of per_half cells per half echo; Sigma and Phi_2 are the
-    midpoint sums of their double integrals, assembled as
-    A = (Sigma - tr Sigma)/2 + [Phi_2]x and <S> = [1 + m(T) . exp(A) z]/2.
-    """
-    from scipy.linalg import expm
-
-    half = theta / omega
-    h = half / per_half
-    s = h * (np.arange(per_half) + 0.5)
-    u = np.eye(2, dtype=complex)
-    ms = []
-    for k in range(2 * n_cycles):
-        field = np.array([omega * (1 - 2 * (k % 2)), 0.0, -dw]) / 2.0
-        norm = np.linalg.norm(field)
-        gen = np.einsum("a,aij->ij", field / norm, PAULI)
-
-        def step(x):
-            x = np.asarray(x)[..., None, None]
-            return np.cos(norm * x) * np.eye(2) - 1j * np.sin(norm * x) * gen
-        ms.append(_toggling_axis(step(s) @ u))
-        u = step(half) @ u
-    m = np.concatenate(ms)
-    t = h * (np.arange(len(m)) + 0.5)
-    kern = sigma ** 2 * h * h * np.exp(-np.abs(t[:, None] - t[None, :]) / tau_c)
-    big_sigma = m.T @ kern @ m
-    ordered = m.T @ np.tril(kern, -1) @ m      # sum over t_i > t_j
-    skew = 0.5 * (ordered.T - ordered)          # [Phi_2]x
-    a = 0.5 * (big_sigma - np.trace(big_sigma) * np.eye(3)) + skew
-    return 0.5 * (1.0 + _toggling_axis(u) @ expm(a)[:, 2])
 
 
 class TestSignals:
@@ -131,75 +87,6 @@ class TestHigherOrder:
         assert diffs[-1] < 1e-5
         for big, small in zip(diffs, diffs[1:]):
             assert big / small == pytest.approx(4.0, rel=0.02)
-
-    @pytest.mark.parametrize("theta", [0.75 * math.pi, math.pi, 5 * math.pi])
-    def test_cumulant_noiseless_limit_is_exact(self, theta):
-        omega, dw, n_max = mhz_to_rad(20.0), mhz_to_rad(2.0), 12
-        seq = PulseSequence.rotary_echo(theta, omega, n_max)
-        trace = propagate(build_waveform(seq, dw), dt_max=theta / omega)
-        scen = DecayScenario("rotary_echo", "z", "ou", sigma=0.0, tau_c=2e-7,
-                             theta=theta, omega=omega)
-        model = mean_signal_cumulant(scen, trace.times[::2], dw)
-        assert np.max(np.abs(model - trace.values[::2])) < 1e-12
-
-    @pytest.mark.parametrize("theta,n_cycles,dw_mhz,tau_c", [
-        (math.pi, 3, 2.0, 30e-9),          # detuned, tau_c under a cycle
-        (math.pi, 3, 0.0, 30e-9),          # resonant: Phi_2 = 0
-        (5 * math.pi, 2, 2.0, 100e-9),
-    ])
-    def test_cumulant_matches_quadrature(self, theta, n_cycles, dw_mhz, tau_c):
-        # the closed-form segment sums against brute-force double integrals
-        # on a 160-cell-per-half-echo grid (midpoint error ~1e-5 of the
-        # noise effect; dropping Phi_2 moves the detuned cases by ~1e-1)
-        omega, dw = mhz_to_rad(20.0), mhz_to_rad(dw_mhz)
-        sigma = 0.1 * omega
-        scen = DecayScenario("rotary_echo", "z", "ou", sigma=sigma,
-                             tau_c=tau_c, theta=theta, omega=omega)
-        t = n_cycles * 2 * theta / omega
-        model = float(mean_signal_cumulant(scen, t, dw))
-        noiseless = float(mean_signal_cumulant(
-            DecayScenario("rotary_echo", "z", "ou", sigma=0.0, tau_c=tau_c,
-                          theta=theta, omega=omega), t, dw))
-        quad = _cumulant_by_quadrature(theta, omega, dw, sigma, tau_c,
-                                       n_cycles, 160)
-        assert abs(model - quad) < 2e-3 * abs(model - noiseless)
-
-    @pytest.mark.parametrize("theta,n_cycles,eps", [
-        (math.pi, 2, 0.2), (5 * math.pi, 1, 0.1)])
-    def test_cumulant_quasi_static_limit(self, theta, n_cycles, eps):
-        # for tau_c >> T the OU bath is a static Gaussian detuning, so the
-        # sigma^2 term of <S> is the Gauss-Hermite average of the exact
-        # signal; this fixes the sign of Phi_2 (without it, or with it
-        # flipped, the first row is off by 84% or 168%, the second by 6%
-        # or 12%)
-        omega = mhz_to_rad(20.0)
-        dw = eps * omega
-        seq = PulseSequence.rotary_echo(theta, omega, n_cycles)
-        t_end = n_cycles * 2 * theta / omega
-        sigma = 0.02 / t_end
-
-        def exact(d):
-            wave = build_waveform(seq, d)
-            return propagate(wave, dt_max=theta / omega).values[-1]
-        x, weights = np.polynomial.hermite.hermgauss(30)
-        static = sum(wk * exact(dw + math.sqrt(2) * sigma * xk)
-                     for xk, wk in zip(x, weights)) / math.sqrt(math.pi)
-        scen = DecayScenario("rotary_echo", "z", "ou", sigma=sigma,
-                             tau_c=1e4 * t_end, theta=theta, omega=omega)
-        model = float(mean_signal_cumulant(scen, t_end, dw))
-        assert (model - exact(dw)) / (static - exact(dw)) == \
-            pytest.approx(1.0, abs=1e-3)
-
-    def test_cumulant_rejects_other_scenarios_and_times(self):
-        omega = mhz_to_rad(20.0)
-        scen = DecayScenario("rotary_echo", "z", "ou", sigma=1e6, tau_c=2e-7,
-                             theta=math.pi, omega=omega)
-        with pytest.raises(ValueError):
-            mean_signal_cumulant(scen, 0.5 * math.pi / omega)
-        static = DecayScenario("rotary_echo", "z", "static", sigma=1e6,
-                               theta=math.pi, omega=omega)
-        with pytest.raises(ValueError):
-            mean_signal_cumulant(static, 0.0)
 
 
 class TestEnvelopes:

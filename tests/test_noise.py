@@ -11,14 +11,16 @@ import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from remag.dynamics import (PulseSequence, build_waveform, segment_unitary,
-                            su2_step, _hamiltonian_coeffs)
+from remag.dynamics import (PulseSequence, build_waveform, full_echo_times,
+                            propagate, segment_unitary, su2_step,
+                            _hamiltonian_coeffs)
 from remag import noise as noise_module
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
 from remag.noise import (_BLOCK_STEPS, _ROW_LOOP_MIN_TRIALS, NoiseSpec,
                          _noise_blocks, _propagate_batch, decay_scenario,
-                         monte_carlo, sample_path)
+                         exact_mean, monte_carlo, sample_path)
 from remag.units import mhz_to_rad
+from test_grid import PRESET_OU_CASES
 
 SIGMA = mhz_to_rad(1.0)
 TAU_C = 2e-7
@@ -503,3 +505,70 @@ class TestMonteCarlo:
         a = monte_carlo(seq, 0.0, spec, trials=50, chunk=7)
         b = monte_carlo(seq, 0.0, spec, trials=50, chunk=50)
         assert np.allclose(a.mean, b.mean, atol=1e-12)
+
+
+class TestExactMean:
+    @pytest.mark.parametrize("theta", [0.75 * math.pi, math.pi, 5 * math.pi])
+    def test_noiseless_limit_is_propagate(self, theta):
+        omega, dw = mhz_to_rad(20.0), mhz_to_rad(2.0)
+        seq = PulseSequence.rotary_echo(theta, omega, 12)
+        trace = propagate(build_waveform(seq, dw), dt_max=theta / omega)
+        spec = NoiseSpec(axis="z", kind="ou", sigma=0.0, tau_c=TAU_C)
+        got = exact_mean(seq, dw, spec, trace.times[::2])
+        assert np.max(np.abs(got - trace.values[::2])) <= 1e-12
+
+    @pytest.mark.parametrize("theta,n_cycles,eps", [
+        (math.pi, 2, 0.2), (5 * math.pi, 1, 0.1)])
+    def test_quasi_static_limit(self, theta, n_cycles, eps):
+        # for tau_c >> T the OU bath is a static Gaussian detuning, so the
+        # noise's effect on <S> is the Gauss-Hermite average of the exact
+        # signal's
+        omega = mhz_to_rad(20.0)
+        dw = eps * omega
+        seq = PulseSequence.rotary_echo(theta, omega, n_cycles)
+        t_end = n_cycles * 2 * theta / omega
+        sigma = 0.02 / t_end
+
+        def exact(d):
+            wave = build_waveform(seq, d)
+            return propagate(wave, dt_max=theta / omega).values[-1]
+        x, weights = np.polynomial.hermite.hermgauss(30)
+        static = sum(wk * exact(dw + math.sqrt(2) * sigma * xk)
+                     for xk, wk in zip(x, weights)) / math.sqrt(math.pi)
+        spec = NoiseSpec(axis="z", kind="ou", sigma=sigma, tau_c=1e4 * t_end)
+        got = float(exact_mean(seq, dw, spec, t_end)[0])
+        assert (got - exact(dw)) / (static - exact(dw)) == \
+            pytest.approx(1.0, abs=1e-3)
+
+    def test_static_noise_rejected(self):
+        seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 4)
+        spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA)
+        with pytest.raises(ValueError, match="OU noise only"):
+            exact_mean(seq, 0.0, spec, full_echo_times(seq))
+
+    def test_bath_past_the_level_cap_rejected(self):
+        # sigma tau_c = 38: 96 Hermite levels do not settle the mean
+        seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 18)
+        spec = NoiseSpec(axis="z", kind="ou", sigma=mhz_to_rad(30.0),
+                         tau_c=TAU_C)
+        with pytest.raises(ValueError, match="96 hierarchy levels"):
+            exact_mean(seq, mhz_to_rad(2.0), spec, full_echo_times(seq))
+
+    def test_times_off_the_sequence_rejected(self):
+        seq = PulseSequence.ramsey(0.5e-6)
+        spec = NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C)
+        with pytest.raises(ValueError, match="within the sequence"):
+            exact_mean(seq, 0.0, spec, [0.0, 0.6e-6])
+
+    @pytest.mark.parametrize("label", [
+        label for label in PRESET_OU_CASES
+        if label.startswith("ou-x") or "ramsey" in label])
+    def test_closed_forms_are_the_exact_mean(self, label):
+        # resonant drive noise on an echo or Rabi, and dephasing on Ramsey,
+        # turn the Bloch vector about one axis by a Gaussian angle, so
+        # their closed forms are exact
+        seq, dw, spec, record = PRESET_OU_CASES[label]
+        times = full_echo_times(seq) if record is None else record
+        model = mean_signal(decay_scenario(seq, spec), times, dw)
+        assert np.max(np.abs(model - exact_mean(seq, dw, spec, times))) \
+            <= 1e-10

@@ -28,6 +28,12 @@ processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
   the figure the threshold is compared with.  A run of one chunk, as the
   static case is, never forks, so its `forked` is null.
 
+One more figure, on each `noise-ou-large` case only:
+
+- `model_ms`: the model call that `noise.mc_vs_model` makes beside the
+  ensemble, on the ensemble's record times: `noise.exact_mean`, or
+  `models.mean_signal_cumulant` on a checkout without it.
+
 Two layers of the analysis chain, on the pi echoes at 17 MHz of
 `remag spectrum` and figures 1c, 2a and 2b (`analysis`):
 
@@ -243,6 +249,21 @@ def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
             "evaluations_per_refit": len(evaluations)}
 
 
+def time_model(noise, seq, delta, spec, repeats) -> float:
+    """Median ms of the model call `mc_vs_model` makes on an OU-z echo."""
+    times = noise.monte_carlo(seq, delta, spec, 1).times
+    if hasattr(noise, "exact_mean"):
+        def call():
+            noise.exact_mean(seq, delta, spec, times)
+    else:
+        from remag import models
+        scen = noise.decay_scenario(seq, spec)
+
+        def call():
+            models.mean_signal_cumulant(scen, times, delta)
+    return _median_s(lambda: _timed(call), repeats) * 1e3
+
+
 def _fork_and_reap() -> None:
     pid = os.fork()
     if pid == 0:
@@ -272,6 +293,9 @@ def main() -> int:
                                            trials, args.repeats)
         report["cases"][label]["monte_carlo_s"] = time_monte_carlo(
             noise, seq, delta, spec, trials, args.repeats)
+        if spec.kind == "ou":
+            report["cases"][label]["model_ms"] = time_model(
+                noise, seq, delta, spec, args.repeats)
     report["fork_reap_ms"] = _median_s(lambda: _timed(_fork_and_reap),
                                        max(args.repeats, 20)) * 1e3
     report["analysis"] = {
