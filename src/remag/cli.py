@@ -77,9 +77,6 @@ class RunWriter:
                  f"# config_hash: {self.hash}",
                  f"# seed: {self.seed}",
                  "# units: frequencies MHz, times us"]
-        if self.cfg.validity_warning:
-            lines.append("# validity_warning: OU dephasing envelope outside "
-                         "its validity window")
         for key in sorted(extra or {}):
             lines.append(f"# {key}: {extra[key]}")
         return lines
@@ -278,9 +275,13 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     ideal, corrected = sensitivity_sweep(kind, times, cfg.readout, envelope,
                                          theta=cfg.theta, omega=cfg.omega,
                                          hyperfine=cfg.hyperfine)
+    # the one output built on decay_envelope, whose window this marks
+    meta = ({"validity_warning": "OU dephasing envelope outside its "
+             "validity window"} if cfg.validity_warning else None)
     w.csv("sensitivity.csv", {"t_us": times * 1e6,
                               "eta_ideal_ut": ideal * 1e6,
-                              "eta_corrected_ut": corrected * 1e6})
+                              "eta_corrected_ut": corrected * 1e6},
+          extra_meta=meta)
 
 
 class Case(NamedTuple):

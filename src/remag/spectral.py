@@ -319,60 +319,66 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
                             pair_residual_hz=residual)
 
 
-class _ColumnCache:
-    """The (cos, sin) columns of 2 pi f t, keyed by the bits of f.
-
-    The finite-difference Jacobian of the refit moves one parameter per
-    evaluation, so most of an evaluation's frequencies are bitwise equal
-    to ones computed before.  At most ``limit`` frequencies are kept;
-    the least recently used one goes first.
-    """
-
-    def __init__(self, t: np.ndarray, limit: int):
-        self.t = t
-        self.limit = limit
-        self.entries: dict = {}
-
-    def columns(self, f) -> tuple:
-        key = float(f).hex()
-        cols = self.entries.pop(key, None)
-        if cols is None:
-            w = 2.0 * math.pi * f * self.t
-            cols = (np.cos(w), np.sin(w))
-            if len(self.entries) >= self.limit:
-                del self.entries[next(iter(self.entries))]
-        self.entries[key] = cols
-        return cols
-
-
 def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
     """Least-squares refinement of carrier and pair splittings.
 
     Model: sum over pairs of quadrature cosines at f_c +/- split plus a
     constant; amplitudes are solved linearly at each frequency guess
     (separable least squares), so the nonlinear search runs only over
-    the carrier and the splittings.  Every evaluation fills one basis
-    array in place, from columns cached across evaluations; the cache
-    holds at most as many frequencies as the basis has columns.
+    the carrier and the splittings.  Each point takes one thin SVD of
+    the basis, dropping singular values below lstsq's default cutoff
+    (largest * eps * max(n, m)), so a near-degenerate pair is solved as
+    lstsq solves it.  That SVD gives the amplitudes c, the residual
+    r = P d (P the projector off the basis Phi) and its variable-
+    projection Jacobian -(P dPhi c + pinv(Phi)^T dPhi^T r) (Golub &
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), whose derivative
+    columns -+2 pi t sin, +-2 pi t cos are built from the cos/sin
+    columns already in the basis.  The residual and the Jacobian of one
+    point share the SVD through a memo of the last point.
     """
     from scipy.optimize import least_squares
 
     t = np.asarray(trace.times, dtype=float)
     d = np.asarray(trace.values, dtype=float)
+    two_pi_t = 2.0 * math.pi * t
     basis = np.empty((t.size, 1 + 4 * splittings.size))
     basis[:, 0] = 1.0
-    cache = _ColumnCache(t, basis.shape[1])
+    # one column each per line frequency, in the order (f_c - split,
+    # f_c + split) of each pair
+    cos, sin = basis[:, 1::2], basis[:, 2::2]
+    cutoff = np.finfo(float).eps * max(basis.shape)
+    memo = {}   # params.tobytes() -> (u, s, vt, c, r) of the last point
+
+    def project(params):
+        key = params.tobytes()
+        if key not in memo:
+            fc, sp = params[0], params[1:]
+            freqs = np.column_stack((fc - sp, fc + sp)).ravel()
+            w = np.multiply.outer(t, 2.0 * math.pi * freqs)
+            np.cos(w, out=cos)
+            np.sin(w, out=sin)
+            u, s, vt = np.linalg.svd(basis, full_matrices=False)
+            rank = np.count_nonzero(s > s[0] * cutoff)
+            u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+            ud = u.T @ d
+            memo.clear()
+            memo[key] = (u, s, vt, vt.T @ (ud / s), d - u @ ud)
+        return memo[key]
 
     def residual(params):
-        fc = params[0]
-        j = 1
-        for sp in params[1:]:
-            for f in (fc - sp, fc + sp):
-                basis[:, j], basis[:, j + 1] = cache.columns(f)
-                j += 2
-        coef, *_ = np.linalg.lstsq(basis, d, rcond=None)
-        return d - basis @ coef
+        return project(params)[4]
+
+    def jac(params):
+        u, s, vt, coef, r = project(params)
+        # dPhi c and dPhi^T r, one column per line frequency
+        dphi_c = two_pi_t[:, None] * (cos * coef[2::2] - sin * coef[1::2])
+        tr = two_pi_t * r
+        vt_dphi_r = vt[:, 2::2] * (tr @ cos) - vt[:, 1::2] * (tr @ sin)
+        dr_df = u @ (u.T @ dphi_c - vt_dphi_r / s[:, None]) - dphi_c
+        # the carrier moves every line; a splitting moves its pair apart
+        return np.column_stack((dr_df.sum(axis=1),
+                                dr_df[:, 1::2] - dr_df[:, 0::2]))
 
     x0 = np.concatenate(([f_c], splittings))
-    fit = least_squares(residual, x0, method="lm", xtol=1e-14)
+    fit = least_squares(residual, x0, jac=jac, method="lm", xtol=1e-14)
     return float(fit.x[0]), np.abs(fit.x[1:])

@@ -14,7 +14,8 @@ import scipy
 from remag.cli import RunWriter, main
 from remag.config import parse_config
 from remag.dynamics import PulseSequence
-from remag.models import DecayScenario, decay_envelope, mean_signal
+from remag.models import (DecayScenario, ValidityWarning, decay_envelope,
+                          mean_signal)
 from remag.noise import NoiseSpec, exact_mean
 from remag.sensing import ReadoutModel, readout_factors, \
     repeated_readout_gain, sensitivity_ideal
@@ -469,8 +470,18 @@ class TestNoiseRun:
         rc = main(["noise", "--config", str(cfg), "--trials", "5",
                    "--out", str(out)])
         assert rc == 0
-        assert "# validity_warning" in (out / "decay.csv").read_text()
+        # decay.csv's model column is noise.exact_mean, which has no window
+        assert "# validity_warning" not in (out / "decay.csv").read_text()
         assert json.loads((out / "manifest.json").read_text())[
+            "validity_warning"] is True
+        # the sensitivity sweep divides by decay_envelope, which has one
+        sens = tmp_path / "sens"
+        with pytest.warns(ValidityWarning):
+            rc = main(["sensitivity", "--config", str(cfg), "--out",
+                       str(sens)])
+        assert rc == 0
+        assert "# validity_warning" in (sens / "sensitivity.csv").read_text()
+        assert json.loads((sens / "manifest.json").read_text())[
             "validity_warning"] is True
 
 

@@ -130,11 +130,14 @@ class TestDetunings:
 
 
 def _uncached_refit(trace, f_c, splittings):
-    """The refit with every basis column recomputed and stacked anew."""
+    """The refit with every basis column recomputed and stacked anew, and
+    a finite-difference Jacobian: its fit and its residual evaluations."""
     t = np.asarray(trace.times, dtype=float)
     d = np.asarray(trace.values, dtype=float)
+    evaluations = []
 
     def residual(params):
+        evaluations.append(1)
         fc = params[0]
         cols = [np.ones_like(t)]
         for sp in params[1:]:
@@ -148,71 +151,117 @@ def _uncached_refit(trace, f_c, splittings):
 
     x0 = np.concatenate(([f_c], splittings))
     fit = least_squares(residual, x0, method="lm", xtol=1e-14)
-    return float(fit.x[0]), np.abs(fit.x[1:])
+    return fit, len(evaluations)
+
+
+def _recorded_refit(monkeypatch, trace, f_c, splittings):
+    """Run `_refine_pairs`, recording its residual, Jacobian, start point,
+    `least_squares` result and residual evaluation count."""
+    import scipy.optimize
+    rec = {"evaluations": 0}
+    real = scipy.optimize.least_squares
+
+    def recording(fun, x0, jac, **kwargs):
+        def counted(x):
+            rec["evaluations"] += 1
+            return fun(x)
+        rec.update(fun=fun, jac=jac, x0=x0.copy())
+        rec["fit"] = real(counted, x0, jac=jac, **kwargs)
+        return rec["fit"]
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+    rec["result"] = spectral._refine_pairs(trace, f_c, splittings)
+    monkeypatch.undo()
+    return rec
+
+
+def _central_difference(fun, x, step):
+    cols = []
+    for i in range(x.size):
+        up, down = x.copy(), x.copy()
+        up[i] += step
+        down[i] -= step
+        cols.append((fun(up) - fun(down)) / (up[i] - down[i]))
+    return np.column_stack(cols)
 
 
 class TestRefit:
-    @pytest.mark.parametrize("b_mhz, t_total, seed",
-                             [(0.17, 5e-6, 3), (0.17, 5e-6, 8),
-                              (0.064, 15e-6, 3), (0.064, 15e-6, 8)],
-                             ids=["2a-3", "2a-8", "2b-3", "2b-8"])
-    def test_cached_columns_bit_identical(self, monkeypatch, b_mhz,
-                                          t_total, seed):
-        # the figure 2a / 2b traces: pi echo at 17 MHz over the hyperfine
-        # triplet, 10 ns grid, shot noise
+    @pytest.fixture(params=[(0.17, 5e-6, 3), (0.17, 5e-6, 8),
+                            (0.064, 15e-6, 3), (0.064, 15e-6, 8)],
+                    ids=["2a-3", "2a-8", "2b-3", "2b-8"])
+    def figure2(self, request, monkeypatch):
+        """The figure 2a / 2b traces (pi echo at 17 MHz over the hyperfine
+        triplet, 10 ns grid, shot noise), the start point that
+        `extract_detunings` hands the refit, and the refit and its
+        finite-difference reference from there."""
         from remag.cli import triplet_trace
+        b_mhz, t_total, seed = request.param
         omega = mhz_to_rad(17.0)
         trace = triplet_trace(math.pi, omega, mhz_to_rad(b_mhz),
                               mhz_to_rad(2.14), t_total, dt_max=10e-9,
                               shot_sigma=0.035, seed=seed)
         pgram = periodogram(trace)
         peaks = peak_significance(pgram, max_peaks=6)
-
-        caches = []
-
-        class Recording(spectral._ColumnCache):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.calls = self.misses = self.largest = 0
-                caches.append(self)
-
-            def columns(self, f):
-                self.misses += float(f).hex() not in self.entries
-                cols = super().columns(f)
-                self.calls += 1
-                self.largest = max(self.largest, len(self.entries))
-                return cols
-
-        refits = []
+        starts = []
         refine = spectral._refine_pairs
-
-        def both(trace, f_c, splittings):
-            got = refine(trace, f_c, splittings)
-            refits.append((got, _uncached_refit(trace, f_c, splittings),
-                           splittings.size))
-            return got
-
-        monkeypatch.setattr(spectral, "_ColumnCache", Recording)
-        monkeypatch.setattr(spectral, "_refine_pairs", both)
+        monkeypatch.setattr(spectral, "_refine_pairs",
+                            lambda *a: starts.append(a) or refine(*a))
         extract_detunings(peaks, math.pi, omega,
                           pair_tolerance_hz=2 * pgram.grid_spacing,
                           trace=trace)
-        [((fc, splits), (ref_fc, ref_splits), n_pairs)] = refits
-        assert fc == ref_fc
-        assert np.array_equal(splits, ref_splits)
-        [cache] = caches
-        assert cache.limit == 1 + 4 * n_pairs   # the basis's column count
-        assert cache.largest <= cache.limit
-        # a Jacobian column that moves one splitting reuses the other
-        # pairs' columns
-        assert cache.misses < 0.7 * cache.calls
+        monkeypatch.undo()
+        [(_, f_c, splittings)] = starts
+        rec = _recorded_refit(monkeypatch, trace, f_c, splittings)
+        return trace, rec, _uncached_refit(trace, f_c, splittings)
 
-    def test_column_cache_evicts_least_recently_used(self):
-        t = 1e-8 * np.arange(50)
-        cache = spectral._ColumnCache(t, 3)
-        for f in (1e6, 2e6, 3e6, 1e6, 4e6):
-            cos, sin = cache.columns(np.float64(f))
-            assert np.array_equal(cos, np.cos(2.0 * math.pi * f * t))
-            assert np.array_equal(sin, np.sin(2.0 * math.pi * f * t))
-        assert list(cache.entries) == [float(f).hex()
-                                       for f in (3e6, 1e6, 4e6)]
+    def test_jacobian_matches_central_difference(self, figure2):
+        trace, rec, _ = figure2
+        # a phase step of 1e-4 rad at the last sample: the difference's
+        # truncation and rounding errors both stay below 1e-8 of a column
+        step = 1e-4 / (2 * math.pi * trace.times[-1])
+        for x in (rec["x0"], rec["fit"].x):
+            jac = rec["jac"](x)
+            ref = _central_difference(rec["fun"], x, step)
+            assert np.all(np.max(np.abs(jac - ref), axis=0)
+                          <= 1e-6 * np.max(np.abs(ref), axis=0))
+
+    def test_cost_no_worse_than_finite_differences(self, figure2):
+        _, rec, (ref, _) = figure2
+        assert rec["fit"].cost <= ref.cost * (1 + 1e-8)
+
+    def test_agrees_with_finite_differences(self, figure2):
+        _, rec, (ref, _) = figure2
+        fc, splits = rec["result"]
+        # both stop on the floor of the cost valley, where their costs
+        # differ by under 1e-8 relative: 0.1 Hz (1e-7 MHz) is four orders
+        # below the lines' Cramer-Rao bounds
+        assert fc == pytest.approx(ref.x[0], rel=0, abs=0.1)
+        np.testing.assert_allclose(splits, np.abs(ref.x[1:]), rtol=0,
+                                   atol=0.1)
+
+    def test_fewer_than_half_the_evaluations(self, figure2):
+        _, rec, (_, ref_evaluations) = figure2
+        assert rec["evaluations"] < 0.5 * ref_evaluations
+
+    def test_rank_deficient_basis(self, monkeypatch):
+        # two pairs on one splitting: their four columns repeat, so the
+        # basis has rank 5 of 9 and only the SVD cutoff keeps it solvable
+        t = 1e-8 * np.arange(400)
+        d = (0.5 + 0.2 * np.cos(2 * np.pi * 16e6 * t)
+             + 0.1 * np.sin(2 * np.pi * 18.3e6 * t))
+        trace = make_trace(d, 1e-8)
+        rec = _recorded_refit(monkeypatch, trace, 17e6,
+                              np.array([1e6, 1e6]))
+        fc, splits = rec["result"]
+        assert np.isfinite(fc) and np.all(np.isfinite(splits))
+        x0 = rec["x0"]
+        cols = [np.ones_like(t)]
+        for f in (x0[0] - x0[1], x0[0] + x0[1]) * 2:
+            cols += [np.cos(2.0 * math.pi * f * t),
+                     np.sin(2.0 * math.pi * f * t)]
+        basis = np.column_stack(cols)
+        assert np.linalg.matrix_rank(basis) == 5
+        coef, *_ = np.linalg.lstsq(basis, d, rcond=None)
+        np.testing.assert_allclose(rec["fun"](x0), d - basis @ coef,
+                                   rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(rec["jac"](x0)))

@@ -40,9 +40,12 @@ Two layers of the analysis chain, on the pi echoes at 17 MHz of
 - `propagate_ms`: one noiseless `dynamics.propagate` call, at the sizes
   of the spectrum ops (100 and 510 segments on the 10 ns grid) and of
   figure 1c (102 segments on its 2 ns grid);
-- `refit`: one `spectral._refine_pairs` call (`ms_per_refit`) and the
-  residual evaluations it makes (`evaluations_per_refit`), on the
-  figure 2a and 2b triplet traces with shot noise at seed 3.
+- `refit`: one `spectral._refine_pairs` call (`ms_per_refit`), the
+  residual evaluations it makes (`evaluations_per_refit`, those of a
+  finite-difference Jacobian included), and the `nfev` and `njev` of the
+  `least_squares` result it gets (`njev` is null where the refit passes
+  no `jac`), on the figure 2a and 2b triplet traces with shot noise at
+  seed 3.
 
     python tools/layer_timings.py                    # this checkout
     python tools/layer_timings.py --src OTHER/src    # another checkout
@@ -52,8 +55,8 @@ It calls private API (`_noise_blocks`, `_noise_grid_step`,
 whose signatures match this one's: `_noise_blocks(spec, dt, ...)`
 reading `spec.sigma`, `DriveWaveform.segment`, and
 `_refine_pairs(trace, f_c, splittings)` importing `least_squares` from
-`scipy.optimize` when called (how the evaluations are counted).  A
-checkout without worker processes reports `forked` as null.
+`scipy.optimize` when called (how the evaluations and the result are
+read).  A checkout without worker processes reports `forked` as null.
 
 Prints one JSON object; each figure is the median of `--repeats` runs
 (BLAS pinned to one thread).  A run takes about fifteen seconds on two cores
@@ -212,8 +215,9 @@ def time_propagate(dynamics, n_cycles, dt_max, repeats) -> float:
 
 
 def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
-    """`_refine_pairs` on a figure 2 trace: ms and residual evaluations
-    per refit, from the start point `extract_detunings` hands it."""
+    """`_refine_pairs` on a figure 2 trace, from the start point
+    `extract_detunings` hands it: ms and residual evaluations per refit,
+    and the `nfev` and `njev` that `least_squares` reports."""
     import scipy.optimize
 
     mhz = 2e6 * math.pi
@@ -232,21 +236,25 @@ def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
     finally:
         spectral._refine_pairs = refine
     [args] = calls
-    least_squares, evaluations = scipy.optimize.least_squares, []
+    least_squares, evaluations, fits = scipy.optimize.least_squares, [], []
 
     def counted(fun, *a, **k):
-        return least_squares(lambda x: evaluations.append(1) or fun(x),
-                             *a, **k)
+        fits.append(least_squares(lambda x: evaluations.append(1) or fun(x),
+                                  *a, **k))
+        return fits[-1]
 
     scipy.optimize.least_squares = counted
     try:
         refine(*args)
     finally:
         scipy.optimize.least_squares = least_squares
+    [fit] = fits
     return {"samples": trace.values.size, "pairs": args[2].size,
             "ms_per_refit": _median_s(lambda: _timed(lambda: refine(*args)),
                                       repeats) * 1e3,
-            "evaluations_per_refit": len(evaluations)}
+            "evaluations_per_refit": len(evaluations),
+            "nfev": int(fit.nfev),
+            "njev": None if fit.njev is None else int(fit.njev)}
 
 
 def time_model(noise, seq, delta, spec, repeats) -> float:
