@@ -3,12 +3,13 @@
 Streams are counter-based (Philox) and keyed by (seed, trial_index), so
 every trial's path is deterministic and independent of evaluation order;
 Gaussian variates use the inverse-CDF transform so a reimplementation
-can match the distributions statistically.  :func:`monte_carlo` draws a
-chunk of trials at a time, in blocks of ``_BLOCK_STEPS`` time steps that
-the SU(2) kernel (:func:`_propagate_batch`) steps through as they are
-drawn, so its memory is O(chunk x block) however long the run; a trial's
-values are the same whichever chunk or block they are drawn in, and
-:func:`sample_path` returns them for one trial.
+can match the distributions statistically, and an OU path takes one
+exact update per time step, applied to all of a chunk's trials at once.
+:func:`monte_carlo` draws a chunk of trials at a time, in blocks of
+``_BLOCK_STEPS`` time steps that the SU(2) kernel (:func:`_propagate_batch`)
+steps through as they are drawn, so its memory is O(chunk x block) however
+long the run; a trial's values are the same whichever chunk or block they
+are drawn in, and :func:`sample_path` returns them for one trial.
 
 The grid is sized to the noise (:func:`_noise_grid_step`): one exact step
 per constant run between record times under static noise, tau_c/20 or
@@ -35,9 +36,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.signal import lfilter
-from scipy.special import ndtri
 
 from .dynamics import (DriveWaveform, PulseSequence,
                        build_waveform, default_dt_max, full_echo_times,
@@ -110,11 +108,6 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 #: time steps per block of a chunk's noise
 _BLOCK_STEPS = 128
 
-#: chunks of this many trials or more step the OU update through a
-#: block's rows in Python; narrower ones filter along time with lfilter,
-#: which is faster below about 200 trials and slower above
-_ROW_LOOP_MIN_TRIALS = 128
-
 
 class _BitgenPool(threading.local):
     """Each thread's idle generators, each on its own Philox bit generator.
@@ -159,9 +152,11 @@ def _noise_blocks(spec: NoiseSpec, dt: float, first: int, count: int,
     re-keyed for each trial, and go back to it when the draw finishes or
     is closed.  OU noise uses the exact stationary update
     x_{k+1} = alpha x_k + beta xi_k (Gillespie, Phys. Rev. E 54, 2084
-    (1996)), applied block by block with each trial's state carried into
-    the next.
+    (1996)), applied one step at a time to a row of all ``count`` trials,
+    with each trial's state carried from block to block.
     """
+    from scipy.special import ndtri
+
     free = _BITGENS.free
     streams = [free.pop() if free
                else np.random.Generator(np.random.Philox(_BITGENS.seed))
@@ -193,15 +188,10 @@ def _noise_blocks(spec: NoiseSpec, dt: float, first: int, count: int,
             if x is None:                   # stationary start
                 values[0] *= spec.sigma
                 x, rows = values[0], values[1:]
-            if count < _ROW_LOOP_MIN_TRIALS:
-                rows[:], _ = lfilter([beta], [1.0, -alpha], rows, axis=0,
-                                     zi=alpha * x[None])
-            else:
-                for row in rows:
-                    row *= beta
-                    row += alpha * x
-                    x = row
-            x = values[-1]
+            for row in rows:
+                row *= beta
+                row += alpha * x
+                x = row
             yield values
     finally:
         free.extend(streams)
@@ -348,6 +338,8 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
 
     chunks = [(start, min(start + chunk, trials))
               for start in range(0, trials, chunk)]
+    # _noise_blocks' scipy.special, loaded here rather than in each worker
+    import scipy.special  # noqa: F401
     count, mean, m2 = _run_chunks(
         run_chunk, chunks, record_idx.size,
         _workers(len(chunks), min(chunk, trials) * n_steps))
@@ -529,6 +521,8 @@ def exact_mean(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     double while the means at K and 2K differ by more than 1e-9; static
     noise, and a bath that needs more than 96 levels, are a ValueError.
     """
+    from scipy.linalg import expm
+
     if spec.kind != "ou":
         raise ValueError("the exact mean covers OU noise only")
     wave = build_waveform(seq, delta_omega)

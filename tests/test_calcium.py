@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import scipy.constants
 
 from remag.calcium import (
     CaDomainSpec,
@@ -8,6 +9,7 @@ from remag.calcium import (
     ca_required_sensitivity,
     implied_repetitions,
 )
+from remag.units import ELEMENTARY_CHARGE, MU_0
 
 SPEC = CaDomainSpec(ion_count=1e5, travel_distance=200e-9,
                     flux_duration=10e-6, standoff=10e-9)
@@ -45,3 +47,13 @@ def test_validation():
         CaDomainSpec(-1.0, 200e-9, 10e-6, 10e-9)
     with pytest.raises(ValueError):
         CaDomainSpec(1e5, 200e-9, -1.0, 10e-9)
+
+
+def test_constants_are_codata_2022_literals():
+    # pinned, so calcium outputs do not follow the CODATA edition of the
+    # installed scipy (2018's mu_0 is 1.25663706212e-6)
+    assert MU_0 == 1.25663706127e-06
+    assert ELEMENTARY_CHARGE == 1.602176634e-19
+    assert MU_0 == pytest.approx(scipy.constants.mu_0, rel=1e-9, abs=0.0)
+    assert ELEMENTARY_CHARGE == pytest.approx(scipy.constants.e, rel=1e-9,
+                                              abs=0.0)

@@ -5,12 +5,15 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import remag
 from remag.cli import RunWriter, main
 from remag.config import parse_config
 from remag.dynamics import PulseSequence
@@ -57,6 +60,42 @@ def run(tmp_path, *argv):
     out = tmp_path / "out"
     rc = main(list(argv) + ["--out", str(out)])
     return rc, out
+
+
+SCIPY_MODULES_CHILD = """\
+import sys
+import remag.cli
+if sys.argv[1:]:
+    assert remag.cli.main(sys.argv[1:]) == 0
+print(" ".join(m for m in sys.modules if m.startswith("scipy.")))
+"""
+
+
+def scipy_modules_loaded(*argv):
+    """The scipy modules a fresh interpreter holds after importing
+    remag.cli and, given ``argv``, running that command."""
+    src = str(Path(remag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_MODULES_CHILD, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+class TestImportGraph:
+    """Each scipy submodule loads where it is called, not with the CLI."""
+
+    def test_cli_import_loads_no_heavy_scipy_submodule(self):
+        loaded = scipy_modules_loaded()
+        for name in ("signal", "stats", "interpolate", "constants",
+                     "optimize", "linalg", "special"):
+            assert f"scipy.{name}" not in loaded
+
+    def test_calcium_run_loads_no_solver(self, tmp_path):
+        loaded = scipy_modules_loaded("calcium", "--out", str(tmp_path))
+        assert (tmp_path / "calcium.csv").exists()
+        for name in ("optimize", "linalg", "special"):
+            assert f"scipy.{name}" not in loaded
 
 
 class TestSimulate:

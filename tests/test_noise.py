@@ -16,9 +16,9 @@ from remag.dynamics import (PulseSequence, build_waveform, full_echo_times,
                             _hamiltonian_coeffs)
 from remag import noise as noise_module
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
-from remag.noise import (_BLOCK_STEPS, _ROW_LOOP_MIN_TRIALS, NoiseSpec,
-                         _noise_blocks, _propagate_batch, decay_scenario,
-                         exact_mean, monte_carlo, sample_path)
+from remag.noise import (_BLOCK_STEPS, NoiseSpec, _noise_blocks,
+                         _propagate_batch, decay_scenario, exact_mean,
+                         monte_carlo, sample_path)
 from remag.units import mhz_to_rad
 from test_grid import PRESET_OU_CASES
 
@@ -170,8 +170,9 @@ class TestBlockedStreams:
                               reference_path(spec, 1, dt, 3, spec.sigma))
 
     # a block of 127 steps ends inside a Philox counter's four words; the
-    # two chunk widths take the two ways of applying the OU update
-    @pytest.mark.parametrize("count", [3, _ROW_LOOP_MIN_TRIALS])
+    # row-by-row OU update matches the reference's lfilter bit for bit at
+    # any chunk width
+    @pytest.mark.parametrize("count", [1, 3, 128])
     @pytest.mark.parametrize("block", [_BLOCK_STEPS, 127])
     @pytest.mark.parametrize("spec, n_steps, dt", BLOCK_CASES, ids=BLOCK_IDS)
     def test_time_blocks_are_the_per_trial_formula(self, spec, n_steps, dt,

@@ -47,6 +47,16 @@ Two layers of the analysis chain, on the pi echoes at 17 MHz of
   no `jac`), on the figure 2a and 2b triplet traces with shot noise at
   seed 3.
 
+Start-up, in fresh interpreters (`cold_start`):
+
+- `wall_s`: the median wall time of `--repeats` new processes that import
+  `remag.cli` and, but for the bare import, run one command through
+  `remag.cli.main` (`calcium`, `figure 1b`, `figure 2b`, `figure 4a`),
+  interpreter start and artifact writes included; `scipy`: the public
+  scipy submodules such a process had loaded when it finished;
+- `sample_path_ns_per_sample`: one `noise.sample_path` call in this
+  process, one OU trial of 100,000 steps.
+
     python tools/layer_timings.py                    # this checkout
     python tools/layer_timings.py --src OTHER/src    # another checkout
 
@@ -59,9 +69,10 @@ reading `spec.sigma`, `DriveWaveform.segment`, and
 read).  A checkout without worker processes reports `forked` as null.
 
 Prints one JSON object; each figure is the median of `--repeats` runs
-(BLAS pinned to one thread).  A run takes about fifteen seconds on two cores
-at the default `--repeats`; a forked figure depends on whether the host
-leaves the second core free.
+(BLAS pinned to one thread).  A run takes about fifteen seconds on two
+cores at the default `--repeats`, and about 45 s on a checkout whose
+import loads every scipy submodule; a forked figure depends on whether
+the host leaves the second core free.
 """
 
 from __future__ import annotations
@@ -72,7 +83,9 @@ import json
 import math
 import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -279,6 +292,53 @@ def _fork_and_reap() -> None:
     os.waitpid(pid, 0)
 
 
+COLD_START_RUNS = (("import remag.cli", []), ("calcium", ["calcium"]),
+                   ("figure 1b", ["figure", "1b"]),
+                   ("figure 2b", ["figure", "2b"]),
+                   ("figure 4a", ["figure", "4a"]))
+COLD_START_CHILD = """\
+import json, sys
+import remag, remag.cli
+argv = sys.argv[1:]
+rc = remag.cli.main(argv) if argv else 0
+print(json.dumps({"remag": remag.__file__, "rc": rc, "scipy": sorted(
+    m for m in sys.modules
+    if m.startswith("scipy.") and not m.startswith("scipy._")
+    and m.count(".") == 1)}))
+"""
+SAMPLE_PATH_STEPS = 100_000
+
+
+def time_cold_start(src: Path, argv: list, repeats: int) -> dict:
+    """Median wall time of fresh processes that run ``argv`` through
+    `remag.cli.main` (import only for an empty ``argv``), and the scipy
+    submodules they loaded."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    times = []
+    with tempfile.TemporaryDirectory() as out:
+        extra = ["--out", out] if argv else []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-c", COLD_START_CHILD, *argv, *extra],
+                env=env, capture_output=True, text=True, check=True)
+            times.append(time.perf_counter() - start)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    if Path(got["remag"]).resolve().parent != src / "remag" or got["rc"]:
+        raise RuntimeError(f"cold start of {argv}: {got}")
+    return {"wall_s": statistics.median(times), "scipy": got["scipy"]}
+
+
+def time_sample_path(noise, repeats) -> float:
+    """Median ns per value of one OU `sample_path` trial."""
+    tau_c = 0.2e-6
+    spec = noise.NoiseSpec(axis="z", kind="ou", sigma=2e6 * math.pi,
+                           tau_c=tau_c, seed=1)
+    dt = tau_c / 20
+    return _median_s(lambda: _timed(lambda: noise.sample_path(
+        spec, SAMPLE_PATH_STEPS * dt, dt)), repeats) / SAMPLE_PATH_STEPS * 1e9
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -312,6 +372,11 @@ def main() -> int:
                          for label, n_cycles, dt_max in PROPAGATE_CASES},
         "refit": {label: time_refit(cli, spectral, b, t_total, args.repeats)
                   for label, b, t_total in REFIT_CASES}}
+    src = args.src.resolve()
+    report["cold_start"] = {
+        "runs": {label: time_cold_start(src, argv, args.repeats)
+                 for label, argv in COLD_START_RUNS},
+        "sample_path_ns_per_sample": time_sample_path(noise, args.repeats)}
     print(json.dumps(report, indent=1))
     return 0
 
