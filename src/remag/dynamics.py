@@ -275,22 +275,32 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
     else:
         # noiseless: each segment has a constant Hamiltonian, so the
         # whole segment evolves in closed form without stepping.  The
-        # step factors depend only on the amplitude, so they are computed
-        # once per distinct amplitude (two for a rotary echo), over the
-        # in-segment offsets tau and over the whole segment
-        psi0, psi1 = 1.0 + 0.0j, 0.0j
+        # segment-start states follow one scalar recurrence over the
+        # whole-segment factors; the in-segment offsets tau then fill
+        # every segment of one amplitude (two for a rotary echo) in one
+        # broadcast
+        n_seg = wave.amplitudes.size
+        start0 = np.empty(n_seg, dtype=complex)
+        start1 = np.empty(n_seg, dtype=complex)
         tau = dt * np.arange(1, n_sub + 1)
         factors = {}
+        psi0, psi1 = 1.0 + 0.0j, 0.0j
         for i, amp in enumerate(wave.amplitudes):
             if amp not in factors:
-                coeffs = _hamiltonian_coeffs(amp, wave.detuning)
-                factors[amp] = (_su2_factors(*coeffs, tau),
-                                _su2_factors(*coeffs, float(tau[-1])))
-            (ph, a0, b, _, _), (sph, sa0, sb, smb, sa1) = factors[amp]
-            new0 = ph * (a0 * psi0 - b * psi1)
-            values[i * n_sub + 1:(i + 1) * n_sub + 1] = np.abs(new0) ** 2
+                factors[amp] = tuple(map(complex, _su2_factors(
+                    *_hamiltonian_coeffs(amp, wave.detuning),
+                    float(tau[-1]))))
+            start0[i], start1[i] = psi0, psi1
+            sph, sa0, sb, smb, sa1 = factors[amp]
             psi0, psi1 = (sph * (sa0 * psi0 - sb * psi1),
                           sph * (smb * psi0 + sa1 * psi1))
+        per_segment = values[1:].reshape(n_seg, n_sub)
+        for amp in factors:
+            rows = wave.amplitudes == amp
+            ph, a0, b, _, _ = _su2_factors(
+                *_hamiltonian_coeffs(amp, wave.detuning), tau)
+            per_segment[rows] = np.abs(
+                ph * (a0 * start0[rows, None] - b * start1[rows, None])) ** 2
 
     np.clip(values, 0.0, 1.0, out=values)
     return SignalTrace(times=times, values=values, dt=dt,

@@ -242,34 +242,38 @@ def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
     """Grid step of a Monte Carlo run, sized to the noise.
 
     Each step is an exact SU(2) exponential with the noise held constant,
-    so the grid only has to sample the noise.  Two cases take the
-    largest uniform step that lands on every breakpoint and on every
-    record time (|t/dt - round(t/dt)| < 1e-6):
+    so the grid only has to sample the noise.  One rule covers every case:
+    the step is base/n for the segment length base and the least n >= n_min
+    that lands on every breakpoint and every record time
+    (|t/dt - round(t/dt)| < 1e-6), with n_min
 
-    - static noise, on any sequence and either axis, with no cap: the
+    - 1 for static noise, on any sequence and either axis: the
       Hamiltonian is constant between breakpoints, so one step per
       constant run between records is exact;
-    - OU dephasing during a rotary echo, no longer than tau_c/20.
+    - tau_c/20 steps for OU dephasing during a rotary echo;
+    - the drive grid min(T_Rabi/200, tau_c/20) for every other case: held
+      over tau_c/20, OU drive noise biases a rotary echo by several
+      standard errors at 10^4 trials (the echo refocuses it to second
+      order, so the standard error is tiny), and OU dephasing biases
+      Ramsey by 0.3 of one.
 
-    Every other case keeps the drive grid min(T_Rabi/200, tau_c/20): held
-    over tau_c/20, OU drive noise biases a rotary echo by several
-    standard errors at 10^4 trials (the echo refocuses it to second
-    order, so the standard error is tiny), and OU dephasing biases Ramsey
-    by 0.3 of one.  The drive grid is also the fallback when no step
-    under the cap lands on the record times.
+    n is at most twice the drive grid's step count; when no such n lands
+    on the record times, the drive grid is the fallback, and records off
+    it are taken at their nearest grid step.
     """
     tau_c = spec.tau_c if spec.kind == "ou" else None
     drive_grid = uniform_grid_step(wave, default_dt_max(wave, tau_c))
     base = wave.segment
+    n_drive = int(round(base / drive_grid))
     if spec.kind == "static":
         n_min = 1
     elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # OU-z echo
         n_min = math.ceil(base / (tau_c / _OU_MIN_SAMPLES_PER_TAU) - 1e-9)
     else:
-        return drive_grid
+        n_min = n_drive
     # segment boundaries lie at multiples of base, so steps of base/n land
     # on them; a record time at t = (p/q) base lands when q divides n
-    n_max = int(round(base / drive_grid))
+    n_max = 2 * n_drive
     fracs = np.unique(np.asarray(record_times, dtype=float)) / base
     n = 1
     for f in fracs:
@@ -298,9 +302,14 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     grid no coarser than it; by default the grid is sized to the noise
     (see :func:`_noise_grid_step`): one step per constant run between
     records under static noise, tau_c/20 under OU dephasing during a
-    rotary echo, and min(T_Rabi/200, tau_c/20) otherwise.  A record time
-    off the run (nearest grid index outside [0, n_steps]) is an error, and
-    so are two record times with the same nearest grid index.
+    rotary echo, and min(T_Rabi/200, tau_c/20) otherwise, each refined
+    until the steps land on the record times.  Records are then taken
+    exactly where requested; records that no step of at most twice the
+    drive grid's count lands on (an irrational fraction of a segment) are
+    taken at their nearest step of the drive grid, and ``times`` holds
+    those snapped times.  A record time off the run (nearest grid index
+    outside [0, n_steps]) is an error, and so are two record times with
+    the same nearest grid index.
     ``meta`` records the step ``dt``, the step count ``n_steps`` and the
     number of trial ``chunks``.  Large chunks may run in forked worker
     processes (see :func:`_workers`); the result is the same either way.

@@ -341,8 +341,11 @@ def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
     t = np.asarray(trace.times, dtype=float)
     d = np.asarray(trace.values, dtype=float)
     two_pi_t = 2.0 * math.pi * t
-    basis = np.empty((t.size, 1 + 4 * splittings.size))
-    basis[:, 0] = 1.0
+    # stored transposed, so that each cos/sin column is one contiguous
+    # row of basis_t; basis is its (n, 1 + 4 pairs) view
+    basis_t = np.empty((1 + 4 * splittings.size, t.size))
+    basis_t[0] = 1.0
+    basis = basis_t.T
     # one column each per line frequency, in the order (f_c - split,
     # f_c + split) of each pair
     cos, sin = basis[:, 1::2], basis[:, 2::2]
@@ -354,9 +357,9 @@ def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
         if key not in memo:
             fc, sp = params[0], params[1:]
             freqs = np.column_stack((fc - sp, fc + sp)).ravel()
-            w = np.multiply.outer(t, 2.0 * math.pi * freqs)
-            np.cos(w, out=cos)
-            np.sin(w, out=sin)
+            w = np.multiply.outer(2.0 * math.pi * freqs, t)
+            np.cos(w, out=basis_t[1::2])
+            np.sin(w, out=basis_t[2::2])
             u, s, vt = np.linalg.svd(basis, full_matrices=False)
             rank = np.count_nonzero(s > s[0] * cutoff)
             u, s, vt = u[:, :rank], s[:rank], vt[:rank]

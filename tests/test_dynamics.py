@@ -132,7 +132,9 @@ def test_propagate_with_zero_noise_matches_noiseless():
 
 def _per_segment_reference(wave, dt_max):
     """Noiseless populations from two su2_step calls per segment: one over
-    the in-segment offsets, one to the next segment's start state."""
+    the in-segment offsets, one to the next segment's start state.  This
+    is the segment loop that `propagate` ran before it filled all segments
+    of one amplitude in one broadcast."""
     dt = uniform_grid_step(wave, dt_max)
     n_sub = int(round(wave.segment / dt))
     values = np.empty(n_sub * wave.amplitudes.size + 1)
@@ -175,6 +177,32 @@ def test_noiseless_rabi_ramsey_bit_identical_to_per_segment_steps(
         trace = propagate(wave, dt_max=dt_max)
         assert np.array_equal(trace.values,
                               _per_segment_reference(wave, dt_max))
+
+
+# the analysis chain's noiseless traces: (sequence, detuning, dt_max)
+ANALYSIS_TRACES = {
+    "pi echo, 17 MHz, 10 ns grid (3 steps per segment)": (
+        PulseSequence.rotary_echo(math.pi, W17, 255), mhz_to_rad(0.17),
+        10e-9),
+    "figure 1c, 2 ns grid": (PulseSequence.rotary_echo(math.pi, W17, 51),
+                             mhz_to_rad(0.17), 2e-9),
+    "one cycle": (PulseSequence.rotary_echo(math.pi, W17, 1),
+                  mhz_to_rad(2.31), 10e-9),
+    "zero detuning": (PulseSequence.rotary_echo(math.pi, W17, 50), 0.0,
+                      10e-9),
+    "rabi, one segment": (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6),
+                          mhz_to_rad(0.5), 1e-9),
+    "ramsey, amplitude 0": (PulseSequence.ramsey(0.5e-6), mhz_to_rad(2.0),
+                            1e-9),
+}
+
+
+@pytest.mark.parametrize("label", ANALYSIS_TRACES)
+def test_analysis_traces_bit_identical_to_segment_loop(label):
+    seq, dw, dt_max = ANALYSIS_TRACES[label]
+    wave = build_waveform(seq, dw)
+    trace = propagate(wave, dt_max=dt_max)
+    assert np.array_equal(trace.values, _per_segment_reference(wave, dt_max))
 
 
 def test_ramsey_and_rabi_waveforms():

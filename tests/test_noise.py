@@ -500,6 +500,23 @@ class TestMonteCarlo:
             monte_carlo(seq, 0.0, spec, trials=4, record_times=1e-6 * np.array(
                 [0.0, 0.25, 0.2501, 0.5]))
 
+    @pytest.mark.parametrize("seq, axis, n_steps", [
+        (PulseSequence.ramsey(0.5e-6), "z", 1000),
+        (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "x", 2000),
+        (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "z", 2000)],
+        ids=["ou-z ramsey", "ou-x rabi", "ou-z rabi"])
+    def test_default_records_are_taken_where_requested(self, seq, axis,
+                                                       n_steps):
+        # 500 records of 1 ns: the drive grid (512 steps for Ramsey, 1,900
+        # for Rabi at 19 MHz) lands on none but a few of them
+        spec = NoiseSpec(axis=axis, kind="ou", sigma=SIGMA, tau_c=TAU_C,
+                         seed=3)
+        res = monte_carlo(seq, mhz_to_rad(2.0), spec, trials=2)
+        assert res.meta["n_steps"] == n_steps
+        np.testing.assert_allclose(
+            res.times, noise_module._default_record_times(seq), rtol=0.0,
+            atol=1e-15)
+
     def test_chunking_does_not_change_result(self):
         seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 4)
         spec = NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=7)

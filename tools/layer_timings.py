@@ -45,7 +45,14 @@ Two layers of the analysis chain, on the pi echoes at 17 MHz of
   finite-difference Jacobian included), and the `nfev` and `njev` of the
   `least_squares` result it gets (`njev` is null where the refit passes
   no `jac`), on the figure 2a and 2b triplet traces with shot noise at
-  seed 3.
+  seed 3 (511 and 1,531 samples, 3 pairs each); `point_us` splits one
+  refit point, its residual and then its Jacobian, into the `np.cos` and
+  `np.sin` calls that fill the basis (`trig`), the `np.linalg.svd` call
+  (`svd`) and the rest (null where the refit passes no callable `jac`);
+- `spectrum_op_refits`: the residual evaluations of the refits of the 48
+  `remag spectrum` ops of an `analysis-cli` pass (a fixed design over
+  trace length and line splitting), each op run once through
+  `remag.cli.main`.
 
 Start-up, in fresh interpreters (`cold_start`):
 
@@ -78,10 +85,13 @@ the host leaves the second core free.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -101,7 +111,6 @@ STATIC_CASE = (1.0, 19.0, 65, 64)   # theta/pi, omega (MHz), cycles, trials
 
 def _cases(noise, dynamics):
     """(label, sequence, detuning, spec, trials) of each timed case."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads as w
 
     mhz = 2e6 * math.pi
@@ -227,10 +236,38 @@ def time_propagate(dynamics, n_cycles, dt_max, repeats) -> float:
         lambda: dynamics.propagate(wave, dt_max=dt_max)), repeats) * 1e3
 
 
+@contextlib.contextmanager
+def _patched(owner, name, replacement):
+    """``owner.name`` set to ``replacement`` for the block."""
+    original = getattr(owner, name)
+    setattr(owner, name, replacement)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def _counted(least_squares, fits: list):
+    """``least_squares`` that appends ``[result, residual evaluations]`` of
+    each fit to ``fits``."""
+    def counted(fun, *a, **k):
+        fits.append([None, 0])
+        entry = fits[-1]
+
+        def fun_counted(x):
+            entry[1] += 1
+            return fun(x)
+
+        entry[0] = least_squares(fun_counted, *a, **k)
+        return entry[0]
+    return counted
+
+
 def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
     """`_refine_pairs` on a figure 2 trace, from the start point
     `extract_detunings` hands it: ms and residual evaluations per refit,
-    and the `nfev` and `njev` that `least_squares` reports."""
+    the `nfev` and `njev` that `least_squares` reports, and one refit
+    point split into its parts (`point_us`)."""
     import scipy.optimize
 
     mhz = 2e6 * math.pi
@@ -241,33 +278,107 @@ def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
     pgram = spectral.periodogram(trace)
     peaks = spectral.peak_significance(pgram, max_peaks=6)
     refine, calls = spectral._refine_pairs, []
-    spectral._refine_pairs = lambda *a: calls.append(a) or refine(*a)
-    try:
+    with _patched(spectral, "_refine_pairs",
+                  lambda *a: calls.append(a) or refine(*a)):
         spectral.extract_detunings(peaks, math.pi, omega,
                                    pair_tolerance_hz=2 * pgram.grid_spacing,
                                    trace=trace)
-    finally:
-        spectral._refine_pairs = refine
     [args] = calls
-    least_squares, evaluations, fits = scipy.optimize.least_squares, [], []
-
-    def counted(fun, *a, **k):
-        fits.append(least_squares(lambda x: evaluations.append(1) or fun(x),
-                                  *a, **k))
-        return fits[-1]
-
-    scipy.optimize.least_squares = counted
-    try:
+    fits = []
+    with _patched(scipy.optimize, "least_squares",
+                  _counted(scipy.optimize.least_squares, fits)):
         refine(*args)
-    finally:
-        scipy.optimize.least_squares = least_squares
-    [fit] = fits
+    [(fit, evaluations)] = fits
     return {"samples": trace.values.size, "pairs": args[2].size,
             "ms_per_refit": _median_s(lambda: _timed(lambda: refine(*args)),
                                       repeats) * 1e3,
-            "evaluations_per_refit": len(evaluations),
+            "evaluations_per_refit": evaluations,
             "nfev": int(fit.nfev),
-            "njev": None if fit.njev is None else int(fit.njev)}
+            "njev": None if fit.njev is None else int(fit.njev),
+            "point_us": time_refit_point(refine, args, repeats)}
+
+
+REFIT_POINTS = 20       # refit points per timed batch
+
+
+def time_refit_point(refine, args, repeats) -> dict | None:
+    """Microseconds of one refit point, its residual and then its Jacobian,
+    split into the `np.cos`/`np.sin` calls that fill the basis (`trig`),
+    the `np.linalg.svd` call (`svd`) and the rest; the median of
+    `repeats` batches of `REFIT_POINTS` points.  Null where the refit
+    passes `least_squares` no callable `jac`."""
+    import scipy.optimize
+
+    captured = []
+
+    def capture(fun, x0, jac=None, **k):
+        captured.append((fun, jac, np.asarray(x0, dtype=float)))
+        return scipy.optimize.OptimizeResult(x=captured[-1][2])
+
+    with _patched(scipy.optimize, "least_squares", capture):
+        refine(*args)
+    [(fun, jac, x0)] = captured
+    if not callable(jac):
+        return None
+    # two points in turn, so that no point finds its factors memoized
+    points = (x0, x0 * (1.0 + 1e-9))
+    spent = {"trig": 0.0, "svd": 0.0}
+
+    def timer(part, fn):
+        def timed(*a, **k):
+            start = time.perf_counter()
+            try:
+                return fn(*a, **k)
+            finally:
+                spent[part] += time.perf_counter() - start
+        return timed
+
+    def batch():
+        spent.update(trig=0.0, svd=0.0)
+        with _patched(np, "cos", timer("trig", np.cos)), \
+                _patched(np, "sin", timer("trig", np.sin)), \
+                _patched(np.linalg, "svd", timer("svd", np.linalg.svd)):
+            start = time.perf_counter()
+            for i in range(REFIT_POINTS):
+                x = points[i % 2]
+                fun(x)
+                jac(x)
+            total = time.perf_counter() - start
+        return {"trig": spent["trig"], "svd": spent["svd"],
+                "rest": total - spent["trig"] - spent["svd"], "total": total}
+
+    batch()
+    runs = [batch() for _ in range(repeats)]
+    return {part: statistics.median(r[part] for r in runs)
+            / REFIT_POINTS * 1e6 for part in runs[0]}
+
+
+def spectrum_op_evaluations(cli) -> dict:
+    """Residual evaluations of the refits of the `remag spectrum` ops of an
+    `analysis-cli` pass (its fixed design over trace length and line
+    splitting), each op run once through `remag.cli.main`."""
+    import scipy.optimize
+    import workloads as w
+
+    ops = [op for op in w.analysis_cli(random.Random(1))
+           if op.argv == ("spectrum",)]
+    fits = []
+    with tempfile.TemporaryDirectory() as work, \
+            _patched(scipy.optimize, "least_squares",
+                     _counted(scipy.optimize.least_squares, fits)), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for i, op in enumerate(ops):
+            cfg = Path(work) / f"spectrum-{i}.ini"
+            cfg.write_text(op.config, encoding="utf-8")
+            rc = cli.main(["spectrum", "--config", str(cfg),
+                           "--out", str(Path(work) / f"op{i}")])
+            if rc:
+                raise RuntimeError(f"spectrum op {op.key} exited {rc}")
+    counts = [evaluations for _, evaluations in fits]
+    return {"ops": len(ops), "refits": len(fits),
+            "evaluations": sum(counts),
+            "evaluations_per_refit": sum(counts) / len(fits),
+            "median": statistics.median(counts), "max": max(counts)}
 
 
 def time_model(noise, seq, delta, spec, repeats) -> float:
@@ -348,6 +459,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(args.src.resolve()))
     from remag import cli, dynamics, noise, spectral
 
@@ -371,7 +483,8 @@ def main() -> int:
                                                args.repeats)
                          for label, n_cycles, dt_max in PROPAGATE_CASES},
         "refit": {label: time_refit(cli, spectral, b, t_total, args.repeats)
-                  for label, b, t_total in REFIT_CASES}}
+                  for label, b, t_total in REFIT_CASES},
+        "spectrum_op_refits": spectrum_op_evaluations(cli)}
     src = args.src.resolve()
     report["cold_start"] = {
         "runs": {label: time_cold_start(src, argv, args.repeats)
