@@ -16,6 +16,7 @@ import math
 import os
 import platform
 import sys
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -50,7 +51,7 @@ class RunWriter:
     units) but never timestamps, so reruns with the same config and seed
     are byte-identical; timestamps and the environment (Python, numpy and
     scipy versions, and the CPUs ``monte_carlo`` may spread trial chunks
-    over) go to the manifest only.
+    over) go to the manifest only, as do the run's distinct warnings.
     Each file is written under a temporary name in ``out_dir`` and renamed
     onto its own once whole, so a run killed mid-write never leaves a
     truncated file under a real name; :meth:`cleanup` removes every file
@@ -114,7 +115,9 @@ class RunWriter:
         os.replace(self.pending, path)
         self.pending = None
 
-    def manifest(self) -> str:
+    def manifest(self, caught: list) -> str:
+        distinct = dict.fromkeys((w.category.__name__, str(w.message))
+                                 for w in caught)
         payload = {
             "tool": "remag",
             "version": __version__,
@@ -122,7 +125,8 @@ class RunWriter:
             "config_hash": self.hash,
             "config": self.cfg.values,
             "seed": self.seed,
-            "validity_warning": self.cfg.validity_warning,
+            "warnings": [{"category": category, "message": message}
+                         for category, message in distinct],
             "started": self.started,
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": [os.path.basename(p) for p in self.created],
@@ -275,13 +279,9 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     ideal, corrected = sensitivity_sweep(kind, times, cfg.readout, envelope,
                                          theta=cfg.theta, omega=cfg.omega,
                                          hyperfine=cfg.hyperfine)
-    # the one output built on decay_envelope, whose window this marks
-    meta = ({"validity_warning": "OU dephasing envelope outside its "
-             "validity window"} if cfg.validity_warning else None)
     w.csv("sensitivity.csv", {"t_us": times * 1e6,
                               "eta_ideal_ut": ideal * 1e6,
-                              "eta_corrected_ut": corrected * 1e6},
-          extra_meta=meta)
+                              "eta_corrected_ut": corrected * 1e6})
 
 
 class Case(NamedTuple):
@@ -580,19 +580,22 @@ def main(argv=None) -> int:
     if cfg.noise is not None:
         cfg.noise = replace(cfg.noise, seed=seed)
     writer = RunWriter(args.out, args.subcommand, cfg, seed)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        COMMANDS[args.subcommand](cfg, writer, args)
-        writer.manifest()
-    except ConfigError as exc:
-        writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - partial outputs must not survive
-        writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    error = None
+    # warnings the filters pass are listed in the manifest, then shown
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            COMMANDS[args.subcommand](cfg, writer, args)
+            writer.manifest(caught)
+        except Exception as exc:  # noqa: BLE001 - partial outputs must not survive
+            writer.cleanup()
+            error = exc
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if error is None:
+        return 0
+    print(f"error: {error}", file=sys.stderr)
+    return 1 if isinstance(error, ConfigError) else 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .calcium import CaDomainSpec
 from .dynamics import PulseSequence
-from .noise import MAX_SEED, NoiseSpec, decay_scenario
+from .noise import MAX_SEED, NoiseSpec
 from .sensing import ReadoutModel
 from .units import mhz_to_rad, us_to_s
 
@@ -101,12 +101,6 @@ class ScenarioConfig:
         """A :class:`ConfigError` with ``section``'s file:line context."""
         return ConfigError(f"{self.source}:{self.lines.get(section, '?')}: "
                            f"[{section}] {message}")
-
-    @property
-    def validity_warning(self) -> bool:
-        """The run leaves the OU-z rotary-echo envelope's validity window."""
-        return (self.noise is not None and not
-                decay_scenario(self.sequence, self.noise).in_validity_window)
 
     # convenience accessors in internal units (rad/s, s)
     @property

@@ -310,8 +310,9 @@ def decay_envelope(scenario: DecayScenario, t):
 def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
     """Noise-averaged signal <S>(t) including the coherent oscillation.
 
-    Rotary echo is evaluated at full-echo times (slow oscillation only);
-    the x-axis scenarios are the resonant envelopes (1 + env)/2.
+    Rotary echo is evaluated at full-echo times (slow oscillation only).
+    The x-axis forms remain resonant (dw = 0 whatever ``delta_omega``):
+    the echo's (1 + env)/2 and Rabi's (1 + cos(Omega t) env)/2.
 
     The rotary-echo case is a first-order model: the first-order beat of
     :func:`re_signal_full_echo` (beat-phase error n eps^3 (theta c - 2 s +
@@ -326,7 +327,8 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
         return rabi_static_z_mean(scenario.omega, scenario.sigma, t)
     env = decay_envelope(scenario, t)
     if a == "x":
-        return 0.5 * (1.0 + env)
+        osc = np.cos(scenario.omega * t) if s == "rabi" else 1.0
+        return 0.5 * (1.0 + osc * env)
     if s == "rotary_echo":
         half = scenario.theta / 2.0
         osc = np.cos(2.0 * delta_omega * t * math.sin(half) / scenario.theta)

@@ -491,19 +491,18 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
                 trials: int, record_times: np.ndarray | None = None):
     """``(EnsembleResult, model)``, the model on the ensemble's times.
 
-    The model is :func:`exact_mean` for a rotary echo under OU dephasing
-    noise, where the paper's first-order product misses by several
-    standard errors at 10^4 trials, and :func:`remag.models.mean_signal`
-    otherwise; None where the one does not converge or the other has no
-    closed form (OU-z Rabi, drive noise on Ramsey).
+    The model is :func:`exact_mean` under OU noise and
+    :func:`remag.models.mean_signal` under static noise; None where that
+    model raises ValueError (static drive noise on Ramsey has no closed
+    form; a bath past the hierarchy's level cap does not converge).
     """
     res = monte_carlo(seq, delta_omega, spec, trials=trials,
                       record_times=record_times)
-    scen = decay_scenario(seq, spec)
     try:
-        if (scen.sequence, scen.axis, scen.kind) == ("rotary_echo", "z", "ou"):
+        if spec.kind == "ou":
             return res, exact_mean(seq, delta_omega, spec, res.times)
-        return res, np.atleast_1d(mean_signal(scen, res.times, delta_omega))
+        return res, np.atleast_1d(mean_signal(decay_scenario(seq, spec),
+                                              res.times, delta_omega))
     except ValueError:
         return res, None
 

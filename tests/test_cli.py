@@ -56,6 +56,9 @@ tau_c_us = 0.2
 """
 
 
+W19 = mhz_to_rad(19.0)
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     rc = main(list(argv) + ["--out", str(out)])
@@ -373,6 +376,20 @@ class TestExitCodes:
 
 class TestSpectrum:
 
+    def test_harmonic_filter_warning_reaches_the_manifest(self, tmp_path):
+        # three cycles are so short that each even-harmonic notch (half
+        # width plus taper, 4/T) reaches the odd harmonics beside it
+        cfg = tmp_path / "short.ini"
+        cfg.write_text("[sequence]\nn_cycles = 3\n"
+                       "[spectrum]\nfilter_harmonics = true\n")
+        with pytest.warns(UserWarning, match="notch overlaps"):
+            rc, out = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())[
+            "warnings"] == [{"category": "UserWarning",
+                             "message": "even-harmonic notch overlaps the "
+                             "signal region around an odd carrier harmonic"}]
+
     def test_triplet_recovery(self, tmp_path):
         cfg = tmp_path / "spec.ini"
         cfg.write_text(SPECTRUM_INI)
@@ -433,11 +450,11 @@ class TestNoiseRun:
         assert (rabi["n_steps_static"], rabi["n_steps_ou"]) == (20, 4000)
         assert rabi["chunks_static"] == rabi["chunks_ou"] == 1
 
-    def _decay(self, tmp_path, ini):
+    def _decay(self, tmp_path, ini, trials=8):
         cfg = tmp_path / "case.ini"
         cfg.write_text(ini)
         out = tmp_path / "out"
-        assert main(["noise", "--config", str(cfg), "--trials", "8",
+        assert main(["noise", "--config", str(cfg), "--trials", str(trials),
                      "--out", str(out)]) == 0
         lines = [ln for ln in (out / "decay.csv").read_text().splitlines()
                  if not ln.startswith("#")]
@@ -457,41 +474,51 @@ class TestNoiseRun:
                                                        "sigma_mhz = 30.0"))
         assert list(cols) == ["t_us", "mc_mean", "mc_stderr"]
 
-    @pytest.mark.parametrize("noise, sequence, scen", [
+    @pytest.mark.parametrize("noise, sequence, model", [
         # relative strength: sigma_rel times the Rabi frequency
         ("axis = x\nkind = static\nsigma_rel = 0.05\n",
          "kind = rotary_echo\ntheta_pi = 5.0\nomega_mhz = 19.0\n"
          "n_cycles = 6\n",
-         DecayScenario("rotary_echo", "x", "static",
-                       sigma=0.05 * mhz_to_rad(19.0), theta=5 * math.pi,
-                       omega=mhz_to_rad(19.0))),
+         lambda t: mean_signal(DecayScenario(
+             "rotary_echo", "x", "static", sigma=0.05 * W19,
+             theta=5 * math.pi, omega=W19), t)),
         ("axis = x\nkind = ou\nsigma_rel = 0.05\ntau_c_us = 0.2\n",
          "kind = rotary_echo\ntheta_pi = 1.0\nomega_mhz = 19.0\n"
          "n_cycles = 20\n",
-         DecayScenario("rotary_echo", "x", "ou",
-                       sigma=0.05 * mhz_to_rad(19.0), tau_c=0.2e-6,
-                       theta=math.pi, omega=mhz_to_rad(19.0))),
-        # absolute strength in MHz
+         lambda t: exact_mean(PulseSequence.rotary_echo(math.pi, W19, 20),
+                              0.0, NoiseSpec("x", "ou", 0.05 * W19, 0.2e-6),
+                              t)),
+        # absolute strength in MHz, on Rabi's default 1 ns records
         ("axis = x\nkind = ou\nsigma_mhz = 1.0\ntau_c_us = 0.2\n",
          "kind = rabi\nomega_mhz = 19.0\nduration_us = 0.3\n",
-         DecayScenario("rabi", "x", "ou", sigma=mhz_to_rad(1.0),
-                       tau_c=0.2e-6, omega=mhz_to_rad(19.0))),
-    ])
-    def test_drive_noise_model_is_mean_signal(self, tmp_path, noise,
-                                              sequence, scen):
+         lambda t: exact_mean(PulseSequence.rabi(W19, 0.3e-6), 0.0,
+                              NoiseSpec("x", "ou", mhz_to_rad(1.0), 0.2e-6),
+                              t)),
+    ], ids=["static-x-echo", "ou-x-echo", "ou-x-rabi"])
+    def test_drive_noise_model(self, tmp_path, noise, sequence, model):
+        # static noise: mean_signal; OU noise: exact_mean
         cols = self._decay(tmp_path, f"[sequence]\n{sequence}[field]\n"
                            f"detuning_mhz = 0.0\n[noise]\nenabled = true\n"
                            f"{noise}")
-        model = mean_signal(scen, cols["t_us"] * 1e-6)
-        assert np.allclose(cols["model"], model, rtol=0, atol=1e-10)
-        if scen.kind == "ou":
+        assert np.allclose(cols["model"], model(cols["t_us"] * 1e-6),
+                           rtol=0, atol=1e-10)
+        if "kind = ou" in noise:
             assert np.ptp(cols["model"]) > 1e-3  # sigma shapes the decay
 
-    def test_ou_z_rabi_has_no_model_column(self, tmp_path):
-        cols = self._decay(tmp_path, "[sequence]\nkind = rabi\n"
-                           "duration_us = 0.3\n[noise]\nenabled = true\n"
-                           "axis = z\nkind = ou\nsigma_mhz = 1.0\n")
-        assert list(cols) == ["t_us", "mc_mean", "mc_stderr"]
+    @pytest.mark.parametrize("sequence, detuning, axis", [
+        ("kind = rabi\nomega_mhz = 19.0\nduration_us = 0.5\n", 0.5, "z"),
+        ("kind = ramsey\nduration_us = 0.5\n", 2.0, "x"),
+        ("kind = rabi\nomega_mhz = 19.0\nduration_us = 0.5\n", 0.5, "x")],
+        ids=["ou-z-rabi", "ou-x-ramsey", "ou-x-rabi-detuned"])
+    def test_ou_model_column_within_4_se(self, tmp_path, sequence, detuning,
+                                         axis):
+        # exact_mean covers OU noise on every sequence, detuned or not
+        cols = self._decay(tmp_path, f"[sequence]\n{sequence}[field]\n"
+                           f"detuning_mhz = {detuning}\n[noise]\n"
+                           f"enabled = true\naxis = {axis}\nkind = ou\n"
+                           f"sigma_mhz = 1.0\ntau_c_us = 0.2\n", trials=2000)
+        se = np.where(cols["mc_stderr"] > 0, cols["mc_stderr"], np.inf)
+        assert np.max(np.abs(cols["mc_mean"] - cols["model"]) / se) < 4.0
 
     def test_static_ramsey_records_its_default_times(self, tmp_path):
         # 501 records 1 ns apart: one step each, not snapped onto a grid
@@ -510,18 +537,18 @@ class TestNoiseRun:
                    "--out", str(out)])
         assert rc == 0
         # decay.csv's model column is noise.exact_mean, which has no window
-        assert "# validity_warning" not in (out / "decay.csv").read_text()
         assert json.loads((out / "manifest.json").read_text())[
-            "validity_warning"] is True
+            "warnings"] == []
         # the sensitivity sweep divides by decay_envelope, which has one
         sens = tmp_path / "sens"
-        with pytest.warns(ValidityWarning):
+        with pytest.warns(ValidityWarning) as shown:
             rc = main(["sensitivity", "--config", str(cfg), "--out",
                        str(sens)])
         assert rc == 0
-        assert "# validity_warning" in (sens / "sensitivity.csv").read_text()
+        assert "validity" not in (sens / "sensitivity.csv").read_text()
         assert json.loads((sens / "manifest.json").read_text())[
-            "validity_warning"] is True
+            "warnings"] == [{"category": "ValidityWarning",
+                             "message": str(shown[0].message)}]
 
 
 class TestCalcium:

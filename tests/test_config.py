@@ -109,30 +109,6 @@ class TestErrors:
                             ).noise.sigma == mhz_to_rad(1.0)
 
 
-class TestValidityWindow:
-
-    OU_Z = ("[sequence]\nkind = rotary_echo\ntheta_pi = {theta_pi}\n"
-            "omega_mhz = 20\n"
-            "[noise]\nenabled = true\naxis = z\nkind = ou\n"
-            "sigma_mhz = {sigma_mhz}\ntau_c_us = 0.2\n")
-
-    def test_inside_window_not_flagged(self):
-        # pi echo, tau_c sigma = 0.63 < pi/2
-        cfg = parse_config(self.OU_Z.format(theta_pi=1.0, sigma_mhz=0.5))
-        assert not cfg.validity_warning
-
-    def test_slow_strong_bath_flagged(self):
-        # 3pi/4 echo with sigma = 0.05 Omega: tau_c sigma = 1.26 > 3pi/8
-        cfg = parse_config(self.OU_Z.format(theta_pi=0.75, sigma_mhz=1.0))
-        assert cfg.validity_warning
-
-    def test_flag_only_for_ou_z_rotary_echo(self):
-        text = ("[sequence]\nkind = ramsey\nduration_us = 1\n"
-                "[noise]\nenabled = true\naxis = z\nkind = ou\n"
-                "sigma_mhz = 1.0\ntau_c_us = 0.2\n")
-        assert not parse_config(text).validity_warning
-
-
 class TestHash:
 
     def test_hash_stable_under_key_order(self):

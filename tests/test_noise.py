@@ -485,6 +485,18 @@ class TestMonteCarlo:
         se = np.where(res.stderr > 0, res.stderr, 1.0)
         assert np.max(np.abs(res.mean - model) / se) < 4.0
 
+    @pytest.mark.parametrize("kind", ["static", "ou"])
+    def test_rabi_drive_noise_between_periods(self, kind):
+        # the default 1 ns records: the drive turns the Bloch vector by
+        # Omega t plus the noise's angle, so the mean oscillates at Omega
+        seq = PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6)
+        spec = NoiseSpec(axis="x", kind=kind, sigma=mhz_to_rad(1.0),
+                         tau_c=TAU_C, seed=11)
+        res = monte_carlo(seq, 0.0, spec, trials=2000)
+        model = mean_signal(decay_scenario(seq, spec), res.times)
+        se = np.where(res.stderr > 0, res.stderr, np.inf)
+        assert np.max(np.abs(res.mean - model) / se) < 4.0
+
     def test_record_times_outside_the_run_rejected(self):
         seq = PulseSequence.ramsey(0.5e-6)
         spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA, seed=1)

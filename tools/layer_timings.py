@@ -31,8 +31,7 @@ processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
 One more figure, on each `noise-ou-large` case only:
 
 - `model_ms`: the model call that `noise.mc_vs_model` makes beside the
-  ensemble, on the ensemble's record times: `noise.exact_mean`, or
-  `models.mean_signal_cumulant` on a checkout without it.
+  ensemble, `noise.exact_mean`, on the ensemble's record times.
 
 Two layers of the analysis chain, on the pi echoes at 17 MHz of
 `remag spectrum` and figures 1c, 2a and 2b (`analysis`):
@@ -384,16 +383,8 @@ def spectrum_op_evaluations(cli) -> dict:
 def time_model(noise, seq, delta, spec, repeats) -> float:
     """Median ms of the model call `mc_vs_model` makes on an OU-z echo."""
     times = noise.monte_carlo(seq, delta, spec, 1).times
-    if hasattr(noise, "exact_mean"):
-        def call():
-            noise.exact_mean(seq, delta, spec, times)
-    else:
-        from remag import models
-        scen = noise.decay_scenario(seq, spec)
-
-        def call():
-            models.mean_signal_cumulant(scen, times, delta)
-    return _median_s(lambda: _timed(call), repeats) * 1e3
+    return _median_s(lambda: _timed(
+        lambda: noise.exact_mean(seq, delta, spec, times)), repeats) * 1e3
 
 
 def _fork_and_reap() -> None:

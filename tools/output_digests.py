@@ -3,7 +3,8 @@
 The set is every `remag figure` preset, plus `simulate`, `noise`,
 `sensitivity` and `spectrum` on one config per scenario family,
 `sensitivity` on one config with non-default readout overheads, and
-`noise` on one OU-z echo whose grid crosses several noise time blocks.  A
+`noise` on one OU-z echo whose grid crosses several noise time blocks,
+on OU drive noise on Ramsey and on static drive noise on Rabi.  A
 refactor that must keep outputs byte-identical prints the same lines as
 its parent commit; manifests are hashed without their `started` and
 `finished` timestamps, the only fields allowed to differ between reruns.
@@ -98,7 +99,16 @@ FAMILIES["ou_z_echo_blocks"] = (ECHO_PI.replace("theta_pi = 1.0",
                                 .replace("n_cycles = 12", "n_cycles = 24"),
                                 "detuning_mhz = 2.0\n",
                                 OU + "axis = z\nsigma_mhz = 1.0\n")
-COMMANDS = {"simulate": SHARED, "noise": SHARED + ("ou_z_echo_blocks",),
+# noise only: drive noise on Ramsey's free evolution (exact_mean), and
+# static drive noise between Rabi periods (mean_signal)
+FAMILIES["ou_x_ramsey"] = (RAMSEY, "detuning_mhz = 2.0\n",
+                           OU + "axis = x\nsigma_mhz = 1.0\n")
+FAMILIES["static_x_rabi"] = (RABI, "detuning_mhz = 0.0\n",
+                             "enabled = true\nkind = static\naxis = x\n"
+                             "sigma_mhz = 1.0\n")
+COMMANDS = {"simulate": SHARED,
+            "noise": SHARED + ("ou_z_echo_blocks", "ou_x_ramsey",
+                               "static_x_rabi"),
             "sensitivity": SHARED + ("ou_z_echo_readout",),
             "spectrum": ("noiseless_triplet",)}
 EXTRA = {"noiseless_triplet":
@@ -180,8 +190,8 @@ def _line_key(line: str) -> tuple:
 
 def _fields(path: Path) -> dict:
     """Values of a CSV (by column, as floats) or JSON file (by field path,
-    every leaf value; numbers as floats; a manifest without its
-    timestamps)."""
+    every leaf value and each empty list; numbers as floats; a manifest
+    without its timestamps)."""
     if path.suffix == ".csv":
         text = path.read_text(encoding="utf-8").splitlines()
         rows = list(csv.reader(ln for ln in text if not ln.startswith("#")))
@@ -194,6 +204,8 @@ def _fields(path: Path) -> dict:
             for key, child in node.items():
                 walk(child, f"{name}.{key}" if name else key)
         elif isinstance(node, list):
+            if not node:        # an empty list is a field too
+                values.setdefault(f"{name}[]", [])
             for child in node:
                 walk(child, f"{name}[]")
         else:
