@@ -99,8 +99,8 @@ class RunWriter:
 
     def json(self, name: str, payload) -> str:
         with self._open(name) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # one write: json.dump writes each token apart
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return os.path.join(self.out_dir, name)
 
     @contextlib.contextmanager

@@ -494,13 +494,17 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     The model is :func:`exact_mean` under OU noise and
     :func:`remag.models.mean_signal` under static noise; None where that
     model raises ValueError (static drive noise on Ramsey has no closed
-    form; a bath past the hierarchy's level cap does not converge).
+    form; a bath past the hierarchy's level cap does not converge), and
+    for static drive noise off resonance, since mean_signal's x-axis forms
+    are resonant and miss the detuning's beat.
     """
     res = monte_carlo(seq, delta_omega, spec, trials=trials,
                       record_times=record_times)
     try:
         if spec.kind == "ou":
             return res, exact_mean(seq, delta_omega, spec, res.times)
+        if spec.axis == "x" and delta_omega != 0.0:
+            return res, None
         return res, np.atleast_1d(mean_signal(decay_scenario(seq, spec),
                                               res.times, delta_omega))
     except ValueError:

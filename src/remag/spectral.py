@@ -18,6 +18,13 @@ import numpy as np
 from .dynamics import SignalTrace
 
 DEFAULT_OVERSAMPLE = 4
+# A line's first sidelobe under the rectangular window lies between the
+# window's first null, 1/T from the line, and its second, 2/T away.
+LEAKAGE_REACH = 2.0     # in units of 1/T
+# That sidelobe peaks at 0.047 of its line's power (-13.3 dB; Harris, Proc.
+# IEEE 66, 51 (1978)); the sidelobes of two mirror lines adding in phase
+# reach 4x that, about 0.2.
+LEAKAGE_POWER = 0.2
 
 
 @dataclass(frozen=True)
@@ -268,11 +275,27 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
     duration being fixed by timing), and maps each half-splitting via
     delta_nu = df * theta / (2 sin(theta/2)).
 
-    When `trace` is supplied, the carrier and splittings are refined by
-    a symmetry-constrained least-squares fit of the line model to the
+    When `trace` is supplied, pairs that are window leakage are dropped
+    first, and the carrier and splittings are then refined by a
+    symmetry-constrained least-squares fit of the line model to the
     time series.  Mirror lines a Rayleigh width apart interfere, which
     biases bare periodogram apexes by a sizable fraction of the grid
     spacing; the fit removes that bias.
+
+    The periodogram's rectangular window puts each strong line's first
+    sidelobe 1/T to 2/T from it (T the trace's duration), and the mirror
+    sidelobes of a strong pair can clear the significance level and pair
+    up.  Fit as a line pair, such a pair is pulled onto a real line or
+    collapses onto the carrier.  So, walking the pairs in the order they
+    were formed, a pair is dropped when its half-splitting lies within
+    LEAKAGE_REACH / T of a kept pair's and its summed power is below
+    LEAKAGE_POWER of that pair's.  A real pair that weak and that close
+    is dropped too.  That is the window's resolution limit: where the
+    A - b and A + b pairs of a hyperfine triplet lie under 1/T apart
+    (traces of 3-5.5 us at b up to 0.12 MHz), the periodogram shows one
+    pair for both, the line hidden in it is lost, and a fit that pulled a
+    sidelobe pair onto that line recovered it only by chance.  Without a
+    trace T is unknown, and every pair is inverted as formed.
     """
     if not peaks:
         raise ValueError("no peaks supplied")
@@ -293,6 +316,8 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
         pairs.append((p, best))
     if not pairs:
         raise ValueError("no symmetric pair found about the carrier")
+    if trace is not None:
+        pairs = _drop_leakage_pairs(pairs, trace.values.size * trace.dt)
 
     weights = np.array([p.power + q.power for p, q in pairs])
     midpoints = np.array([0.5 * (p.frequency + q.frequency) for p, q in pairs])
@@ -317,6 +342,25 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
                             theta_actual=theta_actual,
                             detunings=tuple(detunings),
                             pair_residual_hz=residual)
+
+
+def _drop_leakage_pairs(pairs: list, total_time: float) -> list:
+    """The pairs that are not the mirror sidelobes of a stronger pair.
+
+    Walks `pairs` in order and drops one whose half-splitting lies within
+    LEAKAGE_REACH / T of a kept pair's and whose summed power is below
+    LEAKAGE_POWER of that pair's.
+    """
+    reach = LEAKAGE_REACH / total_time
+    kept = []   # (half-splitting, summed power) of each kept pair
+    out = []
+    for p, q in pairs:
+        half, power = 0.5 * abs(p.frequency - q.frequency), p.power + q.power
+        if not any(abs(half - h) <= reach and power < LEAKAGE_POWER * w
+                   for h, w in kept):
+            kept.append((half, power))
+            out.append((p, q))
+    return out
 
 
 def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):

@@ -318,11 +318,14 @@ class TestExitCodes:
         import remag.cli as cli
 
         class Failing(io.StringIO):
-            # accepts the first write, fails on the second
+            # takes the first 256 characters, then fails like a full disk,
+            # within whichever write call crosses that mark
             def write(self, text):
-                if self.tell():
+                room = max(256 - self.tell(), 0)
+                super().write(text[:room])
+                if len(text) > room:
                     raise OSError("disk full")
-                return super().write(text)
+                return len(text)
 
             def close(self):
                 path.write_text(self.getvalue())
@@ -504,6 +507,21 @@ class TestNoiseRun:
                            rtol=0, atol=1e-10)
         if "kind = ou" in noise:
             assert np.ptp(cols["model"]) > 1e-3  # sigma shapes the decay
+
+    @pytest.mark.parametrize("detuning, columns", [
+        (2.0, ["t_us", "mc_mean", "mc_stderr"]),
+        (0.0, ["t_us", "mc_mean", "mc_stderr", "model"])],
+        ids=["detuned", "resonant"])
+    def test_static_drive_noise_model_only_on_resonance(self, tmp_path,
+                                                        detuning, columns):
+        # mean_signal's echo form under drive noise is resonant: 1 at every
+        # full echo, where a detuned ensemble carries the detuning's beat
+        cols = self._decay(tmp_path, "[sequence]\nkind = rotary_echo\n"
+                           "theta_pi = 1.0\nomega_mhz = 19.0\nn_cycles = 12\n"
+                           f"[field]\ndetuning_mhz = {detuning}\n[noise]\n"
+                           "enabled = true\naxis = x\nkind = static\n"
+                           "sigma_rel = 0.05\n")
+        assert list(cols) == columns
 
     @pytest.mark.parametrize("sequence, detuning, axis", [
         ("kind = rabi\nomega_mhz = 19.0\nduration_us = 0.5\n", 0.5, "z"),

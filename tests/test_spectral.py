@@ -129,6 +129,74 @@ class TestDetunings:
             extract_detunings(peaks, math.pi, mhz_to_rad(17.0), 1e4)
 
 
+class TestLeakageScreen:
+    @pytest.mark.parametrize("b_mhz, n_cycles, filtered", [
+        (0.1625, 69, False), (0.1675, 90, True), (0.1575, 252, True)],
+        ids=["69-cycles", "90-cycles-filtered", "252-cycles-filtered"])
+    def test_triplet_lines_without_leakage_pairs(self, b_mhz, n_cycles,
+                                                 filtered):
+        # `remag spectrum`'s chain at its default settings on a noiseless
+        # pi echo at 17 MHz over the hyperfine triplet: the mirror
+        # sidelobes of the strong pairs, paired and refit, used to add a
+        # fourth detuning on a real line or on the carrier
+        from remag.cli import _mean_trace
+        from remag.dynamics import PulseSequence
+        omega = mhz_to_rad(17.0)
+        trace = _mean_trace(PulseSequence.rotary_echo(math.pi, omega,
+                                                      n_cycles),
+                            mhz_to_rad(b_mhz), mhz_to_rad(2.14), 10e-9)
+        if filtered:
+            trace = harmonic_filter(trace, omega, math.pi)
+        pgram = periodogram(trace)
+        est = extract_detunings(peak_significance(pgram), math.pi, omega,
+                                pair_tolerance_hz=2 * pgram.grid_spacing,
+                                trace=trace)
+        got = [d / 1e6 for d, _ in est.detunings]
+        assert len(got) == 3
+        planted = (b_mhz, 2.14 - b_mhz, 2.14 + b_mhz)
+        for line, want, tol in zip(got, planted, (0.02, 0.03, 0.03)):
+            assert line == pytest.approx(want, abs=tol)
+        assert np.all(np.diff(got) > 1e-3)
+        assert min(got) > 0.01
+
+    @pytest.mark.parametrize("ratio, offset, kept", [
+        (1.0, 1.3, 2), (0.3, 1.5, 2), (0.05, 2.5, 2), (0.05, 1.5, 1)],
+        ids=["equal-power-1.3/T", "0.3-power-1.5/T", "weak-2.5/T",
+             "weak-1.5/T"])
+    def test_screen_drops_only_weak_pairs_within_reach(self, ratio, offset,
+                                                       kept):
+        # a pair of lines at 17 MHz +- 2 MHz and, `offset`/T further out,
+        # a second pair of `ratio` times its power, given as peaks; the
+        # trace holds the second pair only where it must be kept
+        from remag.spectral import PeakReport
+        m, dt, f_c, split = 500, 10e-9, 17e6, 2e6
+        t_total = m * dt
+        outer = split + offset / t_total
+        t = dt * np.arange(m)
+        d = 0.5 + 0.1 * (np.cos(2 * np.pi * (f_c - split) * t)
+                         + np.cos(2 * np.pi * (f_c + split) * t))
+        if kept == 2:
+            d += 0.1 * math.sqrt(ratio) * (
+                np.cos(2 * np.pi * (f_c - outer) * t + 1.0)
+                + np.cos(2 * np.pi * (f_c + outer) * t + 2.0))
+        peaks = [PeakReport(frequency=f, power=p, rank=1, p_value=1e-9,
+                            snr=10.0, delta_f=1e3)
+                 for f, p in ((f_c - split, 1.0), (f_c + split, 1.0),
+                              (f_c - outer, ratio), (f_c + outer, ratio))]
+        omega = mhz_to_rad(17.0)
+        est = extract_detunings(peaks, math.pi, omega, 2e4,
+                                trace=make_trace(d, dt))
+        assert len(est.detunings) == kept
+        scale = math.pi / 2    # theta / (2 sin(theta / 2)) at theta = pi
+        got = sorted(nu / scale for nu, _ in est.detunings)
+        assert got[0] == pytest.approx(split, abs=2e4)
+        if kept == 2:
+            assert got[1] == pytest.approx(outer, abs=2e4)
+        # without a trace there is no T, so no pair is screened
+        assert len(extract_detunings(peaks, math.pi, omega,
+                                     2e4).detunings) == 2
+
+
 def _uncached_refit(trace, f_c, splittings):
     """The refit with every basis column recomputed and stacked anew, and
     a finite-difference Jacobian: its fit and its residual evaluations."""

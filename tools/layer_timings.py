@@ -51,7 +51,8 @@ Two layers of the analysis chain, on the pi echoes at 17 MHz of
 - `spectrum_op_refits`: the residual evaluations of the refits of the 48
   `remag spectrum` ops of an `analysis-cli` pass (a fixed design over
   trace length and line splitting), each op run once through
-  `remag.cli.main`.
+  `remag.cli.main`: 305 evaluations over 48 refits since
+  `extract_detunings` drops window-leakage pairs, 1,070 before.
 
 Start-up, in fresh interpreters (`cold_start`):
 

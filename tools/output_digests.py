@@ -4,7 +4,9 @@ The set is every `remag figure` preset, plus `simulate`, `noise`,
 `sensitivity` and `spectrum` on one config per scenario family,
 `sensitivity` on one config with non-default readout overheads, and
 `noise` on one OU-z echo whose grid crosses several noise time blocks,
-on OU drive noise on Ramsey and on static drive noise on Rabi.  A
+on OU drive noise on Ramsey and on static drive noise on Rabi, and
+`spectrum` on two more noiseless hyperfine triplets whose window leakage
+clears the significance level.  A
 refactor that must keep outputs byte-identical prints the same lines as
 its parent commit; manifests are hashed without their `started` and
 `finished` timestamps, the only fields allowed to differ between reruns.
@@ -106,13 +108,26 @@ FAMILIES["ou_x_ramsey"] = (RAMSEY, "detuning_mhz = 2.0\n",
 FAMILIES["static_x_rabi"] = (RABI, "detuning_mhz = 0.0\n",
                              "enabled = true\nkind = static\naxis = x\n"
                              "sigma_mhz = 1.0\n")
+# spectrum only: two triplets of perfbench's analysis-cli spectrum design
+# (its ops 4 and 9), at the default max_peaks, whose strong pairs' window
+# sidelobes clear the significance level
+for name, cycles, b in (("triplet_69_cycles", 69, 0.1625),
+                         ("triplet_90_cycles_filtered", 90, 0.1675)):
+    FAMILIES[name] = ("kind = rotary_echo\ntheta_pi = 1.0\n"
+                      f"omega_mhz = 17.0\nn_cycles = {cycles}\n",
+                      f"detuning_mhz = {b}\nhyperfine_mhz = 2.14\n",
+                      "enabled = false\n")
 COMMANDS = {"simulate": SHARED,
             "noise": SHARED + ("ou_z_echo_blocks", "ou_x_ramsey",
                                "static_x_rabi"),
             "sensitivity": SHARED + ("ou_z_echo_readout",),
-            "spectrum": ("noiseless_triplet",)}
+            "spectrum": ("noiseless_triplet", "triplet_69_cycles",
+                         "triplet_90_cycles_filtered")}
 EXTRA = {"noiseless_triplet":
          "\n[spectrum]\nmax_peaks = 6\nfilter_harmonics = true\n",
+         "triplet_69_cycles": "\n[spectrum]\nfilter_harmonics = false\n",
+         "triplet_90_cycles_filtered":
+         "\n[spectrum]\nfilter_harmonics = true\n",
          "ou_z_echo_readout":
          "\n[readout]\nn_r = 100\nt_r_us = 1.5\nt_d_us = 0.7\n"}
 
