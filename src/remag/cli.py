@@ -29,11 +29,11 @@ from .calcium import ca_field, ca_required_sensitivity, implied_repetitions
 from .config import ConfigError, ScenarioConfig, config_hash, parse_config
 from .dynamics import PulseSequence, SignalTrace, build_waveform, propagate
 from .noise import MAX_SEED, EnsembleResult, NoiseSpec, decay_scenario, \
-    mc_vs_model, monte_carlo, _trial_rng, _usable_cpus
+    mc_vs_model, _trial_rng, _usable_cpus
 from .sensing import ReadoutModel, optimal_interrogation_times, \
     rabi_asymptote, re_coefficient, sensitivity_ideal, sensitivity_sweep
-from .spectral import extract_detunings, harmonic_filter, peak_significance, \
-    periodogram
+from .spectral import carrier_frequency, extract_detunings, harmonic_filter, \
+    peak_significance, periodogram
 from .units import mhz_to_rad, us_to_s
 
 
@@ -153,14 +153,23 @@ class RunWriter:
 def _mean_trace(seq: PulseSequence, b: float, hyperfine: float,
                 dt_max: float) -> SignalTrace:
     """Noiseless trace averaged over the single line b or, for a nonzero
-    hyperfine splitting A, the equal-weight triplet b, A-b, A+b."""
+    hyperfine splitting A, the equal-weight triplet b, A-b, A+b.
+
+    Ramsey's free evolution is read between the ideal pi/2 pulses that
+    :func:`build_waveform` leaves to the analysis, as ``monte_carlo``
+    reads it, which makes each line the fringe (1 + cos(dw t))/2.
+    """
     detunings = [b] if hyperfine == 0.0 else [b, hyperfine - b, hyperfine + b]
-    traces = [propagate(build_waveform(seq, dw), dt_max=dt_max)
-              for dw in detunings]
-    values = np.mean([t.values for t in traces], axis=0)
-    base = traces[0]
-    return SignalTrace(times=base.times, values=values, dt=base.dt,
-                       meta={"detunings": detunings})
+    if seq.kind == "ramsey":
+        base = propagate(build_waveform(seq, b), dt_max=dt_max)  # the grid
+        values = np.mean([models.ramsey_signal(dw, base.times)
+                          for dw in detunings], axis=0)
+    else:
+        traces = [propagate(build_waveform(seq, dw), dt_max=dt_max)
+                  for dw in detunings]
+        base = traces[0]
+        values = np.mean([t.values for t in traces], axis=0)
+    return SignalTrace(times=base.times, values=values, dt=base.dt)
 
 
 def _noiseless_trace(cfg: ScenarioConfig) -> SignalTrace:
@@ -179,18 +188,17 @@ def triplet_trace(theta: float, omega: float, b: float, hyperfine: float,
     cycle = 2.0 * theta / omega
     seq = PulseSequence.rotary_echo(theta, omega, max(1, int(t_total / cycle)))
     trace = _mean_trace(seq, b, hyperfine, dt_max)
-    values = trace.values
     if shot_sigma > 0.0:
-        rng = _trial_rng(seed, 0)
-        values = values + shot_sigma * rng.standard_normal(values.size)
-    return replace(trace, values=values,
-                   meta={**trace.meta, "shot_sigma": shot_sigma})
+        noise = shot_sigma * _trial_rng(seed, 0).standard_normal(
+            trace.values.size)
+        trace = replace(trace, values=trace.values + noise)
+    return trace
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _grid_facts(res: EnsembleResult, label: str = "") -> dict:
+def _grid_facts(res: EnsembleResult, label: str) -> dict:
     """Grid step (ns), step count and trial chunks of a Monte Carlo run,
     keyed like its CSV columns: ``dt_ns`` or, for label l, ``dt_ns_l``."""
     suffix = f"_{label}" if label else ""
@@ -200,23 +208,24 @@ def _grid_facts(res: EnsembleResult, label: str = "") -> dict:
 
 
 def cmd_simulate(cfg: ScenarioConfig, w: RunWriter, args) -> None:
-    if cfg.noise is None:
-        trace = _noiseless_trace(cfg)
-        w.csv("trace.csv", {"t_us": trace.times * 1e6,
-                            "signal": trace.values})
-        return
-    trials = args.trials or cfg["run"]["trials"]
-    res = monte_carlo(cfg.sequence, cfg.detuning, cfg.noise, trials=trials)
-    meta = w.monte_carlo["trace.csv"] = {"trials": trials, **_grid_facts(res)}
-    w.csv("trace.csv", {"t_us": res.times * 1e6, "signal": res.mean,
-                        "stderr": res.stderr}, extra_meta=meta)
+    if cfg.noise is not None:
+        raise cfg.error("noise", "simulate writes the noiseless trace; run "
+                        "`remag noise` for a noise ensemble")
+    trace = _noiseless_trace(cfg)
+    w.csv("trace.csv", {"t_us": trace.times * 1e6, "signal": trace.values})
 
 
 def cmd_spectrum(cfg: ScenarioConfig, w: RunWriter, args) -> None:
+    rotary = cfg["sequence"]["kind"] == "rotary_echo"
+    if rotary:
+        try:
+            carrier_frequency(cfg.theta, cfg.omega)
+        except ValueError as exc:  # theta = 2 pi k: no lines to pair
+            raise cfg.error("sequence", exc) from None
     trace = _noiseless_trace(cfg)
     sp = cfg["spectrum"]
     filtered = False
-    if sp["filter_harmonics"] and cfg["sequence"]["kind"] == "rotary_echo":
+    if sp["filter_harmonics"] and rotary:
         trace = harmonic_filter(trace, cfg.omega, cfg.theta)
         filtered = True
     pgram = periodogram(trace, oversample=sp["oversample"])
@@ -225,7 +234,6 @@ def cmd_spectrum(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     w.csv("spectrum.csv", {"freq_mhz": pgram.frequencies / 1e6,
                            "power": pgram.power},
           extra_meta={"filtered": filtered})
-    rotary = cfg["sequence"]["kind"] == "rotary_echo"
     try:
         _write_lines(w, "", pgram, peaks, trace,
                      cfg.theta if rotary else None, cfg.omega)
@@ -538,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"remag {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text in [
-            ("simulate", "time-domain signal trace"),
+            ("simulate", "noiseless time-domain signal trace"),
             ("spectrum", "periodogram with significant peaks"),
             ("sensitivity", "sensitivity sweep over interrogation time"),
             ("noise", "Monte Carlo decay vs its model mean signal"),

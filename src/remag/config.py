@@ -200,6 +200,11 @@ def _validate(cfg: ScenarioConfig) -> None:
     if grid["dt_ns"] <= 0 or grid["t_max_us"] <= 0 or grid["points"] < 2:
         raise ConfigError(f"{src}: grid values must be positive")
 
+    sp = cfg["spectrum"]
+    if sp["oversample"] < 1 or sp["max_peaks"] < 1 or not 0 < sp["level"] < 1:
+        raise cfg.error("spectrum", "oversample and max_peaks must be >= 1, "
+                        "and level must lie in (0, 1)")
+
     run = cfg["run"]
     if run["trials"] < 1 or run["seed"] < 0:
         raise ConfigError(f"{src}: run.trials >= 1, seed >= 0")

@@ -14,17 +14,20 @@ trustworthy oracle for the closed-form signal models in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .units import TWO_PI
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 #: hard ceiling on grid size; propagation refuses to build larger grids
 MAX_GRID_STEPS = 50_000_000
+
+#: an OU noise path is sampled at least this many times per correlation time
+OU_MIN_SAMPLES_PER_TAU = 20
 
 
 @dataclass(frozen=True)
@@ -122,10 +125,6 @@ class SignalTrace:
     times: np.ndarray
     values: np.ndarray
     dt: float
-    meta: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return self.times.size
 
 
 def build_waveform(seq: PulseSequence, delta_omega: float) -> DriveWaveform:
@@ -154,7 +153,7 @@ def default_dt_max(wave: DriveWaveform, tau_c: float | None = None) -> float:
     else:
         dt = wave.total_duration / 512.0
     if tau_c is not None:
-        dt = min(dt, tau_c / 20.0)
+        dt = min(dt, tau_c / OU_MIN_SAMPLES_PER_TAU)
     return dt
 
 
@@ -303,8 +302,7 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
                 ph * (a0 * start0[rows, None] - b * start1[rows, None])) ** 2
 
     np.clip(values, 0.0, 1.0, out=values)
-    return SignalTrace(times=times, values=values, dt=dt,
-                       meta={"detuning": wave.detuning})
+    return SignalTrace(times=times, values=values, dt=dt)
 
 
 def triangular_wave(theta: float, omega: float, t) -> np.ndarray:
@@ -347,7 +345,6 @@ def avg_hamiltonian_first_order(theta: float, delta_omega: float) -> EffectiveHa
     )
 
 
-def full_echo_times(seq: PulseSequence, n_max: int | None = None) -> np.ndarray:
-    """t = n * 2 theta / Omega for n = 0 .. n_cycles (or n_max)."""
-    n = seq.n_cycles if n_max is None else n_max
-    return seq.cycle_period * np.arange(n + 1)
+def full_echo_times(seq: PulseSequence) -> np.ndarray:
+    """t = n * 2 theta / Omega for n = 0 .. n_cycles."""
+    return seq.cycle_period * np.arange(seq.n_cycles + 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .units import TWO_PI
 
 
 def _theta_mod(theta: float) -> float:

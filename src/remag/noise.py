@@ -37,12 +37,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import (DriveWaveform, PulseSequence,
+from .dynamics import (OU_MIN_SAMPLES_PER_TAU, DriveWaveform, PulseSequence,
                        build_waveform, default_dt_max, full_echo_times,
                        uniform_grid_step)
 from .models import DecayScenario, mean_signal
-
-_OU_MIN_SAMPLES_PER_TAU = 20
 
 #: largest seed: streams are keyed by 64-bit words, so a larger seed
 #: would silently alias a smaller one
@@ -82,7 +80,6 @@ class NoiseSpec:
 class NoisePath:
     """One realization sampled on a uniform grid, one value per step."""
 
-    times: np.ndarray
     values: np.ndarray
 
 
@@ -176,9 +173,9 @@ def _noise_blocks(spec: NoiseSpec, dt: float, first: int, count: int,
         if spec.kind == "static":
             yield np.broadcast_to(spec.sigma * normals(1), (n_steps, count))
             return
-        if dt > spec.tau_c / _OU_MIN_SAMPLES_PER_TAU * (1.0 + 1e-9):
+        if dt > spec.tau_c / OU_MIN_SAMPLES_PER_TAU * (1.0 + 1e-9):
             raise ValueError(
-                f"OU noise requires dt <= tau_c/{_OU_MIN_SAMPLES_PER_TAU}")
+                f"OU noise requires dt <= tau_c/{OU_MIN_SAMPLES_PER_TAU}")
         alpha = math.exp(-dt / spec.tau_c)
         beta = spec.sigma * math.sqrt(1.0 - alpha * alpha)
         x = None
@@ -213,7 +210,7 @@ def sample_path(spec: NoiseSpec, t_end: float, dt: float,
     values = np.array(values[:, 0])
     if not np.all(np.isfinite(values)):
         raise ValueError("noise path contains non-finite samples")
-    return NoisePath(times=dt * np.arange(n_steps), values=values)
+    return NoisePath(values=values)
 
 
 def _merge_welford(count, mean, m2, batch):
@@ -268,7 +265,7 @@ def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
     if spec.kind == "static":
         n_min = 1
     elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # OU-z echo
-        n_min = math.ceil(base / (tau_c / _OU_MIN_SAMPLES_PER_TAU) - 1e-9)
+        n_min = math.ceil(base / (tau_c / OU_MIN_SAMPLES_PER_TAU) - 1e-9)
     else:
         n_min = n_drive
     # segment boundaries lie at multiples of base, so steps of base/n land
@@ -307,9 +304,9 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     exactly where requested; records that no step of at most twice the
     drive grid's count lands on (an irrational fraction of a segment) are
     taken at their nearest step of the drive grid, and ``times`` holds
-    those snapped times.  A record time off the run (nearest grid index
-    outside [0, n_steps]) is an error, and so are two record times with
-    the same nearest grid index.
+    those snapped times.  No record times, a record time off the run
+    (nearest grid index outside [0, n_steps]) and two record times with
+    the same nearest grid index are errors.
     ``meta`` records the step ``dt``, the step count ``n_steps`` and the
     number of trial ``chunks``.  Large chunks may run in forked worker
     processes (see :func:`_workers`); the result is the same either way.
@@ -326,6 +323,8 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     n_steps = int(round(wave.total_duration / dt))
 
     requested = np.rint(np.asarray(record_times, dtype=float) / dt)
+    if requested.size == 0:
+        raise ValueError("record times must not be empty")
     if not np.all((requested >= 0) & (requested <= n_steps)):
         raise ValueError(
             f"record times must lie in [0, {wave.total_duration:.6g}] s")

@@ -64,7 +64,6 @@ class DetuningEstimate:
     omega_measured: float          # rad/s
     theta_actual: float            # rad
     detunings: tuple               # of (delta_nu_hz, uncertainty_hz)
-    pair_residual_hz: float        # worst midpoint offset from the carrier
 
 
 def periodogram(trace: SignalTrace, oversample: int = DEFAULT_OVERSAMPLE) -> Periodogram:
@@ -257,15 +256,12 @@ def harmonic_filter(trace: SignalTrace, omega: float,
             0.5 * (1.0 - np.cos(np.pi * (delta[edge] - halfwidth) / taper)))
         k += 1
     filtered = np.fft.irfft(spec * gain, n=values.size) + mean
-    meta = dict(trace.meta)
-    meta["harmonic_filter"] = {"carrier_hz": f_c, "halfwidth_hz": halfwidth}
-    return SignalTrace(times=trace.times, values=filtered, dt=trace.dt,
-                       meta=meta)
+    return SignalTrace(times=trace.times, values=filtered, dt=trace.dt)
 
 
 def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
                       omega_nominal: float, pair_tolerance_hz: float,
-                      trace: SignalTrace | None = None) -> DetuningEstimate:
+                      trace: SignalTrace) -> DetuningEstimate:
     """Invert symmetric line pairs around the carrier into detunings.
 
     Pairs mirror-symmetric peaks (largest power first, midpoints within
@@ -275,12 +271,11 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
     duration being fixed by timing), and maps each half-splitting via
     delta_nu = df * theta / (2 sin(theta/2)).
 
-    When `trace` is supplied, pairs that are window leakage are dropped
-    first, and the carrier and splittings are then refined by a
-    symmetry-constrained least-squares fit of the line model to the
-    time series.  Mirror lines a Rayleigh width apart interfere, which
-    biases bare periodogram apexes by a sizable fraction of the grid
-    spacing; the fit removes that bias.
+    Pairs that are window leakage are dropped first, and the carrier and
+    splittings are then refined by a symmetry-constrained least-squares
+    fit of the line model to the time series `trace`.  Mirror lines a
+    Rayleigh width apart interfere, which biases bare periodogram apexes
+    by a sizable fraction of the grid spacing; the fit removes that bias.
 
     The periodogram's rectangular window puts each strong line's first
     sidelobe 1/T to 2/T from it (T the trace's duration), and the mirror
@@ -294,8 +289,7 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
     A - b and A + b pairs of a hyperfine triplet lie under 1/T apart
     (traces of 3-5.5 us at b up to 0.12 MHz), the periodogram shows one
     pair for both, the line hidden in it is lost, and a fit that pulled a
-    sidelobe pair onto that line recovered it only by chance.  Without a
-    trace T is unknown, and every pair is inverted as formed.
+    sidelobe pair onto that line recovered it only by chance.
     """
     if not peaks:
         raise ValueError("no peaks supplied")
@@ -316,17 +310,14 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
         pairs.append((p, best))
     if not pairs:
         raise ValueError("no symmetric pair found about the carrier")
-    if trace is not None:
-        pairs = _drop_leakage_pairs(pairs, trace.values.size * trace.dt)
+    pairs = _drop_leakage_pairs(pairs, trace.values.size * trace.dt)
 
     weights = np.array([p.power + q.power for p, q in pairs])
     midpoints = np.array([0.5 * (p.frequency + q.frequency) for p, q in pairs])
-    f_c_est = float(np.average(midpoints, weights=weights))
-    residual = float(np.max(np.abs(midpoints - f_c_est)))
     splittings = np.array([0.5 * abs(p.frequency - q.frequency)
                            for p, q in pairs])
-    if trace is not None:
-        f_c_est, splittings = _refine_pairs(trace, f_c_est, splittings)
+    f_c_est, splittings = _refine_pairs(
+        trace, float(np.average(midpoints, weights=weights)), splittings)
 
     rem = math.fmod(theta_nominal, 2.0 * math.pi)
     omega_measured = 2.0 * math.pi * f_c_est * rem / math.pi
@@ -340,8 +331,7 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
     detunings.sort()
     return DetuningEstimate(carrier_hz=f_c_est, omega_measured=omega_measured,
                             theta_actual=theta_actual,
-                            detunings=tuple(detunings),
-                            pair_residual_hz=residual)
+                            detunings=tuple(detunings))
 
 
 def _drop_leakage_pairs(pairs: list, total_time: float) -> list:

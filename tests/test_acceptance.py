@@ -90,7 +90,7 @@ def test_criterion_03_oracle_equivalence():
 def _recover_triplet(base, seed, shot_sigma=0.035):
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     values = base.values + shot_sigma * rng.standard_normal(base.values.size)
-    trace = SignalTrace(times=base.times, values=values, dt=base.dt, meta={})
+    trace = SignalTrace(times=base.times, values=values, dt=base.dt)
     pgram = periodogram(trace)
     peaks = peak_significance(pgram, max_peaks=6)
     if len(peaks) != 6 or any(p.p_value >= 0.01 for p in peaks):
@@ -242,7 +242,7 @@ def test_criterion_09_false_alarm_rate():
     for run in range(runs):
         rng = np.random.Generator(np.random.Philox(key=[run, 1]))
         trace = SignalTrace(times=times, values=rng.standard_normal(m),
-                            dt=dt, meta={})
+                            dt=dt)
         pgram = periodogram(trace, oversample=1)
         if peak_significance(pgram, max_peaks=1, level=0.01):
             hits += 1

@@ -56,6 +56,20 @@ tau_c_us = 0.2
 """
 
 
+RAMSEY_INI = """\
+[sequence]
+kind = ramsey
+duration_us = 0.512
+
+[field]
+detuning_mhz = 2.0
+hyperfine_mhz = {hyperfine}
+
+[grid]
+dt_ns = 1.0
+"""
+
+
 W19 = mhz_to_rad(19.0)
 
 
@@ -146,26 +160,56 @@ class TestSimulate:
         rc, out = run(tmp_path, "simulate", "--seed", "99")
         assert json.loads((out / "manifest.json").read_text())["seed"] == 99
 
+    def test_noise_enabled_config_exits_1_naming_noise(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(NOISE_INI)
+        rc, out = run(tmp_path, "simulate", "--config", str(cfg))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "noise.ini:7: [noise]" in err and "remag noise" in err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("hyperfine", [0.0, 2.14],
+                             ids=["single-line", "triplet"])
+    def test_ramsey_trace_is_the_noise_free_ensemble(self, hyperfine):
+        # the trace is read between Ramsey's ideal pi/2 pulses, as the
+        # Monte Carlo ensemble reads it, so at sigma = 0 the two agree;
+        # the grid (1 ns over 0.512 us) is the ensemble's record grid
+        from remag.cli import _noiseless_trace
+        from remag.noise import monte_carlo
+
+        cfg = parse_config(RAMSEY_INI.format(hyperfine=hyperfine))
+        trace = _noiseless_trace(cfg)
+        b, a = cfg.detuning, cfg.hyperfine
+        spec = NoiseSpec(axis="z", kind="ou", sigma=0.0, tau_c=0.2e-6)
+        runs = [monte_carlo(cfg.sequence, dw, spec, trials=2)
+                for dw in ([b] if a == 0.0 else [b, a - b, a + b])]
+        np.testing.assert_allclose(runs[0].times, trace.times, rtol=1e-12)
+        mc = np.mean([r.mean for r in runs], axis=0)
+        assert np.max(np.abs(trace.values - mc)) < 1e-12
+        assert np.ptp(trace.values) > 0.5     # a fringe, not a constant
+
 
 class TestDeterminism:
 
-    def _trace_bytes(self, tmp_path, tag, seed):
+    def _decay_bytes(self, tmp_path, tag, seed):
         cfg = tmp_path / "noise.ini"
         cfg.write_text(NOISE_INI)
         out = tmp_path / tag
-        rc = main(["simulate", "--config", str(cfg), "--trials", "50",
+        rc = main(["noise", "--config", str(cfg), "--trials", "50",
                    "--seed", str(seed), "--out", str(out)])
         assert rc == 0
-        return (out / "trace.csv").read_bytes()
+        return (out / "decay.csv").read_bytes()
 
     def test_same_seed_byte_identical(self, tmp_path):
-        a = self._trace_bytes(tmp_path, "a", 42)
-        b = self._trace_bytes(tmp_path, "b", 42)
+        a = self._decay_bytes(tmp_path, "a", 42)
+        b = self._decay_bytes(tmp_path, "b", 42)
         assert a == b
 
     def test_different_seed_differs(self, tmp_path):
-        a = self._trace_bytes(tmp_path, "a", 42)
-        b = self._trace_bytes(tmp_path, "b", 43)
+        a = self._decay_bytes(tmp_path, "a", 42)
+        b = self._decay_bytes(tmp_path, "b", 43)
         assert a != b
 
 
@@ -290,6 +334,19 @@ class TestExitCodes:
         assert rc == 1
         assert "ca.ini:1: [calcium] eta_target_ut" in capsys.readouterr().err
         assert not (out / "calcium.csv").exists()
+
+    @pytest.mark.parametrize("theta_pi", ["2.0", "4.0"])
+    @pytest.mark.parametrize("filtered", ["true", "false"])
+    def test_spectrum_at_even_theta_exits_1(self, tmp_path, capsys,
+                                            theta_pi, filtered):
+        # theta = 2 pi k has no carrier to pair the lines about
+        cfg = tmp_path / "re.ini"
+        cfg.write_text(f"[sequence]\ntheta_pi = {theta_pi}\n[spectrum]\n"
+                       f"filter_harmonics = {filtered}\n")
+        rc, out = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert rc == 1
+        assert "re.ini:1: [sequence]" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_sensitivity_at_even_theta_exits_1(self, tmp_path, capsys):
         # theta = 2 pi k refocuses the field: no sensitivity to report
@@ -422,13 +479,12 @@ class TestNoiseRun:
                   if not ln.startswith("#")][0]
         assert header.split(",") == ["t_us", "mc_mean", "mc_stderr", "model"]
 
-    @pytest.mark.parametrize("argv, name", [
-        (["noise", "--trials", "20"], "decay.csv"),
-        (["simulate", "--trials", "20"], "trace.csv")])
-    def test_grid_facts_in_metadata_and_manifest(self, tmp_path, argv, name):
+    def test_grid_facts_in_metadata_and_manifest(self, tmp_path):
         cfg = tmp_path / "noise.ini"
         cfg.write_text(NOISE_INI)
-        rc, out = run(tmp_path, *argv, "--config", str(cfg))
+        name = "decay.csv"
+        rc, out = run(tmp_path, "noise", "--trials", "20", "--config",
+                      str(cfg))
         assert rc == 0
         meta = dict(ln[2:].split(": ", 1)
                     for ln in (out / name).read_text().splitlines()

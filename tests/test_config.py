@@ -1,6 +1,8 @@
 """Scenario config parsing, validation, and hashing."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +109,23 @@ class TestErrors:
         assert cfg.noise.sigma == 0.05 * cfg.sequence.omega
         assert parse_config(text.replace("sigma_rel = 0.05\n", "")
                             ).noise.sigma == mhz_to_rad(1.0)
+
+    @pytest.mark.parametrize("line", [
+        "oversample = 0", "max_peaks = 0", "level = -1", "level = 0",
+        "level = 1", "level = 2"])
+    def test_spectrum_settings_rejected_with_location(self, line):
+        text = f"[run]\nseed = 1\n[spectrum]\n{line}\n"
+        with pytest.raises(ConfigError, match=r"bad\.ini:3: \[spectrum\]"):
+            parse_config(text, source="bad.ini")
+
+
+def test_readme_ini_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```ini\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(block, source="README.md")
 
 
 class TestHash:

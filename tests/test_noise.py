@@ -504,6 +504,12 @@ class TestMonteCarlo:
             monte_carlo(seq, 0.0, spec, trials=4, record_times=1e-6 * np.array(
                 [0.0, 0.25, 0.5, 0.75, 1.0, -0.1]))
 
+    def test_empty_record_times_rejected(self):
+        seq = PulseSequence.ramsey(0.5e-6)
+        spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA, seed=1)
+        with pytest.raises(ValueError, match="record times"):
+            monte_carlo(seq, 0.0, spec, trials=4, record_times=[])
+
     def test_record_times_on_one_grid_step_rejected(self):
         # 0.25 and 0.2501 us round to one step of the 0.98 ns grid
         seq = PulseSequence.ramsey(0.5e-6)

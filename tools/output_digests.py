@@ -1,12 +1,13 @@
 """SHA-256 of every CSV and JSON body that a fixed set of remag runs writes.
 
-The set is every `remag figure` preset, plus `simulate`, `noise`,
-`sensitivity` and `spectrum` on one config per scenario family,
-`sensitivity` on one config with non-default readout overheads, and
-`noise` on one OU-z echo whose grid crosses several noise time blocks,
-on OU drive noise on Ramsey and on static drive noise on Rabi, and
-`spectrum` on two more noiseless hyperfine triplets whose window leakage
-clears the significance level.  A
+The set is every `remag figure` preset, plus `noise` and `sensitivity`
+on one config per scenario family, `sensitivity` on one config with
+non-default readout overheads, `noise` on one OU-z echo whose grid
+crosses several noise time blocks, on OU drive noise on Ramsey and on
+static drive noise on Rabi, `simulate` on four noiseless families (a pi
+echo, the hyperfine triplet, Rabi and Ramsey), and `spectrum` on the
+noiseless triplet and two more whose window leakage clears the
+significance level.  A
 refactor that must keep outputs byte-identical prints the same lines as
 its parent commit; manifests are hashed without their `started` and
 `finished` timestamps, the only fields allowed to differ between reruns.
@@ -108,6 +109,11 @@ FAMILIES["ou_x_ramsey"] = (RAMSEY, "detuning_mhz = 2.0\n",
 FAMILIES["static_x_rabi"] = (RABI, "detuning_mhz = 0.0\n",
                              "enabled = true\nkind = static\naxis = x\n"
                              "sigma_mhz = 1.0\n")
+# simulate only: the noiseless trace of a detuned pi echo, Rabi and Ramsey
+# (read between its ideal pi/2 pulses)
+for name, seq in (("noiseless_echo", ECHO_PI), ("noiseless_rabi", RABI),
+                  ("noiseless_ramsey", RAMSEY)):
+    FAMILIES[name] = (seq, "detuning_mhz = 2.0\n", "enabled = false\n")
 # spectrum only: two triplets of perfbench's analysis-cli spectrum design
 # (its ops 4 and 9), at the default max_peaks, whose strong pairs' window
 # sidelobes clear the significance level
@@ -117,7 +123,8 @@ for name, cycles, b in (("triplet_69_cycles", 69, 0.1625),
                       f"omega_mhz = 17.0\nn_cycles = {cycles}\n",
                       f"detuning_mhz = {b}\nhyperfine_mhz = 2.14\n",
                       "enabled = false\n")
-COMMANDS = {"simulate": SHARED,
+COMMANDS = {"simulate": ("noiseless_echo", "noiseless_triplet",
+                         "noiseless_rabi", "noiseless_ramsey"),
             "noise": SHARED + ("ou_z_echo_blocks", "ou_x_ramsey",
                                "static_x_rabi"),
             "sensitivity": SHARED + ("ou_z_echo_readout",),
