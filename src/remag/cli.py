@@ -329,6 +329,10 @@ def cmd_noise(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     if cfg.noise is None:
         raise ConfigError(f"{cfg.source}: noise.enabled must be true for "
                           "the noise subcommand")
+    if cfg.hyperfine != 0.0:
+        raise cfg.error("field", "noise runs the single line detuning_mhz; "
+                        "set hyperfine_mhz = 0 (simulate, spectrum and "
+                        "sensitivity average the hyperfine triplet)")
     case = Case(cfg.sequence, cfg.noise, cfg.detuning)
     _write_cases(w, {"decay.csv": {"": case}},
                  args.trials or cfg["run"]["trials"])
@@ -552,13 +556,18 @@ def _build_parser() -> argparse.ArgumentParser:
             ("noise", "Monte Carlo decay vs its model mean signal"),
             ("calcium", "calcium-flux detection scenario table"),
             ("figure", "regenerate the data behind a figure panel")]:
+        # only the flags the subcommand reads: the figure presets read no
+        # config, and only the Monte Carlo subcommands a trial count
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(config=None, trials=None)
         if name == "figure":
             p.add_argument("panel", choices=FIGURES)
-        p.add_argument("--config", metavar="PATH")
+        else:
+            p.add_argument("--config", metavar="PATH")
         p.add_argument("--out", metavar="DIR", default="out")
         p.add_argument("--seed", type=int, metavar="U64")
-        p.add_argument("--trials", type=int, metavar="N")
+        if name in ("noise", "figure"):
+            p.add_argument("--trials", type=int, metavar="N")
     return parser
 
 

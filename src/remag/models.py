@@ -310,9 +310,16 @@ def decay_envelope(scenario: DecayScenario, t):
 def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
     """Noise-averaged signal <S>(t) including the coherent oscillation.
 
-    Rotary echo is evaluated at full-echo times (slow oscillation only).
-    The x-axis forms remain resonant (dw = 0 whatever ``delta_omega``):
-    the echo's (1 + env)/2 and Rabi's (1 + cos(Omega t) env)/2.
+    This function alone decides where its forms hold, and raises
+    ValueError elsewhere:
+
+    - the drive-noise (x-axis) forms, the echo's (1 + env)/2 and Rabi's
+      (1 + cos(Omega t) env)/2, and the static-z Rabi form
+      (:func:`rabi_static_z_mean`) are resonant, so ``delta_omega`` must
+      be 0;
+    - the rotary-echo forms hold at full echoes only, t = n 2 theta/Omega
+      (|t Omega/(2 theta) - n| <= 1e-6 for an integer n);
+    - every scenario that :func:`decay_envelope` rejects.
 
     The rotary-echo case is a first-order model: the first-order beat of
     :func:`re_signal_full_echo` (beat-phase error n eps^3 (theta c - 2 s +
@@ -323,6 +330,14 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
     """
     t = np.asarray(t, dtype=float)
     s, a, k = scenario.sequence, scenario.axis, scenario.kind
+    if delta_omega != 0.0 and (a == "x" or s == "rabi"):
+        raise ValueError("the drive-noise and Rabi forms are resonant; "
+                         "delta_omega must be 0")
+    if s == "rotary_echo":
+        n = t * scenario.omega / (2.0 * scenario.theta)
+        if np.any(np.abs(n - np.rint(n)) > 1e-6):
+            raise ValueError("the rotary-echo forms hold at full echoes "
+                             "t = n 2 theta/Omega only")
     if s == "rabi" and a == "z" and k == "static":
         return rabi_static_z_mean(scenario.omega, scenario.sigma, t)
     env = decay_envelope(scenario, t)

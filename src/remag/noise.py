@@ -227,10 +227,22 @@ def _merge_welford(count, mean, m2, batch):
     return total, new_mean, new_m2
 
 
-def _default_record_times(seq: PulseSequence) -> np.ndarray:
+def _drive_grid(wave: DriveWaveform, spec: NoiseSpec) -> float:
+    """The largest step of at most min(T_Rabi/200, tau_c/20 under OU
+    noise) that lands on every segment boundary."""
+    tau_c = spec.tau_c if spec.kind == "ou" else None
+    return uniform_grid_step(wave, default_dt_max(wave, tau_c))
+
+
+def _default_record_times(seq: PulseSequence, wave: DriveWaveform,
+                          spec: NoiseSpec) -> np.ndarray:
+    """Every full echo of a rotary echo; otherwise up to 512 records about
+    1 ns apart, and no more than :func:`_noise_grid_step` can land on:
+    twice the drive grid's step count over the run's one segment."""
     if seq.kind == "rotary_echo":
         return full_echo_times(seq)
-    n = min(512, max(2, int(round(seq.total_duration / 1e-9))))
+    n_max = 2 * int(round(wave.segment / _drive_grid(wave, spec)))
+    n = min(512, n_max, max(2, int(round(seq.total_duration / 1e-9))))
     return np.linspace(0.0, seq.total_duration, n + 1)
 
 
@@ -258,14 +270,13 @@ def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
     on the record times, the drive grid is the fallback, and records off
     it are taken at their nearest grid step.
     """
-    tau_c = spec.tau_c if spec.kind == "ou" else None
-    drive_grid = uniform_grid_step(wave, default_dt_max(wave, tau_c))
+    drive_grid = _drive_grid(wave, spec)
     base = wave.segment
     n_drive = int(round(base / drive_grid))
     if spec.kind == "static":
         n_min = 1
     elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # OU-z echo
-        n_min = math.ceil(base / (tau_c / OU_MIN_SAMPLES_PER_TAU) - 1e-9)
+        n_min = math.ceil(base / (spec.tau_c / OU_MIN_SAMPLES_PER_TAU) - 1e-9)
     else:
         n_min = n_drive
     # segment boundaries lie at multiples of base, so steps of base/n land
@@ -315,7 +326,7 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
         raise ValueError("trials must be >= 1")
     wave = build_waveform(seq, delta_omega)
     if record_times is None:
-        record_times = _default_record_times(seq)
+        record_times = _default_record_times(seq, wave, spec)
     if dt_max is None:
         dt = _noise_grid_step(wave, spec, record_times)
     else:
@@ -491,19 +502,17 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     """``(EnsembleResult, model)``, the model on the ensemble's times.
 
     The model is :func:`exact_mean` under OU noise and
-    :func:`remag.models.mean_signal` under static noise; None where that
-    model raises ValueError (static drive noise on Ramsey has no closed
-    form; a bath past the hierarchy's level cap does not converge), and
-    for static drive noise off resonance, since mean_signal's x-axis forms
-    are resonant and miss the detuning's beat.
+    :func:`remag.models.mean_signal` under static noise, and None where
+    that model raises ValueError.  exact_mean raises for a bath past its
+    hierarchy's level cap; mean_signal for static drive noise on Ramsey,
+    for static drive noise or a static-z Rabi off resonance, and for a
+    rotary echo read off its full echoes (see its docstring).
     """
     res = monte_carlo(seq, delta_omega, spec, trials=trials,
                       record_times=record_times)
     try:
         if spec.kind == "ou":
             return res, exact_mean(seq, delta_omega, spec, res.times)
-        if spec.axis == "x" and delta_omega != 0.0:
-            return res, None
         return res, np.atleast_1d(mean_signal(decay_scenario(seq, spec),
                                               res.times, delta_omega))
     except ValueError:

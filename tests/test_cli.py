@@ -5,6 +5,8 @@ import json
 import math
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +253,49 @@ class TestParser:
         assert (second.seed, second.out, second.panel) == (None, "out", "2a")
 
 
+    def test_flags_per_subcommand(self):
+        import remag.cli as cli
+
+        sub = cli._build_parser()._subparsers._group_actions[0]
+        flags = {name: {o for a in p._actions for o in a.option_strings
+                        if o not in ("-h", "--help")}
+                 for name, p in sub.choices.items()}
+        trace = {"--config", "--out", "--seed"}
+        assert flags == {"simulate": trace, "spectrum": trace,
+                         "sensitivity": trace, "calcium": trace,
+                         "noise": trace | {"--trials"},
+                         "figure": {"--out", "--seed", "--trials"}}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", "5"], ["spectrum", "--trials", "5"],
+        ["sensitivity", "--trials", "5"], ["calcium", "--trials", "5"],
+        ["figure", "4a", "--config", "x.ini"]],
+        ids=["simulate", "spectrum", "sensitivity", "calcium", "figure"])
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(
+            self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_command_lines_parse(self):
+        import remag.cli as cli
+
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```sh\n(.*?)^```",
+                            readme.read_text(encoding="utf-8"), re.M | re.S)
+        commands = []
+        for block in blocks:
+            for line in block.splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["remag"]:
+                    commands.append(argv[1:])
+        assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+        for argv in commands:
+            cli._build_parser().parse_args(argv)
+
+
 class TestExitCodes:
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
@@ -282,8 +327,25 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_bad_trials_flag_exits_1(self, tmp_path, capsys):
-        rc, _ = run(tmp_path, "simulate", "--trials", "0")
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(NOISE_INI)
+        rc, out = run(tmp_path, "noise", "--config", str(cfg), "--trials", "0")
         assert rc == 1
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noise_refuses_the_hyperfine_triplet(self, tmp_path, capsys):
+        # noise runs one line; the trace subcommands average the triplet
+        cfg = tmp_path / "triplet.ini"
+        cfg.write_text(NOISE_INI + "\n[field]\nhyperfine_mhz = 2.14\n")
+        rc, out = run(tmp_path, "noise", "--config", str(cfg), "--trials",
+                      "2")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "triplet.ini:14: [field]" in err
+        assert all(name in err for name in ("simulate", "spectrum",
+                                            "sensitivity"))
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_seed_of_2_64_or_more_exits_1(self, tmp_path, capsys, where):
@@ -593,6 +655,30 @@ class TestNoiseRun:
                            f"sigma_mhz = 1.0\ntau_c_us = 0.2\n", trials=2000)
         se = np.where(cols["mc_stderr"] > 0, cols["mc_stderr"], np.inf)
         assert np.max(np.abs(cols["mc_mean"] - cols["model"]) / se) < 4.0
+
+    @pytest.mark.parametrize("detuning, columns", [
+        (0.5, ["t_us", "mc_mean", "mc_stderr"]),
+        (0.0, ["t_us", "mc_mean", "mc_stderr", "model"])],
+        ids=["detuned", "resonant"])
+    def test_static_z_rabi_model_only_on_resonance(self, tmp_path, detuning,
+                                                   columns):
+        # rabi_static_z_mean has no detuning term
+        cols = self._decay(tmp_path, "[sequence]\nkind = rabi\n"
+                           "omega_mhz = 19.0\nduration_us = 0.5\n[field]\n"
+                           f"detuning_mhz = {detuning}\n[noise]\n"
+                           "enabled = true\naxis = z\nkind = static\n"
+                           "sigma_mhz = 1.0\n")
+        assert list(cols) == columns
+
+    @pytest.mark.parametrize("kind", ["static", "ou"])
+    def test_slow_rabi_runs_on_its_default_records(self, tmp_path, kind):
+        # 1 MHz over 0.3 us: 121 records 2.5 ns apart, on the noise grid
+        cols = self._decay(tmp_path, "[sequence]\nkind = rabi\n"
+                           "omega_mhz = 1.0\nduration_us = 0.3\n[noise]\n"
+                           f"enabled = true\naxis = z\nkind = {kind}\n"
+                           "sigma_mhz = 1.0\ntau_c_us = 0.2\n")
+        np.testing.assert_allclose(cols["t_us"], np.linspace(0.0, 0.3, 121),
+                                   rtol=1e-11, atol=1e-14)
 
     def test_static_ramsey_records_its_default_times(self, tmp_path):
         # 501 records 1 ns apart: one step each, not snapped onto a grid

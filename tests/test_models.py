@@ -158,6 +158,28 @@ class TestEnvelopes:
         expect = 0.5 * (1 + math.cos(2 * dw * t * math.sin(math.pi / 2) / math.pi) * env)
         assert float(mean_signal(scen, t, dw)) == pytest.approx(expect)
 
+    def test_mean_signal_re_off_full_echoes_raises(self):
+        omega = mhz_to_rad(2.0)
+        scen = DecayScenario("rotary_echo", "z", "static", mhz_to_rad(1.0),
+                             theta=math.pi, omega=omega)
+        cycle = 2 * math.pi / omega
+        dw = mhz_to_rad(0.17)
+        assert mean_signal(scen, cycle * np.arange(7), dw).shape == (7,)
+        with pytest.raises(ValueError, match="full echoes"):
+            mean_signal(scen, np.linspace(0.0, 6 * cycle, 49), dw)
+
+    @pytest.mark.parametrize("scen", [
+        DecayScenario("rotary_echo", "x", "static", mhz_to_rad(1.0),
+                      theta=math.pi, omega=W17),
+        DecayScenario("rabi", "x", "static", mhz_to_rad(1.0), omega=W17),
+        DecayScenario("rabi", "z", "static", mhz_to_rad(1.0), omega=W17)],
+        ids=["static-x-echo", "static-x-rabi", "static-z-rabi"])
+    def test_resonant_forms_raise_off_resonance(self, scen):
+        t = 2 * math.pi / W17 * np.arange(5)
+        assert mean_signal(scen, t).shape == (5,)
+        with pytest.raises(ValueError, match="resonant"):
+            mean_signal(scen, t, mhz_to_rad(0.5))
+
     def test_rabi_static_z_mean_t0(self):
         assert float(rabi_static_z_mean(W17, mhz_to_rad(1.0), 0.0)) == pytest.approx(1.0)
 

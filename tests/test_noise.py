@@ -18,7 +18,7 @@ from remag import noise as noise_module
 from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
 from remag.noise import (_BLOCK_STEPS, NoiseSpec, _noise_blocks,
                          _propagate_batch, decay_scenario, exact_mean,
-                         monte_carlo, sample_path)
+                         mc_vs_model, monte_carlo, sample_path)
 from remag.units import mhz_to_rad
 from test_grid import PRESET_OU_CASES
 
@@ -521,19 +521,32 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("seq, axis, n_steps", [
         (PulseSequence.ramsey(0.5e-6), "z", 1000),
         (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "x", 2000),
-        (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "z", 2000)],
-        ids=["ou-z ramsey", "ou-x rabi", "ou-z rabi"])
+        (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "z", 2000),
+        (PulseSequence.rabi(mhz_to_rad(1.0), 0.3e-6), "z", 120)],
+        ids=["ou-z ramsey", "ou-x rabi", "ou-z rabi", "slow ou-z rabi"])
     def test_default_records_are_taken_where_requested(self, seq, axis,
                                                        n_steps):
         # 500 records of 1 ns: the drive grid (512 steps for Ramsey, 1,900
-        # for Rabi at 19 MHz) lands on none but a few of them
+        # for Rabi at 19 MHz) lands on none but a few of them.  A 1 MHz
+        # drive's grid has 60 steps of 5 ns over 0.3 us, and the noise grid
+        # at most twice that, so its default records are 121, not 301
         spec = NoiseSpec(axis=axis, kind="ou", sigma=SIGMA, tau_c=TAU_C,
                          seed=3)
         res = monte_carlo(seq, mhz_to_rad(2.0), spec, trials=2)
         assert res.meta["n_steps"] == n_steps
         np.testing.assert_allclose(
-            res.times, noise_module._default_record_times(seq), rtol=0.0,
-            atol=1e-15)
+            res.times, noise_module._default_record_times(
+                seq, build_waveform(seq, 0.0), spec), rtol=0.0, atol=1e-15)
+
+    def test_echo_off_its_full_echoes_has_no_model(self):
+        # mean_signal's echo form holds at full echoes only; read between
+        # them a static-z pi echo moves far from it
+        seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(2.0), 6)
+        spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA, seed=5)
+        off = np.linspace(0.0, seq.total_duration, 49)
+        assert mc_vs_model(seq, mhz_to_rad(0.17), spec, 4, off)[1] is None
+        res, model = mc_vs_model(seq, mhz_to_rad(0.17), spec, 4)
+        assert model.shape == res.times.shape == (7,)
 
     def test_chunking_does_not_change_result(self):
         seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 4)

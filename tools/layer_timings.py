@@ -67,10 +67,11 @@ Start-up, in fresh interpreters (`cold_start`):
     python tools/layer_timings.py                    # this checkout
     python tools/layer_timings.py --src OTHER/src    # another checkout
 
-It calls private API (`_noise_blocks`, `_noise_grid_step`,
-`_propagate_batch`, `_refine_pairs`), so `--src` takes only checkouts
-whose signatures match this one's: `_noise_blocks(spec, dt, ...)`
-reading `spec.sigma`, `DriveWaveform.segment`, and
+It calls private API (`_noise_blocks`, `_default_record_times`,
+`_noise_grid_step`, `_propagate_batch`, `_refine_pairs`), so `--src`
+takes only checkouts whose signatures match this one's:
+`_noise_blocks(spec, dt, ...)` reading `spec.sigma`,
+`_default_record_times(seq, wave, spec)`, `DriveWaveform.segment`, and
 `_refine_pairs(trace, f_c, splittings)` importing `least_squares` from
 `scipy.optimize` when called (how the evaluations and the result are
 read).  A checkout without worker processes reports `forked` as null.
@@ -157,7 +158,7 @@ def time_case(noise, dynamics, seq, delta, spec, trials, repeats) -> dict:
     chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
     count = min(trials, chunk)
     wave = dynamics.build_waveform(seq, delta)
-    record_times = noise._default_record_times(seq)
+    record_times = noise._default_record_times(seq, wave, spec)
     dt = noise._noise_grid_step(wave, spec, record_times)
     n_steps = int(round(wave.total_duration / dt))
     record_idx = np.unique(np.rint(record_times / dt).astype(int))

@@ -3,8 +3,9 @@
 The set is every `remag figure` preset, plus `noise` and `sensitivity`
 on one config per scenario family, `sensitivity` on one config with
 non-default readout overheads, `noise` on one OU-z echo whose grid
-crosses several noise time blocks, on OU drive noise on Ramsey and on
-static drive noise on Rabi, `simulate` on four noiseless families (a pi
+crosses several noise time blocks, on OU drive noise on Ramsey, on
+static drive noise on Rabi and on static dephasing on a detuned Rabi
+(no model column), `simulate` on four noiseless families (a pi
 echo, the hyperfine triplet, Rabi and Ramsey), and `spectrum` on the
 noiseless triplet and two more whose window leakage clears the
 significance level.  A
@@ -33,7 +34,8 @@ checkout writes (`added ...`) and only the other writes (`removed ...`),
 so a change that only moves rounding or adds one field shows in one short
 line.  The last line counts the differing lines and names the largest
 difference.
-Monte Carlo runs use 60 trials, and each run's cases run one after another,
+Monte Carlo runs (`noise` and `figure`, the subcommands that take
+`--trials`) use 60 trials, and each run's cases run one after another,
 so the whole set takes well under a minute on two cores.
 """
 
@@ -109,6 +111,11 @@ FAMILIES["ou_x_ramsey"] = (RAMSEY, "detuning_mhz = 2.0\n",
 FAMILIES["static_x_rabi"] = (RABI, "detuning_mhz = 0.0\n",
                              "enabled = true\nkind = static\naxis = x\n"
                              "sigma_mhz = 1.0\n")
+# noise only: static dephasing on a detuned Rabi, which mean_signal's
+# resonant form does not cover (no model column)
+FAMILIES["static_z_rabi_detuned"] = (RABI, "detuning_mhz = 0.5\n",
+                                     "enabled = true\nkind = static\n"
+                                     "axis = z\nsigma_mhz = 1.0\n")
 # simulate only: the noiseless trace of a detuned pi echo, Rabi and Ramsey
 # (read between its ideal pi/2 pulses)
 for name, seq in (("noiseless_echo", ECHO_PI), ("noiseless_rabi", RABI),
@@ -126,7 +133,7 @@ for name, cycles, b in (("triplet_69_cycles", 69, 0.1625),
 COMMANDS = {"simulate": ("noiseless_echo", "noiseless_triplet",
                          "noiseless_rabi", "noiseless_ramsey"),
             "noise": SHARED + ("ou_z_echo_blocks", "ou_x_ramsey",
-                               "static_x_rabi"),
+                               "static_x_rabi", "static_z_rabi_detuned"),
             "sensitivity": SHARED + ("ou_z_echo_readout",),
             "spectrum": ("noiseless_triplet", "triplet_69_cycles",
                          "triplet_90_cycles_filtered")}
@@ -173,9 +180,10 @@ def _digest_lines(tag: str, path: Path) -> list[str]:
 
 def _run(main, tag: str, argv: list[str], work: Path) -> list[str]:
     out = work / tag.replace(" ", "_")
+    # only the Monte Carlo subcommands take a trial count
+    trials = ["--trials", TRIALS] if argv[0] in ("noise", "figure") else []
     with contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv + ["--out", str(out), "--seed", SEED,
-                          "--trials", TRIALS])
+        rc = main(argv + ["--out", str(out), "--seed", SEED] + trials)
     if rc != 0:
         return [f"{tag} exit={rc}"]
     return [line for p in sorted(out.iterdir())
