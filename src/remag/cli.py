@@ -91,10 +91,11 @@ class RunWriter:
         with self._open(name) as fh:
             fh.write("\n".join(self._meta_lines(extra_meta)) + "\n")
             fh.write(",".join(cols) + "\n")
-            # np.savetxt(fmt="%.12g")'s text, formatted in bounded batches
+            # np.savetxt(fmt="%.12g")'s text, formatted in bounded batches,
+            # each by one % on the row template repeated once per row
             for start in range(0, len(data), _CSV_BATCH_ROWS):
-                batch = data[start:start + _CSV_BATCH_ROWS].tolist()
-                fh.write("".join([row % tuple(r) for r in batch]))
+                batch = data[start:start + _CSV_BATCH_ROWS]
+                fh.write(row * len(batch) % tuple(batch.ravel().tolist()))
         return path
 
     def json(self, name: str, payload) -> str:

@@ -273,7 +273,11 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
 
     Pairs that are window leakage are dropped first, and the carrier and
     splittings are then refined by a symmetry-constrained least-squares
-    fit of the line model to the time series `trace`.  Mirror lines a
+    fit of the line model to the time series `trace` (`_refine_pairs`:
+    variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973), solved by `_levenberg_marquardt`, MINPACK's lmder after
+    Moré, LNM 630 (1978), stopping at ftol 1e-8, xtol 1e-14, gtol 1e-8 or
+    100 (n + 1) residual evaluations for n unknowns).  Mirror lines a
     Rayleigh width apart interfere, which biases bare periodogram apexes
     by a sizable fraction of the grid spacing; the fit removes that bias.
 
@@ -369,9 +373,18 @@ def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
     columns -+2 pi t sin, +-2 pi t cos are built from the cos/sin
     columns already in the basis.  The residual and the Jacobian of one
     point share the SVD through a memo of the last point.
-    """
-    from scipy.optimize import least_squares
 
+    The search over (f_c, splittings) is `_levenberg_marquardt`, the
+    trust-region Levenberg-Marquardt of MINPACK's lmder (Moré, "The
+    Levenberg-Marquardt algorithm: implementation and theory", LNM 630
+    (1978)) on that residual and Jacobian.  It stops when an iteration
+    cuts the cost by at most ftol = 1e-8 relative, predicted and actual,
+    when the trust radius falls to xtol = 1e-14 of the scaled point,
+    when no Jacobian column lies within gtol = 1e-8 of orthogonal to the
+    residual, or after 100 (n + 1) residual evaluations, n unknowns.  It
+    evaluates the Jacobian only at accepted points, where the memo
+    already holds their SVD.
+    """
     t = np.asarray(trace.times, dtype=float)
     d = np.asarray(trace.values, dtype=float)
     two_pi_t = 2.0 * math.pi * t
@@ -380,9 +393,9 @@ def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
     basis_t = np.empty((1 + 4 * splittings.size, t.size))
     basis_t[0] = 1.0
     basis = basis_t.T
-    # one column each per line frequency, in the order (f_c - split,
+    # one row each per line frequency, in the order (f_c - split,
     # f_c + split) of each pair
-    cos, sin = basis[:, 1::2], basis[:, 2::2]
+    cos_t, sin_t = basis_t[1::2], basis_t[2::2]
     cutoff = np.finfo(float).eps * max(basis.shape)
     memo = {}   # params.tobytes() -> (u, s, vt, c, r) of the last point
 
@@ -392,8 +405,8 @@ def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
             fc, sp = params[0], params[1:]
             freqs = np.column_stack((fc - sp, fc + sp)).ravel()
             w = np.multiply.outer(2.0 * math.pi * freqs, t)
-            np.cos(w, out=basis_t[1::2])
-            np.sin(w, out=basis_t[2::2])
+            np.cos(w, out=cos_t)
+            np.sin(w, out=sin_t)
             u, s, vt = np.linalg.svd(basis, full_matrices=False)
             rank = np.count_nonzero(s > s[0] * cutoff)
             u, s, vt = u[:, :rank], s[:rank], vt[:rank]
@@ -407,15 +420,161 @@ def _refine_pairs(trace: SignalTrace, f_c: float, splittings: np.ndarray):
 
     def jac(params):
         u, s, vt, coef, r = project(params)
-        # dPhi c and dPhi^T r, one column per line frequency
-        dphi_c = two_pi_t[:, None] * (cos * coef[2::2] - sin * coef[1::2])
+        # (dPhi c)^T and dPhi^T r, one row per line frequency
+        dphi_c = two_pi_t * (cos_t * coef[2::2, None]
+                             - sin_t * coef[1::2, None])
         tr = two_pi_t * r
-        vt_dphi_r = vt[:, 2::2] * (tr @ cos) - vt[:, 1::2] * (tr @ sin)
-        dr_df = u @ (u.T @ dphi_c - vt_dphi_r / s[:, None]) - dphi_c
-        # the carrier moves every line; a splitting moves its pair apart
-        return np.column_stack((dr_df.sum(axis=1),
-                                dr_df[:, 1::2] - dr_df[:, 0::2]))
+        vt_dphi_r = vt[:, 2::2] * (cos_t @ tr) - vt[:, 1::2] * (sin_t @ tr)
+        dr_df = (dphi_c @ u - (vt_dphi_r / s[:, None]).T) @ u.T - dphi_c
+        # the carrier moves every line; a splitting moves its pair apart.
+        # Built transposed, so that each Jacobian column is contiguous
+        jac_t = np.empty((1 + splittings.size, t.size))
+        dr_df.sum(axis=0, out=jac_t[0])
+        np.subtract(dr_df[1::2], dr_df[0::2], out=jac_t[1:])
+        return jac_t.T
 
-    x0 = np.concatenate(([f_c], splittings))
-    fit = least_squares(residual, x0, jac=jac, method="lm", xtol=1e-14)
-    return float(fit.x[0]), np.abs(fit.x[1:])
+    x = _levenberg_marquardt(residual, jac,
+                             np.concatenate(([f_c], splittings)))
+    return float(x[0]), np.abs(x[1:])
+
+
+# Stopping rules of the refit: relative cost reduction, relative trust
+# radius and cosine between the residual and each Jacobian column, as the
+# refit passed them to scipy's MINPACK least_squares, and MINPACK lmder1's
+# budget of 100 residual evaluations per unknown plus one
+_LM_FTOL = 1e-8
+_LM_XTOL = 1e-14
+_LM_GTOL = 1e-8
+_LM_NFEV_PER_PARAM = 100
+_LM_FACTOR = 100.0      # first trust radius, times |D x0|
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _levenberg_marquardt(residual, jac, x0: np.ndarray) -> np.ndarray:
+    """Minimize |residual(x)|^2 from x0; returns the last accepted x.
+
+    MINPACK's lmder (Moré, "The Levenberg-Marquardt algorithm:
+    implementation and theory", LNM 630 (1978)) with one SVD in place of
+    its pivoted QR.  Each accepted point evaluates ``jac`` once, scales
+    its columns by D, the running maximum of their norms, and factors
+    J D^-1 = U S V^T.  In those factors the damped step for a damping
+    par is D^-1 V q with q_i = -s_i g_i / (s_i^2 + par), g = U^T r, and
+    |D p| = |q|, so lmpar's search for the par whose step fills the trust
+    radius, and every rejected trial after it, costs O(p^2) and no new
+    factorization.  The trust radius follows the gain ratio of actual to
+    predicted reduction as in lmder, and so do the stopping rules.
+    """
+    x = np.array(x0, dtype=float)
+    r = residual(x)
+    nfev, max_nfev = 1, _LM_NFEV_PER_PARAM * (x.size + 1)
+    fnorm = _norm(r)
+    if fnorm == 0.0:
+        return x
+    diag = None
+    first = True    # no step accepted yet
+    par = 0.0
+    while True:
+        j = jac(x)
+        cnorm = np.sqrt(np.einsum("ij,ij->j", j, j))
+        nonzero = np.where(cnorm == 0.0, 1.0, cnorm)
+        if diag is None:
+            diag = nonzero
+            xnorm = _norm(diag * x)
+            delta = _LM_FACTOR * xnorm or _LM_FACTOR
+        # the largest cosine between the residual and a Jacobian column
+        gnorm = float(np.max(np.abs(r @ j) / nonzero)) / fnorm
+        if gnorm <= _LM_GTOL:
+            return x
+        diag = np.maximum(diag, cnorm)
+        u, s, vt = np.linalg.svd(j / diag, full_matrices=False)
+        # Gauss-Newton steps drop the singular values lstsq would drop
+        rank = np.count_nonzero(s > s[0] * _EPS * max(j.shape))
+        g = r @ u
+        while True:
+            par, q = _lm_step(s, g, rank, delta, par)
+            pnorm = _norm(q)
+            if first:
+                delta = min(delta, pnorm)
+            x_new = x + (q @ vt) / diag
+            r_new = residual(x_new)
+            nfev += 1
+            fnorm1 = _norm(r_new)
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 \
+                if 0.1 * fnorm1 < fnorm else -1.0
+            # predicted reduction |J p|^2 + 2 par |D p|^2, over |r|^2
+            jp2, dp2 = _norm(s * q) ** 2, par * pnorm ** 2
+            prered = (jp2 + 2.0 * dp2) / fnorm ** 2
+            dirder = -(jp2 + dp2) / fnorm ** 2
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 \
+                    else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, 10.0 * pnorm)
+                par /= temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = 2.0 * pnorm
+                par *= 0.5
+            accepted = ratio >= 1e-4
+            if accepted:
+                x, r, fnorm = x_new, r_new, fnorm1
+                xnorm = _norm(diag * x)
+                first = False
+            small = 0.5 * ratio <= 1.0
+            if (abs(actred) <= _LM_FTOL and prered <= _LM_FTOL and small
+                    or delta <= _LM_XTOL * xnorm or nfev >= max_nfev
+                    or abs(actred) <= _EPS and prered <= _EPS and small
+                    or delta <= _EPS * xnorm or gnorm <= _EPS):
+                return x
+            if accepted:
+                break
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v @ v)
+
+
+def _lm_step(s: np.ndarray, g: np.ndarray, rank: int, delta: float,
+             par: float):
+    """MINPACK lmpar on the singular values ``s`` of J D^-1 (the first
+    ``rank`` of them kept by a Gauss-Newton step) and g = U^T r: the
+    damping par >= 0 and the step q, in V coordinates, with |q| within
+    10% of ``delta``, or the Gauss-Newton step and par = 0 where that is
+    shorter than 1.1 ``delta``."""
+    q = np.zeros_like(g)
+    q[:rank] = -g[:rank] / s[:rank]
+    dxnorm = _norm(q)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, q
+    # Newton's bounds on par: below from the Gauss-Newton step (full rank
+    # only), above from the gradient
+    parl = 0.0
+    if rank == s.size:
+        parl = fp / delta * dxnorm ** 2 / float(np.sum((q / s) ** 2))
+    gnorm = _norm(s * g)
+    paru = gnorm / delta
+    if paru == 0.0:
+        paru = _TINY / min(delta, 0.1)
+    par = min(max(par, parl), paru)
+    if par == 0.0:
+        par = gnorm / dxnorm
+    for it in range(10):
+        if par == 0.0:
+            par = max(_TINY, 0.001 * paru)
+        shifted = s ** 2 + par
+        q = -s * g / shifted
+        dxnorm = _norm(q)
+        temp, fp = fp, dxnorm - delta
+        if (abs(fp) <= 0.1 * delta or parl == 0.0 and fp <= temp < 0.0
+                or it == 9):
+            break
+        parc = fp / delta * dxnorm ** 2 / float(np.sum(q ** 2 / shifted))
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return par, q

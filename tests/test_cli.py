@@ -116,6 +116,15 @@ class TestImportGraph:
         for name in ("optimize", "linalg", "special"):
             assert f"scipy.{name}" not in loaded
 
+    @pytest.mark.parametrize("argv, output", [
+        (("figure", "2a"), "fig2a_detunings.json"),
+        (("spectrum",), "detunings.json")], ids=["figure-2a", "spectrum"])
+    def test_line_refit_loads_no_optimizer(self, tmp_path, argv, output):
+        loaded = scipy_modules_loaded(*argv, "--out", str(tmp_path))
+        assert (tmp_path / output).exists()
+        for name in ("optimize", "sparse", "linalg", "special"):
+            assert f"scipy.{name}" not in loaded
+
 
 class TestSimulate:
 

@@ -39,26 +39,31 @@ Two layers of the analysis chain, on the pi echoes at 17 MHz of
 - `propagate_ms`: one noiseless `dynamics.propagate` call, at the sizes
   of the spectrum ops (100 and 510 segments on the 10 ns grid) and of
   figure 1c (102 segments on its 2 ns grid);
-- `refit`: one `spectral._refine_pairs` call (`ms_per_refit`), the
-  residual evaluations it makes (`evaluations_per_refit`, those of a
-  finite-difference Jacobian included), and the `nfev` and `njev` of the
-  `least_squares` result it gets (`njev` is null where the refit passes
-  no `jac`), on the figure 2a and 2b triplet traces with shot noise at
-  seed 3 (511 and 1,531 samples, 3 pairs each); `point_us` splits one
-  refit point, its residual and then its Jacobian, into the `np.cos` and
-  `np.sin` calls that fill the basis (`trig`), the `np.linalg.svd` call
-  (`svd`) and the rest (null where the refit passes no callable `jac`);
-- `spectrum_op_refits`: the residual evaluations of the refits of the 48
-  `remag spectrum` ops of an `analysis-cli` pass (a fixed design over
-  trace length and line splitting), each op run once through
-  `remag.cli.main`: 305 evaluations over 48 refits since
-  `extract_detunings` drops window-leakage pairs, 1,070 before.
+- `refit`: one `spectral._refine_pairs` call (`ms_per_refit`) and the
+  residual and Jacobian evaluations its `_levenberg_marquardt` call
+  makes (`evaluations_per_refit`, `jacobians_per_refit`), on the figure
+  2a and 2b triplet traces with shot noise at seed 3 (511 and 1,531
+  samples, 3 pairs each); `point_us` splits one refit point, its
+  residual and then its Jacobian, into the `np.cos` and `np.sin` calls
+  that fill the basis (`trig`), the `np.linalg.svd` call (`svd`) and the
+  rest;
+- `analysis_cli_refits`: the 56 refits of an `analysis-cli` pass at seed
+  1, those of its 48 `remag spectrum` ops (a fixed design over trace
+  length and line splitting) and of its 8 figure 2a and 2b ops, each op
+  run once through `remag.cli.main`: `total_ms`, all 56 refits in turn
+  from the start points the ops handed `_refine_pairs`; their residual
+  evaluations in all, per refit, median and max, over the spectrum ops
+  alone (`spectrum_evaluations`: 307, against 305 when the refit called
+  scipy's MINPACK `least_squares`, and 1,070 before `extract_detunings`
+  dropped window-leakage pairs) and `by_op` for `spectrum-15` and
+  `spectrum-10`, the two refits that take the most.
 
 Start-up, in fresh interpreters (`cold_start`):
 
 - `wall_s`: the median wall time of `--repeats` new processes that import
   `remag.cli` and, but for the bare import, run one command through
-  `remag.cli.main` (`calcium`, `figure 1b`, `figure 2b`, `figure 4a`),
+  `remag.cli.main` (`calcium`, `figure 1b`, `figure 2b`, `spectrum`,
+  `figure 4a`),
   interpreter start and artifact writes included; `scipy`: the public
   scipy submodules such a process had loaded when it finished;
 - `sample_path_ns_per_sample`: one `noise.sample_path` call in this
@@ -68,13 +73,16 @@ Start-up, in fresh interpreters (`cold_start`):
     python tools/layer_timings.py --src OTHER/src    # another checkout
 
 It calls private API (`_noise_blocks`, `_default_record_times`,
-`_noise_grid_step`, `_propagate_batch`, `_refine_pairs`), so `--src`
-takes only checkouts whose signatures match this one's:
-`_noise_blocks(spec, dt, ...)` reading `spec.sigma`,
-`_default_record_times(seq, wave, spec)`, `DriveWaveform.segment`, and
-`_refine_pairs(trace, f_c, splittings)` importing `least_squares` from
-`scipy.optimize` when called (how the evaluations and the result are
-read).  A checkout without worker processes reports `forked` as null.
+`_noise_grid_step`, `_propagate_batch`, `_refine_pairs`,
+`_levenberg_marquardt`), so `--src` takes only checkouts whose
+signatures match this one's: `_noise_blocks(spec, dt, ...)` reading
+`spec.sigma`, `_default_record_times(seq, wave, spec)`,
+`DriveWaveform.segment`, and `_refine_pairs(trace, f_c, splittings)`.
+The evaluation counts and `point_us` are read by wrapping
+`spectral._levenberg_marquardt(residual, jac, x0)`, which the refit
+calls by its module name; a checkout whose refit calls scipy's
+`least_squares` instead reports them as null, and its times only.  A
+checkout without worker processes reports `forked` as null.
 
 Prints one JSON object; each figure is the median of `--repeats` runs
 (BLAS pinned to one thread).  A run takes about fifteen seconds on two
@@ -248,29 +256,44 @@ def _patched(owner, name, replacement):
         setattr(owner, name, original)
 
 
-def _counted(least_squares, fits: list):
-    """``least_squares`` that appends ``[result, residual evaluations]`` of
-    each fit to ``fits``."""
-    def counted(fun, *a, **k):
-        fits.append([None, 0])
-        entry = fits[-1]
+@contextlib.contextmanager
+def _recorded_fits(spectral):
+    """Appends to the yielded list one dict per `_levenberg_marquardt`
+    call in the block: the residual, Jacobian and start point it was
+    handed (`fun`, `jac`, `x0`), its result (`x`) and the residual and
+    Jacobian evaluations it made.  Records nothing on a checkout whose
+    refit has no such solver."""
+    fits = []
+    solve = getattr(spectral, "_levenberg_marquardt", None)
+    if solve is None:
+        yield fits
+        return
+
+    def recording(fun, jac, x0):
+        fit = {"fun": fun, "jac": jac, "x0": np.array(x0, dtype=float),
+               "evaluations": 0, "jacobians": 0}
+        fits.append(fit)
 
         def fun_counted(x):
-            entry[1] += 1
+            fit["evaluations"] += 1
             return fun(x)
 
-        entry[0] = least_squares(fun_counted, *a, **k)
-        return entry[0]
-    return counted
+        def jac_counted(x):
+            fit["jacobians"] += 1
+            return jac(x)
+
+        fit["x"] = solve(fun_counted, jac_counted, x0)
+        return fit["x"]
+
+    with _patched(spectral, "_levenberg_marquardt", recording):
+        yield fits
 
 
 def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
     """`_refine_pairs` on a figure 2 trace, from the start point
-    `extract_detunings` hands it: ms and residual evaluations per refit,
-    the `nfev` and `njev` that `least_squares` reports, and one refit
-    point split into its parts (`point_us`)."""
-    import scipy.optimize
-
+    `extract_detunings` hands it: ms per refit, the residual and Jacobian
+    evaluations of the refit, and one refit point split into its parts
+    (`point_us`)."""
     mhz = 2e6 * math.pi
     omega = ANALYSIS_OMEGA_MHZ * mhz
     trace = cli.triplet_trace(math.pi, omega, b_mhz * mhz, 2.14 * mhz,
@@ -285,42 +308,27 @@ def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
                                    pair_tolerance_hz=2 * pgram.grid_spacing,
                                    trace=trace)
     [args] = calls
-    fits = []
-    with _patched(scipy.optimize, "least_squares",
-                  _counted(scipy.optimize.least_squares, fits)):
+    with _recorded_fits(spectral) as fits:
         refine(*args)
-    [(fit, evaluations)] = fits
+    fit = fits[0] if fits else None
     return {"samples": trace.values.size, "pairs": args[2].size,
             "ms_per_refit": _median_s(lambda: _timed(lambda: refine(*args)),
                                       repeats) * 1e3,
-            "evaluations_per_refit": evaluations,
-            "nfev": int(fit.nfev),
-            "njev": None if fit.njev is None else int(fit.njev),
-            "point_us": time_refit_point(refine, args, repeats)}
+            "evaluations_per_refit": fit and fit["evaluations"],
+            "jacobians_per_refit": fit and fit["jacobians"],
+            "point_us": fit and time_refit_point(fit, repeats)}
 
 
 REFIT_POINTS = 20       # refit points per timed batch
 
 
-def time_refit_point(refine, args, repeats) -> dict | None:
-    """Microseconds of one refit point, its residual and then its Jacobian,
-    split into the `np.cos`/`np.sin` calls that fill the basis (`trig`),
-    the `np.linalg.svd` call (`svd`) and the rest; the median of
-    `repeats` batches of `REFIT_POINTS` points.  Null where the refit
-    passes `least_squares` no callable `jac`."""
-    import scipy.optimize
-
-    captured = []
-
-    def capture(fun, x0, jac=None, **k):
-        captured.append((fun, jac, np.asarray(x0, dtype=float)))
-        return scipy.optimize.OptimizeResult(x=captured[-1][2])
-
-    with _patched(scipy.optimize, "least_squares", capture):
-        refine(*args)
-    [(fun, jac, x0)] = captured
-    if not callable(jac):
-        return None
+def time_refit_point(fit: dict, repeats) -> dict:
+    """Microseconds of one refit point, its residual and then its Jacobian
+    (those that `fit` recorded, from its start point), split into the
+    `np.cos`/`np.sin` calls that fill the basis (`trig`), the
+    `np.linalg.svd` call (`svd`) and the rest; the median of `repeats`
+    batches of `REFIT_POINTS` points."""
+    fun, jac, x0 = fit["fun"], fit["jac"], fit["x0"]
     # two points in turn, so that no point finds its factors memoized
     points = (x0, x0 * (1.0 + 1e-9))
     spent = {"trig": 0.0, "svd": 0.0}
@@ -354,32 +362,51 @@ def time_refit_point(refine, args, repeats) -> dict | None:
             / REFIT_POINTS * 1e6 for part in runs[0]}
 
 
-def spectrum_op_evaluations(cli) -> dict:
-    """Residual evaluations of the refits of the `remag spectrum` ops of an
-    `analysis-cli` pass (its fixed design over trace length and line
-    splitting), each op run once through `remag.cli.main`."""
-    import scipy.optimize
+REPORTED_OPS = ("spectrum-15", "spectrum-10")
+
+
+def analysis_cli_refits(cli, spectral, repeats) -> dict:
+    """The refits of the 48 `remag spectrum` ops and the 8 figure 2a and
+    2b ops of an `analysis-cli` pass at seed 1, each op run once through
+    `remag.cli.main`: the median ms of all of them in turn, from the
+    start points the ops handed `_refine_pairs`, and their residual
+    evaluations (null on a checkout without `_levenberg_marquardt`)."""
     import workloads as w
 
     ops = [op for op in w.analysis_cli(random.Random(1))
-           if op.argv == ("spectrum",)]
-    fits = []
+           if op.argv[0] == "spectrum" or op.argv[:2] in (("figure", "2a"),
+                                                          ("figure", "2b"))]
+    refine, calls = spectral._refine_pairs, []    # (op key, args)
+    key = None
     with tempfile.TemporaryDirectory() as work, \
-            _patched(scipy.optimize, "least_squares",
-                     _counted(scipy.optimize.least_squares, fits)), \
+            _patched(spectral, "_refine_pairs",
+                     lambda *a: calls.append((key, a)) or refine(*a)), \
+            _recorded_fits(spectral) as fits, \
             contextlib.redirect_stderr(io.StringIO()):
         for i, op in enumerate(ops):
-            cfg = Path(work) / f"spectrum-{i}.ini"
-            cfg.write_text(op.config, encoding="utf-8")
-            rc = cli.main(["spectrum", "--config", str(cfg),
-                           "--out", str(Path(work) / f"op{i}")])
+            key, argv = op.key, list(op.argv)
+            if op.config:
+                cfg = Path(work) / f"op{i}.ini"
+                cfg.write_text(op.config, encoding="utf-8")
+                argv += ["--config", str(cfg)]
+            rc = cli.main(argv + ["--out", str(Path(work) / f"op{i}")])
             if rc:
-                raise RuntimeError(f"spectrum op {op.key} exited {rc}")
-    counts = [evaluations for _, evaluations in fits]
-    return {"ops": len(ops), "refits": len(fits),
-            "evaluations": sum(counts),
-            "evaluations_per_refit": sum(counts) / len(fits),
-            "median": statistics.median(counts), "max": max(counts)}
+                raise RuntimeError(f"op {op.key} exited {rc}")
+    report = {"ops": len(ops), "refits": len(calls),
+              "total_ms": _median_s(lambda: _timed(
+                  lambda: [refine(*a) for _, a in calls]), repeats) * 1e3}
+    if not fits:
+        return {**report, "evaluations": None}
+    counts = [fit["evaluations"] for fit in fits]
+    by_op = {}
+    for (op_key, _), n in zip(calls, counts):
+        by_op[op_key] = by_op.get(op_key, 0) + n
+    return {**report, "evaluations": sum(counts),
+            "evaluations_per_refit": sum(counts) / len(counts),
+            "median": statistics.median(counts), "max": max(counts),
+            "spectrum_evaluations": sum(
+                n for k, n in by_op.items() if k.startswith("spectrum-")),
+            "by_op": {k: by_op[k] for k in REPORTED_OPS}}
 
 
 def time_model(noise, seq, delta, spec, repeats) -> float:
@@ -399,6 +426,7 @@ def _fork_and_reap() -> None:
 COLD_START_RUNS = (("import remag.cli", []), ("calcium", ["calcium"]),
                    ("figure 1b", ["figure", "1b"]),
                    ("figure 2b", ["figure", "2b"]),
+                   ("spectrum", ["spectrum"]),
                    ("figure 4a", ["figure", "4a"]))
 COLD_START_CHILD = """\
 import json, sys
@@ -477,7 +505,8 @@ def main() -> int:
                          for label, n_cycles, dt_max in PROPAGATE_CASES},
         "refit": {label: time_refit(cli, spectral, b, t_total, args.repeats)
                   for label, b, t_total in REFIT_CASES},
-        "spectrum_op_refits": spectrum_op_evaluations(cli)}
+        "analysis_cli_refits": analysis_cli_refits(cli, spectral,
+                                                   args.repeats)}
     src = args.src.resolve()
     report["cold_start"] = {
         "runs": {label: time_cold_start(src, argv, args.repeats)
