@@ -51,7 +51,9 @@ class RunWriter:
     units) but never timestamps, so reruns with the same config and seed
     are byte-identical; timestamps and the environment (Python, numpy and
     scipy versions, and the CPUs ``monte_carlo`` may spread trial chunks
-    over) go to the manifest only, as do the run's distinct warnings.
+    over) go to the manifest only, as do the run's distinct warnings.  A
+    run without a config (``cfg`` None: no figure preset reads one) writes
+    no config hash in either and no config in its manifest.
     Each file is written under a temporary name in ``out_dir`` and renamed
     onto its own once whole, so a run killed mid-write never leaves a
     truncated file under a real name; :meth:`cleanup` removes every file
@@ -60,24 +62,23 @@ class RunWriter:
     in its metadata block; the manifest repeats them.
     """
 
-    def __init__(self, out_dir: str, subcommand: str, cfg: ScenarioConfig,
-                 seed: int):
+    def __init__(self, out_dir: str, subcommand: str,
+                 cfg: ScenarioConfig | None, seed: int):
         self.out_dir = out_dir
         self.subcommand = subcommand
         self.cfg = cfg
         self.seed = seed
-        self.hash = config_hash(cfg)
+        self.hash = None if cfg is None else config_hash(cfg)
         self.created: list[str] = []
         self.pending: str | None = None     # temporary name being written
         self.monte_carlo: dict = {}
         self.started = datetime.now(timezone.utc).isoformat()
 
     def _meta_lines(self, extra: dict | None) -> list[str]:
-        lines = [f"# remag {__version__}",
-                 f"# subcommand: {self.subcommand}",
-                 f"# config_hash: {self.hash}",
-                 f"# seed: {self.seed}",
-                 "# units: frequencies MHz, times us"]
+        lines = [f"# remag {__version__}", f"# subcommand: {self.subcommand}"]
+        if self.hash is not None:
+            lines.append(f"# config_hash: {self.hash}")
+        lines += [f"# seed: {self.seed}", "# units: frequencies MHz, times us"]
         for key in sorted(extra or {}):
             lines.append(f"# {key}: {extra[key]}")
         return lines
@@ -123,8 +124,6 @@ class RunWriter:
             "tool": "remag",
             "version": __version__,
             "subcommand": self.subcommand,
-            "config_hash": self.hash,
-            "config": self.cfg.values,
             "seed": self.seed,
             "warnings": [{"category": category, "message": message}
                          for category, message in distinct],
@@ -136,6 +135,8 @@ class RunWriter:
                             "scipy": scipy.__version__,
                             "cpus": _usable_cpus()},
         }
+        if self.cfg is not None:
+            payload.update(config_hash=self.hash, config=self.cfg.values)
         if self.monte_carlo:
             payload["monte_carlo"] = self.monte_carlo
         return self.json("manifest.json", payload)
@@ -597,7 +598,9 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
     if cfg.noise is not None:
         cfg.noise = replace(cfg.noise, seed=seed)
-    writer = RunWriter(args.out, args.subcommand, cfg, seed)
+    # a preset reads no config, only its seed's default
+    writer = RunWriter(args.out, args.subcommand,
+                       None if args.subcommand == "figure" else cfg, seed)
     error = None
     # warnings the filters pass are listed in the manifest, then shown
     with warnings.catch_warnings(record=True) as caught:

@@ -540,9 +540,9 @@ def exact_mean(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     exponential per distinct (amplitude, length) of piece.  K = 12 levels
     double while the means at K and 2K differ by more than 1e-9; static
     noise, and a bath that needs more than 96 levels, are a ValueError.
+    The exponentials are :func:`_expm`'s scaling and squaring (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
     """
-    from scipy.linalg import expm
-
     if spec.kind != "ou":
         raise ValueError("the exact mean covers OU noise only")
     wave = build_waveform(seq, delta_omega)
@@ -576,7 +576,7 @@ def exact_mean(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
                 gen = (np.eye(levels + 1)[:, None, :, None] * a0[:, None]
                        + x_op[:, None, :, None] * b[:, None])
                 gen = gen.reshape(decay.shape) - decay
-                steps[amp, length] = expm(length * wave.segment * gen)
+                steps[amp, length] = _expm(length * wave.segment * gen)
             state = steps[amp, length] @ state
             bloch.append(state[:3])
         return 0.5 * (1.0 + np.array(bloch)[np.searchsorted(grid, pos)] @ read)
@@ -588,6 +588,61 @@ def exact_mean(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
             return mean
     raise ValueError(f"the exact mean needs more than "
                      f"{_HIERARCHY_MAX_LEVELS} hierarchy levels")
+
+
+#: Higham's (2005) Pade degrees m, with theta_m, the largest |a|_1 at which
+#: the [m/m] approximant to exp(a) is accurate to double precision, and the
+#: approximant's coefficients b_0 .. b_m
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                               25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0,
+                            302702400.0, 30270240.0, 2162160.0, 110880.0,
+                            3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152, (64764752532480000.0, 32382376266240000.0,
+                             7771770303897600.0, 1187353796428800.0,
+                             129060195264000.0, 10559470521600.0,
+                             670442572800.0, 33522128640.0, 1323241920.0,
+                             40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real square matrix, by scaling and squaring.
+
+    Higham's Algorithm 2.3 (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)):
+    the [m/m] Pade approximant r_m = (V - U)^-1 (V + U), U odd and V even
+    in a, of the least degree m in 3, 5, 7, 9 with |a|_1 <= theta_m; past
+    theta_9, r_13 of a / 2^s, s the least with |a|_1 / 2^s <= theta_13,
+    squared s times.  The zero matrix gives the identity exactly.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    for m, theta, b in _PADE[:-1]:
+        if norm <= theta:
+            powers = [eye, a2]
+            for _ in range(2, m // 2 + 1):
+                powers.append(powers[-1] @ a2)
+            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+            v = sum(b[2 * k] * p for k, p in enumerate(powers))
+            return np.linalg.solve(v - u, v + u)
+    _, theta, b = _PADE[-1]
+    s = max(0, math.ceil(math.log2(norm / theta)))
+    scale = 0.5 ** s
+    a, a2 = a * scale, a2 * (scale * scale)
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _population(psi0, psi1, ramsey):

@@ -464,6 +464,11 @@ def _levenberg_marquardt(residual, jac, x0: np.ndarray) -> np.ndarray:
     radius, and every rejected trial after it, costs O(p^2) and no new
     factorization.  The trust radius follows the gain ratio of actual to
     predicted reduction as in lmder, and so do the stopping rules.
+
+    A rejection can leave the Gauss-Newton step inside the shrunken
+    radius, so the next trial is the point just rejected.  lmder
+    evaluates it again; here its residual is the one kept from the
+    rejection, and no evaluation is counted.
     """
     x = np.array(x0, dtype=float)
     r = residual(x)
@@ -474,6 +479,7 @@ def _levenberg_marquardt(residual, jac, x0: np.ndarray) -> np.ndarray:
     diag = None
     first = True    # no step accepted yet
     par = 0.0
+    rejected = None     # (x, residual) of the last rejected trial
     while True:
         j = jac(x)
         cnorm = np.sqrt(np.einsum("ij,ij->j", j, j))
@@ -497,8 +503,12 @@ def _levenberg_marquardt(residual, jac, x0: np.ndarray) -> np.ndarray:
             if first:
                 delta = min(delta, pnorm)
             x_new = x + (q @ vt) / diag
-            r_new = residual(x_new)
-            nfev += 1
+            if rejected is not None and \
+                    rejected[0].tobytes() == x_new.tobytes():
+                r_new = rejected[1]
+            else:
+                r_new = residual(x_new)
+                nfev += 1
             fnorm1 = _norm(r_new)
             actred = 1.0 - (fnorm1 / fnorm) ** 2 \
                 if 0.1 * fnorm1 < fnorm else -1.0
@@ -522,6 +532,8 @@ def _levenberg_marquardt(residual, jac, x0: np.ndarray) -> np.ndarray:
                 x, r, fnorm = x_new, r_new, fnorm1
                 xnorm = _norm(diag * x)
                 first = False
+            else:
+                rejected = x_new, r_new
             small = 0.5 * ratio <= 1.0
             if (abs(actred) <= _LM_FTOL and prered <= _LM_FTOL and small
                     or delta <= _LM_XTOL * xnorm or nfev >= max_nfev

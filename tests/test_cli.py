@@ -126,6 +126,24 @@ class TestImportGraph:
             assert f"scipy.{name}" not in loaded
 
 
+    @pytest.mark.parametrize("argv, output", [
+        (("noise", "--trials", "8"), "decay.csv"),
+        (("figure", "4a", "--trials", "8"), "fig4a_rabi_peaks.csv")],
+        ids=["noise-ou-z", "figure-4a"])
+    def test_ou_ensemble_loads_only_special(self, tmp_path, argv, output):
+        # the exact OU mean's matrix exponentials are numpy's; the draw's
+        # inverse normal CDF is the one scipy submodule loaded
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(NOISE_INI)
+        if argv[0] == "noise":
+            argv += ("--config", str(cfg))
+        loaded = scipy_modules_loaded(*argv, "--out", str(tmp_path / "out"))
+        assert (tmp_path / "out" / output).exists()
+        assert "scipy.special" in loaded
+        for name in ("linalg", "optimize", "sparse"):
+            assert f"scipy.{name}" not in loaded
+
+
 class TestSimulate:
 
     def test_default_run_writes_trace_and_manifest(self, tmp_path):
@@ -791,6 +809,32 @@ class TestSensitivity:
 
 
 class TestFigurePresets:
+
+    def test_presets_claim_no_config(self, tmp_path):
+        rc, out = run(tmp_path, "figure", "4a", "--trials", "8")
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "config" not in manifest and "config_hash" not in manifest
+        assert manifest["seed"] == 12345
+        text = (out / "fig4a_rabi_peaks.csv").read_text()
+        assert "# seed: 12345\n" in text
+        assert "config_hash" not in text
+
+    @pytest.mark.parametrize("argv, output", [
+        (("simulate",), "trace.csv"), (("spectrum",), "spectrum.csv"),
+        (("sensitivity",), "sensitivity.csv"), (("calcium",), "calcium.csv"),
+        (("noise", "--trials", "8"), "decay.csv")])
+    def test_every_other_subcommand_records_its_config(self, tmp_path, argv,
+                                                       output):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(NOISE_INI if argv[0] == "noise" else "")
+        rc, out = run(tmp_path, *argv, "--config", str(cfg))
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["config_hash"]) == 64
+        assert manifest["config"]["sequence"]["kind"] == "rotary_echo"
+        assert f"# config_hash: {manifest['config_hash']}\n" in \
+            (out / output).read_text()
 
     def test_deterministic_fast_panel(self, tmp_path):
         # analytic panel: rerun must be byte-identical

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
@@ -621,3 +622,58 @@ class TestExactMean:
         model = mean_signal(decay_scenario(seq, spec), times, dw)
         assert np.max(np.abs(model - exact_mean(seq, dw, spec, times))) \
             <= 1e-10
+
+
+def _relative_error(got, ref):
+    return np.abs(got - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
+
+
+def _norm_1(a):
+    return np.abs(a).sum(axis=0).max()
+
+
+class TestExpm:
+    """`_expm` against scipy's, which stays the tests' reference."""
+
+    @pytest.mark.parametrize("label", [
+        label for label in PRESET_OU_CASES
+        if label.startswith("ou-z") and "ramsey" not in label
+        or label.endswith(("(4a)", "(4b)", "(4c)"))])
+    def test_hierarchy_generators(self, monkeypatch, label):
+        # the OU-z echoes of the benchmark's noise-ou-large and the
+        # figure 4 drive-noise cases, at every depth exact_mean can reach:
+        # with a negative tolerance the levels never settle, so each
+        # solve from 12 to 96 levels runs before the ValueError
+        seq, dw, spec, record = PRESET_OU_CASES[label]
+        times = full_echo_times(seq) if record is None else record
+        generators = []
+        real = noise_module._expm
+
+        def recording(a):
+            generators.append(a)
+            return real(a)
+
+        monkeypatch.setattr(noise_module, "_expm", recording)
+        monkeypatch.setattr(noise_module, "_HIERARCHY_TOL", -1.0)
+        with pytest.raises(ValueError, match="96 hierarchy levels"):
+            exact_mean(seq, dw, spec, times)
+        assert {a.shape[0] for a in generators} == {3 * (k + 1) for k in
+                                                    (12, 24, 48, 96)}
+        for a in generators:
+            assert _relative_error(real(a), expm(a)) <= 1e-13
+
+    @pytest.mark.parametrize("norm", [
+        0.9 * noise_module._PADE[0][1],
+        *(0.5 * (lo[1] + hi[1]) for lo, hi in zip(noise_module._PADE,
+                                                  noise_module._PADE[1:])),
+        40.0 * noise_module._PADE[-1][1]],
+        ids=["pade-3", "pade-5", "pade-7", "pade-9", "pade-13",
+             "squaring"])
+    def test_random_matrix_in_each_branch(self, norm):
+        a = np.random.default_rng(7).standard_normal((30, 30))
+        a *= norm / _norm_1(a)
+        assert _relative_error(noise_module._expm(a), expm(a)) <= 1e-13
+
+    def test_zero_matrix_is_the_identity(self):
+        np.testing.assert_array_equal(noise_module._expm(np.zeros((6, 6))),
+                                      np.eye(6))

@@ -385,6 +385,34 @@ class TestLevenbergMarquardt:
         assert len(calls) == 1
         np.testing.assert_array_equal(x, x0)
 
+    def test_rejected_point_is_not_evaluated_again(self, monkeypatch,
+                                                    tmp_path):
+        # `remag spectrum` on a pi echo of 94 cycles at 17 MHz over the
+        # triplet at b = 72.5 kHz: twice in its refit a rejection shrinks
+        # the trust radius to one that still holds the Gauss-Newton step,
+        # and lmder would evaluate the rejected point again
+        from remag.cli import main
+        cfg = tmp_path / "triplet.ini"
+        cfg.write_text("[sequence]\nkind = rotary_echo\ntheta_pi = 1.0\n"
+                       "omega_mhz = 17.0\nn_cycles = 94\n"
+                       "[field]\ndetuning_mhz = 0.0725\n"
+                       "hyperfine_mhz = 2.14\n"
+                       "[spectrum]\nfilter_harmonics = false\n")
+        points = []
+        real = spectral._levenberg_marquardt
+
+        def recording(fun, jac, x0):
+            def recorded(x):
+                points.append(x.tobytes())
+                return fun(x)
+            return real(recorded, jac, x0)
+
+        monkeypatch.setattr(spectral, "_levenberg_marquardt", recording)
+        assert main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(points) > 2
+        assert all(a != b for a, b in zip(points, points[1:]))
+
     def test_stops_at_max_nfev(self):
         # |exp(x)|^2 has no minimum: every Gauss-Newton step is accepted
         # and cuts the cost by the same factor, so no convergence test

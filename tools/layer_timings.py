@@ -39,33 +39,36 @@ Two layers of the analysis chain, on the pi echoes at 17 MHz of
 - `propagate_ms`: one noiseless `dynamics.propagate` call, at the sizes
   of the spectrum ops (100 and 510 segments on the 10 ns grid) and of
   figure 1c (102 segments on its 2 ns grid);
-- `refit`: one `spectral._refine_pairs` call (`ms_per_refit`) and the
-  residual and Jacobian evaluations its `_levenberg_marquardt` call
-  makes (`evaluations_per_refit`, `jacobians_per_refit`), on the figure
-  2a and 2b triplet traces with shot noise at seed 3 (511 and 1,531
-  samples, 3 pairs each); `point_us` splits one refit point, its
-  residual and then its Jacobian, into the `np.cos` and `np.sin` calls
-  that fill the basis (`trig`), the `np.linalg.svd` call (`svd`) and the
-  rest;
+- `refit`: one `spectral._refine_pairs` call, the median
+  (`ms_per_refit`) and the least (`best_ms_per_refit`) of `--repeats`,
+  the cases timed in turn, and the residual and Jacobian evaluations its
+  `_levenberg_marquardt` call makes (`evaluations_per_refit`,
+  `jacobians_per_refit`), on the figure 2a and 2b triplet traces with
+  shot noise at seed 3 (511 and 1,531 samples, 3 pairs each);
+  `point_us` splits one refit point, its residual and then its
+  Jacobian, into the `np.cos` and `np.sin` calls that fill the basis
+  (`trig`), the `np.linalg.svd` call (`svd`) and the rest;
 - `analysis_cli_refits`: the 56 refits of an `analysis-cli` pass at seed
   1, those of its 48 `remag spectrum` ops (a fixed design over trace
   length and line splitting) and of its 8 figure 2a and 2b ops, each op
   run once through `remag.cli.main`: `total_ms`, all 56 refits in turn
   from the start points the ops handed `_refine_pairs`; their residual
   evaluations in all, per refit, median and max, over the spectrum ops
-  alone (`spectrum_evaluations`: 307, against 305 when the refit called
-  scipy's MINPACK `least_squares`, and 1,070 before `extract_detunings`
-  dropped window-leakage pairs) and `by_op` for `spectrum-15` and
-  `spectrum-10`, the two refits that take the most.
+  alone (`spectrum_evaluations`: 305, as when the refit called scipy's
+  MINPACK `least_squares`; 307 while the solver evaluated a rejected
+  point again, and 1,070 before `extract_detunings` dropped
+  window-leakage pairs) and `by_op` for `spectrum-15` and `spectrum-10`,
+  the two refits that take the most.
 
 Start-up, in fresh interpreters (`cold_start`):
 
 - `wall_s`: the median wall time of `--repeats` new processes that import
   `remag.cli` and, but for the bare import, run one command through
   `remag.cli.main` (`calcium`, `figure 1b`, `figure 2b`, `spectrum`,
-  `figure 4a`),
-  interpreter start and artifact writes included; `scipy`: the public
-  scipy submodules such a process had loaded when it finished;
+  `figure 4a`, and `noise` on the OU-z pi echo of 8 trials that
+  perfbench's warm-up runs, `WARMUP_MC`), interpreter start and artifact
+  writes included; `scipy`: the public scipy submodules such a process
+  had loaded when it finished;
 - `sample_path_ns_per_sample`: one `noise.sample_path` call in this
   process, one OU trial of 100,000 steps.
 
@@ -114,6 +117,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import WARMUP_MC  # noqa: E402
 
 STATIC_CASE = (1.0, 19.0, 65, 64)   # theta/pi, omega (MHz), cycles, trials
 
@@ -289,11 +295,9 @@ def _recorded_fits(spectral):
         yield fits
 
 
-def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
-    """`_refine_pairs` on a figure 2 trace, from the start point
-    `extract_detunings` hands it: ms per refit, the residual and Jacobian
-    evaluations of the refit, and one refit point split into its parts
-    (`point_us`)."""
+def refit_start(cli, spectral, b_mhz, t_total) -> tuple:
+    """The arguments `extract_detunings` hands `_refine_pairs` on a figure
+    2 trace."""
     mhz = 2e6 * math.pi
     omega = ANALYSIS_OMEGA_MHZ * mhz
     trace = cli.triplet_trace(math.pi, omega, b_mhz * mhz, 2.14 * mhz,
@@ -308,15 +312,35 @@ def time_refit(cli, spectral, b_mhz, t_total, repeats) -> dict:
                                    pair_tolerance_hz=2 * pgram.grid_spacing,
                                    trace=trace)
     [args] = calls
-    with _recorded_fits(spectral) as fits:
-        refine(*args)
-    fit = fits[0] if fits else None
-    return {"samples": trace.values.size, "pairs": args[2].size,
-            "ms_per_refit": _median_s(lambda: _timed(lambda: refine(*args)),
-                                      repeats) * 1e3,
+    return args
+
+
+def time_refits(cli, spectral, repeats) -> dict:
+    """`_refine_pairs` on each figure 2 trace, from the start point
+    `extract_detunings` hands it: the median and the least ms of its
+    `repeats` refits, the cases timed in turn so that a drift of the host
+    falls on all alike; the residual and Jacobian evaluations of the
+    refit; and one refit point split into its parts (`point_us`)."""
+    starts = {label: refit_start(cli, spectral, b, t_total)
+              for label, b, t_total in REFIT_CASES}
+    times = {label: [] for label in starts}
+    for _ in range(repeats):
+        for label, args in starts.items():
+            times[label].append(_timed(
+                lambda: spectral._refine_pairs(*args)))
+    report = {}
+    for label, args in starts.items():
+        with _recorded_fits(spectral) as fits:
+            spectral._refine_pairs(*args)
+        fit = fits[0] if fits else None
+        report[label] = {
+            "samples": args[0].values.size, "pairs": args[2].size,
+            "ms_per_refit": statistics.median(times[label]) * 1e3,
+            "best_ms_per_refit": min(times[label]) * 1e3,
             "evaluations_per_refit": fit and fit["evaluations"],
             "jacobians_per_refit": fit and fit["jacobians"],
             "point_us": fit and time_refit_point(fit, repeats)}
+    return report
 
 
 REFIT_POINTS = 20       # refit points per timed batch
@@ -423,11 +447,14 @@ def _fork_and_reap() -> None:
     os.waitpid(pid, 0)
 
 
-COLD_START_RUNS = (("import remag.cli", []), ("calcium", ["calcium"]),
-                   ("figure 1b", ["figure", "1b"]),
-                   ("figure 2b", ["figure", "2b"]),
-                   ("spectrum", ["spectrum"]),
-                   ("figure 4a", ["figure", "4a"]))
+#: (label, argv, text of the --config file or None) of each fresh process
+COLD_START_RUNS = (("import remag.cli", [], None),
+                   ("calcium", ["calcium"], None),
+                   ("figure 1b", ["figure", "1b"], None),
+                   ("figure 2b", ["figure", "2b"], None),
+                   ("spectrum", ["spectrum"], None),
+                   ("figure 4a", ["figure", "4a"], None),
+                   ("noise", ["noise", "--trials", "8"], WARMUP_MC))
 COLD_START_CHILD = """\
 import json, sys
 import remag, remag.cli
@@ -441,14 +468,20 @@ print(json.dumps({"remag": remag.__file__, "rc": rc, "scipy": sorted(
 SAMPLE_PATH_STEPS = 100_000
 
 
-def time_cold_start(src: Path, argv: list, repeats: int) -> dict:
+def time_cold_start(src: Path, argv: list, config: str | None,
+                    repeats: int) -> dict:
     """Median wall time of fresh processes that run ``argv`` through
-    `remag.cli.main` (import only for an empty ``argv``), and the scipy
-    submodules they loaded."""
+    `remag.cli.main` (import only for an empty ``argv``), on a config file
+    holding ``config`` if that is not None, and the scipy submodules they
+    loaded."""
     env = dict(os.environ, PYTHONPATH=str(src))
     times = []
     with tempfile.TemporaryDirectory() as out:
         extra = ["--out", out] if argv else []
+        if config is not None:
+            path = Path(out) / "run.ini"
+            path.write_text(config, encoding="utf-8")
+            extra += ["--config", str(path)]
         for _ in range(repeats):
             start = time.perf_counter()
             proc = subprocess.run(
@@ -480,7 +513,6 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(args.src.resolve()))
     from remag import cli, dynamics, noise, spectral
 
@@ -503,14 +535,13 @@ def main() -> int:
         "propagate_ms": {label: time_propagate(dynamics, n_cycles, dt_max,
                                                args.repeats)
                          for label, n_cycles, dt_max in PROPAGATE_CASES},
-        "refit": {label: time_refit(cli, spectral, b, t_total, args.repeats)
-                  for label, b, t_total in REFIT_CASES},
+        "refit": time_refits(cli, spectral, args.repeats),
         "analysis_cli_refits": analysis_cli_refits(cli, spectral,
                                                    args.repeats)}
     src = args.src.resolve()
     report["cold_start"] = {
-        "runs": {label: time_cold_start(src, argv, args.repeats)
-                 for label, argv in COLD_START_RUNS},
+        "runs": {label: time_cold_start(src, argv, config, args.repeats)
+                 for label, argv, config in COLD_START_RUNS},
         "sample_path_ns_per_sample": time_sample_path(noise, args.repeats)}
     print(json.dumps(report, indent=1))
     return 0
