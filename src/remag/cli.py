@@ -27,13 +27,14 @@ import scipy
 from . import __version__, models
 from .calcium import ca_field, ca_required_sensitivity, implied_repetitions
 from .config import ConfigError, ScenarioConfig, config_hash, parse_config
-from .dynamics import PulseSequence, SignalTrace, build_waveform, propagate
+from .dynamics import PulseSequence, SignalTrace, build_waveform, \
+    cycle_period, propagate, refocuses
 from .noise import MAX_SEED, EnsembleResult, NoiseSpec, decay_scenario, \
     mc_vs_model, _trial_rng, _usable_cpus
 from .sensing import ReadoutModel, optimal_interrogation_times, \
-    rabi_asymptote, re_coefficient, sensitivity_ideal, sensitivity_sweep
-from .spectral import carrier_frequency, extract_detunings, harmonic_filter, \
-    peak_significance, periodogram
+    rabi_asymptote, sensitivity_ideal, sensitivity_sweep
+from .spectral import extract_detunings, harmonic_filter, peak_significance, \
+    periodogram
 from .units import mhz_to_rad, us_to_s
 
 
@@ -57,7 +58,10 @@ class RunWriter:
     Each file is written under a temporary name in ``out_dir`` and renamed
     onto its own once whole, so a run killed mid-write never leaves a
     truncated file under a real name; :meth:`cleanup` removes every file
-    the run wrote, and the temporary one of a write that failed.
+    the run wrote, and the temporary one of a write that failed.  Before
+    its first write a run removes the last run's ``manifest.json``, then
+    each plain name (no separator or leading dot) it lists, and nothing
+    else: a reused ``out_dir`` never mixes two runs under one manifest.
     ``monte_carlo`` maps each Monte Carlo CSV to the trials and grid facts
     in its metadata block; the manifest repeats them.
     """
@@ -110,12 +114,28 @@ class RunWriter:
         """A text file written as ``.NAME.tmp`` in out_dir and renamed to
         NAME once the block leaves without raising."""
         path = os.path.join(self.out_dir, name)
+        if not self.created:
+            self._remove_previous_run()
         self.created.append(path)
         self.pending = os.path.join(self.out_dir, f".{name}.tmp")
         with open(self.pending, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(self.pending, path)
         self.pending = None
+
+    def _remove_previous_run(self) -> None:
+        try:
+            with open(os.path.join(self.out_dir, "manifest.json"),
+                      encoding="utf-8") as fh:
+                old = json.load(fh)["outputs"]
+        except (OSError, ValueError, TypeError, KeyError):
+            old = []
+        # the manifest first: a run killed in between leaves no manifest
+        for name in ["manifest.json"] + (old if isinstance(old, list) else []):
+            if (isinstance(name, str) and name[:1] not in ("", ".")
+                    and not any(c in name for c in "/\\\0")):
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(self.out_dir, name))
 
     def manifest(self, caught: list) -> str:
         distinct = dict.fromkeys((w.category.__name__, str(w.message))
@@ -143,10 +163,8 @@ class RunWriter:
 
     def cleanup(self) -> None:
         for path in filter(None, [*self.created, self.pending]):
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +205,8 @@ def triplet_trace(theta: float, omega: float, b: float, hyperfine: float,
     Optional additive Gaussian shot noise of standard deviation
     shot_sigma per sample, seeded for reproducibility.
     """
-    cycle = 2.0 * theta / omega
-    seq = PulseSequence.rotary_echo(theta, omega, max(1, int(t_total / cycle)))
+    seq = PulseSequence.rotary_echo(
+        theta, omega, max(1, int(t_total / cycle_period(theta, omega))))
     trace = _mean_trace(seq, b, hyperfine, dt_max)
     if shot_sigma > 0.0:
         noise = shot_sigma * _trial_rng(seed, 0).standard_normal(
@@ -218,29 +236,25 @@ def cmd_simulate(cfg: ScenarioConfig, w: RunWriter, args) -> None:
 
 
 def cmd_spectrum(cfg: ScenarioConfig, w: RunWriter, args) -> None:
-    rotary = cfg["sequence"]["kind"] == "rotary_echo"
-    if rotary:
-        try:
-            carrier_frequency(cfg.theta, cfg.omega)
-        except ValueError as exc:  # theta = 2 pi k: no lines to pair
-            raise cfg.error("sequence", exc) from None
+    seq = cfg.sequence
+    rotary = seq.kind == "rotary_echo"
+    if rotary and refocuses(seq.theta):
+        raise cfg.error("sequence", "theta = 2 pi k has no carrier")
     trace = _noiseless_trace(cfg)
     sp = cfg["spectrum"]
-    filtered = False
-    if sp["filter_harmonics"] and rotary:
-        trace = harmonic_filter(trace, cfg.omega, cfg.theta)
-        filtered = True
+    filtered = sp["filter_harmonics"] and rotary
+    if filtered:
+        trace = harmonic_filter(trace, seq.omega, seq.theta)
     pgram = periodogram(trace, oversample=sp["oversample"])
     peaks = peak_significance(pgram, max_peaks=sp["max_peaks"],
                               level=sp["level"])
     w.csv("spectrum.csv", {"freq_mhz": pgram.frequencies / 1e6,
                            "power": pgram.power},
           extra_meta={"filtered": filtered})
-    try:
+    # no symmetric line pair to invert: peaks.json stands alone
+    with contextlib.suppress(ValueError):
         _write_lines(w, "", pgram, peaks, trace,
-                     cfg.theta if rotary else None, cfg.omega)
-    except ValueError:
-        pass  # no symmetric line pair to invert; peaks.json stands alone
+                     seq.theta if rotary else None, seq.omega)
 
 
 def _write_lines(w: RunWriter, prefix: str, pgram, peaks, trace,
@@ -265,16 +279,13 @@ def _write_lines(w: RunWriter, prefix: str, pgram, peaks, trace,
 
 
 def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
-    kind = cfg["sequence"]["kind"]
+    seq = cfg.sequence
     t_max = us_to_s(cfg["grid"]["t_max_us"])
-    if kind == "rotary_echo":
-        cycle = 2.0 * cfg.theta / cfg.omega
-        n_max = max(1, int(t_max / cycle))
-        times = cycle * np.arange(1, n_max + 1)
-        try:
-            re_coefficient(cfg.theta)
-        except ValueError as exc:  # theta = 2 pi k: no field response
-            raise cfg.error("sequence", exc) from None
+    if seq.kind == "rotary_echo":
+        if refocuses(seq.theta):
+            raise cfg.error("sequence", "theta = 2 pi k refocuses the field")
+        n_max = max(1, int(t_max / seq.cycle_period))
+        times = seq.cycle_period * np.arange(1, n_max + 1)
     else:
         times = np.linspace(t_max / cfg["grid"]["points"], t_max,
                             cfg["grid"]["points"])
@@ -282,13 +293,12 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     if cfg.noise is not None:
         try:
             envelope = 1.0 / models.decay_envelope(
-                decay_scenario(cfg.sequence, cfg.noise), times)
+                decay_scenario(seq, cfg.noise), times)
         except ValueError as exc:  # no closed-form envelope for this pair
-            raise ConfigError(f"{cfg.source}: [noise]/[sequence] {exc}") \
-                from None
-    ideal, corrected = sensitivity_sweep(kind, times, cfg.readout, envelope,
-                                         theta=cfg.theta, omega=cfg.omega,
-                                         hyperfine=cfg.hyperfine)
+            raise cfg.error("noise", exc) from None
+    ideal, corrected = sensitivity_sweep(
+        seq.kind, times, cfg.readout, envelope, theta=seq.theta,
+        omega=seq.omega, hyperfine=cfg.hyperfine)
     w.csv("sensitivity.csv", {"t_us": times * 1e6,
                               "eta_ideal_ut": ideal * 1e6,
                               "eta_corrected_ut": corrected * 1e6})
@@ -329,8 +339,7 @@ def _write_cases(w: RunWriter, tables: dict, trials: int) -> None:
 
 def cmd_noise(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     if cfg.noise is None:
-        raise ConfigError(f"{cfg.source}: noise.enabled must be true for "
-                          "the noise subcommand")
+        raise cfg.error("noise", "enabled must be true for `remag noise`")
     if cfg.hyperfine != 0.0:
         raise cfg.error("field", "noise runs the single line detuning_mhz; "
                         "set hyperfine_mhz = 0 (simulate, spectrum and "

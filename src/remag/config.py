@@ -102,15 +102,7 @@ class ScenarioConfig:
         return ConfigError(f"{self.source}:{self.lines.get(section, '?')}: "
                            f"[{section}] {message}")
 
-    # convenience accessors in internal units (rad/s, s)
-    @property
-    def theta(self) -> float:
-        return self.values["sequence"]["theta_pi"] * math.pi
-
-    @property
-    def omega(self) -> float:
-        return mhz_to_rad(self.values["sequence"]["omega_mhz"])
-
+    # the [field] values in rad/s: no built object holds them
     @property
     def detuning(self) -> float:
         return mhz_to_rad(self.values["field"]["detuning_mhz"])
@@ -118,10 +110,6 @@ class ScenarioConfig:
     @property
     def hyperfine(self) -> float:
         return mhz_to_rad(self.values["field"]["hyperfine_mhz"])
-
-    @property
-    def tau_c(self) -> float:
-        return us_to_s(self.values["noise"]["tau_c_us"])
 
 
 def _key_lines(text: str) -> dict:
@@ -195,10 +183,9 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
 def _validate(cfg: ScenarioConfig) -> None:
     """Checks no domain object covers; the builders below do the rest."""
-    src = cfg.source
     grid = cfg["grid"]
     if grid["dt_ns"] <= 0 or grid["t_max_us"] <= 0 or grid["points"] < 2:
-        raise ConfigError(f"{src}: grid values must be positive")
+        raise cfg.error("grid", "needs dt_ns > 0, t_max_us > 0, points >= 2")
 
     sp = cfg["spectrum"]
     if sp["oversample"] < 1 or sp["max_peaks"] < 1 or not 0 < sp["level"] < 1:
@@ -206,19 +193,18 @@ def _validate(cfg: ScenarioConfig) -> None:
                         "and level must lie in (0, 1)")
 
     run = cfg["run"]
-    if run["trials"] < 1 or run["seed"] < 0:
-        raise ConfigError(f"{src}: run.trials >= 1, seed >= 0")
-    if run["seed"] > MAX_SEED:
-        raise ConfigError(f"{src}: run.seed must lie below 2**64")
+    if run["trials"] < 1 or not 0 <= run["seed"] <= MAX_SEED:
+        raise cfg.error("run", "trials must be >= 1 and seed in [0, 2**64)")
 
 
 def _sequence(cfg: ScenarioConfig) -> PulseSequence:
     seq = cfg["sequence"]
-    kind = seq["kind"]
+    kind, omega = seq["kind"], mhz_to_rad(seq["omega_mhz"])
     if kind == "rotary_echo":
-        return PulseSequence.rotary_echo(cfg.theta, cfg.omega, seq["n_cycles"])
+        return PulseSequence.rotary_echo(seq["theta_pi"] * math.pi, omega,
+                                         seq["n_cycles"])
     # rabi, ramsey (no drive) or an unknown kind, which the constructor rejects
-    return PulseSequence(kind, omega=0.0 if kind == "ramsey" else cfg.omega,
+    return PulseSequence(kind, omega=0.0 if kind == "ramsey" else omega,
                          duration=us_to_s(seq["duration_us"]))
 
 
@@ -242,7 +228,7 @@ def _noise(cfg: ScenarioConfig) -> NoiseSpec | None:
                              f"sigma_mhz")
         sigma = n["sigma_rel"] * cfg.sequence.omega
     return NoiseSpec(axis=n["axis"], kind=n["kind"], sigma=sigma,
-                     tau_c=cfg.tau_c, seed=cfg["run"]["seed"])
+                     tau_c=us_to_s(n["tau_c_us"]), seed=cfg["run"]["seed"])
 
 
 def _readout(cfg: ScenarioConfig) -> ReadoutModel:

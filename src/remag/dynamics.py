@@ -30,6 +30,23 @@ MAX_GRID_STEPS = 50_000_000
 OU_MIN_SAMPLES_PER_TAU = 20
 
 
+def refocuses(theta: float) -> bool:
+    """Whether theta = 2 pi k (no field response, no intra-cycle carrier):
+    the nearest multiple of 2 pi lies within 1e-12 max(theta, 1) of it."""
+    return (abs(theta - TWO_PI * round(theta / TWO_PI))
+            <= 1e-12 * max(theta, 1.0))
+
+
+def theta_mod(theta: float) -> float:
+    """theta mod 2 pi, of the carrier pi Omega/(theta mod 2 pi)."""
+    return math.fmod(theta, TWO_PI)
+
+
+def cycle_period(theta: float, omega: float) -> float:
+    """Rotary-echo cycle time T = 2 theta / Omega."""
+    return 2.0 * theta / omega
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """Which experiment is run, with its drive parameters.
@@ -76,10 +93,10 @@ class PulseSequence:
 
     @property
     def cycle_period(self) -> float:
-        """Rotary-echo cycle time T = 2 theta / Omega."""
+        """Rotary-echo cycle time, :func:`cycle_period` of theta, Omega."""
         if self.kind != "rotary_echo":
             raise ValueError("cycle_period is defined for rotary echo only")
-        return 2.0 * self.theta / self.omega
+        return cycle_period(self.theta, self.omega)
 
     @property
     def total_duration(self) -> float:
@@ -307,10 +324,9 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
 
 def triangular_wave(theta: float, omega: float, t) -> np.ndarray:
     """Integral of the rotary-echo square wave (peaks at theta/Omega)."""
-    period = 2.0 * theta / omega
+    period = cycle_period(theta, omega)
     tau = np.mod(t, period)
-    half = theta / omega
-    return np.where(tau <= half, tau, period - tau)
+    return np.where(tau <= period / 2.0, tau, period - tau)
 
 
 def u0_on_resonance(theta: float, omega: float, t: float) -> np.ndarray:

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import TWO_PI
-
-
-def _theta_mod(theta: float) -> float:
-    return math.fmod(theta, TWO_PI)
+from .dynamics import refocuses, theta_mod
 
 
 def re_signal(theta, omega, delta_omega, t):
@@ -40,11 +36,8 @@ def re_signal(theta, omega, delta_omega, t):
     c2 = math.cos(half) ** 2
     s2 = math.sin(half) ** 2
     slow = np.cos(2.0 * delta_omega * t * math.sin(half) / theta)
-    tmod = _theta_mod(theta)
-    if abs(tmod) < 1e-12 * max(theta, 1.0):
-        fast = 1.0
-    else:
-        fast = np.cos(math.pi * omega * t / tmod)
+    fast = 1.0 if refocuses(theta) else np.cos(math.pi * omega * t
+                                                / theta_mod(theta))
     return 0.5 + 0.5 * c2 + 0.5 * s2 * slow * fast
 
 
@@ -133,10 +126,9 @@ def rabi_signal(omega, delta_omega, t):
 
 def t_prime_re(theta: float, sigma: float) -> float:
     """Static-bath rotary-echo dephasing time theta/(sigma sqrt(2) |sin(theta/2)|)."""
-    if _theta_mod(theta) == 0.0:
+    if refocuses(theta):
         return math.inf  # refocusing angle: no first-order dephasing
-    s = abs(math.sin(theta / 2.0))
-    return theta / (sigma * math.sqrt(2.0) * s)
+    return theta / (sigma * math.sqrt(2.0) * abs(math.sin(theta / 2.0)))
 
 
 def t_prime_ramsey(sigma: float) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import cycle_period, refocuses
 from .units import GAMMA_E_RAD_PER_S_PER_T
 
 
@@ -40,9 +41,9 @@ class ReadoutModel:
 
 def re_coefficient(theta: float) -> float:
     """theta / (2 sin^2(theta/2)), the RE sensitivity prefactor."""
-    s = math.sin(theta / 2.0)
-    if s == 0.0 or math.fmod(theta, 2.0 * math.pi) == 0.0:
+    if refocuses(theta):
         raise ValueError("theta = 2 pi k refocuses the field; no response")
+    s = math.sin(theta / 2.0)
     return theta / (2.0 * s * s)
 
 
@@ -61,7 +62,7 @@ def sensitivity_ideal(kind: str, t: float, theta: float | None = None,
         if theta is None:
             raise ValueError("rotary_echo needs theta")
         if omega is not None:
-            cycle = 2.0 * theta / omega
+            cycle = cycle_period(theta, omega)
             if abs(t / cycle - round(t / cycle)) > 1e-6:
                 warnings.warn("rotary-echo sensitivity formula assumes "
                               "complete echo cycles t = n 2 theta/Omega")
@@ -101,10 +102,10 @@ def readout_factors(r: ReadoutModel, theta: float, hyperfine: float,
     lines interfere destructively); the returned 0.0 flags an unusable
     interrogation time.
     """
+    if refocuses(theta):
+        raise ValueError("theta = 2 pi k: no signal contrast, C undefined")
     d2 = (r.n0 - r.n1) ** 2
     s2 = math.sin(theta / 2.0) ** 2
-    if s2 == 0.0:
-        raise ValueError("theta = 2 pi k: no signal contrast, C undefined")
     inv_c2 = (1.5 + (-11.0 * r.n0 + 5.0 * r.n1) / (2.0 * d2)
               + 0.5 * math.cos(theta) * (1.0 - (r.n0 + r.n1) / d2)
               + 8.0 * r.n0 / (d2 * s2))
@@ -176,7 +177,7 @@ def optimal_interrogation_times(theta: float, omega: float, hyperfine: float,
     C_A = 1/3 that are poor interrogation points.  With no hyperfine
     coupling C_A = 1 everywhere and every full-echo time qualifies.
     """
-    cycle = 2.0 * theta / omega
+    cycle = cycle_period(theta, omega)
     n_max = int(horizon / cycle)
     if n_max < 1:
         raise ValueError("horizon shorter than one echo cycle")

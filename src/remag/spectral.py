@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SignalTrace
+from .dynamics import SignalTrace, refocuses, theta_mod
 
 DEFAULT_OVERSAMPLE = 4
 # A line's first sidelobe under the rectangular window lies between the
@@ -215,10 +215,9 @@ def frequency_uncertainty(sigma_noise: float, amplitude: float,
 
 def carrier_frequency(theta: float, omega: float) -> float:
     """Hz position of the intra-cycle carrier pi*Omega/(theta mod 2pi)."""
-    rem = math.fmod(theta, 2.0 * math.pi)
-    if rem == 0.0:
-        raise ValueError("theta mod 2pi = 0 has no intra-cycle carrier")
-    return (math.pi * omega / rem) / (2.0 * math.pi)
+    if refocuses(theta):
+        raise ValueError("theta = 2 pi k has no intra-cycle carrier")
+    return (math.pi * omega / theta_mod(theta)) / (2.0 * math.pi)
 
 
 def harmonic_filter(trace: SignalTrace, omega: float,
@@ -323,8 +322,8 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
     f_c_est, splittings = _refine_pairs(
         trace, float(np.average(midpoints, weights=weights)), splittings)
 
-    rem = math.fmod(theta_nominal, 2.0 * math.pi)
-    omega_measured = 2.0 * math.pi * f_c_est * rem / math.pi
+    omega_measured = (2.0 * math.pi * f_c_est * theta_mod(theta_nominal)
+                      / math.pi)
     theta_actual = theta_nominal * omega_measured / omega_nominal
     scale = theta_actual / (2.0 * math.sin(theta_actual / 2.0))
 
@@ -339,12 +338,8 @@ def extract_detunings(peaks: list[PeakReport], theta_nominal: float,
 
 
 def _drop_leakage_pairs(pairs: list, total_time: float) -> list:
-    """The pairs that are not the mirror sidelobes of a stronger pair.
-
-    Walks `pairs` in order and drops one whose half-splitting lies within
-    LEAKAGE_REACH / T of a kept pair's and whose summed power is below
-    LEAKAGE_POWER of that pair's.
-    """
+    """`pairs` less the mirror sidelobes of a stronger pair, dropped by
+    the rule that :func:`extract_detunings` states."""
     reach = LEAKAGE_REACH / total_time
     kept = []   # (half-splitting, summed power) of each kept pair
     out = []

@@ -340,9 +340,13 @@ class TestExitCodes:
         assert rc == 1
 
     def test_noise_subcommand_needs_noise_enabled(self, tmp_path, capsys):
-        rc, _ = run(tmp_path, "noise")
+        cfg = tmp_path / "off.ini"
+        cfg.write_text("[sequence]\nn_cycles = 2\n[noise]\nenabled = false\n")
+        rc, out = run(tmp_path, "noise", "--config", str(cfg))
         assert rc == 1
-        assert "noise.enabled" in capsys.readouterr().err
+        assert "off.ini:3: [noise] enabled must be true" \
+            in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_sigma_rel_on_ramsey_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "ramsey.ini"
@@ -424,7 +428,7 @@ class TestExitCodes:
         assert "ca.ini:1: [calcium] eta_target_ut" in capsys.readouterr().err
         assert not (out / "calcium.csv").exists()
 
-    @pytest.mark.parametrize("theta_pi", ["2.0", "4.0"])
+    @pytest.mark.parametrize("theta_pi", ["2.0", "4.0", "22.0", "26.0"])
     @pytest.mark.parametrize("filtered", ["true", "false"])
     def test_spectrum_at_even_theta_exits_1(self, tmp_path, capsys,
                                             theta_pi, filtered):
@@ -437,10 +441,12 @@ class TestExitCodes:
         assert "re.ini:1: [sequence]" in capsys.readouterr().err
         assert not list(out.iterdir())
 
-    def test_sensitivity_at_even_theta_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("theta_pi", ["2.0", "4.0", "22.0", "26.0"])
+    def test_sensitivity_at_even_theta_exits_1(self, tmp_path, capsys,
+                                               theta_pi):
         # theta = 2 pi k refocuses the field: no sensitivity to report
         cfg = tmp_path / "re.ini"
-        cfg.write_text("[sequence]\ntheta_pi = 2.0\n")
+        cfg.write_text(f"[sequence]\ntheta_pi = {theta_pi}\n")
         rc, out = run(tmp_path, "sensitivity", "--config", str(cfg))
         assert rc == 1
         assert "re.ini:1: [sequence]" in capsys.readouterr().err
@@ -478,6 +484,8 @@ class TestExitCodes:
 
         def failing_open(name, *a, **k):
             nonlocal path
+            if not name.endswith(".tmp"):   # the previous run's manifest
+                return open(name, *a, **k)
             path = Path(name)
             return Failing()
 
@@ -523,7 +531,87 @@ class TestExitCodes:
         assert (out / "manifest.json").is_dir()     # left as it was
 
 
+class TestOutputDirectory:
+    """A rerun into a used --out directory replaces the previous run."""
+
+    def test_rerun_leaves_only_its_listed_files(self, tmp_path):
+        cfg = tmp_path / "spec.ini"
+        cfg.write_text(SPECTRUM_INI)
+        rc, out = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert rc == 0 and (out / "detunings.json").exists()
+        (out / "notes.txt").write_text("kept\n")
+        cfg.write_text(SPECTRUM_INI.replace("max_peaks = 6", "max_peaks = 1"))
+        rc, out = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert rc == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == ["spectrum.csv", "peaks.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "peaks.json", "spectrum.csv"]
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch,
+                                             capsys):
+        import remag.cli as cli
+
+        cfg = tmp_path / "spec.ini"
+        cfg.write_text(SPECTRUM_INI)
+        assert run(tmp_path, "spectrum", "--config", str(cfg))[0] == 0
+
+        def boom(*a, **k):
+            raise RuntimeError("injected")
+
+        # the rerun fails after writing spectrum.csv and peaks.json
+        monkeypatch.setattr(cli, "extract_detunings", boom)
+        rc, out = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert rc == 2
+        assert not list(out.iterdir())
+
+    def test_only_plain_names_are_removed(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        names = ["../outside.txt", ".hidden", "sub/inner.txt", "..", ""]
+        (out / "manifest.json").write_text(json.dumps({"outputs": names}))
+        for name in names[:3]:
+            (out / name).write_text("kept\n")
+        assert main(["calcium", "--out", str(out)]) == 0
+        for name in names[:3]:
+            assert (out / name).read_text() == "kept\n"
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]",
+                                      '{"outputs": "calcium.csv"}'])
+    def test_unreadable_manifest_is_replaced(self, tmp_path, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        (out / "c").write_text("kept\n")
+        assert main(["calcium", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "c", "calcium.csv", "manifest.json"]
+
+
 class TestSpectrum:
+
+    @pytest.mark.parametrize("sequence", [
+        "kind = rabi\nduration_us = 1.0\n",
+        "kind = ramsey\nduration_us = 0.512\n[grid]\ndt_ns = 1.0\n"],
+        ids=["rabi", "ramsey"])
+    def test_rabi_and_ramsey_write_no_detunings(self, tmp_path, sequence):
+        # only a rotary echo has line pairs to invert
+        cfg = tmp_path / "plain.ini"
+        cfg.write_text(f"[sequence]\n{sequence}")
+        rc, out = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "peaks.json", "spectrum.csv"]
+        assert json.loads((out / "peaks.json").read_text())
+
+    def test_one_peak_has_no_pair_to_invert(self, tmp_path):
+        cfg = tmp_path / "spec.ini"
+        cfg.write_text(SPECTRUM_INI.replace("max_peaks = 6", "max_peaks = 1"))
+        rc, out = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "peaks.json", "spectrum.csv"]
+        assert len(json.loads((out / "peaks.json").read_text())) == 1
 
     def test_harmonic_filter_warning_reaches_the_manifest(self, tmp_path):
         # three cycles are so short that each even-harmonic notch (half
@@ -804,7 +892,8 @@ class TestSensitivity:
                        "sigma_mhz = 1.0\n")
         rc, out = run(tmp_path, "sensitivity", "--config", str(cfg))
         assert rc == 1
-        assert "[noise]" in capsys.readouterr().err
+        assert "rabi.ini:4: [noise] OU-z Rabi has no closed-form envelope" \
+            in capsys.readouterr().err
         assert not (out / "sensitivity.csv").exists()
 
 

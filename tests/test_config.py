@@ -29,18 +29,18 @@ class TestUnits:
 
     def test_theta_in_units_of_pi(self):
         cfg = parse_config("[sequence]\ntheta_pi = 0.75\n")
-        assert cfg.theta == pytest.approx(0.75 * math.pi)
+        assert cfg.sequence.theta == pytest.approx(0.75 * math.pi)
 
     def test_frequencies_convert_to_angular(self):
         cfg = parse_config("[sequence]\nomega_mhz = 17\n"
                            "[field]\ndetuning_mhz = 0.17\n")
-        assert cfg.omega == pytest.approx(2.0 * math.pi * 17e6)
+        assert cfg.sequence.omega == pytest.approx(2.0 * math.pi * 17e6)
         assert cfg.detuning == pytest.approx(2.0 * math.pi * 0.17e6)
 
     def test_times_convert_to_seconds(self):
         cfg = parse_config("[noise]\nenabled = true\nsigma_mhz = 0.1\n"
                            "tau_c_us = 0.2\n")
-        assert cfg.tau_c == pytest.approx(200e-9)
+        assert cfg.noise.tau_c == pytest.approx(200e-9)
 
 
 class TestErrors:
@@ -92,6 +92,15 @@ class TestErrors:
         text = f"[sequence]\ntheta_pi = 1\nomega_mhz = {raw}\n"
         with pytest.raises(ConfigError, match=r"bad\.ini:3: omega_mhz: .*finite"):
             parse_config(text, source="bad.ini")
+
+    @pytest.mark.parametrize("text, where", [
+        ("[grid]\ndt_ns = 0\n", "bad.ini:1: [grid]"),
+        ("[sequence]\n\n[run]\ntrials = 0\n", "bad.ini:3: [run]"),
+        (f"[run]\nseed = {2**64}\n", "bad.ini:1: [run]")])
+    def test_grid_and_run_rejections_report_section(self, text, where):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="bad.ini")
+        assert str(info.value).startswith(where)
 
     def test_domain_rejection_reports_section(self):
         text = "[run]\nseed = 1\n\n[calcium]\ndistance_nm = 0\n"

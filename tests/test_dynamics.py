@@ -8,9 +8,11 @@ from remag.dynamics import (
     PulseSequence,
     avg_hamiltonian_first_order,
     build_waveform,
+    cycle_period,
     default_dt_max,
     full_echo_times,
     propagate,
+    refocuses,
     segment_unitary,
     su2_step,
     total_propagator,
@@ -18,7 +20,9 @@ from remag.dynamics import (
     u0_on_resonance,
     uniform_grid_step,
 )
-from remag.models import re_signal
+from remag.models import re_signal, t_prime_re
+from remag.sensing import ReadoutModel, re_coefficient, readout_factors
+from remag.spectral import carrier_frequency
 from remag.units import mhz_to_rad
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -71,6 +75,54 @@ def test_full_echo_times():
     t = full_echo_times(seq)
     assert t.size == 5
     assert t[1] == pytest.approx(10 * math.pi / W17)
+
+
+class TestRefocusing:
+
+    def test_every_multiple_of_2pi_up_to_10_4_refocuses(self):
+        # 2 pi k as library callers and configs (theta_pi * pi) spell it
+        ks = range(1, 10_001)
+        assert all(refocuses(k * 2 * math.pi) for k in ks)
+        assert all(refocuses(2 * k * math.pi) for k in ks)
+        assert all(refocuses(theta_pi * math.pi)
+                   for theta_pi in np.arange(2.0, 401.0, 2.0))
+
+    @pytest.mark.parametrize("theta_pi", [2.001, 1.999, 1.0, 5.0, 21.0,
+                                          22.001])
+    def test_angles_off_2pi_k_do_not_refocus(self, theta_pi):
+        assert not refocuses(theta_pi * math.pi)
+
+    def test_tolerance_scales_with_theta(self):
+        theta = 2e4 * math.pi
+        assert refocuses(theta + 0.5e-12 * theta)
+        assert refocuses(theta - 0.5e-12 * theta)
+        assert not refocuses(theta + 2e-12 * theta)
+        assert not refocuses(theta - 2e-12 * theta)
+        assert refocuses(0.5e-12) and not refocuses(2e-12)
+
+    @pytest.mark.parametrize("theta_pi", [2.0, 22.0, 26.0, 2e4])
+    def test_every_model_takes_the_one_rule(self, theta_pi):
+        theta = theta_pi * math.pi
+        with pytest.raises(ValueError, match="2 pi k"):
+            re_coefficient(theta)
+        with pytest.raises(ValueError, match="2 pi k"):
+            readout_factors(ReadoutModel(n0=0.0022, n1=0.0015), theta,
+                            0.0, 1e-6)
+        with pytest.raises(ValueError, match="2 pi k"):
+            carrier_frequency(theta, W17)
+        assert t_prime_re(theta, 1e6) == math.inf
+        # no fast factor: the echo holds the slow beat only
+        t = np.linspace(0.0, 1e-6, 7)
+        slow = np.cos(2.0 * 1e6 * t * math.sin(theta / 2.0) / theta)
+        c2, s2 = math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2
+        assert np.array_equal(re_signal(theta, W17, 1e6, t),
+                              0.5 + 0.5 * c2 + 0.5 * s2 * slow)
+
+    def test_cycle_period_is_the_sequence_clock(self):
+        seq = PulseSequence.rotary_echo(0.75 * math.pi, W17, 3)
+        assert seq.cycle_period == cycle_period(0.75 * math.pi, W17) \
+            == 2.0 * 0.75 * math.pi / W17
+        assert full_echo_times(seq)[1] == seq.cycle_period
 
 
 def test_uniform_grid_step_lands_on_breakpoints():

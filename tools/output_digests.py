@@ -6,9 +6,10 @@ non-default readout overheads, `noise` on one OU-z echo whose grid
 crosses several noise time blocks, on OU drive noise on Ramsey, on
 static drive noise on Rabi and on static dephasing on a detuned Rabi
 (no model column), `simulate` on four noiseless families (a pi
-echo, the hyperfine triplet, Rabi and Ramsey), and `spectrum` on the
-noiseless triplet and two more whose window leakage clears the
-significance level.  A
+echo, the hyperfine triplet, Rabi and Ramsey), `spectrum` on the
+noiseless triplet, two more whose window leakage clears the
+significance level and on Rabi (no line pairs), and `sensitivity` and
+`spectrum` on a 22 pi echo, which refocuses and so exits 1.  A
 refactor that must keep outputs byte-identical prints the same lines as
 its parent commit; manifests are hashed without their `started` and
 `finished` timestamps, the only fields allowed to differ between reruns.
@@ -130,13 +131,19 @@ for name, cycles, b in (("triplet_69_cycles", 69, 0.1625),
                       f"omega_mhz = 17.0\nn_cycles = {cycles}\n",
                       f"detuning_mhz = {b}\nhyperfine_mhz = 2.14\n",
                       "enabled = false\n")
+# sensitivity and spectrum: theta = 22 pi = 2 pi k, the first even
+# theta/pi whose theta mod 2 pi is not exactly 0 in floating point
+FAMILIES["even_theta_22"] = ("kind = rotary_echo\ntheta_pi = 22.0\n"
+                             "omega_mhz = 17.0\nn_cycles = 12\n",
+                             "detuning_mhz = 0.17\n", "enabled = false\n")
 COMMANDS = {"simulate": ("noiseless_echo", "noiseless_triplet",
                          "noiseless_rabi", "noiseless_ramsey"),
             "noise": SHARED + ("ou_z_echo_blocks", "ou_x_ramsey",
                                "static_x_rabi", "static_z_rabi_detuned"),
-            "sensitivity": SHARED + ("ou_z_echo_readout",),
+            "sensitivity": SHARED + ("ou_z_echo_readout", "even_theta_22"),
             "spectrum": ("noiseless_triplet", "triplet_69_cycles",
-                         "triplet_90_cycles_filtered")}
+                         "triplet_90_cycles_filtered", "noiseless_rabi",
+                         "even_theta_22")}
 EXTRA = {"noiseless_triplet":
          "\n[spectrum]\nmax_peaks = 6\nfilter_harmonics = true\n",
          "triplet_69_cycles": "\n[spectrum]\nfilter_harmonics = false\n",
