@@ -27,8 +27,8 @@ import scipy
 from . import __version__, models
 from .calcium import ca_field, ca_required_sensitivity, implied_repetitions
 from .config import ConfigError, ScenarioConfig, config_hash, parse_config
-from .dynamics import PulseSequence, SignalTrace, build_waveform, \
-    cycle_period, propagate, refocuses
+from .dynamics import GridTooLargeError, PulseSequence, SignalTrace, \
+    build_waveform, cycle_period, propagate, refocuses
 from .noise import MAX_SEED, EnsembleResult, NoiseSpec, decay_scenario, \
     mc_vs_model, _trial_rng, _usable_cpus
 from .sensing import ReadoutModel, optimal_interrogation_times, \
@@ -615,7 +615,10 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             os.makedirs(args.out, exist_ok=True)
-            COMMANDS[args.subcommand](cfg, writer, args)
+            try:
+                COMMANDS[args.subcommand](cfg, writer, args)
+            except GridTooLargeError as exc:  # too many cycles or steps
+                raise cfg.error("sequence", exc) from None
             writer.manifest(caught)
         except Exception as exc:  # noqa: BLE001 - partial outputs must not survive
             writer.cleanup()

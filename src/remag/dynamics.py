@@ -30,6 +30,10 @@ MAX_GRID_STEPS = 50_000_000
 OU_MIN_SAMPLES_PER_TAU = 20
 
 
+class GridTooLargeError(ValueError):
+    """A uniform grid would take more than :data:`MAX_GRID_STEPS` steps."""
+
+
 def refocuses(theta: float) -> bool:
     """Whether theta = 2 pi k (no field response, no intra-cycle carrier):
     the nearest multiple of 2 pi lies within 1e-12 max(theta, 1) of it."""
@@ -45,6 +49,18 @@ def theta_mod(theta: float) -> float:
 def cycle_period(theta: float, omega: float) -> float:
     """Rotary-echo cycle time T = 2 theta / Omega."""
     return 2.0 * theta / omega
+
+
+def on_full_echoes(t, theta: float, omega: float) -> bool:
+    """Whether every time in t (a number or an array) is a full echo
+    n 2 theta/Omega, to within 1e-6 of a cycle."""
+    cycle = cycle_period(theta, omega)
+    # on Python floats: a sensitivity sweep asks once per time
+    for x in np.ravel(t).tolist():
+        n = x / cycle
+        if abs(n - round(n)) > 1e-6:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -176,13 +192,14 @@ def default_dt_max(wave: DriveWaveform, tau_c: float | None = None) -> float:
 
 def uniform_grid_step(wave: DriveWaveform, dt_max: float) -> float:
     """Largest uniform step <= dt_max that lands exactly on every segment
-    boundary."""
+    boundary; :class:`GridTooLargeError` past :data:`MAX_GRID_STEPS`."""
     if dt_max <= 0.0:
         raise ValueError("dt_max must be positive")
     n_sub = max(1, math.ceil(wave.segment / dt_max - 1e-9))
     n_total = n_sub * wave.amplitudes.size
     if n_total > MAX_GRID_STEPS:
-        raise ValueError(f"grid of {n_total} steps exceeds MAX_GRID_STEPS")
+        raise GridTooLargeError(
+            f"grid of {n_total} steps exceeds MAX_GRID_STEPS")
     return wave.segment / n_sub
 
 

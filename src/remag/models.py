@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import refocuses, theta_mod
+from .dynamics import on_full_echoes, refocuses, theta_mod
 
 
 def re_signal(theta, omega, delta_omega, t):
@@ -310,7 +310,7 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
       (:func:`rabi_static_z_mean`) are resonant, so ``delta_omega`` must
       be 0;
     - the rotary-echo forms hold at full echoes only, t = n 2 theta/Omega
-      (|t Omega/(2 theta) - n| <= 1e-6 for an integer n);
+      (:func:`remag.dynamics.on_full_echoes`);
     - every scenario that :func:`decay_envelope` rejects.
 
     The rotary-echo case is a first-order model: the first-order beat of
@@ -325,11 +325,10 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
     if delta_omega != 0.0 and (a == "x" or s == "rabi"):
         raise ValueError("the drive-noise and Rabi forms are resonant; "
                          "delta_omega must be 0")
-    if s == "rotary_echo":
-        n = t * scenario.omega / (2.0 * scenario.theta)
-        if np.any(np.abs(n - np.rint(n)) > 1e-6):
-            raise ValueError("the rotary-echo forms hold at full echoes "
-                             "t = n 2 theta/Omega only")
+    if s == "rotary_echo" and not on_full_echoes(t, scenario.theta,
+                                                 scenario.omega):
+        raise ValueError("the rotary-echo forms hold at full echoes "
+                         "t = n 2 theta/Omega only")
     if s == "rabi" and a == "z" and k == "static":
         return rabi_static_z_mean(scenario.omega, scenario.sigma, t)
     env = decay_envelope(scenario, t)

@@ -13,11 +13,14 @@ are drawn in, and :func:`sample_path` returns them for one trial.
 
 The grid is sized to the noise (:func:`_noise_grid_step`): one exact step
 per constant run between record times under static noise, tau_c/20 or
-finer under OU noise.  A run of several large chunks spreads them over
-forked worker processes (:func:`_workers`); chunks are merged in chunk
-order, so results do not depend on the CPU count or on whether a run
-forked.  :func:`exact_mean` is the mean an OU ensemble estimates, solved
-with no sampling and no grid.
+finer under OU noise.  Static noise is one row held for the whole run, so
+the kernel computes each drive amplitude's step once and then applies
+only the 2x2 update at each step; OU noise computes every step anew.  A
+run of several large chunks spreads them over forked worker processes
+(:func:`_workers`); chunks are merged in chunk order, so results do not
+depend on the CPU count or on whether a run forked.  :func:`exact_mean`
+is the mean an OU ensemble estimates, solved with no sampling and no
+grid.
 
 Noise strengths are in rad/s on both axes; a drive-noise strength stated
 as a fraction of the Rabi frequency is converted where it arrives
@@ -283,9 +286,13 @@ def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
     # on them; a record time at t = (p/q) base lands when q divides n
     n_max = 2 * n_drive
     fracs = np.unique(np.asarray(record_times, dtype=float)) / base
+    # any p/q != m with q <= n_max lies 1/n_max or more from the integer m,
+    # so m is the nearest such fraction to a record within 0.5/n_max of it
+    # (q = 1); only the other records need the search
+    near = np.abs(fracs - np.rint(fracs)) < 0.5 / n_max
     n = 1
-    for f in fracs:
-        n = math.lcm(n, Fraction(float(f)).limit_denominator(n_max).denominator)
+    for f in fracs[~near].tolist():
+        n = math.lcm(n, Fraction(f).limit_denominator(n_max).denominator)
         if n > n_max:
             return drive_grid
     n *= math.ceil(n_min / n)
@@ -666,6 +673,13 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     psi1' = b psi0 + conj(a) psi1.  It drops the global phase
     exp(-i w dt/2) that :func:`remag.dynamics.su2_step` keeps: both
     readouts are invariant under a phase shared by a trial's amplitudes.
+
+    A block whose rows are all one row (row stride 0, the read-only view
+    :func:`_noise_blocks` yields for static noise) has one step per drive
+    amplitude, as the grid step is uniform: its (a, conj(a), b) are
+    computed once and only the 2x2 update is applied at each step, which
+    gives the same bits as computing them again.  Every other block
+    computes its step anew at each row.
     """
     if ramsey:
         # state right after the ideal opening pi/2 pulse about x
@@ -674,9 +688,10 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     else:
         psi0 = np.ones(count, dtype=complex)
         psi1 = np.zeros(count, dtype=complex)
-    out = np.empty((count, record_idx.size))
+    amps, records = amp_steps.tolist(), record_idx.tolist()
+    out = np.empty((count, len(records)))
     pos = 0
-    if record_idx[0] == 0:
+    if records[0] == 0:
         out[:, 0] = _population(psi0, psi1, ramsey)
         pos = 1
 
@@ -697,6 +712,7 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
 
     moved, phi, sinc = np.empty(count), np.empty(count), np.empty(count)
     a, b = np.empty(count, dtype=complex), np.zeros(count, dtype=complex)
+    a_conj = np.empty(count, dtype=complex)
     new0, tmp = np.empty(count, dtype=complex), np.empty(count, dtype=complex)
     # a.imag = -hz dt sinc and b.imag = -hx dt sinc
     moved_imag, fixed_imag = ((b.imag, a.imag) if axis == "x"
@@ -705,31 +721,45 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     # sin(phi)/phi is exactly 1 at the smallest normal float, so h = 0
     # gives the identity
     tiny = np.finfo(float).tiny
+
+    def step(noise, amp):
+        # (a, conj(a), b) of one step, in the shared buffers
+        g, o, f = step_coeffs[amp]
+        np.multiply(noise, g, out=moved)
+        np.add(moved, o, out=moved)
+        np.multiply(moved, moved, out=phi)
+        np.add(phi, f * f, out=phi)
+        np.sqrt(phi, out=phi)
+        np.maximum(phi, tiny, out=phi)
+        np.cos(phi, out=a_real)
+        np.sin(phi, out=sinc)
+        np.divide(sinc, phi, out=sinc)
+        np.multiply(sinc, moved, out=moved_imag)
+        np.multiply(sinc, f, out=fixed_imag)
+        np.conjugate(a, out=a_conj)
+        return a, a_conj, b
+
     k = 0
     for block in blocks:
+        # one row held for the block: one step per drive amplitude
+        held = {} if block.strides[0] == 0 else None
         for noise in block:
-            g, o, f = step_coeffs[amp_steps[k]]
-            np.multiply(noise, g, out=moved)
-            moved += o
-            np.multiply(moved, moved, out=phi)
-            phi += f * f
-            np.sqrt(phi, out=phi)
-            np.maximum(phi, tiny, out=phi)
-            np.cos(phi, out=a_real)
-            np.sin(phi, out=sinc)
-            sinc /= phi
-            np.multiply(sinc, moved, out=moved_imag)
-            np.multiply(sinc, f, out=fixed_imag)
-            np.multiply(a, psi0, out=new0)
-            np.multiply(b, psi1, out=tmp)
+            amp = amps[k]
+            if held is None:
+                sa, sa_conj, sb = step(noise, amp)
+            else:
+                if amp not in held:
+                    held[amp] = [x.copy() for x in step(noise, amp)]
+                sa, sa_conj, sb = held[amp]
+            np.multiply(sa, psi0, out=new0)
+            np.multiply(sb, psi1, out=tmp)
             new0 += tmp
-            np.multiply(b, psi0, out=tmp)
-            np.conjugate(a, out=a)
-            psi1 *= a
+            np.multiply(sb, psi0, out=tmp)
+            psi1 *= sa_conj
             psi1 += tmp
             psi0, new0 = new0, psi0
             k += 1
-            if pos < record_idx.size and record_idx[pos] == k:
+            if pos < len(records) and records[pos] == k:
                 out[:, pos] = _population(psi0, psi1, ramsey)
                 pos += 1
     np.clip(out, 0.0, 1.0, out=out)

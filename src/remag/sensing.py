@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import cycle_period, refocuses
+from .dynamics import cycle_period, on_full_echoes, refocuses
 from .units import GAMMA_E_RAD_PER_S_PER_T
 
 
@@ -61,11 +61,9 @@ def sensitivity_ideal(kind: str, t: float, theta: float | None = None,
     if kind == "rotary_echo":
         if theta is None:
             raise ValueError("rotary_echo needs theta")
-        if omega is not None:
-            cycle = cycle_period(theta, omega)
-            if abs(t / cycle - round(t / cycle)) > 1e-6:
-                warnings.warn("rotary-echo sensitivity formula assumes "
-                              "complete echo cycles t = n 2 theta/Omega")
+        if omega is not None and not on_full_echoes(t, theta, omega):
+            warnings.warn("rotary-echo sensitivity formula assumes "
+                          "complete echo cycles t = n 2 theta/Omega")
         return re_coefficient(theta) / (GAMMA_E_RAD_PER_S_PER_T
                                         * math.sqrt(t))
     if kind == "ramsey":

@@ -452,6 +452,26 @@ class TestExitCodes:
         assert "re.ini:1: [sequence]" in capsys.readouterr().err
         assert not (out / "sensitivity.csv").exists()
 
+    @pytest.mark.parametrize("argv, text, steps", [
+        (("simulate",), "[sequence]\nn_cycles = 2000000\n[grid]\ndt_ns = 1\n",
+         120_000_000),
+        # a static run steps once per half echo, but its grid rule starts
+        # from the drive grid of T_Rabi/200
+        (("noise", "--trials", "2"),
+         "[sequence]\nn_cycles = 2000000\n[noise]\nenabled = true\n"
+         "axis = x\nkind = static\nsigma_rel = 0.05\n", 400_000_000),
+    ], ids=["simulate", "noise-static"])
+    def test_oversized_grid_exits_1_naming_sequence(self, tmp_path, capsys,
+                                                    argv, text, steps):
+        # refused before any grid is allocated
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(text)
+        rc, out = run(tmp_path, *argv, "--config", str(cfg))
+        assert rc == 1
+        assert (f"long.ini:1: [sequence] grid of {steps} steps exceeds "
+                f"MAX_GRID_STEPS") in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         w = RunWriter(str(tmp_path), "simulate", parse_config(""), 1)
         with pytest.raises(TypeError):

@@ -12,14 +12,18 @@ propagation and against the drive grid.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from remag import noise
-from remag.dynamics import (PulseSequence, build_waveform, default_dt_max,
-                            full_echo_times, propagate, total_propagator)
+from remag.dynamics import (OU_MIN_SAMPLES_PER_TAU, PulseSequence,
+                            build_waveform, default_dt_max, full_echo_times,
+                            propagate, total_propagator)
 from remag.noise import NoiseSpec, monte_carlo, sample_path
 from remag.units import mhz_to_rad
 
@@ -322,3 +326,71 @@ def test_ou_grid_step_unchanged(label):
         record = full_echo_times(seq)
     assert noise._noise_grid_step(wave, spec, record) == \
         wave.segment / OU_STEPS_PER_SEGMENT[label]
+
+
+def _grid_step_by_search(wave, spec, record_times):
+    """The grid rule with every record through the exact fraction search,
+    as :func:`remag.noise._noise_grid_step` ran before it skipped records
+    near a whole number of segments."""
+    drive_grid = noise._drive_grid(wave, spec)
+    base = wave.segment
+    n_drive = int(round(base / drive_grid))
+    if spec.kind == "static":
+        n_min = 1
+    elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):
+        n_min = math.ceil(base / (spec.tau_c / OU_MIN_SAMPLES_PER_TAU) - 1e-9)
+    else:
+        n_min = n_drive
+    n_max = 2 * n_drive
+    fracs = np.unique(np.asarray(record_times, dtype=float)) / base
+    n = 1
+    for f in fracs:
+        n = math.lcm(n, Fraction(float(f)).limit_denominator(n_max).denominator)
+        if n > n_max:
+            return drive_grid
+    n *= math.ceil(n_min / n)
+    x = fracs * n
+    if n > n_max or np.any(np.abs(x - np.rint(x)) >= 1e-6):
+        return drive_grid
+    return base / n
+
+
+# (wave, spec) of a static echo (n_max 200), an OU-z echo (tau_c/20 floor)
+# and OU-x Rabi (drive-grid floor, one segment)
+GRID_RULE_CASES = [
+    (build_waveform(PulseSequence.rotary_echo(math.pi, W19, 8), 0.0),
+     NoiseSpec("x", "static", 0.05 * W19)),
+    (build_waveform(PulseSequence.rotary_echo(0.75 * math.pi, W20, 8), DW),
+     _z(1)),
+    (build_waveform(RABI_19[0], 0.0), _x(5, W19)),
+]
+
+
+@st.composite
+def _record_fractions(draw, n_segments, n_max):
+    """A record time in segments: an integer perturbed by at most 1e-12
+    relative, a fraction p/q with q <= n_max (often q = n_max and within
+    a few 1/q of an integer: the nearest such fractions to one, which the
+    search must see), or any float."""
+    m = draw(st.integers(0, n_segments))
+    family = draw(st.sampled_from(["integer", "fraction", "float"]))
+    if family == "integer":
+        return m * (1.0 + draw(st.floats(-1e-12, 1e-12)))
+    if family == "fraction":
+        q = draw(st.one_of(st.integers(1, n_max), st.just(n_max)))
+        j = draw(st.one_of(st.integers(-2, 2), st.integers(-q, q)))
+        return abs(m * q + j) / q
+    return draw(st.floats(0.0, n_segments))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_grid_rule_skip_matches_the_full_search(data):
+    wave, spec = data.draw(st.sampled_from(GRID_RULE_CASES))
+    n_max = 2 * int(round(wave.segment / noise._drive_grid(wave, spec)))
+    fracs = data.draw(st.lists(
+        _record_fractions(wave.amplitudes.size, n_max), min_size=1,
+        max_size=4))
+    record = np.array(fracs) * wave.segment
+    assert noise._noise_grid_step(wave, spec, record) == \
+        _grid_step_by_search(wave, spec, record)

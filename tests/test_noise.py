@@ -246,6 +246,30 @@ class TestKernel:
                                      np.concatenate(blocks), dt, ramsey)
         assert np.max(np.abs(got - want)) < 1e-13
 
+    # a 20-cycle rotary echo, Rabi and a Ramsey free evolution (amp 0),
+    # 13 steps per segment
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    @pytest.mark.parametrize("amp_steps, ramsey", [
+        (np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
+        (np.full(260, mhz_to_rad(20.0)), False),
+        (np.zeros(260), True),
+    ], ids=["echo", "rabi", "ramsey"])
+    def test_static_block_reuses_steps_bit_for_bit(self, axis, amp_steps,
+                                                   ramsey):
+        # the static block's rows share one row (stride 0), so the kernel
+        # computes each amplitude's step once; its copy is stepped row by
+        # row as OU noise is
+        spec = NoiseSpec(axis=axis, kind="static", sigma=3 * SIGMA, seed=3)
+        dt, delta = TAU_C / 20, mhz_to_rad(2.0)
+        block, = _noise_blocks(spec, dt, 0, 16, amp_steps.size, _BLOCK_STEPS)
+        copy = np.ascontiguousarray(block)
+        assert block.strides[0] == 0 and copy.strides[0] != 0
+        record_idx = np.arange(amp_steps.size + 1)
+        got, want = (_propagate_batch(amp_steps, delta, axis, iter([b]), 16,
+                                      dt, record_idx, ramsey)
+                     for b in (block, copy))
+        assert np.array_equal(got, want)
+
     def test_zero_field_step_is_the_identity(self):
         # noise of exactly -delta cancels the only field of a Ramsey run
         delta, n_steps = mhz_to_rad(2.0), 50

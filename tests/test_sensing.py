@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,12 @@ class TestIdeal:
     def test_full_echo_warning(self):
         with pytest.warns(UserWarning):
             sensitivity_ideal("rotary_echo", 1.3e-7, theta=math.pi, omega=W17)
+        # silent on complete cycles, as many as the benchmark's longest echo
+        theta = 0.507 * math.pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sensitivity_ideal("rotary_echo", 189 * 2 * theta / W17,
+                              theta=theta, omega=W17)
 
 
 class TestFromTrace:

@@ -1,11 +1,12 @@
 """Per-layer timings of the Monte Carlo engine and the analysis chain.
 
-Times three layers of `remag.noise.monte_carlo` apart, on one trial chunk
+Times the layers of `remag.noise.monte_carlo` apart, on one trial chunk
 of each `noise-ou-large` case (OU dephasing, rotary echoes, on the grid
-`monte_carlo` picks) and on one `noise-static-small`-style case (static
-drive noise on a pi rotary echo of 130 half echoes, 64 trials: 130 steps,
-one per half echo, or 13,000 on a checkout that keeps static noise on the
-drive grid of T_Rabi/200):
+`monte_carlo` picks) and on two `noise-static-small`-style cases (static
+drive noise at 19 MHz, 64 trials: a pi rotary echo of 130 half echoes,
+130 steps, one per half echo, or 13,000 on a checkout that keeps static
+noise on the drive grid of T_Rabi/200; and the benchmark's longest op at
+seed 1, a 0.507 pi echo of 189 cycles, 378 steps):
 
 - `setup_us_per_trial`: starting the chunk's per-trial streams, timed as
   a whole one-step static draw of the chunk (one word per trial included);
@@ -14,7 +15,9 @@ drive grid of T_Rabi/200):
   warm thread, set-up included, per value drawn (one per trial-step for
   OU noise, one per trial for static noise);
 - `kernel_ns_per_trial_step`: `_propagate_batch` on blocks drawn
-  beforehand.
+  beforehand;
+- `grid_step_us`: one `_noise_grid_step` call on the case's default
+  record times (every full echo), timed over batches of 20 calls.
 
 Two more figures rest the size threshold of `monte_carlo`'s worker
 processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
@@ -121,7 +124,8 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WARMUP_MC  # noqa: E402
 
-STATIC_CASE = (1.0, 19.0, 65, 64)   # theta/pi, omega (MHz), cycles, trials
+# theta/pi, omega (MHz), cycles, trials
+STATIC_CASES = ((1.0, 19.0, 65, 64), (0.507, 19.0, 189, 64))
 
 
 def _cases(noise, dynamics):
@@ -137,12 +141,13 @@ def _cases(noise, dynamics):
                                tau_c=w.OU_TAU_C_US * 1e-6, seed=1)
         out.append((f"ou-{theta_pi}pi-x{n_cycles}", seq,
                     w.OU_DETUNING_MHZ * mhz, spec, w.OU_TRIALS))
-    theta_pi, omega_mhz, n_cycles, trials = STATIC_CASE
-    seq = dynamics.PulseSequence.rotary_echo(theta_pi * math.pi,
-                                             omega_mhz * mhz, n_cycles)
-    spec = noise.NoiseSpec(axis="x", kind="static", sigma=0.05 * seq.omega,
-                           seed=1)
-    out.append((f"static-{theta_pi}pi-x{n_cycles}", seq, 0.0, spec, trials))
+    for theta_pi, omega_mhz, n_cycles, trials in STATIC_CASES:
+        seq = dynamics.PulseSequence.rotary_echo(theta_pi * math.pi,
+                                                 omega_mhz * mhz, n_cycles)
+        spec = noise.NoiseSpec(axis="x", kind="static",
+                               sigma=0.05 * seq.omega, seed=1)
+        out.append((f"static-{theta_pi}pi-x{n_cycles}", seq, 0.0, spec,
+                    trials))
     return out
 
 
@@ -167,13 +172,19 @@ def _in_new_thread(fn) -> float:
     return box[0]
 
 
+GRID_CALLS = 20         # _noise_grid_step calls per timed batch
+
+
 def time_case(noise, dynamics, seq, delta, spec, trials, repeats) -> dict:
-    """The three layer figures of one case, on its first trial chunk."""
+    """The layer figures of one case, on its first trial chunk."""
     chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
     count = min(trials, chunk)
     wave = dynamics.build_waveform(seq, delta)
     record_times = noise._default_record_times(seq, wave, spec)
     dt = noise._noise_grid_step(wave, spec, record_times)
+    grid_s = _median_s(lambda: _timed(lambda: [
+        noise._noise_grid_step(wave, spec, record_times)
+        for _ in range(GRID_CALLS)]), repeats) / GRID_CALLS
     n_steps = int(round(wave.total_duration / dt))
     record_idx = np.unique(np.rint(record_times / dt).astype(int))
     n_sub = int(round(wave.segment / dt))
@@ -205,7 +216,8 @@ def time_case(noise, dynamics, seq, delta, spec, trials, repeats) -> dict:
             "setup_us_per_trial": {"warm": warm / count * 1e6,
                                    "cold": cold / count * 1e6},
             "noise_ns_per_value": noise_s / values * 1e9,
-            "kernel_ns_per_trial_step": kernel_s / (count * n_steps) * 1e9}
+            "kernel_ns_per_trial_step": kernel_s / (count * n_steps) * 1e9,
+            "grid_step_us": grid_s * 1e6}
 
 
 def time_monte_carlo(noise, seq, delta, spec, trials, repeats) -> dict:
