@@ -2,8 +2,12 @@
 
 Configs use flat sections with frequencies in ordinary MHz and times in
 microseconds; conversion to angular rad/s and seconds happens here, at
-the boundary, and nowhere else.  Unknown sections or keys and
-non-finite numbers are rejected with file:line context.  Parsing builds
+the boundary, and nowhere else.  The text is read in one pass
+(:func:`_read_ini`): ``[section]`` headers and ``key = value`` or
+``key: value`` lines, names in any case, full-line ``#``/``;`` comments,
+blank lines and any indentation; any other line, a repeated section or
+key, an unknown section (``[DEFAULT]`` included) or key and non-finite
+numbers are rejected with file:line context.  Parsing builds
 the domain objects a run needs (pulse sequence, noise source, readout,
 calcium scenario), and their constructors own every range check; a
 rejection becomes a :class:`ConfigError` naming the section.
@@ -11,9 +15,9 @@ rejection becomes a :class:`ConfigError` naming the section.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 
 from .calcium import CaDomainSpec
@@ -112,19 +116,52 @@ class ScenarioConfig:
         return mhz_to_rad(self.values["field"]["hyperfine_mhz"])
 
 
-def _key_lines(text: str) -> dict:
-    """Map (section, key) -> 1-based line number, for error context."""
-    lines = {}
-    section = None
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip().lower()
-            lines[(section, None)] = i
-        elif "=" in stripped and not stripped.startswith(("#", ";")) and section:
-            key = stripped.split("=", 1)[0].strip().lower()
-            lines[(section, key)] = i
-    return lines
+#: ``key = value`` or ``key: value``, split at the first delimiter
+_KEY_VALUE = re.compile(r"(.*?)\s*[=:]\s*(.*)")
+
+
+def _read_ini(text: str, source: str) -> tuple[dict, dict]:
+    """``(entries, headers)`` of INI text, in one pass over its lines.
+
+    entries maps section -> key -> (raw value, line) and headers section
+    -> line of its header, section and key names in lower case.  A line
+    is blank, a comment (first non-blank character ``#`` or ``;``), a
+    ``[section]`` header, or ``key = value`` / ``key: value`` inside a
+    section; indentation is ignored.  Any other line, a repeated section
+    or key, and a section or key not in :data:`SCHEMA` are a file:line
+    :class:`ConfigError`.
+    """
+    entries, headers = {}, {}
+    keys = None
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1]
+            section = name.lower()
+            if section in headers:
+                raise ConfigError(f"{source}:{ln}: section [{name}] repeats "
+                                  f"line {headers[section]}")
+            if section not in SCHEMA:
+                raise ConfigError(f"{source}:{ln}: unknown section [{name}]")
+            headers[section] = ln
+            keys = entries[section] = {}
+            continue
+        match = _KEY_VALUE.fullmatch(line)
+        if match is None or not match[1] or keys is None:
+            raise ConfigError(f"{source}:{ln}: expected a [section] header, "
+                              f"a key = value line in a section or a "
+                              f"comment, got {line!r}")
+        key = match[1].lower()
+        if key in keys:
+            raise ConfigError(f"{source}:{ln}: key {key!r} repeats line "
+                              f"{keys[key][1]} in [{section}]")
+        if key not in SCHEMA[section]:
+            raise ConfigError(f"{source}:{ln}: unknown key {key!r} in "
+                              f"[{section}]")
+        keys[key] = (match[2], ln)
+    return entries, headers
 
 
 def _coerce(raw: str, typ, where: str):
@@ -146,32 +183,16 @@ def _coerce(raw: str, typ, where: str):
 
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse and validate INI text; defaults fill everything omitted."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=source)
-    except configparser.Error as exc:
-        raise ConfigError(f"{source}: {exc}") from None
-
-    lines = _key_lines(text)
+    entries, headers = _read_ini(text, source)
     values = {sec: {k: default for k, (_, default) in keys.items()}
               for sec, keys in SCHEMA.items()}
-
-    for section in parser.sections():
-        sec = section.lower()
-        if sec not in SCHEMA:
-            ln = lines.get((sec, None), "?")
-            raise ConfigError(f"{source}:{ln}: unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in SCHEMA[sec]:
-                ln = lines.get((sec, key), "?")
-                raise ConfigError(f"{source}:{ln}: unknown key "
-                                  f"{key!r} in [{section}]")
-            typ = SCHEMA[sec][key][0]
-            ln = lines.get((sec, key), "?")
-            values[sec][key] = _coerce(raw, typ, f"{source}:{ln}: {key}")
+    for sec, keys in entries.items():
+        for key, (raw, ln) in keys.items():
+            values[sec][key] = _coerce(raw, SCHEMA[sec][key][0],
+                                       f"{source}:{ln}: {key}")
 
     cfg = ScenarioConfig(values=values, source=source)
-    cfg.lines = {sec: ln for (sec, key), ln in lines.items() if key is None}
+    cfg.lines = headers
     _validate(cfg)
     for section, build in _BUILDERS.items():
         try:

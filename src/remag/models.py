@@ -132,13 +132,23 @@ def t_prime_re(theta: float, sigma: float) -> float:
 
 
 def t_prime_ramsey(sigma: float) -> float:
-    """Static-bath free-induction dephasing time sqrt(2)/sigma (= T2*)."""
+    """Static-bath free-induction dephasing time sqrt(2)/sigma (= T2*).
+
+    Exact, not first order: a static Gaussian detuning of spread sigma
+    gives the phase sigma t a variance sigma^2 t^2, so
+    <cos Phi> = exp(-(t/T2*)^2) (drive noise on a resonant Rabi alike).
+    """
     return math.sqrt(2.0) / sigma
 
 
 def ou_zeta_prime(sigma, tau_c, t):
     """Ramsey dephasing exponent under OU noise:
-    zeta'(t) = sigma^2 tau_c^2 (t/tau_c + exp(-t/tau_c) - 1)."""
+    zeta'(t) = sigma^2 tau_c^2 (t/tau_c + exp(-t/tau_c) - 1).
+
+    Half the variance of the OU phase integral over [0, t], so
+    exp(-zeta') = <cos Phi> exactly, for OU dephasing on Ramsey and OU
+    drive noise on a resonant Rabi: the phase is Gaussian.
+    """
     t = np.asarray(t, dtype=float)
     x = t / tau_c
     return sigma ** 2 * tau_c ** 2 * (x + np.exp(-x) - 1.0)
@@ -159,7 +169,10 @@ def ou_zeta_re_z(theta, sigma, tau_c, t):
 def ou_zeta_re_x(theta, omega, sigma, tau_c, n):
     """Resonant rotary-echo exponent under OU drive-amplitude noise.
 
-    Cumulant-expansion result for n full echoes.  The half-echo duration
+    Exact for n full echoes: on resonance each half echo turns the Bloch
+    vector about x, by a Gaussian angle under OU noise, and zeta is half
+    the variance of the net angle, so (1 + exp(-zeta))/2 is the exact
+    mean (no cumulant beyond the second exists).  The half-echo duration
     enters as theta/Omega; the dimensionless step in both exponentials is
     theta/(Omega tau_c).  (Written with a step theta/(sigma tau_c) in some
     statements of the result, which does not have a static-noise limit of
@@ -313,12 +326,13 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
       (:func:`remag.dynamics.on_full_echoes`);
     - every scenario that :func:`decay_envelope` rejects.
 
-    The rotary-echo case is a first-order model: the first-order beat of
+    The dephasing rotary-echo case is a first-order model: the beat of
     :func:`re_signal_full_echo` (beat-phase error n eps^3 (theta c - 2 s +
     2 s^3/3) after n echoes, eps = dw/Omega) times the cycle-averaged
     envelope of :func:`decay_envelope`.  :func:`re_signal_full_echo_eps4`
     is the higher-order beat, and :func:`remag.noise.exact_mean` the exact
-    mean under OU noise.
+    mean under OU noise.  The drive-noise forms, and Ramsey's, are exact:
+    there the phase is Gaussian (see :func:`ou_zeta_re_x`).
     """
     t = np.asarray(t, dtype=float)
     s, a, k = scenario.sequence, scenario.axis, scenario.kind

@@ -14,8 +14,10 @@ are drawn in, and :func:`sample_path` returns them for one trial.
 The grid is sized to the noise (:func:`_noise_grid_step`): one exact step
 per constant run between record times under static noise, tau_c/20 or
 finer under OU noise.  Static noise is one row held for the whole run, so
-the kernel computes each drive amplitude's step once and then applies
-only the 2x2 update at each step; OU noise computes every step anew.  A
+the kernel computes each drive amplitude's step once, and one 2x2 product
+per pattern of steps between records that recurs (every full echo of a
+rotary echo), which each later such interval applies in one update; OU
+noise computes every step anew.  A
 run of several large chunks spreads them over forked worker processes
 (:func:`_workers`); chunks are merged in chunk order, so results do not
 depend on the CPU count or on whether a run forked.  :func:`exact_mean`
@@ -30,11 +32,13 @@ as a fraction of the Rabi frequency is converted where it arrives
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import signal
 import threading
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -171,10 +175,16 @@ def _noise_blocks(spec: NoiseSpec, dt: float, first: int, count: int,
         return ndtri(u.T, out=np.empty((m, count)))
 
     try:
+        # one state, re-keyed for each stream: setting it copies it
+        state = _keyed_state(spec.seed, first)
+        key = state["state"]["key"]
         for i, gen in enumerate(streams):
-            gen.bit_generator.state = _keyed_state(spec.seed, first + i)
+            key[1] = first + i
+            gen.bit_generator.state = state
         if spec.kind == "static":
-            yield np.broadcast_to(spec.sigma * normals(1), (n_steps, count))
+            # one uniform per trial, read as a Python float
+            u = np.array([gen.random() for gen in streams])
+            yield np.broadcast_to(spec.sigma * ndtri(u), (n_steps, count))
             return
         if dt > spec.tau_c / OU_MIN_SAMPLES_PER_TAU * (1.0 + 1e-9):
             raise ValueError(
@@ -652,6 +662,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+#: records the kernel copies out before it turns them into populations,
+#: all at once
+_RECORD_ROWS = 32
+
+
 def _population(psi0, psi1, ramsey):
     if ramsey:
         # ideal instantaneous closing pi/2 pulse (inverse of the opener,
@@ -677,23 +692,70 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     A block whose rows are all one row (row stride 0, the read-only view
     :func:`_noise_blocks` yields for static noise) has one step per drive
     amplitude, as the grid step is uniform: its (a, conj(a), b) are
-    computed once and only the 2x2 update is applied at each step, which
-    gives the same bits as computing them again.  Every other block
-    computes its step anew at each row.
+    computed once.  The block is cut at the records into intervals, and
+    an interval's product depends only on its pattern of amplitudes.  The
+    first interval of a pattern that recurs and spans several steps is
+    stepped on stacks that carry the two basis vectors beside the state,
+    which gives its 2x2 product in the same ufunc calls; every later
+    interval of that pattern applies the product, one 2x2 update.  Records
+    up to the first reuse have the bits of stepping; a reused product
+    rounds apart from the steps by a few ulps.  Every other block computes
+    its step anew at each row.  Nothing is stepped past the last record.
+
+    Each record's state is copied into a buffer of ``_RECORD_ROWS`` rows,
+    which is turned into populations when it fills and at the end.
     """
+    n_record = len(record_idx)
+    out = np.empty((count, n_record))
+    # psi0 and psi1 are row 0 of two stacks, whose rows 1 and 2 carry the
+    # basis vectors through an interval whose product is kept; an update
+    # writes psi0' into a third stack, which then swaps with the first
+    stack = [np.empty((3, count), dtype=complex) for _ in range(4)]
+    state = [rows[0] for rows in stack]     # psi0, psi0', psi1, scratch
     if ramsey:
         # state right after the ideal opening pi/2 pulse about x
-        psi0 = np.full(count, 1.0 / math.sqrt(2.0), dtype=complex)
-        psi1 = np.full(count, -1j / math.sqrt(2.0), dtype=complex)
+        state[0][...] = 1.0 / math.sqrt(2.0)
+        state[2][...] = -1j / math.sqrt(2.0)
     else:
-        psi0 = np.ones(count, dtype=complex)
-        psi1 = np.zeros(count, dtype=complex)
+        state[0][...] = 1.0
+        state[2][...] = 0.0
+
+    def apply(updates, s):
+        # psi0' = m00 psi0 + m01 psi1 and psi1' = m11 psi1 + m10 psi0 for
+        # each (m00, m01, m10, m11) in turn, on s: state, or all of stack
+        psi0, new0, psi1, tmp = s
+        for m00, m01, m10, m11 in updates:
+            np.multiply(m00, psi0, out=new0)
+            np.multiply(m01, psi1, out=tmp)
+            new0 += tmp
+            np.multiply(m10, psi0, out=tmp)
+            psi1 *= m11
+            psi1 += tmp
+            psi0, new0 = new0, psi0
+        if psi0 is not s[0]:
+            stack[0], stack[1] = stack[1], stack[0]
+            state[0], state[1] = state[1], state[0]
+
     amps, records = amp_steps.tolist(), record_idx.tolist()
-    out = np.empty((count, len(records)))
-    pos = 0
+    rows0 = np.empty((min(n_record, _RECORD_ROWS), count), dtype=complex)
+    rows1 = np.empty_like(rows0) if ramsey else None
+    pos = filled = 0                    # records taken, of them unflushed
+
+    def record():
+        nonlocal pos, filled
+        rows0[filled] = state[0]
+        if ramsey:
+            rows1[filled] = state[2]
+        pos += 1
+        filled += 1
+        if filled == len(rows0) or pos == n_record:
+            out[:, pos - filled:pos] = _population(
+                rows0[:filled], rows1[:filled] if ramsey else None,
+                ramsey).T
+            filled = 0
+
     if records[0] == 0:
-        out[:, 0] = _population(psi0, psi1, ramsey)
-        pos = 1
+        record()
 
     # per step, -h dt = (-hx dt, -hz dt) is one component that the noise
     # moves, gain * noise + offset, and one that it does not, fixed; all
@@ -713,7 +775,6 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     moved, phi, sinc = np.empty(count), np.empty(count), np.empty(count)
     a, b = np.empty(count, dtype=complex), np.zeros(count, dtype=complex)
     a_conj = np.empty(count, dtype=complex)
-    new0, tmp = np.empty(count, dtype=complex), np.empty(count, dtype=complex)
     # a.imag = -hz dt sinc and b.imag = -hx dt sinc
     moved_imag, fixed_imag = ((b.imag, a.imag) if axis == "x"
                               else (a.imag, b.imag))
@@ -721,9 +782,10 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     # sin(phi)/phi is exactly 1 at the smallest normal float, so h = 0
     # gives the identity
     tiny = np.finfo(float).tiny
+    update = (a, b, b, a_conj)
 
     def step(noise, amp):
-        # (a, conj(a), b) of one step, in the shared buffers
+        # the step's update (a, b, b, conj(a)), in the shared buffers
         g, o, f = step_coeffs[amp]
         np.multiply(noise, g, out=moved)
         np.add(moved, o, out=moved)
@@ -737,30 +799,52 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
         np.multiply(sinc, moved, out=moved_imag)
         np.multiply(sinc, f, out=fixed_imag)
         np.conjugate(a, out=a_conj)
-        return a, a_conj, b
+        return update
+
+    basis = np.eye(2, dtype=complex)[:, :, None]    # psi0 rows, psi1 rows
+
+    def static_block(noise, start, stop):
+        # steps start .. stop - 1 under one noise row: up to the last
+        # record among them, or to stop if a later block holds records
+        last = bisect.bisect_right(records, stop, pos)
+        bounds = [start, *records[pos:last]]
+        if last < n_record:
+            bounds.append(stop)
+        held = {}
+        for amp in set(amps[start:bounds[-1]]):
+            sa, sb, _, sa_conj = step(noise, amp)
+            sb = sb.copy()
+            held[amp] = (sa.copy(), sb, sb, sa_conj.copy())
+        patterns = [tuple(amps[s:e]) for s, e in zip(bounds, bounds[1:])]
+        recurs = Counter(p for p in patterns if len(p) > 1)
+        products, n_cuts = {}, last - pos
+        for i, pattern in enumerate(patterns):
+            product = products.get(pattern)
+            if product is not None:
+                apply(product, state)
+            elif recurs[pattern] > 1:
+                stack[0][1:], stack[2][1:] = basis
+                apply([held[amp] for amp in pattern], stack)
+                # the images of the basis vectors: the product's columns
+                products[pattern] = (tuple(np.concatenate(
+                    (stack[0][1:], stack[2][1:]))),)
+            else:
+                apply([held[amp] for amp in pattern], state)
+            if i < n_cuts:
+                record()
 
     k = 0
     for block in blocks:
-        # one row held for the block: one step per drive amplitude
-        held = {} if block.strides[0] == 0 else None
+        if pos == n_record:
+            break
+        if block.strides[0] == 0 and len(block):
+            static_block(block[0], k, k + len(block))
+            k += len(block)
+            continue
         for noise in block:
-            amp = amps[k]
-            if held is None:
-                sa, sa_conj, sb = step(noise, amp)
-            else:
-                if amp not in held:
-                    held[amp] = [x.copy() for x in step(noise, amp)]
-                sa, sa_conj, sb = held[amp]
-            np.multiply(sa, psi0, out=new0)
-            np.multiply(sb, psi1, out=tmp)
-            new0 += tmp
-            np.multiply(sb, psi0, out=tmp)
-            psi1 *= sa_conj
-            psi1 += tmp
-            psi0, new0 = new0, psi0
+            apply((step(noise, amps[k]),), state)
             k += 1
-            if pos < len(records) and records[pos] == k:
-                out[:, pos] = _population(psi0, psi1, ramsey)
-                pos += 1
+            if pos < n_record and records[pos] == k:
+                record()
     np.clip(out, 0.0, 1.0, out=out)
     return out

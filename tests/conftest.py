@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 
 def read_csv(path):
@@ -8,3 +9,24 @@ def read_csv(path):
     names = lines[0].strip().split(",")
     data = np.loadtxt(lines[1:], delimiter=",", ndmin=2).T
     return dict(zip(names, data))
+
+
+#: the text of every config parsed in this session so far, which the last
+#: test of ``test_config`` checks against the configparser reference
+PARSED_CONFIGS = []
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _record_parsed_configs():
+    from remag import config
+
+    read = config._read_ini
+
+    def recording(text, source):
+        PARSED_CONFIGS.append(text)
+        return read(text, source)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(config, "_read_ini", recording)
+    yield
+    patch.undo()

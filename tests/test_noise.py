@@ -16,7 +16,8 @@ from remag.dynamics import (PulseSequence, build_waveform, full_echo_times,
                             propagate, segment_unitary, su2_step,
                             _hamiltonian_coeffs)
 from remag import noise as noise_module
-from remag.models import DecayScenario, mean_signal, ramsey_signal, t_prime_ramsey
+from remag.models import (DecayScenario, mean_signal, ou_zeta_prime,
+                          ou_zeta_re_x, ramsey_signal, t_prime_ramsey)
 from remag.noise import (_BLOCK_STEPS, NoiseSpec, _noise_blocks,
                          _propagate_batch, decay_scenario, exact_mean,
                          mc_vs_model, monte_carlo, sample_path)
@@ -269,6 +270,74 @@ class TestKernel:
                                       dt, record_idx, ramsey)
                      for b in (block, copy))
         assert np.array_equal(got, want)
+
+    # record sets over the 260 steps of the three sequences above: every
+    # full echo of 26 steps and every 13 steps (repeating intervals), gaps
+    # of 1, 2, .. 22 steps, shuffled (no interval repeats), and 40 steps
+    # drawn at random
+    RECORD_SETS = {
+        "every-26": np.arange(0, 261, 26),
+        "every-13": np.arange(0, 261, 13),
+        "distinct": np.concatenate(([0], np.cumsum(
+            np.random.default_rng(7).permutation(np.arange(1, 23))))),
+        "random": np.unique(np.concatenate(([0], np.random.default_rng(
+            11).choice(np.arange(1, 261), 40, replace=False)))),
+    }
+
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    @pytest.mark.parametrize("amp_steps, ramsey", [
+        (np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
+        (np.full(260, mhz_to_rad(20.0)), False),
+        (np.zeros(260), True),
+    ], ids=["echo", "rabi", "ramsey"])
+    @pytest.mark.parametrize("records", RECORD_SETS)
+    def test_interval_products_match_stepping(self, axis, amp_steps, ramsey,
+                                              records):
+        # the static block applies one 2x2 product per repeated interval
+        # between records; its copy is stepped row by row
+        spec = NoiseSpec(axis=axis, kind="static", sigma=3 * SIGMA, seed=3)
+        dt, delta = TAU_C / 20, mhz_to_rad(2.0)
+        block, = _noise_blocks(spec, dt, 0, 16, amp_steps.size, _BLOCK_STEPS)
+        record_idx = self.RECORD_SETS[records]
+        got, want = (_propagate_batch(amp_steps, delta, axis, iter([b]), 16,
+                                      dt, record_idx, ramsey)
+                     for b in (block, np.ascontiguousarray(block)))
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # bit for bit up to the first interval whose pattern of several
+        # steps came before, the first that applies a kept product
+        seen, first_reuse = set(), len(record_idx) - 1
+        for j, (s, e) in enumerate(zip(record_idx, record_idx[1:])):
+            pattern = tuple(amp_steps[s:e])
+            if len(pattern) > 1 and pattern in seen:
+                first_reuse = j
+                break
+            seen.add(pattern)
+        assert np.array_equal(got[:, :first_reuse + 1],
+                              want[:, :first_reuse + 1])
+        if records == "distinct":
+            assert first_reuse == len(record_idx) - 1
+        elif records.startswith("every"):    # a product from interval 3 on
+            assert first_reuse <= 2
+
+    def test_static_record_buffer_is_bounded(self):
+        # 5,000 full echoes of one step per half echo at 256 trials: the
+        # (256, 5,001) populations take 10 MB, a complex copy of every
+        # record would take twice that
+        amp_steps = np.tile([1.0, -1.0], 5000) * mhz_to_rad(20.0)
+        spec = NoiseSpec(axis="x", kind="static", sigma=SIGMA, seed=4)
+        dt = math.pi / mhz_to_rad(20.0)
+        record_idx = np.arange(0, amp_steps.size + 1, 2)
+        tracemalloc.start()
+        try:
+            out = _propagate_batch(
+                amp_steps, 0.0, "x",
+                _noise_blocks(spec, dt, 0, 256, amp_steps.size, _BLOCK_STEPS),
+                256, dt, record_idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (256, 5001)
+        assert peak < 1.25 * out.nbytes
 
     def test_zero_field_step_is_the_identity(self):
         # noise of exactly -delta cancels the only field of a Ramsey run
@@ -646,6 +715,31 @@ class TestExactMean:
         model = mean_signal(decay_scenario(seq, spec), times, dw)
         assert np.max(np.abs(model - exact_mean(seq, dw, spec, times))) \
             <= 1e-10
+
+    # resonant drive noise turns the Bloch vector about x by a Gaussian
+    # angle, so <S> = (1 + <cos Phi>)/2 = (1 + cos(mu) exp(-Var Phi/2))/2
+    # exactly: the paper's exponents are Var Phi/2.  Bounds are 10x the
+    # largest gap seen on each case
+    @pytest.mark.parametrize("label, bound", [
+        ("ou-x 5pi (4b)", 3.1e-14), ("ou-x pi (4c)", 1.8e-13),
+        ("ou-x 3pi4 (s4b)", 4.3e-14), ("ou-x pi (s4b)", 4.3e-14),
+        ("ou-x 5pi (s4b)", 4.3e-14)])
+    def test_echo_gaussian_phase_is_the_exact_mean(self, label, bound):
+        seq, dw, spec, _ = PRESET_OU_CASES[label]
+        n = np.arange(seq.n_cycles + 1)
+        zeta = ou_zeta_re_x(seq.theta, seq.omega, spec.sigma, spec.tau_c, n)
+        exact = exact_mean(seq, dw, spec, full_echo_times(seq))
+        assert np.max(np.abs(0.5 * (1.0 + np.exp(-zeta)) - exact)) <= bound
+
+    @pytest.mark.parametrize("label", ["ou-x rabi 19 MHz (4a)",
+                                       "ou-x rabi 20 MHz (criterion 5, s4b)"])
+    def test_rabi_gaussian_phase_is_the_exact_mean(self, label):
+        # at whole Rabi periods
+        seq, dw, spec, record = PRESET_OU_CASES[label]
+        zeta = ou_zeta_prime(spec.sigma, spec.tau_c, record)
+        form = 0.5 * (1.0 + np.cos(seq.omega * record) * np.exp(-zeta))
+        exact = exact_mean(seq, dw, spec, record)
+        assert np.max(np.abs(form - exact)) <= 1.2e-11
 
 
 def _relative_error(got, ref):

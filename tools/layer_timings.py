@@ -2,11 +2,14 @@
 
 Times the layers of `remag.noise.monte_carlo` apart, on one trial chunk
 of each `noise-ou-large` case (OU dephasing, rotary echoes, on the grid
-`monte_carlo` picks) and on two `noise-static-small`-style cases (static
-drive noise at 19 MHz, 64 trials: a pi rotary echo of 130 half echoes,
-130 steps, one per half echo, or 13,000 on a checkout that keeps static
-noise on the drive grid of T_Rabi/200; and the benchmark's longest op at
-seed 1, a 0.507 pi echo of 189 cycles, 378 steps):
+`monte_carlo` picks) and on three `noise-static-small`-style cases
+(static drive noise at 19 MHz, 64 trials): a pi rotary echo of 130 half
+echoes, 130 steps, one per half echo, or 13,000 on a checkout that keeps
+static noise on the drive grid of T_Rabi/200; the benchmark's longest op
+at seed 1, a 0.507 pi echo of 189 cycles, 378 steps; and that pi echo
+read at 64 record times drawn at seed 1 from its drive grid (`random`),
+whose intervals between records all differ, so that no interval reuses
+another's product and the kernel steps all 13,000 steps:
 
 - `setup_us_per_trial`: starting the chunk's per-trial streams, timed as
   a whole one-step static draw of the chunk (one word per trial included);
@@ -15,9 +18,14 @@ seed 1, a 0.507 pi echo of 189 cycles, 378 steps):
   warm thread, set-up included, per value drawn (one per trial-step for
   OU noise, one per trial for static noise);
 - `kernel_ns_per_trial_step`: `_propagate_batch` on blocks drawn
-  beforehand;
-- `grid_step_us`: one `_noise_grid_step` call on the case's default
-  record times (every full echo), timed over batches of 20 calls.
+  beforehand, and on the static cases the same time per record
+  (`kernel_us_per_record`);
+- `grid_step_us`: one `_noise_grid_step` call on the case's record
+  times (by default every full echo), timed over batches of 20 calls.
+
+`parse_config_us`: one `config.parse_config` call, the median over
+`--repeats` passes through the configs of `noise-static-small` and
+`analysis-cli` at seed 1 (206 configs).
 
 Two more figures rest the size threshold of `monte_carlo`'s worker
 processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
@@ -79,10 +87,11 @@ Start-up, in fresh interpreters (`cold_start`):
     python tools/layer_timings.py --src OTHER/src    # another checkout
 
 It calls private API (`_noise_blocks`, `_default_record_times`,
-`_noise_grid_step`, `_propagate_batch`, `_refine_pairs`,
+`_drive_grid`, `_noise_grid_step`, `_propagate_batch`, `_refine_pairs`,
 `_levenberg_marquardt`), so `--src` takes only checkouts whose
 signatures match this one's: `_noise_blocks(spec, dt, ...)` reading
 `spec.sigma`, `_default_record_times(seq, wave, spec)`,
+`_drive_grid(wave, spec)`,
 `DriveWaveform.segment`, and `_refine_pairs(trace, f_c, splittings)`.
 The evaluation counts and `point_us` are read by wrapping
 `spectral._levenberg_marquardt(residual, jac, x0)`, which the refit
@@ -124,12 +133,26 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WARMUP_MC  # noqa: E402
 
-# theta/pi, omega (MHz), cycles, trials
-STATIC_CASES = ((1.0, 19.0, 65, 64), (0.507, 19.0, 189, 64))
+# theta/pi, omega (MHz), cycles, trials, record times drawn at random
+STATIC_CASES = ((1.0, 19.0, 65, 64, False), (0.507, 19.0, 189, 64, False),
+                (1.0, 19.0, 65, 64, True))
+RANDOM_RECORDS = 64     # record times of a `random` case, 0 among them
+
+
+def _random_records(noise, dynamics, seq, spec) -> np.ndarray:
+    """0 and 63 distinct times drawn at seed 1 from the drive grid of
+    ``seq``."""
+    wave = dynamics.build_waveform(seq, 0.0)
+    n_drive = int(round(wave.total_duration / noise._drive_grid(wave, spec)))
+    picks = np.random.default_rng(1).choice(
+        np.arange(1, n_drive + 1), RANDOM_RECORDS - 1, replace=False)
+    return wave.total_duration / n_drive * np.concatenate(([0],
+                                                           np.sort(picks)))
 
 
 def _cases(noise, dynamics):
-    """(label, sequence, detuning, spec, trials) of each timed case."""
+    """(label, sequence, detuning, spec, trials, record times or None for
+    the default) of each timed case."""
     import workloads as w
 
     mhz = 2e6 * math.pi
@@ -140,14 +163,16 @@ def _cases(noise, dynamics):
         spec = noise.NoiseSpec(axis="z", kind="ou", sigma=w.OU_SIGMA_MHZ * mhz,
                                tau_c=w.OU_TAU_C_US * 1e-6, seed=1)
         out.append((f"ou-{theta_pi}pi-x{n_cycles}", seq,
-                    w.OU_DETUNING_MHZ * mhz, spec, w.OU_TRIALS))
-    for theta_pi, omega_mhz, n_cycles, trials in STATIC_CASES:
+                    w.OU_DETUNING_MHZ * mhz, spec, w.OU_TRIALS, None))
+    for theta_pi, omega_mhz, n_cycles, trials, drawn in STATIC_CASES:
         seq = dynamics.PulseSequence.rotary_echo(theta_pi * math.pi,
                                                  omega_mhz * mhz, n_cycles)
         spec = noise.NoiseSpec(axis="x", kind="static",
                                sigma=0.05 * seq.omega, seed=1)
-        out.append((f"static-{theta_pi}pi-x{n_cycles}", seq, 0.0, spec,
-                    trials))
+        record = _random_records(noise, dynamics, seq, spec) if drawn else None
+        out.append((f"static-{theta_pi}pi-x{n_cycles}"
+                    + ("-random" if drawn else ""), seq, 0.0, spec, trials,
+                    record))
     return out
 
 
@@ -175,12 +200,14 @@ def _in_new_thread(fn) -> float:
 GRID_CALLS = 20         # _noise_grid_step calls per timed batch
 
 
-def time_case(noise, dynamics, seq, delta, spec, trials, repeats) -> dict:
+def time_case(noise, dynamics, seq, delta, spec, trials, record_times,
+              repeats) -> dict:
     """The layer figures of one case, on its first trial chunk."""
     chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
     count = min(trials, chunk)
     wave = dynamics.build_waveform(seq, delta)
-    record_times = noise._default_record_times(seq, wave, spec)
+    if record_times is None:
+        record_times = noise._default_record_times(seq, wave, spec)
     dt = noise._noise_grid_step(wave, spec, record_times)
     grid_s = _median_s(lambda: _timed(lambda: [
         noise._noise_grid_step(wave, spec, record_times)
@@ -212,19 +239,25 @@ def time_case(noise, dynamics, seq, delta, spec, trials, repeats) -> dict:
     kernel_s = _median_s(lambda: _timed(lambda: noise._propagate_batch(
         amp_steps, delta, spec.axis, iter(blocks), count, dt, record_idx)),
         repeats)
-    return {"trials": count, "n_steps": n_steps,
-            "setup_us_per_trial": {"warm": warm / count * 1e6,
-                                   "cold": cold / count * 1e6},
-            "noise_ns_per_value": noise_s / values * 1e9,
-            "kernel_ns_per_trial_step": kernel_s / (count * n_steps) * 1e9,
-            "grid_step_us": grid_s * 1e6}
+    report = {"trials": count, "n_steps": n_steps,
+              "records": record_idx.size,
+              "setup_us_per_trial": {"warm": warm / count * 1e6,
+                                     "cold": cold / count * 1e6},
+              "noise_ns_per_value": noise_s / values * 1e9,
+              "kernel_ns_per_trial_step": kernel_s / (count * n_steps) * 1e9,
+              "grid_step_us": grid_s * 1e6}
+    if spec.kind == "static":
+        report["kernel_us_per_record"] = kernel_s / record_idx.size * 1e6
+    return report
 
 
-def time_monte_carlo(noise, seq, delta, spec, trials, repeats) -> dict:
+def time_monte_carlo(noise, seq, delta, spec, trials, record_times,
+                     repeats) -> dict:
     """Whole `monte_carlo` calls, in turn with every chunk in this process
     and with chunks forked whatever their size."""
     chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
-    n_steps = noise.monte_carlo(seq, delta, spec, 1).meta["n_steps"]
+    n_steps = noise.monte_carlo(seq, delta, spec, 1,
+                                record_times=record_times).meta["n_steps"]
     times = {"in_process": [], "forked": []}
     sides = (("in_process", math.inf), ("forked", 0))
     default = getattr(noise, "_FORK_MIN_TRIAL_STEPS", None)
@@ -234,8 +267,8 @@ def time_monte_carlo(noise, seq, delta, spec, trials, repeats) -> dict:
         for _ in range(repeats):
             for label, threshold in sides:
                 noise._FORK_MIN_TRIAL_STEPS = threshold
-                times[label].append(_timed(
-                    lambda: noise.monte_carlo(seq, delta, spec, trials)))
+                times[label].append(_timed(lambda: noise.monte_carlo(
+                    seq, delta, spec, trials, record_times=record_times)))
     finally:
         noise._FORK_MIN_TRIAL_STEPS = default
     return {"n_steps": n_steps,
@@ -445,6 +478,18 @@ def analysis_cli_refits(cli, spectral, repeats) -> dict:
             "by_op": {k: by_op[k] for k in REPORTED_OPS}}
 
 
+def time_parse_config(config, repeats) -> float:
+    """Median us of one `parse_config` call over the configs of
+    `noise-static-small` and `analysis-cli` at seed 1."""
+    import workloads as w
+
+    texts = [op.config for name in ("noise-static-small", "analysis-cli")
+             for op in w.WORKLOADS[name](random.Random(1)) if op.config]
+    return _median_s(lambda: _timed(
+        lambda: [config.parse_config(t) for t in texts]),
+        repeats) / len(texts) * 1e6
+
+
 def time_model(noise, seq, delta, spec, repeats) -> float:
     """Median ms of the model call `mc_vs_model` makes on an OU-z echo."""
     times = noise.monte_carlo(seq, delta, spec, 1).times
@@ -526,21 +571,22 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     sys.path.insert(0, str(args.src.resolve()))
-    from remag import cli, dynamics, noise, spectral
+    from remag import cli, config, dynamics, noise, spectral
 
     report = {"numpy": np.__version__,
               "python": sys.version.split()[0], "repeats": args.repeats,
               "fork_min_trial_steps": getattr(noise, "_FORK_MIN_TRIAL_STEPS",
                                               None),
               "cases": {}}
-    for label, seq, delta, spec, trials in _cases(noise, dynamics):
+    for label, seq, delta, spec, trials, record in _cases(noise, dynamics):
         report["cases"][label] = time_case(noise, dynamics, seq, delta, spec,
-                                           trials, args.repeats)
+                                           trials, record, args.repeats)
         report["cases"][label]["monte_carlo_s"] = time_monte_carlo(
-            noise, seq, delta, spec, trials, args.repeats)
+            noise, seq, delta, spec, trials, record, args.repeats)
         if spec.kind == "ou":
             report["cases"][label]["model_ms"] = time_model(
                 noise, seq, delta, spec, args.repeats)
+    report["parse_config_us"] = time_parse_config(config, args.repeats)
     report["fork_reap_ms"] = _median_s(lambda: _timed(_fork_and_reap),
                                        max(args.repeats, 20)) * 1e3
     report["analysis"] = {
