@@ -318,7 +318,9 @@ def _write_cases(w: RunWriter, tables: dict, trials: int) -> None:
 
     Label "" writes the columns mc_mean, mc_stderr and model; any other
     label l writes mc_l, se_l and model_l.  The model column is left out
-    where the scenario has no closed form (see :func:`mc_vs_model`).  The
+    where the scenario has no closed form (see :func:`mc_vs_model`), and
+    the standard-error column for one trial, which has no spread to
+    estimate it from (the metadata's ``trials: 1`` says so).  The
     metadata block and the manifest get each case's grid facts.
     """
     for name, row in tables.items():
@@ -329,7 +331,9 @@ def _write_cases(w: RunWriter, tables: dict, trials: int) -> None:
             cols.setdefault("t_us", res.times * 1e6)
             keys = (("mc_mean", "mc_stderr", "model") if label == "" else
                     (f"mc_{label}", f"se_{label}", f"model_{label}"))
-            cols[keys[0]], cols[keys[1]] = res.mean, res.stderr
+            cols[keys[0]] = res.mean
+            if trials > 1:
+                cols[keys[1]] = res.stderr
             if model is not None:
                 cols[keys[2]] = model
             meta.update(_grid_facts(res, label))

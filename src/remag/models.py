@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import on_full_echoes, refocuses, theta_mod
+from .dynamics import cycle_period, on_full_echoes, refocuses, theta_mod
 
 
 def re_signal(theta, omega, delta_omega, t):
@@ -300,7 +300,7 @@ def decay_envelope(scenario: DecayScenario, t):
     if s == "rotary_echo":
         if k == "static":
             return np.ones_like(t)
-        n = t * scenario.omega / (2.0 * scenario.theta)
+        n = t / cycle_period(scenario.theta, scenario.omega)
         return np.exp(-ou_zeta_re_x(scenario.theta, scenario.omega,
                                     scenario.sigma, scenario.tau_c, n))
     if s == "rabi":

@@ -19,8 +19,9 @@ per pattern of steps between records that recurs (every full echo of a
 rotary echo), which each later such interval applies in one update; OU
 noise computes every step anew.  A
 run of several large chunks spreads them over forked worker processes
-(:func:`_workers`); chunks are merged in chunk order, so results do not
-depend on the CPU count or on whether a run forked.  :func:`exact_mean`
+(:func:`_workers`), and :func:`mc_vs_model` computes its model while they
+exit; chunks are merged in chunk order, so results do not depend on the
+CPU count or on whether a run forked.  :func:`exact_mean`
 is the mean an OU ensemble estimates, solved with no sampling and no
 grid.
 
@@ -33,6 +34,7 @@ as a fraction of the Rabi frequency is converted where it arrives
 from __future__ import annotations
 
 import bisect
+import contextvars
 import math
 import os
 import signal
@@ -391,11 +393,15 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
 
 
 #: a run whose chunks hold fewer trial-steps than this stays in the calling
-#: process.  A worker costs 3-5 ms to fork and reap plus copy-on-write
-#: faults: the benchmark's 0.75 pi and pi echoes (2,048 x 64 and 2,048 x
-#: 108 trial-steps per chunk) lose or break even, its 5 pi echo (2,048 x
-#: 624) gains; ``tools/layer_timings.py`` measures both sides
-_FORK_MIN_TRIAL_STEPS = 500_000
+#: process.  Forking and reaping a worker costs about 4 ms, and a forked
+#: chunk faults in its own pages.  On 2 vCPUs ``tools/layer_timings.py``
+#: (``crossover``) read a 2-chunk OU-z echo slower forked at 2.5 x 10^4
+#: trial-steps per chunk in each of 4 runs, and faster from 10^5 up in
+#: each (from 5 x 10^4 up in 3 of them).  So the
+#: benchmark's 0.75 pi, pi and 5 pi echoes (2,048 x 64, 108 and 624
+#: trial-steps per chunk) fork; small test runs, a 3-trial recompute in
+#: chunks of 2 and 64-trial static runs do not
+_FORK_MIN_TRIAL_STEPS = 100_000
 
 
 def _usable_cpus() -> int:
@@ -418,6 +424,12 @@ def _workers(n_chunks: int, chunk_trial_steps: int) -> int:
     return min(_usable_cpus(), n_chunks)
 
 
+#: the list :func:`mc_vs_model` sets to take the workers of its ensemble
+#: unreaped, so that they exit while it computes its model; None, the
+#: default, has :func:`_run_chunks` reap them itself
+_unreaped = contextvars.ContextVar("_unreaped", default=None)
+
+
 def _run_chunks(run_chunk, chunks, n_record: int, workers: int):
     """Welford totals (count, mean, M2) of the chunks' batches.
 
@@ -427,7 +439,10 @@ def _run_chunks(run_chunk, chunks, n_record: int, workers: int):
     batches back over a pipe.  Batches are merged in chunk order whichever
     process ran them, so the totals are bit-identical for any worker
     count.  A child's failure is raised here as a RuntimeError naming the
-    chunk, and no child outlives the call, whether it returns or raises.
+    chunk.  Once every batch is in, the children are reaped here, or
+    handed to the list in ``_unreaped`` if one is set; a child whose
+    batches are not all in is killed and reaped here.  No child outlives
+    the call, or the owner of that list, whether it returns or raises.
     """
     children = []                   # (pid, read end) of workers 1, 2, ...
     done = False
@@ -447,11 +462,21 @@ def _run_chunks(run_chunk, chunks, n_record: int, workers: int):
         done = True
         return count, mean, m2
     finally:
-        for pid, reader in children:
-            reader.close()
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        later = _unreaped.get()
+        if done and later is not None:
+            later.extend(children)
+        else:
+            _reap(children, kill=not done)
+
+
+def _reap(children, kill: bool) -> None:
+    """Close each ``(pid, read end)``'s pipe and wait for the pid to exit,
+    killing it first if ``kill``."""
+    for pid, reader in children:
+        reader.close()
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _fork_worker(run_chunk, chunks, w: int, workers: int, n_record: int):
@@ -524,16 +549,26 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     hierarchy's level cap; mean_signal for static drive noise on Ramsey,
     for static drive noise or a static-z Rabi off resonance, and for a
     rotary echo read off its full echoes (see its docstring).
+
+    The model is computed once the ensemble's last batch is read, while
+    its worker processes (if it forked any) exit; they are reaped before
+    the call returns or raises.
     """
-    res = monte_carlo(seq, delta_omega, spec, trials=trials,
-                      record_times=record_times)
+    unreaped = []
+    token = _unreaped.set(unreaped)
     try:
-        if spec.kind == "ou":
-            return res, exact_mean(seq, delta_omega, spec, res.times)
-        return res, np.atleast_1d(mean_signal(decay_scenario(seq, spec),
-                                              res.times, delta_omega))
-    except ValueError:
-        return res, None
+        res = monte_carlo(seq, delta_omega, spec, trials=trials,
+                          record_times=record_times)
+        try:
+            if spec.kind == "ou":
+                return res, exact_mean(seq, delta_omega, spec, res.times)
+            return res, np.atleast_1d(mean_signal(decay_scenario(seq, spec),
+                                                  res.times, delta_omega))
+        except ValueError:
+            return res, None
+    finally:
+        _unreaped.reset(token)
+        _reap(unreaped, kill=False)
 
 
 #: :func:`exact_mean`'s first and largest hierarchy depth, and the gap

@@ -676,6 +676,27 @@ class TestNoiseRun:
                   if not ln.startswith("#")][0]
         assert header.split(",") == ["t_us", "mc_mean", "mc_stderr", "model"]
 
+    @pytest.mark.parametrize("argv, name, header", [
+        # [run] trials defaults to 1
+        (("noise",), "decay.csv", ["t_us", "mc_mean", "model"]),
+        (("figure", "4a", "--trials", "1"), "fig4a_rabi_peaks.csv",
+         ["t_us", "mc_static", "model_static", "mc_ou", "model_ou"])])
+    def test_one_trial_writes_no_standard_error(self, tmp_path, argv, name,
+                                                header):
+        # one trial has no spread to estimate an error from, so no column
+        # claims an error of 0
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(NOISE_INI)
+        rc, out = run(tmp_path, *argv,
+                      *(("--config", str(cfg)) if argv[0] == "noise" else ()))
+        assert rc == 0
+        lines = (out / name).read_text().splitlines()
+        assert [ln for ln in lines if not ln.startswith("#")][0] == \
+            ",".join(header)
+        assert "# trials: 1" in lines
+        facts = json.loads((out / "manifest.json").read_text())["monte_carlo"]
+        assert facts[name]["trials"] == 1
+
     def test_grid_facts_in_metadata_and_manifest(self, tmp_path):
         cfg = tmp_path / "noise.ini"
         cfg.write_text(NOISE_INI)

@@ -518,6 +518,80 @@ class TestWorkers:
             other.join()
         assert np.array_equal(got.mean, in_process.mean)
 
+    def test_threshold_forks_the_benchmark_echoes_only(self, monkeypatch,
+                                                       forks):
+        monkeypatch.setattr(noise_module, "_usable_cpus", lambda: 2)
+        w20, dw = mhz_to_rad(20.0), mhz_to_rad(2.0)
+        spec = NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C,
+                         seed=1)
+        # noise-ou-large's 0.75 pi echo: 2 chunks of 2,048 x 64 trial-steps
+        seq = PulseSequence.rotary_echo(0.75 * math.pi, w20, 16)
+        assert monte_carlo(seq, dw, spec, 1).meta["n_steps"] == 64
+        assert noise_module._workers(2, 2048 * 64) == 2
+        # perfbench's recompute of its 5 pi echo (3 trials in chunks of 2)
+        # and static runs of 64 trials stay in the calling process
+        five_pi = PulseSequence.rotary_echo(5.0 * math.pi, w20, 24)
+        assert monte_carlo(five_pi, dw, spec, 3, chunk=2).meta["chunks"] == 2
+        echo = PulseSequence.rotary_echo(0.507 * math.pi, mhz_to_rad(19.0),
+                                         189)
+        static = NoiseSpec(axis="x", kind="static",
+                           sigma=0.05 * mhz_to_rad(19.0), seed=1)
+        n_steps = monte_carlo(echo, 0.0, static, 64).meta["n_steps"]
+        assert noise_module._workers(2, 64 * n_steps) == 1
+        assert not forks
+
+    # two chunks of mc_vs_model's 2,048 trials: forked, the caller runs
+    # the first and a worker the second
+    MODEL_TRIALS = 2048 + 40
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["ou-z", "ou-x", "static-x"])
+    def test_model_beside_a_forked_run_is_bit_identical(self, monkeypatch,
+                                                        forks, spec):
+        monkeypatch.setattr(noise_module, "_FORK_MIN_TRIAL_STEPS", math.inf)
+        args = (self.SEQ, 0.0, spec, self.MODEL_TRIALS)
+        in_process, model = mc_vs_model(*args)
+        assert not forks and model is not None
+        self.force(monkeypatch, 2)
+        forked, forked_model = mc_vs_model(*args)
+        assert len(forks) == 1
+        self.assert_no_children()
+        assert np.array_equal(forked.times, in_process.times)
+        assert np.array_equal(forked.mean, in_process.mean)
+        assert np.array_equal(forked.stderr, in_process.stderr)
+        assert np.array_equal(forked_model, model)
+
+    def test_model_runs_before_the_worker_is_reaped(self, monkeypatch):
+        # the ensemble goes through the public monte_carlo, which tracing
+        # wraps by its module name
+        order, waitpid = [], os.waitpid
+        ensemble, model = noise_module.monte_carlo, noise_module.exact_mean
+        monkeypatch.setattr(os, "waitpid",
+                            lambda *a: order.append("reap") or waitpid(*a))
+        monkeypatch.setattr(noise_module, "monte_carlo", lambda *a, **k:
+                            order.append("ensemble") or ensemble(*a, **k))
+        monkeypatch.setattr(noise_module, "exact_mean",
+                            lambda *a: order.append("model") or model(*a))
+        self.force(monkeypatch, 2)
+        mc_vs_model(self.SEQ, 0.0, self.SPECS[0], self.MODEL_TRIALS)
+        assert order == ["ensemble", "model", "reap"]
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_model_error_reaps_the_worker(self, monkeypatch, forks, exc):
+        def failing(*args):
+            raise exc("injected")
+
+        monkeypatch.setattr(noise_module, "exact_mean", failing)
+        self.force(monkeypatch, 2)
+        args = (self.SEQ, 0.0, self.SPECS[0], self.MODEL_TRIALS)
+        if exc is ValueError:
+            res, model = mc_vs_model(*args)
+            assert model is None and res.trials == self.MODEL_TRIALS
+        else:
+            with pytest.raises(exc, match="injected"):
+                mc_vs_model(*args)
+        assert len(forks) == 1
+        self.assert_no_children()
+
 
 class TestDecayScenario:
     def test_static_noise_has_no_correlation_time(self):

@@ -39,10 +39,24 @@ processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
   the figure the threshold is compared with.  A run of one chunk, as the
   static case is, never forks, so its `forked` is null.
 
-One more figure, on each `noise-ou-large` case only:
+Two more figures on each `noise-ou-large` case only:
 
 - `model_ms`: the model call that `noise.mc_vs_model` makes beside the
-  ensemble, `noise.exact_mean`, on the ensemble's record times.
+  ensemble, `noise.exact_mean`, on the ensemble's record times;
+- `mc_vs_model_s`: the whole `noise.mc_vs_model` call, `in_process` and
+  `forked` as for `monte_carlo_s`; forked, its model runs while the
+  worker exits.
+
+The crossover the threshold rests on (`crossover`): the whole
+`monte_carlo` call on the 0.75 pi OU-z echo of `noise-ou-large` at 3, 6,
+12 and 24 cycles (4 grid steps each), 4,096 trials in 2 chunks of 2,048,
+so about 25k, 50k, 100k and 200k trial-steps per chunk, `in_process` and
+`forked`, the two timed in turn; `crossover_trial_steps` is the least of
+those sizes from which on the forked median is the lower at every size,
+and null if it is not at the largest.  `worker_peak_rss_mb`: the peak RSS of the largest worker
+forked while the cases and the crossover were timed (`RUSAGE_CHILDREN`;
+perfbench's `peak_rss_mb` is the calling process's alone), beside this
+process's own (`self_peak_rss_mb`) at that point.
 
 Two layers of the analysis chain, on the pi echoes at 17 MHz of
 `remag spectrum` and figures 1c, 2a and 2b (`analysis`):
@@ -100,8 +114,8 @@ calls by its module name; a checkout whose refit calls scipy's
 checkout without worker processes reports `forked` as null.
 
 Prints one JSON object; each figure is the median of `--repeats` runs
-(BLAS pinned to one thread).  A run takes about fifteen seconds on two
-cores at the default `--repeats`, and about 45 s on a checkout whose
+(BLAS pinned to one thread).  A run takes about twenty-five seconds on
+two cores at the default `--repeats`, and about 45 s on a checkout whose
 import loads every scipy submodule; a forked figure depends on whether
 the host leaves the second core free.
 """
@@ -116,6 +130,7 @@ import json
 import math
 import os
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -131,7 +146,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
-from run import WARMUP_MC  # noqa: E402
+from run import WARMUP_MC, malloc_trim  # noqa: E402
 
 # theta/pi, omega (MHz), cycles, trials, record times drawn at random
 STATIC_CASES = ((1.0, 19.0, 65, 64, False), (0.507, 19.0, 189, 64, False),
@@ -251,30 +266,76 @@ def time_case(noise, dynamics, seq, delta, spec, trials, record_times,
     return report
 
 
-def time_monte_carlo(noise, seq, delta, spec, trials, record_times,
-                     repeats) -> dict:
-    """Whole `monte_carlo` calls, in turn with every chunk in this process
-    and with chunks forked whatever their size."""
-    chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
-    n_steps = noise.monte_carlo(seq, delta, spec, 1,
-                                record_times=record_times).meta["n_steps"]
+def time_forked(noise, call, n_chunks, repeats) -> dict:
+    """Median s of ``call()``, in turn with every chunk in this process and
+    with chunks forked whatever their size (`forked` null for one chunk,
+    or on a checkout without workers); each call starts with the freed
+    heap handed back, as perfbench's ops do."""
     times = {"in_process": [], "forked": []}
     sides = (("in_process", math.inf), ("forked", 0))
     default = getattr(noise, "_FORK_MIN_TRIAL_STEPS", None)
-    if default is None or trials <= chunk:  # no workers, or one chunk
+    if default is None or n_chunks < 2:
         sides = sides[:1]
     try:
         for _ in range(repeats):
             for label, threshold in sides:
                 noise._FORK_MIN_TRIAL_STEPS = threshold
-                times[label].append(_timed(lambda: noise.monte_carlo(
-                    seq, delta, spec, trials, record_times=record_times)))
+                malloc_trim(0)
+                times[label].append(_timed(call))
     finally:
         noise._FORK_MIN_TRIAL_STEPS = default
+    return {label: statistics.median(ts) if ts else None
+            for label, ts in times.items()}
+
+
+def time_monte_carlo(noise, seq, delta, spec, trials, record_times,
+                     repeats) -> dict:
+    """Whole `monte_carlo` calls, in process and forked (`time_forked`),
+    beside the step count and the trial-steps per chunk."""
+    chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
+    n_steps = noise.monte_carlo(seq, delta, spec, 1,
+                                record_times=record_times).meta["n_steps"]
     return {"n_steps": n_steps,
             "chunk_trial_steps": min(trials, chunk) * n_steps,
-            **{label: statistics.median(ts) if ts else None
-               for label, ts in times.items()}}
+            **time_forked(noise, lambda: noise.monte_carlo(
+                seq, delta, spec, trials, record_times=record_times),
+                math.ceil(trials / chunk), repeats)}
+
+
+def time_mc_vs_model(noise, seq, delta, spec, trials, repeats) -> dict:
+    """Whole `mc_vs_model` calls, in process and forked."""
+    chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
+    return time_forked(noise, lambda: noise.mc_vs_model(seq, delta, spec,
+                                                        trials),
+                       math.ceil(trials / chunk), repeats)
+
+
+CROSSOVER_CYCLES = (3, 6, 12, 24)   # of the 0.75 pi echo, 4 steps each
+
+
+def time_crossover(noise, dynamics, repeats) -> dict:
+    """`monte_carlo` on the 0.75 pi OU-z echo of `noise-ou-large` at each
+    of `CROSSOVER_CYCLES`, in process and forked, and the least chunk size
+    from which on the forked median is the lower at every size."""
+    import workloads as w
+
+    mhz = 2e6 * math.pi
+    spec = noise.NoiseSpec(axis="z", kind="ou", sigma=w.OU_SIGMA_MHZ * mhz,
+                           tau_c=w.OU_TAU_C_US * 1e-6, seed=1)
+    sizes = {}
+    for n_cycles in CROSSOVER_CYCLES:
+        seq = dynamics.PulseSequence.rotary_echo(
+            0.75 * math.pi, w.OU_OMEGA_MHZ * mhz, n_cycles)
+        sizes[f"x{n_cycles}"] = time_monte_carlo(
+            noise, seq, w.OU_DETUNING_MHZ * mhz, spec, w.OU_TRIALS, None,
+            repeats)
+    crossover = None
+    if all(r["forked"] is not None for r in sizes.values()):
+        for r in reversed(sizes.values()):
+            if r["forked"] >= r["in_process"]:
+                break
+            crossover = r["chunk_trial_steps"]
+    return {"sizes": sizes, "crossover_trial_steps": crossover}
 
 
 ANALYSIS_OMEGA_MHZ = 17.0
@@ -586,6 +647,14 @@ def main() -> int:
         if spec.kind == "ou":
             report["cases"][label]["model_ms"] = time_model(
                 noise, seq, delta, spec, args.repeats)
+            report["cases"][label]["mc_vs_model_s"] = time_mc_vs_model(
+                noise, seq, delta, spec, trials, args.repeats)
+    report["crossover"] = time_crossover(noise, dynamics, args.repeats)
+    # ru_maxrss is in KiB on Linux; the children so far are the workers
+    report["worker_peak_rss_mb"] = resource.getrusage(
+        resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    report["self_peak_rss_mb"] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024.0
     report["parse_config_us"] = time_parse_config(config, args.repeats)
     report["fork_reap_ms"] = _median_s(lambda: _timed(_fork_and_reap),
                                        max(args.repeats, 20)) * 1e3
