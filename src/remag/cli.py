@@ -236,6 +236,9 @@ def cmd_simulate(cfg: ScenarioConfig, w: RunWriter, args) -> None:
 
 
 def cmd_spectrum(cfg: ScenarioConfig, w: RunWriter, args) -> None:
+    if cfg.noise is not None:
+        raise cfg.error("noise", "spectrum analyses the noiseless trace; run "
+                        "`remag noise` for a noise ensemble")
     seq = cfg.sequence
     rotary = seq.kind == "rotary_echo"
     if rotary and refocuses(seq.theta):
@@ -284,8 +287,13 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     if seq.kind == "rotary_echo":
         if refocuses(seq.theta):
             raise cfg.error("sequence", "theta = 2 pi k refocuses the field")
-        n_max = max(1, int(t_max / seq.cycle_period))
-        times = seq.cycle_period * np.arange(1, n_max + 1)
+        try:    # every full echo up to the horizon
+            times = optimal_interrogation_times(seq.theta, seq.omega, 0.0,
+                                                t_max)
+        except ValueError as exc:
+            raise cfg.error("grid", f"{exc} ({seq.cycle_period * 1e6:.6g} "
+                            f"us): t_max_us = {cfg['grid']['t_max_us']:g}"
+                            ) from None
     else:
         times = np.linspace(t_max / cfg["grid"]["points"], t_max,
                             cfg["grid"]["points"])

@@ -13,17 +13,16 @@ are drawn in, and :func:`sample_path` returns them for one trial.
 
 The grid is sized to the noise (:func:`_noise_grid_step`): one exact step
 per constant run between record times under static noise, tau_c/20 or
-finer under OU noise.  Static noise is one row held for the whole run, so
-the kernel computes each drive amplitude's step once, and one 2x2 product
-per pattern of steps between records that recurs (every full echo of a
-rotary echo), which each later such interval applies in one update; OU
-noise computes every step anew.  A
-run of several large chunks spreads them over forked worker processes
+finer under OU noise.  The kernel applies each step as one 2x2 update of
+the state.  Static noise is one row held for the whole run, so each drive
+amplitude's step is computed once, and an interval between records whose
+pattern of steps recurs (every full echo of a rotary echo) is one update
+too, by a product built once; OU noise computes every step anew.  A run
+of several large chunks spreads them over forked worker processes
 (:func:`_workers`), and :func:`mc_vs_model` computes its model while they
 exit; chunks are merged in chunk order, so results do not depend on the
-CPU count or on whether a run forked.  :func:`exact_mean`
-is the mean an OU ensemble estimates, solved with no sampling and no
-grid.
+CPU count or on whether a run forked.  :func:`exact_mean` is the mean an
+OU ensemble estimates, solved with no sampling and no grid.
 
 Noise strengths are in rad/s on both axes; a drive-noise strength stated
 as a fraction of the Rabi frequency is converted where it arrives
@@ -33,7 +32,6 @@ as a fraction of the Rabi frequency is converted where it arrives
 
 from __future__ import annotations
 
-import bisect
 import contextvars
 import math
 import os
@@ -724,52 +722,39 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     exp(-i w dt/2) that :func:`remag.dynamics.su2_step` keeps: both
     readouts are invariant under a phase shared by a trial's amplitudes.
 
-    A block whose rows are all one row (row stride 0, the read-only view
-    :func:`_noise_blocks` yields for static noise) has one step per drive
-    amplitude, as the grid step is uniform: its (a, conj(a), b) are
-    computed once.  The block is cut at the records into intervals, and
-    an interval's product depends only on its pattern of amplitudes.  The
-    first interval of a pattern that recurs and spans several steps is
-    stepped on stacks that carry the two basis vectors beside the state,
-    which gives its 2x2 product in the same ufunc calls; every later
-    interval of that pattern applies the product, one 2x2 update.  Records
-    up to the first reuse have the bits of stepping; a reused product
-    rounds apart from the steps by a few ulps.  Every other block computes
-    its step anew at each row.  Nothing is stepped past the last record.
+    Every update of the state is one 2x2 matrix (m00, m01, m10, m11).  A
+    static block (row stride 0: the read-only view that
+    :func:`_noise_blocks` yields, a run's only block) computes each drive
+    amplitude's step once and is cut at the records into intervals: the
+    first interval of each pattern of amplitudes is stepped, and a pattern
+    of several steps that recurs gets its product, built from the same
+    steps on the basis vectors, which each later interval applies in one
+    update (a few ulps from stepping).  Other blocks compute each row's
+    step anew.  Nothing is stepped past the last record.
 
     Each record's state is copied into a buffer of ``_RECORD_ROWS`` rows,
     which is turned into populations when it fills and at the end.
     """
     n_record = len(record_idx)
     out = np.empty((count, n_record))
-    # psi0 and psi1 are row 0 of two stacks, whose rows 1 and 2 carry the
-    # basis vectors through an interval whose product is kept; an update
-    # writes psi0' into a third stack, which then swaps with the first
-    stack = [np.empty((3, count), dtype=complex) for _ in range(4)]
-    state = [rows[0] for rows in stack]     # psi0, psi0', psi1, scratch
+    psi0, new0, psi1, tmp = (np.empty(count, dtype=complex) for _ in range(4))
     if ramsey:
         # state right after the ideal opening pi/2 pulse about x
-        state[0][...] = 1.0 / math.sqrt(2.0)
-        state[2][...] = -1j / math.sqrt(2.0)
+        psi0[...], psi1[...] = 1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0)
     else:
-        state[0][...] = 1.0
-        state[2][...] = 0.0
+        psi0[...], psi1[...] = 1.0, 0.0
 
-    def apply(updates, s):
-        # psi0' = m00 psi0 + m01 psi1 and psi1' = m11 psi1 + m10 psi0 for
-        # each (m00, m01, m10, m11) in turn, on s: state, or all of stack
-        psi0, new0, psi1, tmp = s
-        for m00, m01, m10, m11 in updates:
-            np.multiply(m00, psi0, out=new0)
-            np.multiply(m01, psi1, out=tmp)
-            new0 += tmp
-            np.multiply(m10, psi0, out=tmp)
-            psi1 *= m11
-            psi1 += tmp
-            psi0, new0 = new0, psi0
-        if psi0 is not s[0]:
-            stack[0], stack[1] = stack[1], stack[0]
-            state[0], state[1] = state[1], state[0]
+    def apply(m00, m01, m10, m11):
+        # psi0' = m00 psi0 + m01 psi1 and psi1' = m11 psi1 + m10 psi0
+        nonlocal psi0, new0, psi1
+        # out positional: as a keyword it costs about 50 ns more a call
+        np.multiply(m00, psi0, new0)
+        np.multiply(m01, psi1, tmp)
+        new0 += tmp
+        np.multiply(m10, psi0, tmp)
+        psi1 *= m11
+        psi1 += tmp
+        psi0, new0 = new0, psi0
 
     amps, records = amp_steps.tolist(), record_idx.tolist()
     rows0 = np.empty((min(n_record, _RECORD_ROWS), count), dtype=complex)
@@ -778,9 +763,9 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
 
     def record():
         nonlocal pos, filled
-        rows0[filled] = state[0]
+        rows0[filled] = psi0
         if ramsey:
-            rows1[filled] = state[2]
+            rows1[filled] = psi1
         pos += 1
         filled += 1
         if filled == len(rows0) or pos == n_record:
@@ -817,7 +802,6 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     # sin(phi)/phi is exactly 1 at the smallest normal float, so h = 0
     # gives the identity
     tiny = np.finfo(float).tiny
-    update = (a, b, b, a_conj)
 
     def step(noise, amp):
         # the step's update (a, b, b, conj(a)), in the shared buffers
@@ -834,52 +818,49 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
         np.multiply(sinc, moved, out=moved_imag)
         np.multiply(sinc, f, out=fixed_imag)
         np.conjugate(a, out=a_conj)
-        return update
+        return a, b, b, a_conj
 
-    basis = np.eye(2, dtype=complex)[:, :, None]    # psi0 rows, psi1 rows
-
-    def static_block(noise, start, stop):
-        # steps start .. stop - 1 under one noise row: up to the last
-        # record among them, or to stop if a later block holds records
-        last = bisect.bisect_right(records, stop, pos)
-        bounds = [start, *records[pos:last]]
-        if last < n_record:
-            bounds.append(stop)
-        held = {}
-        for amp in set(amps[start:bounds[-1]]):
-            sa, sb, _, sa_conj = step(noise, amp)
-            sb = sb.copy()
-            held[amp] = (sa.copy(), sb, sb, sa_conj.copy())
+    def static_block(noise):
+        # steps 0 .. the last record, under one noise row
+        held = {amp: tuple(m.copy() for m in step(noise, amp))
+                for amp in set(amps[:records[-1]])}
+        bounds = [0, *records[pos:]]
         patterns = [tuple(amps[s:e]) for s, e in zip(bounds, bounds[1:])]
         recurs = Counter(p for p in patterns if len(p) > 1)
-        products, n_cuts = {}, last - pos
-        for i, pattern in enumerate(patterns):
-            product = products.get(pattern)
-            if product is not None:
-                apply(product, state)
-            elif recurs[pattern] > 1:
-                stack[0][1:], stack[2][1:] = basis
-                apply([held[amp] for amp in pattern], stack)
-                # the images of the basis vectors: the product's columns
-                products[pattern] = (tuple(np.concatenate(
-                    (stack[0][1:], stack[2][1:]))),)
+        products = {}
+        for pattern in patterns:
+            if pattern in products:
+                apply(*products[pattern])
             else:
-                apply([held[amp] for amp in pattern], state)
-            if i < n_cuts:
-                record()
+                updates = [held[amp] for amp in pattern]
+                for m00, m01, m10, m11 in updates:
+                    apply(m00, m01, m10, m11)
+                if recurs[pattern] > 1:
+                    # the product's columns, the images of the basis
+                    # vectors (psi0 rows p0, psi1 rows p1), stepped in
+                    # apply's operand order: complex multiply does not
+                    # commute bit for bit
+                    p0, p1 = np.repeat(np.eye(2, dtype=complex)[:, :, None],
+                                       count, 2)
+                    for m00, m01, m10, m11 in updates:
+                        p0, p1 = m00 * p0 + m01 * p1, p1 * m11 + m10 * p0
+                    products[pattern] = (*p0, *p1)
+            record()
 
     k = 0
     for block in blocks:
         if pos == n_record:
             break
-        if block.strides[0] == 0 and len(block):
-            static_block(block[0], k, k + len(block))
-            k += len(block)
-            continue
+        if block.strides[0] == 0:
+            static_block(block[0])
+            break
         for noise in block:
-            apply((step(noise, amps[k]),), state)
+            step(noise, amps[k])
+            apply(a, b, b, a_conj)
             k += 1
-            if pos < n_record and records[pos] == k:
+            if records[pos] == k:
                 record()
+                if pos == n_record:
+                    break
     np.clip(out, 0.0, 1.0, out=out)
     return out

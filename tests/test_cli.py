@@ -189,11 +189,12 @@ class TestSimulate:
         rc, out = run(tmp_path, "simulate", "--seed", "99")
         assert json.loads((out / "manifest.json").read_text())["seed"] == 99
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "spectrum"])
     def test_noise_enabled_config_exits_1_naming_noise(self, tmp_path,
-                                                        capsys):
+                                                        capsys, subcommand):
         cfg = tmp_path / "noise.ini"
         cfg.write_text(NOISE_INI)
-        rc, out = run(tmp_path, "simulate", "--config", str(cfg))
+        rc, out = run(tmp_path, subcommand, "--config", str(cfg))
         assert rc == 1
         err = capsys.readouterr().err
         assert "noise.ini:7: [noise]" in err and "remag noise" in err
@@ -925,6 +926,17 @@ class TestSensitivity:
         assert rows[:, 1] == pytest.approx(np.array(ideal) * 1e6, rel=1e-10)
         assert rows[:, 2] == pytest.approx(np.array(corrected) * 1e6,
                                            rel=1e-10)
+
+    def test_horizon_shorter_than_one_cycle_exits_1(self, tmp_path, capsys):
+        # a 5 pi echo at 10 MHz cycles every 0.5 us, past t_max = 0.1 us
+        cfg = tmp_path / "short.ini"
+        cfg.write_text("[sequence]\ntheta_pi = 5\nomega_mhz = 10\n"
+                       "[grid]\nt_max_us = 0.1\n")
+        rc, out = run(tmp_path, "sensitivity", "--config", str(cfg))
+        assert rc == 1
+        assert "short.ini:4: [grid] horizon shorter than one echo cycle" \
+            in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_scenario_without_envelope_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "rabi.ini"

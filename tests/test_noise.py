@@ -272,12 +272,16 @@ class TestKernel:
         assert np.array_equal(got, want)
 
     # record sets over the 260 steps of the three sequences above: every
-    # full echo of 26 steps and every 13 steps (repeating intervals), gaps
+    # full echo of 26 steps and every 13 steps (repeating intervals), every
+    # 13 steps from step 52 on (a first interval of 52 steps from step 0),
+    # every 13 steps up to step 195 only (nothing stepped past it), gaps
     # of 1, 2, .. 22 steps, shuffled (no interval repeats), and 40 steps
     # drawn at random
     RECORD_SETS = {
         "every-26": np.arange(0, 261, 26),
         "every-13": np.arange(0, 261, 13),
+        "late-start": np.arange(52, 261, 13),
+        "early-stop": np.arange(0, 196, 13),
         "distinct": np.concatenate(([0], np.cumsum(
             np.random.default_rng(7).permutation(np.arange(1, 23))))),
         "random": np.unique(np.concatenate(([0], np.random.default_rng(
@@ -303,21 +307,25 @@ class TestKernel:
                                       dt, record_idx, ramsey)
                      for b in (block, np.ascontiguousarray(block)))
         assert np.max(np.abs(got - want)) <= 1e-13
-        # bit for bit up to the first interval whose pattern of several
-        # steps came before, the first that applies a kept product
-        seen, first_reuse = set(), len(record_idx) - 1
-        for j, (s, e) in enumerate(zip(record_idx, record_idx[1:])):
+        # bit for bit up to the first interval from step 0 whose pattern
+        # of several steps came before, the first that applies a kept
+        # product: the records up to that interval's start
+        bounds = np.union1d([0], record_idx)
+        seen, first_reuse = set(), len(bounds) - 1
+        for j, (s, e) in enumerate(zip(bounds, bounds[1:])):
             pattern = tuple(amp_steps[s:e])
             if len(pattern) > 1 and pattern in seen:
                 first_reuse = j
                 break
             seen.add(pattern)
-        assert np.array_equal(got[:, :first_reuse + 1],
-                              want[:, :first_reuse + 1])
+        exact = np.searchsorted(record_idx, bounds[first_reuse], "right")
+        assert np.array_equal(got[:, :exact], want[:, :exact])
         if records == "distinct":
-            assert first_reuse == len(record_idx) - 1
+            assert first_reuse == len(bounds) - 1
         elif records.startswith("every"):    # a product from interval 3 on
             assert first_reuse <= 2
+        elif records != "random":            # and from interval 3 or 4 on
+            assert first_reuse <= 3
 
     def test_static_record_buffer_is_bounded(self):
         # 5,000 full echoes of one step per half echo at 256 trials: the
