@@ -4,8 +4,10 @@ An Ornstein-Uhlenbeck bath along z dephases the spin; drive-amplitude
 noise along x attacks the rotation itself.  Rotary echoes suppress the
 former far better than a plain Rabi drive and, for static amplitude
 errors, refocus exactly.  Each case is averaged over noise realizations
-and compared to its model: the exact OU mean from the Kubo-Tanimura
-hierarchy for the dephased echo, the closed-form envelope for Rabi.
+and compared to its model: the exact OU mean (`noise.exact_mean`, the
+Kubo-Tanimura hierarchy) for both the dephased echo and the drive-noise
+Rabi, whose phase is Gaussian, so that the mean also has the closed form
+(1 + cos(Omega t) exp(-zeta'))/2 (`models.ou_zeta_prime`).
 """
 
 import math

@@ -136,7 +136,8 @@ def t_prime_ramsey(sigma: float) -> float:
 
     Exact, not first order: a static Gaussian detuning of spread sigma
     gives the phase sigma t a variance sigma^2 t^2, so
-    <cos Phi> = exp(-(t/T2*)^2) (drive noise on a resonant Rabi alike).
+    <cos Phi> = exp(-(t/T2*)^2) (drive noise on a resonant Rabi or
+    Ramsey alike).
     """
     return math.sqrt(2.0) / sigma
 
@@ -147,7 +148,7 @@ def ou_zeta_prime(sigma, tau_c, t):
 
     Half the variance of the OU phase integral over [0, t], so
     exp(-zeta') = <cos Phi> exactly, for OU dephasing on Ramsey and OU
-    drive noise on a resonant Rabi: the phase is Gaussian.
+    drive noise on a resonant Rabi or Ramsey: the phase is Gaussian.
     """
     t = np.asarray(t, dtype=float)
     x = t / tau_c
@@ -303,13 +304,12 @@ def decay_envelope(scenario: DecayScenario, t):
         n = t / cycle_period(scenario.theta, scenario.omega)
         return np.exp(-ou_zeta_re_x(scenario.theta, scenario.omega,
                                     scenario.sigma, scenario.tau_c, n))
-    if s == "rabi":
-        # drive noise on Rabi mirrors bath noise on Ramsey
-        if k == "static":
-            return np.exp(-(t / t_prime_ramsey(scenario.sigma)) ** 2)
-        return np.exp(-ou_zeta_prime(scenario.sigma, scenario.tau_c, t))
-    raise ValueError("Ramsey does not couple to drive-amplitude noise "
-                     "(no drive during free evolution)")
+    # rabi or ramsey: drive noise on Rabi mirrors bath noise on Ramsey, and
+    # on Ramsey's undriven free evolution it alone turns the spin about x,
+    # by a Gaussian angle, as on a resonant Rabi
+    if k == "static":
+        return np.exp(-(t / t_prime_ramsey(scenario.sigma)) ** 2)
+    return np.exp(-ou_zeta_prime(scenario.sigma, scenario.tau_c, t))
 
 
 def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
@@ -318,8 +318,9 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
     This function alone decides where its forms hold, and raises
     ValueError elsewhere:
 
-    - the drive-noise (x-axis) forms, the echo's (1 + env)/2 and Rabi's
-      (1 + cos(Omega t) env)/2, and the static-z Rabi form
+    - the drive-noise (x-axis) forms, the echo's and Ramsey's
+      (1 + env)/2 and Rabi's (1 + cos(Omega t) env)/2, and the static-z
+      Rabi form
       (:func:`rabi_static_z_mean`) are resonant, so ``delta_omega`` must
       be 0;
     - the rotary-echo forms hold at full echoes only, t = n 2 theta/Omega

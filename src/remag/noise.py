@@ -38,6 +38,7 @@ import os
 import signal
 import threading
 import traceback
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -543,10 +544,11 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
 
     The model is :func:`exact_mean` under OU noise and
     :func:`remag.models.mean_signal` under static noise, and None where
-    that model raises ValueError.  exact_mean raises for a bath past its
-    hierarchy's level cap; mean_signal for static drive noise on Ramsey,
-    for static drive noise or a static-z Rabi off resonance, and for a
-    rotary echo read off its full echoes (see its docstring).
+    that model raises ValueError, with a ``UserWarning`` "no model
+    column: ..." that carries the error's text (so a run's manifest says
+    why).  exact_mean raises for a bath past its hierarchy's level cap;
+    mean_signal for static drive noise or a static-z Rabi off resonance,
+    and for a rotary echo read off its full echoes (see its docstring).
 
     The model is computed once the ensemble's last batch is read, while
     its worker processes (if it forked any) exit; they are reaped before
@@ -562,7 +564,9 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
                 return res, exact_mean(seq, delta_omega, spec, res.times)
             return res, np.atleast_1d(mean_signal(decay_scenario(seq, spec),
                                                   res.times, delta_omega))
-        except ValueError:
+        except ValueError as exc:
+            warnings.warn(f"no model column: {exc}", UserWarning,
+                          stacklevel=2)
             return res, None
     finally:
         _unreaped.reset(token)

@@ -837,6 +837,37 @@ class TestNoiseRun:
         np.testing.assert_allclose(cols["t_us"], np.linspace(0.0, 0.3, 121),
                                    rtol=1e-11, atol=1e-14)
 
+    def test_static_x_ramsey_model_within_4_se(self, tmp_path):
+        # drive noise on Ramsey's free evolution turns the spin about x by
+        # a Gaussian angle: (1 + exp(-(t/T2*)^2))/2 on resonance
+        cols = self._decay(tmp_path, "[sequence]\nkind = ramsey\n"
+                           "duration_us = 0.5\n[field]\ndetuning_mhz = 0.0\n"
+                           "[noise]\nenabled = true\naxis = x\n"
+                           "kind = static\nsigma_mhz = 1.0\n", trials=2000)
+        se = np.where(cols["mc_stderr"] > 0, cols["mc_stderr"], np.inf)
+        assert np.max(np.abs(cols["mc_mean"] - cols["model"]) / se) < 4.0
+        assert cols["model"][-1] < 0.6     # sigma shapes the decay
+
+    def test_refused_bath_warns_in_the_manifest(self, tmp_path):
+        # a strong, slow bath: exact_mean needs more than its level cap
+        cfg = tmp_path / "slow.ini"
+        cfg.write_text("[sequence]\ntheta_pi = 1.0\nomega_mhz = 20.0\n"
+                       "n_cycles = 18\n[field]\ndetuning_mhz = 2.0\n"
+                       "[noise]\nenabled = true\naxis = z\nkind = ou\n"
+                       "sigma_mhz = 3.0\ntau_c_us = 2.0\n")
+        with pytest.warns(UserWarning, match="no model column"):
+            rc, out = run(tmp_path, "noise", "--config", str(cfg),
+                          "--trials", "20")
+        assert rc == 0
+        header = [ln for ln in (out / "decay.csv").read_text().splitlines()
+                  if not ln.startswith("#")][0]
+        assert header.split(",") == ["t_us", "mc_mean", "mc_stderr"]
+        [warning] = json.loads((out / "manifest.json").read_text())[
+            "warnings"]
+        assert warning["category"] == "UserWarning"
+        assert warning["message"].startswith("no model column: ")
+        assert "more than 96 hierarchy levels" in warning["message"]
+
     def test_static_ramsey_records_its_default_times(self, tmp_path):
         # 501 records 1 ns apart: one step each, not snapped onto a grid
         cols = self._decay(tmp_path, "[sequence]\nkind = ramsey\n"
@@ -937,6 +968,27 @@ class TestSensitivity:
         assert "short.ini:4: [grid] horizon shorter than one echo cycle" \
             in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("noise", [
+        "kind = static\nsigma_mhz = 1.0\n",
+        "kind = ou\nsigma_mhz = 1.0\ntau_c_us = 0.2\n"],
+        ids=["static", "ou"])
+    def test_ramsey_drive_noise_decays_as_dephasing(self, tmp_path, noise):
+        # on Ramsey, either axis turns the spin by a Gaussian angle of the
+        # same variance, so the two envelopes, and sweeps, agree
+        rows = {}
+        for axis in ("z", "x"):
+            cfg = tmp_path / f"{axis}.ini"
+            cfg.write_text("[sequence]\nkind = ramsey\n[noise]\n"
+                           f"enabled = true\naxis = {axis}\n{noise}")
+            rc, out = run(tmp_path / axis, "sensitivity", "--config",
+                          str(cfg))
+            assert rc == 0
+            rows[axis] = [ln for ln in
+                          (out / "sensitivity.csv").read_text().splitlines()
+                          if not ln.startswith("#")]
+        assert len(rows["x"]) > 10
+        assert rows["x"] == rows["z"]
 
     def test_scenario_without_envelope_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "rabi.ini"

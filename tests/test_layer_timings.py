@@ -1,0 +1,38 @@
+"""Smoke test of tools/layer_timings.py: its A/B loop on two loads of this
+checkout."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_two_loads_of_this_checkout_agree_bit_for_bit():
+    # the tool pins the BLAS threads in os.environ and puts perfbench on
+    # sys.path when imported; both are put back
+    environ, path, modules = dict(os.environ), list(sys.path), set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "layer_timings", ROOT / "tools" / "layer_timings.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        this = tool.load(ROOT / "src", "remag_smoke_this")
+        other = tool.load(ROOT / "src", "remag_smoke_other")
+        assert this.noise is not other.noise
+        layer = tool.engine_layers(this)["kernel static-1.0pi-x65"]
+        report = tool.time_layer(layer, this, other, 1)
+        assert report["identical"] is True
+        assert report["unit"] == "ns per trial-step"
+        assert report["this"] > 0 and report["other"] > 0
+        assert sum(report["wins"].values()) <= 1
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.path[:] = path
+        for name in set(sys.modules) - modules:
+            if name.split(".")[0] in ("layer_timings", "remag_smoke_this",
+                                      "remag_smoke_other", "run",
+                                      "workloads"):
+                del sys.modules[name]

@@ -1,143 +1,111 @@
-"""Per-layer timings of the Monte Carlo engine and the analysis chain.
+"""Layer timings of remag: this checkout against another, in one process.
 
-Times the layers of `remag.noise.monte_carlo` apart, on one trial chunk
-of each `noise-ou-large` case (OU dephasing, rotary echoes, on the grid
-`monte_carlo` picks) and on three `noise-static-small`-style cases
-(static drive noise at 19 MHz, 64 trials): a pi rotary echo of 130 half
-echoes, 130 steps, one per half echo, or 13,000 on a checkout that keeps
-static noise on the drive grid of T_Rabi/200; the benchmark's longest op
-at seed 1, a 0.507 pi echo of 189 cycles, 378 steps; and that pi echo
-read at 64 record times drawn at seed 1 from its drive grid (`random`),
-whose intervals between records all differ, so that no interval reuses
-another's product and the kernel steps all 13,000 steps:
+`--src OTHER/src` loads OTHER's `remag` and this checkout's into one
+process as two packages, builds each layer's inputs once from a third
+load of this checkout (so that neither timed side has drawn or built
+more than the other), and calls the two sides alternately: one warm-up
+pair, whose times are dropped and whose outputs are compared, then
+`--repeats` timed pairs, the order flipped each pair.  Without `--src` the other side is a
+second load of this checkout, so the default run is an A/A: its ratios
+show what the host can resolve.  Separate processes, one per checkout,
+swung up to 2x between runs of one checkout on a busy 2-vCPU host; two
+packages alternated in one process resolve about 2-3%.
 
-- `setup_us_per_trial`: starting the chunk's per-trial streams, timed as
-  a whole one-step static draw of the chunk (one word per trial included);
-  `warm` in a thread that has drawn before, `cold` in a new thread;
-- `noise_ns_per_value`: a whole `_noise_blocks` draw of the case with a
-  warm thread, set-up included, per value drawn (one per trial-step for
-  OU noise, one per trial for static noise);
-- `kernel_ns_per_trial_step`: `_propagate_batch` on blocks drawn
-  beforehand, and on the static cases the same time per record
-  (`kernel_us_per_record`);
-- `grid_step_us`: one `_noise_grid_step` call on the case's record
-  times (by default every full echo), timed over batches of 20 calls.
+Each layer reports, in its own unit, both medians (`this`, `other`), the
+median per-pair ratio of other's time to this side's (`ratio`: above 1
+where this checkout is faster) and its quartiles (`ratio_iqr`), each
+side's wins (`wins`), this side's quartiles (`this_iqr`), and whether
+the two sides' warm-up outputs were bit-identical (`identical`).  Where
+OTHER's private signature does not take the inputs, the layer reports
+this side alone, with `other`, `ratio`, `wins` and `identical` null and
+the error under `skipped`.  A timed sample is the least time of as many
+calls as fill `SAMPLE_S`, judged by this side's warm-up call, each call
+after `malloc_trim(0)`; the least filters out the host's bursts, which
+on a shared 2-vCPU host otherwise decide a pair.
 
-`parse_config_us`: one `config.parse_config` call, the median over
-`--repeats` passes through the configs of `noise-static-small` and
-`analysis-cli` at seed 1 (206 configs).
+The layers (ROADMAP aim 1, and what perfbench's workloads run):
 
-Two more figures rest the size threshold of `monte_carlo`'s worker
-processes (`noise._FORK_MIN_TRIAL_STEPS`) on a measurement:
+- `ou_draw`: the whole `noise._noise_blocks` draw of the first 2,048-trial
+  chunk of `noise-ou-large`'s 5 pi echo, 624 steps in five blocks (ns per
+  value);
+- `kernel <case>`: `noise._propagate_batch` on blocks drawn beforehand
+  (ns per trial-step).  The cases are the first chunk of each
+  `noise-ou-large` case (OU dephasing, rotary echoes on the grid
+  `monte_carlo` picks), and static drive noise at 19 MHz on 64 trials: a
+  pi echo of 65 cycles (one step per half echo), `noise-static-small`'s
+  longest op at seed 1, a 0.507 pi echo of 189 cycles, and the pi echo
+  read at 64 record times drawn at seed 1 from its drive grid (`random`),
+  whose intervals all differ, so that no product is reused and all
+  13,000 steps are stepped;
+- `exact_mean`: the model `noise.mc_vs_model` computes beside each
+  `noise-ou-large` ensemble, the three in one call (ms);
+- `propagate <size>`: one noiseless `dynamics.propagate` call on a pi
+  echo at 17 MHz, at the sizes of the spectrum ops (100 and 510 segments
+  on the 10 ns grid) and of figure 1c (102 segments on its 2 ns grid)
+  (ms);
+- `periodogram`, `peak_significance` and `extract_detunings`, each on the
+  figure 2a and 2b triplet traces with shot noise at seed 3 (511 and
+  1,531 samples) (ms); the refit's residual and Jacobian evaluations on
+  each side (`evaluations`), read by wrapping
+  `spectral._levenberg_marquardt` (null on a side without it);
+- `sensitivity_sweep`: the 64 sweeps of an `analysis-cli` pass at seed 1,
+  in one call (ms);
+- `parse_config`: the 206 configs of `noise-static-small` and
+  `analysis-cli` at seed 1, in one call (us per config);
+- `cli <workload>`: one seed-1 pass of the workload through
+  `remag.cli.main`, each op after `malloc_trim(0)` as perfbench's are (ms
+  per pass), and the first op of each side's first pass apart
+  (`first_op_ms`); `identical` compares every artifact's bytes,
+  manifests without their timestamps;
+- `cold_start <run>`: a fresh interpreter that imports `remag.cli` and,
+  but for the bare import, runs one command through `remag.cli.main`
+  (`calcium`, `figure 1b`, `figure 2b`, `spectrum`, `figure 4a`, and
+  `noise` on the 8-trial OU-z pi echo of perfbench's warm-up), each side's
+  `src/` on its `PYTHONPATH` (s); `identical` compares the exit code and
+  the public scipy submodules the process loaded.
 
-- `fork_reap_ms`: forking this process, once the cases are timed, and
-  reaping the child, which leaves at once;
-- `monte_carlo_s` of each case: the whole `monte_carlo` call at the
-  case's trial count, `in_process` and `forked` (the threshold set to
-  keep every chunk in the calling process, then to fork for any), beside
-  `n_steps`, the step count `monte_carlo` picks, and `chunk_trial_steps`,
-  the figure the threshold is compared with.  A run of one chunk, as the
-  static case is, never forks, so its `forked` is null.
+The `cli` passes and the `cold_start` processes take a quarter of
+`--repeats` pairs, and at least 3.  Three figures are this checkout's
+alone, because `noise._FORK_MIN_TRIAL_STEPS` rests on them:
 
-Two more figures on each `noise-ou-large` case only:
+- `crossover`: `monte_carlo` on the 0.75 pi OU-z echo of `noise-ou-large`
+  at 3, 6, 12 and 24 cycles (4 grid steps each), 4,096 trials in 2
+  chunks, about 25k, 50k, 100k and 200k trial-steps per chunk, through
+  the same loop with the chunks forked as `this` and kept in process as
+  `other` (`ratio` above 1 where forking pays);
+  `crossover_trial_steps` is the least of those sizes from which on the
+  forked side is faster at every size, null if it is not at the largest;
+- `fork_reap_ms`: forking this process and reaping the child, which
+  leaves at once;
+- `worker_peak_rss_mb`: the peak RSS of the largest worker forked while
+  the layers ran (`RUSAGE_CHILDREN`; perfbench's `peak_rss_mb` is the
+  calling process's alone), beside this process's (`self_peak_rss_mb`).
 
-- `model_ms`: the model call that `noise.mc_vs_model` makes beside the
-  ensemble, `noise.exact_mean`, on the ensemble's record times;
-- `mc_vs_model_s`: the whole `noise.mc_vs_model` call, `in_process` and
-  `forked` as for `monte_carlo_s`; forked, its model runs while the
-  worker exits.
+    python tools/layer_timings.py                    # A/A on this checkout
+    python tools/layer_timings.py --src OTHER/src    # this against OTHER
 
-The crossover the threshold rests on (`crossover`): the whole
-`monte_carlo` call on the 0.75 pi OU-z echo of `noise-ou-large` at 3, 6,
-12 and 24 cycles (4 grid steps each), 4,096 trials in 2 chunks of 2,048,
-so about 25k, 50k, 100k and 200k trial-steps per chunk, `in_process` and
-`forked`, the two timed in turn; `crossover_trial_steps` is the least of
-those sizes from which on the forked median is the lower at every size,
-and null if it is not at the largest.  `worker_peak_rss_mb`: the peak RSS of the largest worker
-forked while the cases and the crossover were timed (`RUSAGE_CHILDREN`;
-perfbench's `peak_rss_mb` is the calling process's alone), beside this
-process's own (`self_peak_rss_mb`) at that point.
-
-Two layers of the analysis chain, on the pi echoes at 17 MHz of
-`remag spectrum` and figures 1c, 2a and 2b (`analysis`):
-
-- `propagate_ms`: one noiseless `dynamics.propagate` call, at the sizes
-  of the spectrum ops (100 and 510 segments on the 10 ns grid) and of
-  figure 1c (102 segments on its 2 ns grid);
-- `refit`: one `spectral._refine_pairs` call, the median
-  (`ms_per_refit`) and the least (`best_ms_per_refit`) of `--repeats`,
-  the cases timed in turn, and the residual and Jacobian evaluations its
-  `_levenberg_marquardt` call makes (`evaluations_per_refit`,
-  `jacobians_per_refit`), on the figure 2a and 2b triplet traces with
-  shot noise at seed 3 (511 and 1,531 samples, 3 pairs each);
-  `point_us` splits one refit point, its residual and then its
-  Jacobian, into the `np.cos` and `np.sin` calls that fill the basis
-  (`trig`), the `np.linalg.svd` call (`svd`) and the rest;
-- `analysis_cli_refits`: the 56 refits of an `analysis-cli` pass at seed
-  1, those of its 48 `remag spectrum` ops (a fixed design over trace
-  length and line splitting) and of its 8 figure 2a and 2b ops, each op
-  run once through `remag.cli.main`: `total_ms`, all 56 refits in turn
-  from the start points the ops handed `_refine_pairs`; their residual
-  evaluations in all, per refit, median and max, over the spectrum ops
-  alone (`spectrum_evaluations`: 305, as when the refit called scipy's
-  MINPACK `least_squares`; 307 while the solver evaluated a rejected
-  point again, and 1,070 before `extract_detunings` dropped
-  window-leakage pairs) and `by_op` for `spectrum-15` and `spectrum-10`,
-  the two refits that take the most.
-
-Start-up, in fresh interpreters (`cold_start`):
-
-- `wall_s`: the median wall time of `--repeats` new processes that import
-  `remag.cli` and, but for the bare import, run one command through
-  `remag.cli.main` (`calcium`, `figure 1b`, `figure 2b`, `spectrum`,
-  `figure 4a`, and `noise` on the OU-z pi echo of 8 trials that
-  perfbench's warm-up runs, `WARMUP_MC`), interpreter start and artifact
-  writes included; `scipy`: the public scipy submodules such a process
-  had loaded when it finished;
-- `sample_path_ns_per_sample`: one `noise.sample_path` call in this
-  process, one OU trial of 100,000 steps.
-
-    python tools/layer_timings.py                    # this checkout
-    python tools/layer_timings.py --src OTHER/src    # another checkout
-
-It calls private API (`_noise_blocks`, `_default_record_times`,
-`_drive_grid`, `_noise_grid_step`, `_propagate_batch`, `_refine_pairs`,
-`_levenberg_marquardt`), so `--src` takes only checkouts whose
-signatures match this one's: `_noise_blocks(spec, dt, ...)` reading
-`spec.sigma`, `_default_record_times(seq, wave, spec)`,
-`_drive_grid(wave, spec)`,
-`DriveWaveform.segment`, and `_refine_pairs(trace, f_c, splittings)`.
-The evaluation counts and `point_us` are read by wrapping
-`spectral._levenberg_marquardt(residual, jac, x0)`, which the refit
-calls by its module name; a checkout whose refit calls scipy's
-`least_squares` instead reports them as null, and its times only.  A
-checkout without worker processes reports `forked` as null.
-
-Prints one JSON object; each figure is the median of `--repeats` runs
-(BLAS pinned to one thread).  A run takes about twenty-five seconds on
-two cores at the default `--repeats`, and about 45 s on a checkout whose
-import loads every scipy submodule; a forked figure depends on whether
-the host leaves the second core free.
+Prints one JSON object (BLAS pinned to one thread).  A run takes about
+three minutes on two cores at the default `--repeats`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
+import importlib.util
 import io
 import json
 import math
 import os
 import random
 import resource
-import statistics
 import subprocess
 import sys
 import tempfile
-import threading
 import time
+import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -146,197 +114,222 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads as w  # noqa: E402
 from run import WARMUP_MC, malloc_trim  # noqa: E402
 
-# theta/pi, omega (MHz), cycles, trials, record times drawn at random
-STATIC_CASES = ((1.0, 19.0, 65, 64, False), (0.507, 19.0, 189, 64, False),
-                (1.0, 19.0, 65, 64, True))
-RANDOM_RECORDS = 64     # record times of a `random` case, 0 among them
+SAMPLE_S = 0.1          # least time of one timed sample
+MHZ = 2e6 * math.pi
 
 
-def _random_records(noise, dynamics, seq, spec) -> np.ndarray:
-    """0 and 63 distinct times drawn at seed 1 from the drive grid of
-    ``seq``."""
-    wave = dynamics.build_waveform(seq, 0.0)
-    n_drive = int(round(wave.total_duration / noise._drive_grid(wave, spec)))
-    picks = np.random.default_rng(1).choice(
-        np.arange(1, n_drive + 1), RANDOM_RECORDS - 1, replace=False)
-    return wave.total_duration / n_drive * np.concatenate(([0],
-                                                           np.sort(picks)))
+def load(src: Path, name: str):
+    """The `remag` package under ``src`` loaded as ``name``, `cli` too."""
+    init = src.resolve() / "remag" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
+    return package
 
 
-def _cases(noise, dynamics):
-    """(label, sequence, detuning, spec, trials, record times or None for
-    the default) of each timed case."""
-    import workloads as w
-
-    mhz = 2e6 * math.pi
-    out = []
-    for theta_pi, n_cycles in w.OU_CASES:
-        seq = dynamics.PulseSequence.rotary_echo(
-            theta_pi * math.pi, w.OU_OMEGA_MHZ * mhz, n_cycles)
-        spec = noise.NoiseSpec(axis="z", kind="ou", sigma=w.OU_SIGMA_MHZ * mhz,
-                               tau_c=w.OU_TAU_C_US * 1e-6, seed=1)
-        out.append((f"ou-{theta_pi}pi-x{n_cycles}", seq,
-                    w.OU_DETUNING_MHZ * mhz, spec, w.OU_TRIALS, None))
-    for theta_pi, omega_mhz, n_cycles, trials, drawn in STATIC_CASES:
-        seq = dynamics.PulseSequence.rotary_echo(theta_pi * math.pi,
-                                                 omega_mhz * mhz, n_cycles)
-        spec = noise.NoiseSpec(axis="x", kind="static",
-                               sigma=0.05 * seq.omega, seed=1)
-        record = _random_records(noise, dynamics, seq, spec) if drawn else None
-        out.append((f"static-{theta_pi}pi-x{n_cycles}"
-                    + ("-random" if drawn else ""), seq, 0.0, spec, trials,
-                    record))
-    return out
+def _bits(x):
+    """``x`` reduced to bytes, tuples and plain values, so that two
+    outputs compare equal only if every number's bits agree."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_bits, x))
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in sorted(x.items()))
+    if hasattr(x, "__dict__"):
+        return type(x).__name__, _bits(vars(x))
+    return x
 
 
-def _median_s(run, repeats: int) -> float:
-    """Median wall time of ``run()``, which returns its own timing."""
-    return statistics.median(run() for _ in range(repeats))
+class Layer(NamedTuple):
+    """One timed layer: ``call(package)`` runs it on one side, and a
+    sample's seconds per call times ``per`` is its figure in ``unit``;
+    ``read`` turns a warm-up output into what the sides must agree on."""
+
+    call: Callable
+    unit: str
+    per: float
+    read: Callable = _bits
 
 
-def _timed(fn) -> float:
+def ab(this: Callable, other: Callable | None, pairs: int, unit: str,
+       per: float, read: Callable = _bits) -> dict:
+    """Times ``this()`` and ``other()`` alternately: a warm-up pair, then
+    ``pairs`` timed pairs, the first call of each pair flipped each pair."""
     start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    first = this()
+    loops = max(1, round(SAMPLE_S / (time.perf_counter() - start)))
+    first = read(first)
+    report = {"unit": unit}
+    sides = [this]
+    if other is not None:
+        try:
+            report["identical"] = read(other()) == first
+            sides.append(other)
+        except (TypeError, AttributeError) as exc:
+            report["skipped"] = f"{type(exc).__name__}: {exc}"
+    times = [[] for _ in sides]
+    for k in range(pairs):
+        for s in (range(len(sides)) if k % 2 == 0
+                  else reversed(range(len(sides)))):
+            best = math.inf
+            for _ in range(loops):
+                malloc_trim(0)
+                start = time.perf_counter()
+                sides[s]()
+                best = min(best, time.perf_counter() - start)
+            times[s].append(best * per)
 
+    def quartiles(a):
+        return [float(q) for q in np.percentile(a, [25, 75])]
 
-def _in_new_thread(fn) -> float:
-    box = []
-    worker = threading.Thread(target=lambda: box.append(_timed(fn)))
-    worker.start()
-    worker.join(timeout=60.0)
-    if worker.is_alive() or not box:
-        raise RuntimeError("timed draw did not finish in a new thread")
-    return box[0]
-
-
-GRID_CALLS = 20         # _noise_grid_step calls per timed batch
-
-
-def time_case(noise, dynamics, seq, delta, spec, trials, record_times,
-              repeats) -> dict:
-    """The layer figures of one case, on its first trial chunk."""
-    chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
-    count = min(trials, chunk)
-    wave = dynamics.build_waveform(seq, delta)
-    if record_times is None:
-        record_times = noise._default_record_times(seq, wave, spec)
-    dt = noise._noise_grid_step(wave, spec, record_times)
-    grid_s = _median_s(lambda: _timed(lambda: [
-        noise._noise_grid_step(wave, spec, record_times)
-        for _ in range(GRID_CALLS)]), repeats) / GRID_CALLS
-    n_steps = int(round(wave.total_duration / dt))
-    record_idx = np.unique(np.rint(record_times / dt).astype(int))
-    n_sub = int(round(wave.segment / dt))
-    amp_steps = np.repeat(wave.amplitudes, n_sub)
-
-    def draw(n, block):
-        return noise._noise_blocks(spec, dt, 0, count, n, block)
-
-    one_word = noise.NoiseSpec(axis="x", kind="static", sigma=1.0, seed=1)
-
-    def setup():
-        for _ in noise._noise_blocks(one_word, dt, 0, count, 1, 1):
-            pass
-
-    def whole_draw():
-        for _ in draw(n_steps, noise._BLOCK_STEPS):
-            pass
-
-    setup()
-    warm = _median_s(lambda: _timed(setup), repeats)
-    cold = _median_s(lambda: _in_new_thread(setup), repeats)
-    values = count * (n_steps if spec.kind == "ou" else 1)
-    noise_s = _median_s(lambda: _timed(whole_draw), repeats)
-    blocks = list(draw(n_steps, noise._BLOCK_STEPS))
-    kernel_s = _median_s(lambda: _timed(lambda: noise._propagate_batch(
-        amp_steps, delta, spec.axis, iter(blocks), count, dt, record_idx)),
-        repeats)
-    report = {"trials": count, "n_steps": n_steps,
-              "records": record_idx.size,
-              "setup_us_per_trial": {"warm": warm / count * 1e6,
-                                     "cold": cold / count * 1e6},
-              "noise_ns_per_value": noise_s / values * 1e9,
-              "kernel_ns_per_trial_step": kernel_s / (count * n_steps) * 1e9,
-              "grid_step_us": grid_s * 1e6}
-    if spec.kind == "static":
-        report["kernel_us_per_record"] = kernel_s / record_idx.size * 1e6
+    mine = np.array(times[0])
+    report.update(this=float(np.median(mine)), this_iqr=quartiles(mine),
+                  other=None, ratio=None, ratio_iqr=None, wins=None)
+    if len(sides) == 2:
+        theirs = np.array(times[1])
+        ratios = theirs / mine
+        report.update(other=float(np.median(theirs)),
+                      ratio=float(np.median(ratios)),
+                      ratio_iqr=quartiles(ratios),
+                      wins={"this": int(np.sum(mine < theirs)),
+                            "other": int(np.sum(theirs < mine))})
+    else:
+        report.setdefault("identical", None)
     return report
 
 
-def time_forked(noise, call, n_chunks, repeats) -> dict:
-    """Median s of ``call()``, in turn with every chunk in this process and
-    with chunks forked whatever their size (`forked` null for one chunk,
-    or on a checkout without workers); each call starts with the freed
-    heap handed back, as perfbench's ops do."""
-    times = {"in_process": [], "forked": []}
-    sides = (("in_process", math.inf), ("forked", 0))
-    default = getattr(noise, "_FORK_MIN_TRIAL_STEPS", None)
-    if default is None or n_chunks < 2:
-        sides = sides[:1]
-    try:
-        for _ in range(repeats):
-            for label, threshold in sides:
-                noise._FORK_MIN_TRIAL_STEPS = threshold
-                malloc_trim(0)
-                times[label].append(_timed(call))
-    finally:
-        noise._FORK_MIN_TRIAL_STEPS = default
-    return {label: statistics.median(ts) if ts else None
-            for label, ts in times.items()}
+def time_layer(layer: Layer, this, other, pairs: int) -> dict:
+    return ab(lambda: layer.call(this), lambda: layer.call(other), pairs,
+              layer.unit, layer.per, layer.read)
 
 
-def time_monte_carlo(noise, seq, delta, spec, trials, record_times,
-                     repeats) -> dict:
-    """Whole `monte_carlo` calls, in process and forked (`time_forked`),
-    beside the step count and the trial-steps per chunk."""
-    chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
-    n_steps = noise.monte_carlo(seq, delta, spec, 1,
-                                record_times=record_times).meta["n_steps"]
-    return {"n_steps": n_steps,
-            "chunk_trial_steps": min(trials, chunk) * n_steps,
-            **time_forked(noise, lambda: noise.monte_carlo(
-                seq, delta, spec, trials, record_times=record_times),
-                math.ceil(trials / chunk), repeats)}
+# ---------------------------------------------------------------------------
+# the Monte Carlo engine
+
+CHUNK = 2048            # monte_carlo's default trial chunk
+# theta/pi, cycles, record times drawn at random
+STATIC_CASES = ((1.0, 65, False), (0.507, 189, False), (1.0, 65, True))
+RANDOM_RECORDS = 64     # record times of a `random` case, 0 among them
 
 
-def time_mc_vs_model(noise, seq, delta, spec, trials, repeats) -> dict:
-    """Whole `mc_vs_model` calls, in process and forked."""
-    chunk = inspect.signature(noise.monte_carlo).parameters["chunk"].default
-    return time_forked(noise, lambda: noise.mc_vs_model(seq, delta, spec,
-                                                        trials),
-                       math.ceil(trials / chunk), repeats)
+def _ou_spec(noise):
+    return noise.NoiseSpec(axis="z", kind="ou", sigma=w.OU_SIGMA_MHZ * MHZ,
+                           tau_c=w.OU_TAU_C_US * 1e-6, seed=1)
+
+
+def _cases(pkg):
+    """(label, sequence, detuning, spec, trials, record times or None for
+    the default) of each Monte Carlo case."""
+    noise, dynamics = pkg.noise, pkg.dynamics
+    out = []
+    for theta_pi, n_cycles in w.OU_CASES:
+        seq = dynamics.PulseSequence.rotary_echo(
+            theta_pi * math.pi, w.OU_OMEGA_MHZ * MHZ, n_cycles)
+        out.append((f"ou-{theta_pi}pi-x{n_cycles}", seq,
+                    w.OU_DETUNING_MHZ * MHZ, _ou_spec(noise), w.OU_TRIALS,
+                    None))
+    for theta_pi, n_cycles, drawn in STATIC_CASES:
+        seq = dynamics.PulseSequence.rotary_echo(
+            theta_pi * math.pi, w.STATIC_OMEGA_MHZ * MHZ, n_cycles)
+        spec = noise.NoiseSpec(axis="x", kind="static",
+                               sigma=0.05 * seq.omega, seed=1)
+        records = None
+        if drawn:   # 0 and 63 distinct times of the drive grid, at seed 1
+            wave = dynamics.build_waveform(seq, 0.0)
+            n = int(round(wave.total_duration
+                          / noise._drive_grid(wave, spec)))
+            picks = np.random.default_rng(1).choice(
+                np.arange(1, n + 1), RANDOM_RECORDS - 1, replace=False)
+            records = wave.total_duration / n * np.concatenate(
+                ([0], np.sort(picks)))
+        out.append((f"static-{theta_pi}pi-x{n_cycles}"
+                    + ("-random" if drawn else ""), seq, 0.0, spec,
+                    w.STATIC_TRIALS, records))
+    return out
+
+
+def engine_layers(pkg) -> dict:
+    """`ou_draw`, and `kernel` on each case's first chunk, their inputs
+    built by ``pkg``."""
+    noise = pkg.noise
+    layers = {}
+    for label, seq, delta, spec, trials, records in _cases(pkg):
+        count = min(trials, CHUNK)
+        wave = pkg.dynamics.build_waveform(seq, delta)
+        if records is None:
+            records = noise._default_record_times(seq, wave, spec)
+        dt = noise._noise_grid_step(wave, spec, records)
+        n_steps = int(round(wave.total_duration / dt))
+        draw = (spec, dt, 0, count, n_steps, noise._BLOCK_STEPS)
+        blocks = list(noise._noise_blocks(*draw))
+        kernel = (np.repeat(wave.amplitudes, int(round(wave.segment / dt))),
+                  delta, spec.axis, blocks, count, dt,
+                  np.unique(np.rint(records / dt).astype(int)))
+        if label == "ou-5.0pi-x24":
+            layers["ou_draw"] = Layer(
+                lambda p, a=draw: list(p.noise._noise_blocks(*a)),
+                "ns per value", 1e9 / (count * n_steps))
+        layers[f"kernel {label}"] = Layer(
+            lambda p, a=kernel: p.noise._propagate_batch(
+                *a[:3], iter(a[3]), *a[4:]),
+            "ns per trial-step", 1e9 / (count * n_steps))
+    return layers
 
 
 CROSSOVER_CYCLES = (3, 6, 12, 24)   # of the 0.75 pi echo, 4 steps each
 
 
-def time_crossover(noise, dynamics, repeats) -> dict:
-    """`monte_carlo` on the 0.75 pi OU-z echo of `noise-ou-large` at each
-    of `CROSSOVER_CYCLES`, in process and forked, and the least chunk size
-    from which on the forked median is the lower at every size."""
-    import workloads as w
+def crossover(this, pairs: int) -> dict:
+    """`monte_carlo` on the 0.75 pi OU-z echo at each of
+    `CROSSOVER_CYCLES`, forked (`this`) against in process (`other`), and
+    the least chunk size from which on forking is faster at every size."""
+    noise = this.noise
+    spec = _ou_spec(noise)
+    default = noise._FORK_MIN_TRIAL_STEPS
 
-    mhz = 2e6 * math.pi
-    spec = noise.NoiseSpec(axis="z", kind="ou", sigma=w.OU_SIGMA_MHZ * mhz,
-                           tau_c=w.OU_TAU_C_US * 1e-6, seed=1)
-    sizes = {}
+    def run(seq, threshold):
+        noise._FORK_MIN_TRIAL_STEPS = threshold
+        try:
+            return noise.monte_carlo(seq, w.OU_DETUNING_MHZ * MHZ, spec,
+                                     w.OU_TRIALS)
+        finally:
+            noise._FORK_MIN_TRIAL_STEPS = default
+
+    sizes, least = {}, None
     for n_cycles in CROSSOVER_CYCLES:
-        seq = dynamics.PulseSequence.rotary_echo(
-            0.75 * math.pi, w.OU_OMEGA_MHZ * mhz, n_cycles)
-        sizes[f"x{n_cycles}"] = time_monte_carlo(
-            noise, seq, w.OU_DETUNING_MHZ * mhz, spec, w.OU_TRIALS, None,
-            repeats)
-    crossover = None
-    if all(r["forked"] is not None for r in sizes.values()):
-        for r in reversed(sizes.values()):
-            if r["forked"] >= r["in_process"]:
-                break
-            crossover = r["chunk_trial_steps"]
-    return {"sizes": sizes, "crossover_trial_steps": crossover}
+        seq = this.dynamics.PulseSequence.rotary_echo(
+            0.75 * math.pi, w.OU_OMEGA_MHZ * MHZ, n_cycles)
+        n_steps = noise.monte_carlo(seq, w.OU_DETUNING_MHZ * MHZ, spec,
+                                    1).meta["n_steps"]
+        sizes[f"x{n_cycles}"] = {
+            "chunk_trial_steps": CHUNK * n_steps,
+            **ab(lambda s=seq: run(s, 0), lambda s=seq: run(s, math.inf),
+                 pairs, "s", 1.0)}
+    for size in reversed(sizes.values()):
+        if size["ratio"] <= 1.0:
+            break
+        least = size["chunk_trial_steps"]
+    return {"sizes": sizes, "crossover_trial_steps": least}
 
+
+def _fork_and_reap() -> None:
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+
+
+# ---------------------------------------------------------------------------
+# the analysis chain
 
 ANALYSIS_OMEGA_MHZ = 17.0
 ANALYSIS_LINE_MHZ = 0.17
@@ -347,222 +340,139 @@ REFIT_CASES = (("fig2a", 0.17, 5e-6), ("fig2b", 0.064, 15e-6))  # b, t_total
 REFIT_SEED = 3
 
 
-def time_propagate(dynamics, n_cycles, dt_max, repeats) -> float:
-    """Median ms of one noiseless `propagate` call on a pi echo."""
-    mhz = 2e6 * math.pi
-    seq = dynamics.PulseSequence.rotary_echo(
-        math.pi, ANALYSIS_OMEGA_MHZ * mhz, n_cycles)
-    wave = dynamics.build_waveform(seq, ANALYSIS_LINE_MHZ * mhz)
-    return _median_s(lambda: _timed(
-        lambda: dynamics.propagate(wave, dt_max=dt_max)), repeats) * 1e3
+def _seed_1_ops(name: str) -> list:
+    return w.WORKLOADS[name](random.Random(1))
 
 
-@contextlib.contextmanager
-def _patched(owner, name, replacement):
-    """``owner.name`` set to ``replacement`` for the block."""
-    original = getattr(owner, name)
-    setattr(owner, name, replacement)
-    try:
-        yield
-    finally:
-        setattr(owner, name, original)
+def analysis_layers(pkg) -> dict:
+    """`exact_mean`, `propagate`, the spectral chain, `sensitivity_sweep`
+    and `parse_config`, their inputs built by ``pkg``."""
+    layers = {}
+    models = [(seq, delta, spec, pkg.noise.monte_carlo(seq, delta, spec,
+                                                        1).times)
+              for _, seq, delta, spec, _, _ in _cases(pkg)[:3]]
+    layers["exact_mean"] = Layer(
+        lambda p: [p.noise.exact_mean(*a) for a in models], "ms", 1e3)
+    for label, n_cycles, dt_max in PROPAGATE_CASES:
+        seq = pkg.dynamics.PulseSequence.rotary_echo(
+            math.pi, ANALYSIS_OMEGA_MHZ * MHZ, n_cycles)
+        wave = pkg.dynamics.build_waveform(seq, ANALYSIS_LINE_MHZ * MHZ)
+        layers[f"propagate {label}"] = Layer(
+            lambda p, a=wave, d=dt_max: p.dynamics.propagate(a, dt_max=d),
+            "ms", 1e3)
+    spectral, omega = pkg.spectral, ANALYSIS_OMEGA_MHZ * MHZ
+    for label, b_mhz, t_total in REFIT_CASES:
+        trace = pkg.cli.triplet_trace(
+            math.pi, omega, b_mhz * MHZ, w.A_HYPERFINE_MHZ * MHZ, t_total,
+            dt_max=10e-9, shot_sigma=0.035, seed=REFIT_SEED)
+        pgram = spectral.periodogram(trace)
+        peaks = spectral.peak_significance(pgram, max_peaks=6)
+        layers[f"periodogram {label}"] = Layer(
+            lambda p, a=trace: p.spectral.periodogram(a), "ms", 1e3)
+        layers[f"peak_significance {label}"] = Layer(
+            lambda p, a=pgram: p.spectral.peak_significance(a, max_peaks=6),
+            "ms", 1e3)
+        layers[f"extract_detunings {label}"] = Layer(
+            lambda p, a=peaks, t=trace, f=2 * pgram.grid_spacing:
+            p.spectral.extract_detunings(a, math.pi, omega,
+                                         pair_tolerance_hz=f, trace=t),
+            "ms", 1e3)
+    sweeps = []
+    with warnings.catch_warnings():     # the envelope's ValidityWarning
+        warnings.simplefilter("ignore")
+        for op in _seed_1_ops("analysis-cli"):
+            if op.argv[0] != "sensitivity":
+                continue
+            cfg = pkg.config.parse_config(op.config)
+            seq = cfg.sequence
+            times = pkg.sensing.optimal_interrogation_times(
+                seq.theta, seq.omega, 0.0, cfg["grid"]["t_max_us"] * 1e-6)
+            envelope = 1.0 / pkg.models.decay_envelope(
+                pkg.noise.decay_scenario(seq, cfg.noise), times)
+            sweeps.append(((seq.kind, times, cfg.readout, envelope),
+                           {"theta": seq.theta, "omega": seq.omega,
+                            "hyperfine": cfg.hyperfine}))
+    layers["sensitivity_sweep"] = Layer(
+        lambda p: [p.sensing.sensitivity_sweep(*a, **k) for a, k in sweeps],
+        "ms", 1e3)
+    texts = [op.config for name in ("noise-static-small", "analysis-cli")
+             for op in _seed_1_ops(name) if op.config]
+    layers["parse_config"] = Layer(
+        lambda p: [p.config.parse_config(t) for t in texts],
+        "us per config", 1e6 / len(texts))
+    return layers
 
 
-@contextlib.contextmanager
-def _recorded_fits(spectral):
-    """Appends to the yielded list one dict per `_levenberg_marquardt`
-    call in the block: the residual, Jacobian and start point it was
-    handed (`fun`, `jac`, `x0`), its result (`x`) and the residual and
-    Jacobian evaluations it made.  Records nothing on a checkout whose
-    refit has no such solver."""
-    fits = []
+def evaluations(pkg, layer: Layer) -> dict | None:
+    """The residual and Jacobian evaluations of ``pkg``'s
+    `_levenberg_marquardt` calls in one run of ``layer``."""
+    spectral = pkg.spectral
     solve = getattr(spectral, "_levenberg_marquardt", None)
     if solve is None:
-        yield fits
-        return
+        return None
+    counts = {"residual": 0, "jacobian": 0}
 
-    def recording(fun, jac, x0):
-        fit = {"fun": fun, "jac": jac, "x0": np.array(x0, dtype=float),
-               "evaluations": 0, "jacobians": 0}
-        fits.append(fit)
+    def counted(name, fn):
+        def call(x):
+            counts[name] += 1
+            return fn(x)
+        return call
 
-        def fun_counted(x):
-            fit["evaluations"] += 1
-            return fun(x)
-
-        def jac_counted(x):
-            fit["jacobians"] += 1
-            return jac(x)
-
-        fit["x"] = solve(fun_counted, jac_counted, x0)
-        return fit["x"]
-
-    with _patched(spectral, "_levenberg_marquardt", recording):
-        yield fits
+    spectral._levenberg_marquardt = lambda fun, jac, x0: solve(
+        counted("residual", fun), counted("jacobian", jac), x0)
+    try:
+        layer.call(pkg)
+    finally:
+        spectral._levenberg_marquardt = solve
+    return counts
 
 
-def refit_start(cli, spectral, b_mhz, t_total) -> tuple:
-    """The arguments `extract_detunings` hands `_refine_pairs` on a figure
-    2 trace."""
-    mhz = 2e6 * math.pi
-    omega = ANALYSIS_OMEGA_MHZ * mhz
-    trace = cli.triplet_trace(math.pi, omega, b_mhz * mhz, 2.14 * mhz,
-                              t_total, dt_max=10e-9, shot_sigma=0.035,
-                              seed=REFIT_SEED)
-    pgram = spectral.periodogram(trace)
-    peaks = spectral.peak_significance(pgram, max_peaks=6)
-    refine, calls = spectral._refine_pairs, []
-    with _patched(spectral, "_refine_pairs",
-                  lambda *a: calls.append(a) or refine(*a)):
-        spectral.extract_detunings(peaks, math.pi, omega,
-                                   pair_tolerance_hz=2 * pgram.grid_spacing,
-                                   trace=trace)
-    [args] = calls
-    return args
+# ---------------------------------------------------------------------------
+# whole runs
+
+def _artifacts(out: Path) -> dict:
+    """Every file under ``out``: its bytes, a manifest's without its
+    timestamps."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                payload = json.loads(data)
+                payload.pop("started", None)
+                payload.pop("finished", None)
+                data = json.dumps(payload, sort_keys=True).encode()
+            files[str(path.relative_to(out))] = data
+    return files
 
 
-def time_refits(cli, spectral, repeats) -> dict:
-    """`_refine_pairs` on each figure 2 trace, from the start point
-    `extract_detunings` hands it: the median and the least ms of its
-    `repeats` refits, the cases timed in turn so that a drift of the host
-    falls on all alike; the residual and Jacobian evaluations of the
-    refit; and one refit point split into its parts (`point_us`)."""
-    starts = {label: refit_start(cli, spectral, b, t_total)
-              for label, b, t_total in REFIT_CASES}
-    times = {label: [] for label in starts}
-    for _ in range(repeats):
-        for label, args in starts.items():
-            times[label].append(_timed(
-                lambda: spectral._refine_pairs(*args)))
-    report = {}
-    for label, args in starts.items():
-        with _recorded_fits(spectral) as fits:
-            spectral._refine_pairs(*args)
-        fit = fits[0] if fits else None
-        report[label] = {
-            "samples": args[0].values.size, "pairs": args[2].size,
-            "ms_per_refit": statistics.median(times[label]) * 1e3,
-            "best_ms_per_refit": min(times[label]) * 1e3,
-            "evaluations_per_refit": fit and fit["evaluations"],
-            "jacobians_per_refit": fit and fit["jacobians"],
-            "point_us": fit and time_refit_point(fit, repeats)}
-    return report
+def cli_layer(name: str, work: Path) -> tuple[Layer, dict]:
+    """A seed-1 pass of workload ``name`` through `cli.main`, and the first
+    op times (ms) of each side's first pass, filled as the layer runs."""
+    ops = _seed_1_ops(name)
+    argvs = []
+    for i, op in enumerate(ops):
+        argv = list(op.argv)
+        if op.config is not None:
+            cfg = work / f"{name}-op{i}.ini"
+            cfg.write_text(op.config, encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        argvs.append(argv)
+    first = {}
 
-
-REFIT_POINTS = 20       # refit points per timed batch
-
-
-def time_refit_point(fit: dict, repeats) -> dict:
-    """Microseconds of one refit point, its residual and then its Jacobian
-    (those that `fit` recorded, from its start point), split into the
-    `np.cos`/`np.sin` calls that fill the basis (`trig`), the
-    `np.linalg.svd` call (`svd`) and the rest; the median of `repeats`
-    batches of `REFIT_POINTS` points."""
-    fun, jac, x0 = fit["fun"], fit["jac"], fit["x0"]
-    # two points in turn, so that no point finds its factors memoized
-    points = (x0, x0 * (1.0 + 1e-9))
-    spent = {"trig": 0.0, "svd": 0.0}
-
-    def timer(part, fn):
-        def timed(*a, **k):
+    def run_pass(p):
+        out = work / p.__name__ / name
+        for i, argv in enumerate(argvs):
+            malloc_trim(0)
             start = time.perf_counter()
-            try:
-                return fn(*a, **k)
-            finally:
-                spent[part] += time.perf_counter() - start
-        return timed
-
-    def batch():
-        spent.update(trig=0.0, svd=0.0)
-        with _patched(np, "cos", timer("trig", np.cos)), \
-                _patched(np, "sin", timer("trig", np.sin)), \
-                _patched(np.linalg, "svd", timer("svd", np.linalg.svd)):
-            start = time.perf_counter()
-            for i in range(REFIT_POINTS):
-                x = points[i % 2]
-                fun(x)
-                jac(x)
-            total = time.perf_counter() - start
-        return {"trig": spent["trig"], "svd": spent["svd"],
-                "rest": total - spent["trig"] - spent["svd"], "total": total}
-
-    batch()
-    runs = [batch() for _ in range(repeats)]
-    return {part: statistics.median(r[part] for r in runs)
-            / REFIT_POINTS * 1e6 for part in runs[0]}
-
-
-REPORTED_OPS = ("spectrum-15", "spectrum-10")
-
-
-def analysis_cli_refits(cli, spectral, repeats) -> dict:
-    """The refits of the 48 `remag spectrum` ops and the 8 figure 2a and
-    2b ops of an `analysis-cli` pass at seed 1, each op run once through
-    `remag.cli.main`: the median ms of all of them in turn, from the
-    start points the ops handed `_refine_pairs`, and their residual
-    evaluations (null on a checkout without `_levenberg_marquardt`)."""
-    import workloads as w
-
-    ops = [op for op in w.analysis_cli(random.Random(1))
-           if op.argv[0] == "spectrum" or op.argv[:2] in (("figure", "2a"),
-                                                          ("figure", "2b"))]
-    refine, calls = spectral._refine_pairs, []    # (op key, args)
-    key = None
-    with tempfile.TemporaryDirectory() as work, \
-            _patched(spectral, "_refine_pairs",
-                     lambda *a: calls.append((key, a)) or refine(*a)), \
-            _recorded_fits(spectral) as fits, \
-            contextlib.redirect_stderr(io.StringIO()):
-        for i, op in enumerate(ops):
-            key, argv = op.key, list(op.argv)
-            if op.config:
-                cfg = Path(work) / f"op{i}.ini"
-                cfg.write_text(op.config, encoding="utf-8")
-                argv += ["--config", str(cfg)]
-            rc = cli.main(argv + ["--out", str(Path(work) / f"op{i}")])
+            with contextlib.redirect_stderr(io.StringIO()):
+                rc = p.cli.main(argv + ["--out", str(out / f"op{i}")])
             if rc:
-                raise RuntimeError(f"op {op.key} exited {rc}")
-    report = {"ops": len(ops), "refits": len(calls),
-              "total_ms": _median_s(lambda: _timed(
-                  lambda: [refine(*a) for _, a in calls]), repeats) * 1e3}
-    if not fits:
-        return {**report, "evaluations": None}
-    counts = [fit["evaluations"] for fit in fits]
-    by_op = {}
-    for (op_key, _), n in zip(calls, counts):
-        by_op[op_key] = by_op.get(op_key, 0) + n
-    return {**report, "evaluations": sum(counts),
-            "evaluations_per_refit": sum(counts) / len(counts),
-            "median": statistics.median(counts), "max": max(counts),
-            "spectrum_evaluations": sum(
-                n for k, n in by_op.items() if k.startswith("spectrum-")),
-            "by_op": {k: by_op[k] for k in REPORTED_OPS}}
+                raise RuntimeError(f"{name} op {ops[i].key} exited {rc}")
+            first.setdefault(p.__name__, (time.perf_counter() - start) * 1e3)
+        return out
 
-
-def time_parse_config(config, repeats) -> float:
-    """Median us of one `parse_config` call over the configs of
-    `noise-static-small` and `analysis-cli` at seed 1."""
-    import workloads as w
-
-    texts = [op.config for name in ("noise-static-small", "analysis-cli")
-             for op in w.WORKLOADS[name](random.Random(1)) if op.config]
-    return _median_s(lambda: _timed(
-        lambda: [config.parse_config(t) for t in texts]),
-        repeats) / len(texts) * 1e6
-
-
-def time_model(noise, seq, delta, spec, repeats) -> float:
-    """Median ms of the model call `mc_vs_model` makes on an OU-z echo."""
-    times = noise.monte_carlo(seq, delta, spec, 1).times
-    return _median_s(lambda: _timed(
-        lambda: noise.exact_mean(seq, delta, spec, times)), repeats) * 1e3
-
-
-def _fork_and_reap() -> None:
-    pid = os.fork()
-    if pid == 0:
-        os._exit(0)
-    os.waitpid(pid, 0)
+    return Layer(run_pass, "ms per pass", 1e3, _artifacts), first
 
 
 #: (label, argv, text of the --config file or None) of each fresh process
@@ -583,93 +493,80 @@ print(json.dumps({"remag": remag.__file__, "rc": rc, "scipy": sorted(
     if m.startswith("scipy.") and not m.startswith("scipy._")
     and m.count(".") == 1)}))
 """
-SAMPLE_PATH_STEPS = 100_000
 
 
-def time_cold_start(src: Path, argv: list, config: str | None,
-                    repeats: int) -> dict:
-    """Median wall time of fresh processes that run ``argv`` through
-    `remag.cli.main` (import only for an empty ``argv``), on a config file
-    holding ``config`` if that is not None, and the scipy submodules they
-    loaded."""
+def cold_start(src: Path, argv: list, out: Path) -> Callable:
+    """A call that runs ``argv`` in a fresh interpreter on the checkout at
+    ``src``, writing to ``out``, and returns its exit code and the scipy
+    submodules it loaded."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    times = []
-    with tempfile.TemporaryDirectory() as out:
-        extra = ["--out", out] if argv else []
-        if config is not None:
-            path = Path(out) / "run.ini"
-            path.write_text(config, encoding="utf-8")
-            extra += ["--config", str(path)]
-        for _ in range(repeats):
-            start = time.perf_counter()
-            proc = subprocess.run(
-                [sys.executable, "-c", COLD_START_CHILD, *argv, *extra],
-                env=env, capture_output=True, text=True, check=True)
-            times.append(time.perf_counter() - start)
-    got = json.loads(proc.stdout.splitlines()[-1])
-    if Path(got["remag"]).resolve().parent != src / "remag" or got["rc"]:
-        raise RuntimeError(f"cold start of {argv}: {got}")
-    return {"wall_s": statistics.median(times), "scipy": got["scipy"]}
+    extra = ["--out", str(out)] if argv else []
 
+    def run():
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_CHILD, *argv, *extra],
+            env=env, capture_output=True, text=True, check=True)
+        got = json.loads(proc.stdout.splitlines()[-1])
+        if Path(got.pop("remag")).resolve().parent != src / "remag":
+            raise RuntimeError(f"cold start of {argv} loaded another remag")
+        return got
 
-def time_sample_path(noise, repeats) -> float:
-    """Median ns per value of one OU `sample_path` trial."""
-    tau_c = 0.2e-6
-    spec = noise.NoiseSpec(axis="z", kind="ou", sigma=2e6 * math.pi,
-                           tau_c=tau_c, seed=1)
-    dt = tau_c / 20
-    return _median_s(lambda: _timed(lambda: noise.sample_path(
-        spec, SAMPLE_PATH_STEPS * dt, dt)), repeats) / SAMPLE_PATH_STEPS * 1e9
+    return run
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="the src/ directory of the checkout to time")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="runs per figure (median reported)")
+                        help="the src/ directory of the other checkout "
+                             "(default: this one again, an A/A run)")
+    parser.add_argument("--repeats", type=int, default=20,
+                        help="timed pairs per layer")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    sys.path.insert(0, str(args.src.resolve()))
-    from remag import cli, config, dynamics, noise, spectral
+    pairs, few = args.repeats, max(3, args.repeats // 4)
+    this_src, other_src = (ROOT / "src").resolve(), args.src.resolve()
+    this, other = load(this_src, "remag_this"), load(other_src, "remag_other")
+    inputs = load(this_src, "remag_inputs")
 
-    report = {"numpy": np.__version__,
-              "python": sys.version.split()[0], "repeats": args.repeats,
-              "fork_min_trial_steps": getattr(noise, "_FORK_MIN_TRIAL_STEPS",
-                                              None),
-              "cases": {}}
-    for label, seq, delta, spec, trials, record in _cases(noise, dynamics):
-        report["cases"][label] = time_case(noise, dynamics, seq, delta, spec,
-                                           trials, record, args.repeats)
-        report["cases"][label]["monte_carlo_s"] = time_monte_carlo(
-            noise, seq, delta, spec, trials, record, args.repeats)
-        if spec.kind == "ou":
-            report["cases"][label]["model_ms"] = time_model(
-                noise, seq, delta, spec, args.repeats)
-            report["cases"][label]["mc_vs_model_s"] = time_mc_vs_model(
-                noise, seq, delta, spec, trials, args.repeats)
-    report["crossover"] = time_crossover(noise, dynamics, args.repeats)
-    # ru_maxrss is in KiB on Linux; the children so far are the workers
-    report["worker_peak_rss_mb"] = resource.getrusage(
-        resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-    report["self_peak_rss_mb"] = resource.getrusage(
-        resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    report["parse_config_us"] = time_parse_config(config, args.repeats)
-    report["fork_reap_ms"] = _median_s(lambda: _timed(_fork_and_reap),
-                                       max(args.repeats, 20)) * 1e3
-    report["analysis"] = {
-        "propagate_ms": {label: time_propagate(dynamics, n_cycles, dt_max,
-                                               args.repeats)
-                         for label, n_cycles, dt_max in PROPAGATE_CASES},
-        "refit": time_refits(cli, spectral, args.repeats),
-        "analysis_cli_refits": analysis_cli_refits(cli, spectral,
-                                                   args.repeats)}
-    src = args.src.resolve()
-    report["cold_start"] = {
-        "runs": {label: time_cold_start(src, argv, config, args.repeats)
-                 for label, argv, config in COLD_START_RUNS},
-        "sample_path_ns_per_sample": time_sample_path(noise, args.repeats)}
+    report = {"numpy": np.__version__, "python": sys.version.split()[0],
+              "this": str(this_src), "other": str(other_src),
+              "repeats": pairs, "layers": {}}
+    layers = report["layers"]
+    for label, layer in {**engine_layers(inputs),
+                         **analysis_layers(inputs)}.items():
+        layers[label] = time_layer(layer, this, other, pairs)
+        if label.startswith("extract_detunings"):
+            layers[label]["evaluations"] = {
+                "this": evaluations(this, layer),
+                "other": None if "skipped" in layers[label]
+                else evaluations(other, layer)}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in w.WORKLOADS:
+            layer, first = cli_layer(name, work)
+            layers[f"cli {name}"] = time_layer(layer, this, other, few)
+            layers[f"cli {name}"]["first_op_ms"] = {
+                "this": first.get(this.__name__),
+                "other": first.get(other.__name__)}
+        report["crossover"] = crossover(this, pairs)
+        report["fork_reap_ms"] = ab(_fork_and_reap, None, pairs, "ms",
+                                    1e3)["this"]
+        # ru_maxrss is in KiB on Linux; the children so far are the
+        # workers (and the reaped no-op children)
+        report["worker_peak_rss_mb"] = resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        report["self_peak_rss_mb"] = resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        for label, argv, config in COLD_START_RUNS:
+            if config is not None:
+                path = work / "cold.ini"
+                path.write_text(config, encoding="utf-8")
+                argv = argv + ["--config", str(path)]
+            layers[f"cold_start {label}"] = ab(
+                cold_start(this_src, argv, work / "cold-this"),
+                cold_start(other_src, argv, work / "cold-other"), few, "s",
+                1.0)
     print(json.dumps(report, indent=1))
     return 0
 

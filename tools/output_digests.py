@@ -5,8 +5,11 @@ on one config per scenario family, `sensitivity` on one config with
 non-default readout overheads, `noise` on one OU-z echo whose grid
 crosses several noise time blocks, on OU drive noise on Ramsey, on
 static drive noise on Rabi and on static dephasing on a detuned Rabi
-(no model column), `simulate` on four noiseless families (a pi
-echo, the hyperfine triplet, Rabi and Ramsey), `spectrum` on the
+(no model column, and a warning that says why), on resonant static
+drive noise on Ramsey (also under `sensitivity`) and on an OU-z echo
+whose bath is too strong and slow for the exact mean (no model column,
+a warning), `simulate` on four noiseless families (a pi echo, the
+hyperfine triplet, Rabi and Ramsey), `spectrum` on the
 noiseless triplet, two more whose window leakage clears the
 significance level and on Rabi (no line pairs), and `sensitivity` and
 `spectrum` on a 22 pi echo, which refocuses and so exits 1.  A
@@ -117,6 +120,18 @@ FAMILIES["static_x_rabi"] = (RABI, "detuning_mhz = 0.0\n",
 FAMILIES["static_z_rabi_detuned"] = (RABI, "detuning_mhz = 0.5\n",
                                      "enabled = true\nkind = static\n"
                                      "axis = z\nsigma_mhz = 1.0\n")
+# noise and sensitivity: static drive noise on Ramsey's free evolution,
+# on resonance, where mean_signal's form holds
+FAMILIES["static_x_ramsey"] = (RAMSEY, "detuning_mhz = 0.0\n",
+                               "enabled = true\nkind = static\naxis = x\n"
+                               "sigma_mhz = 1.0\n")
+# noise only: an OU-z echo past exact_mean's hierarchy level cap (no model
+# column; the manifest's warning names the cap)
+FAMILIES["ou_z_echo_refused"] = (ECHO_PI.replace("n_cycles = 12",
+                                                 "n_cycles = 18"),
+                                 "detuning_mhz = 2.0\n",
+                                 "enabled = true\nkind = ou\ntau_c_us = 2.0\n"
+                                 "axis = z\nsigma_mhz = 3.0\n")
 # simulate only: the noiseless trace of a detuned pi echo, Rabi and Ramsey
 # (read between its ideal pi/2 pulses)
 for name, seq in (("noiseless_echo", ECHO_PI), ("noiseless_rabi", RABI),
@@ -139,8 +154,10 @@ FAMILIES["even_theta_22"] = ("kind = rotary_echo\ntheta_pi = 22.0\n"
 COMMANDS = {"simulate": ("noiseless_echo", "noiseless_triplet",
                          "noiseless_rabi", "noiseless_ramsey"),
             "noise": SHARED + ("ou_z_echo_blocks", "ou_x_ramsey",
-                               "static_x_rabi", "static_z_rabi_detuned"),
-            "sensitivity": SHARED + ("ou_z_echo_readout", "even_theta_22"),
+                               "static_x_rabi", "static_z_rabi_detuned",
+                               "static_x_ramsey", "ou_z_echo_refused"),
+            "sensitivity": SHARED + ("ou_z_echo_readout", "even_theta_22",
+                                     "static_x_ramsey"),
             "spectrum": ("noiseless_triplet", "triplet_69_cycles",
                          "triplet_90_cycles_filtered", "noiseless_rabi",
                          "even_theta_22")}
