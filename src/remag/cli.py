@@ -29,8 +29,8 @@ from .calcium import ca_field, ca_required_sensitivity, implied_repetitions
 from .config import ConfigError, ScenarioConfig, config_hash, parse_config
 from .dynamics import GridTooLargeError, PulseSequence, SignalTrace, \
     build_waveform, cycle_period, propagate, refocuses
-from .noise import MAX_SEED, EnsembleResult, NoiseSpec, decay_scenario, \
-    mc_vs_model, _trial_rng, _usable_cpus
+from .noise import MAX_SEED, EnsembleResult, NoiseSpec, mc_vs_model, \
+    _trial_rng, _usable_cpus
 from .sensing import ReadoutModel, optimal_interrogation_times, \
     rabi_asymptote, sensitivity_ideal, sensitivity_sweep
 from .spectral import extract_detunings, harmonic_filter, peak_significance, \
@@ -300,8 +300,7 @@ def cmd_sensitivity(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     envelope = np.ones_like(times)
     if cfg.noise is not None:
         try:
-            envelope = 1.0 / models.decay_envelope(
-                decay_scenario(seq, cfg.noise), times)
+            envelope = 1.0 / models.decay_envelope(seq, cfg.noise, times)
         except ValueError as exc:  # no closed-form envelope for this pair
             raise cfg.error("noise", exc) from None
     ideal, corrected = sensitivity_sweep(

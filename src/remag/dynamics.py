@@ -283,10 +283,7 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
     n_steps = int(round(wave.total_duration / dt))
     times = dt * np.arange(n_steps + 1)
 
-    # signed amplitude per step
-    n_sub = int(round(wave.segment / dt))
-    amp_steps = np.repeat(wave.amplitudes, n_sub)
-
+    n_sub = int(round(wave.segment / dt))    # grid steps per segment
     values = np.empty(n_steps + 1)
     values[0] = 1.0
 
@@ -298,6 +295,8 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
                 f"got shape {noise_values.shape}")
         if not np.all(np.isfinite(noise_values)):
             raise ValueError("noise samples must be finite")
+        # signed amplitude and detuning per step
+        amp_steps = np.repeat(wave.amplitudes, n_sub)
         w_steps = wave.detuning + noise_values
         psi0, psi1 = 1.0 + 0.0j, 0.0j
         hx_all, hz_all, id_all = _hamiltonian_coeffs(amp_steps, w_steps)

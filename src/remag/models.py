@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import cycle_period, on_full_echoes, refocuses, theta_mod
+from .dynamics import (PulseSequence, cycle_period, on_full_echoes,
+                       refocuses, theta_mod)
+
+if TYPE_CHECKING:   # remag.noise imports this module
+    from .noise import NoiseSpec
 
 
 def re_signal(theta, omega, delta_omega, t):
@@ -204,93 +208,59 @@ def rabi_static_z_mean(omega, sigma, t):
 
 
 # ---------------------------------------------------------------------------
-# decay scenarios
+# decay of a sequence under a noise source: ``seq`` and ``spec`` are the
+# PulseSequence and NoiseSpec that remag.noise.monte_carlo runs
 
-@dataclass(frozen=True)
-class DecayScenario:
-    """Which sequence decays under which noise.
+def in_validity_window(seq: PulseSequence, spec: NoiseSpec) -> bool:
+    """Validity window of the OU-z rotary-echo exponent.
 
-    sequence: "rotary_echo" | "ramsey" | "rabi"
-    axis:     "z" (dephasing/bath) | "x" (drive amplitude)
-    kind:     "static" | "ou"
-    sigma in rad/s, tau_c in s (OU only); theta/omega as applicable.
+    The closed form is backed by simulations for
+    tau_c * sigma <~ theta/2 and tau_c >~ theta/(2 Omega); other
+    sequences and noises have no window restriction.  Inside the window the
+    cycle-averaged exponent still misses the detuned toggling frame
+    and the noise's intra-cycle coupling, a relative error of up to
+    about (theta / (2 sin(theta/2) Omega tau_c))^2 (8% at theta =
+    5 pi, Omega = 2 pi 20 MHz, tau_c = 0.2 us); the exact mean
+    (:func:`remag.noise.exact_mean`) has neither error.
     """
-
-    sequence: str
-    axis: str
-    kind: str
-    sigma: float
-    tau_c: float = 0.0
-    theta: float = 0.0
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if self.sequence not in ("rotary_echo", "ramsey", "rabi"):
-            raise ValueError(f"unknown sequence {self.sequence!r}")
-        if self.axis not in ("z", "x"):
-            raise ValueError("axis must be 'z' or 'x'")
-        if self.kind not in ("static", "ou"):
-            raise ValueError("kind must be 'static' or 'ou'")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
-        if self.kind == "ou" and self.tau_c <= 0.0:
-            raise ValueError("OU noise requires tau_c > 0")
-
-    @property
-    def in_validity_window(self) -> bool:
-        """Validity window of the OU-z rotary-echo exponent.
-
-        The closed form is backed by simulations for
-        tau_c * sigma <~ theta/2 and tau_c >~ theta/(2 Omega); other
-        scenarios have no window restriction.  Inside the window the
-        cycle-averaged exponent still misses the detuned toggling frame
-        and the noise's intra-cycle coupling, a relative error of up to
-        about (theta / (2 sin(theta/2) Omega tau_c))^2 (8% at theta =
-        5 pi, Omega = 2 pi 20 MHz, tau_c = 0.2 us); the exact mean
-        (:func:`remag.noise.exact_mean`) has neither error.
-        """
-        if not (self.sequence == "rotary_echo" and self.axis == "z"
-                and self.kind == "ou"):
-            return True
-        return (self.tau_c * self.sigma <= self.theta / 2.0
-                and self.tau_c >= self.theta / (2.0 * self.omega))
+    if not (seq.kind == "rotary_echo" and spec.axis == "z"
+            and spec.kind == "ou"):
+        return True
+    return (spec.tau_c * spec.sigma <= seq.theta / 2.0
+            and spec.tau_c >= seq.theta / (2.0 * seq.omega))
 
 
 class ValidityWarning(UserWarning):
-    """Scenario evaluated outside the stated validity window."""
+    """Envelope evaluated outside its stated validity window."""
 
 
-def _check_window(scenario: DecayScenario):
-    if not scenario.in_validity_window:
-        warnings.warn(
-            "OU dephasing rotary-echo envelope evaluated outside its "
-            "validity window (tau_c*sigma <= theta/2, tau_c >= theta/(2 Omega))",
-            ValidityWarning, stacklevel=3)
-
-
-def decay_envelope(scenario: DecayScenario, t):
+def decay_envelope(seq: PulseSequence, spec: NoiseSpec, times):
     """Multiplicative envelope on the oscillatory part of the signal.
 
-    ``t`` is time in seconds (for rotary echo under drive noise it should
-    sit on full-echo times; the exponent is evaluated at n = t/T).
+    ``times`` is time in seconds (for rotary echo under drive noise it
+    should sit on full-echo times; the exponent is evaluated at n = t/T).
     Static drive noise does not decay a resonant rotary echo at full-echo
-    times (exact refocusing), so that scenario returns a constant 1.
-    The static-z Rabi scenario has no multiplicative envelope; use
-    :func:`mean_signal`.
+    times (exact refocusing), so that pair returns a constant 1.
+    The static-z Rabi pair has no multiplicative envelope; use
+    :func:`mean_signal`.  The OU-z rotary echo warns
+    :class:`ValidityWarning` outside :func:`in_validity_window`.
     """
-    t = np.asarray(t, dtype=float)
-    s, a, k = scenario.sequence, scenario.axis, scenario.kind
+    t = np.asarray(times, dtype=float)
+    s, a, k, sigma = seq.kind, spec.axis, spec.kind, spec.sigma
     if a == "z":
         if s == "rotary_echo":
             if k == "static":
-                return np.exp(-(t / t_prime_re(scenario.theta, scenario.sigma)) ** 2)
-            _check_window(scenario)
-            return np.exp(-ou_zeta_re_z(scenario.theta, scenario.sigma,
-                                        scenario.tau_c, t))
+                return np.exp(-(t / t_prime_re(seq.theta, sigma)) ** 2)
+            if not in_validity_window(seq, spec):
+                warnings.warn(
+                    "OU dephasing rotary-echo envelope evaluated outside its "
+                    "validity window (tau_c*sigma <= theta/2, tau_c >= "
+                    "theta/(2 Omega))", ValidityWarning, stacklevel=2)
+            return np.exp(-ou_zeta_re_z(seq.theta, sigma, spec.tau_c, t))
         if s == "ramsey":
             if k == "static":
-                return np.exp(-(t / t_prime_ramsey(scenario.sigma)) ** 2)
-            return np.exp(-ou_zeta_prime(scenario.sigma, scenario.tau_c, t))
+                return np.exp(-(t / t_prime_ramsey(sigma)) ** 2)
+            return np.exp(-ou_zeta_prime(sigma, spec.tau_c, t))
         # rabi, z axis
         if k == "static":
             raise ValueError("static-z Rabi has no multiplicative envelope; "
@@ -301,19 +271,21 @@ def decay_envelope(scenario: DecayScenario, t):
     if s == "rotary_echo":
         if k == "static":
             return np.ones_like(t)
-        n = t / cycle_period(scenario.theta, scenario.omega)
-        return np.exp(-ou_zeta_re_x(scenario.theta, scenario.omega,
-                                    scenario.sigma, scenario.tau_c, n))
+        n = t / cycle_period(seq.theta, seq.omega)
+        return np.exp(-ou_zeta_re_x(seq.theta, seq.omega, sigma,
+                                    spec.tau_c, n))
     # rabi or ramsey: drive noise on Rabi mirrors bath noise on Ramsey, and
     # on Ramsey's undriven free evolution it alone turns the spin about x,
     # by a Gaussian angle, as on a resonant Rabi
     if k == "static":
-        return np.exp(-(t / t_prime_ramsey(scenario.sigma)) ** 2)
-    return np.exp(-ou_zeta_prime(scenario.sigma, scenario.tau_c, t))
+        return np.exp(-(t / t_prime_ramsey(sigma)) ** 2)
+    return np.exp(-ou_zeta_prime(sigma, spec.tau_c, t))
 
 
-def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
-    """Noise-averaged signal <S>(t) including the coherent oscillation.
+def mean_signal(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
+                times):
+    """Noise-averaged signal <S>(t) including the coherent oscillation,
+    in :func:`remag.noise.exact_mean`'s argument order.
 
     This function alone decides where its forms hold, and raises
     ValueError elsewhere:
@@ -325,7 +297,7 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
       be 0;
     - the rotary-echo forms hold at full echoes only, t = n 2 theta/Omega
       (:func:`remag.dynamics.on_full_echoes`);
-    - every scenario that :func:`decay_envelope` rejects.
+    - every pair that :func:`decay_envelope` rejects.
 
     The dephasing rotary-echo case is a first-order model: the beat of
     :func:`re_signal_full_echo` (beat-phase error n eps^3 (theta c - 2 s +
@@ -335,24 +307,23 @@ def mean_signal(scenario: DecayScenario, t, delta_omega: float = 0.0):
     mean under OU noise.  The drive-noise forms, and Ramsey's, are exact:
     there the phase is Gaussian (see :func:`ou_zeta_re_x`).
     """
-    t = np.asarray(t, dtype=float)
-    s, a, k = scenario.sequence, scenario.axis, scenario.kind
+    t = np.asarray(times, dtype=float)
+    s, a = seq.kind, spec.axis
     if delta_omega != 0.0 and (a == "x" or s == "rabi"):
         raise ValueError("the drive-noise and Rabi forms are resonant; "
                          "delta_omega must be 0")
-    if s == "rotary_echo" and not on_full_echoes(t, scenario.theta,
-                                                 scenario.omega):
+    if s == "rotary_echo" and not on_full_echoes(t, seq.theta, seq.omega):
         raise ValueError("the rotary-echo forms hold at full echoes "
                          "t = n 2 theta/Omega only")
-    if s == "rabi" and a == "z" and k == "static":
-        return rabi_static_z_mean(scenario.omega, scenario.sigma, t)
-    env = decay_envelope(scenario, t)
+    if s == "rabi" and a == "z" and spec.kind == "static":
+        return rabi_static_z_mean(seq.omega, spec.sigma, t)
+    env = decay_envelope(seq, spec, t)
     if a == "x":
-        osc = np.cos(scenario.omega * t) if s == "rabi" else 1.0
+        osc = np.cos(seq.omega * t) if s == "rabi" else 1.0
         return 0.5 * (1.0 + osc * env)
     if s == "rotary_echo":
-        half = scenario.theta / 2.0
-        osc = np.cos(2.0 * delta_omega * t * math.sin(half) / scenario.theta)
+        half = seq.theta / 2.0
+        osc = np.cos(2.0 * delta_omega * t * math.sin(half) / seq.theta)
         return 0.5 * (1.0 + math.cos(half) ** 2
                       + math.sin(half) ** 2 * osc * env)
     # ramsey

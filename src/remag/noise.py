@@ -48,7 +48,7 @@ import numpy as np
 from .dynamics import (OU_MIN_SAMPLES_PER_TAU, DriveWaveform, PulseSequence,
                        build_waveform, default_dt_max, full_echo_times,
                        uniform_grid_step)
-from .models import DecayScenario, mean_signal
+from .models import mean_signal
 
 #: largest seed: streams are keyed by 64-bit words, so a larger seed
 #: would silently alias a smaller one
@@ -530,14 +530,6 @@ def _receive(reader, c: int, start: int, stop: int, n_record: int):
                        f"failed in a worker process: {cause}")
 
 
-def decay_scenario(seq: PulseSequence, spec: NoiseSpec) -> DecayScenario:
-    """The closed-form models' view of ``seq`` run under ``spec``."""
-    return DecayScenario(sequence=seq.kind, axis=spec.axis, kind=spec.kind,
-                         sigma=spec.sigma,
-                         tau_c=spec.tau_c if spec.kind == "ou" else 0.0,
-                         theta=seq.theta, omega=seq.omega)
-
-
 def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
                 trials: int, record_times: np.ndarray | None = None):
     """``(EnsembleResult, model)``, the model on the ensemble's times.
@@ -559,11 +551,10 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     try:
         res = monte_carlo(seq, delta_omega, spec, trials=trials,
                           record_times=record_times)
+        model = exact_mean if spec.kind == "ou" else mean_signal
         try:
-            if spec.kind == "ou":
-                return res, exact_mean(seq, delta_omega, spec, res.times)
-            return res, np.atleast_1d(mean_signal(decay_scenario(seq, spec),
-                                                  res.times, delta_omega))
+            return res, np.atleast_1d(model(seq, delta_omega, spec,
+                                            res.times))
         except ValueError as exc:
             warnings.warn(f"no model column: {exc}", UserWarning,
                           stacklevel=2)

@@ -145,9 +145,12 @@ def _mc_rabi_x(trials):
                      seed=303)
     res = monte_carlo(seq, 0.0, spec, trials=trials,
                       record_times=period * np.arange(13))
-    scen = models.DecayScenario("rabi", "x", "ou", sigma=0.05 * W20,
-                                tau_c=TAU_C, omega=W20)
-    return res, np.atleast_1d(models.mean_signal(scen, res.times))
+    # an independent reference: the closed form on hand-built objects of
+    # its own, not on the ensemble's
+    ref_seq = PulseSequence.rabi(W20, 12 * period)
+    ref_spec = NoiseSpec(axis="x", kind="ou", sigma=0.05 * W20, tau_c=TAU_C)
+    return res, np.atleast_1d(models.mean_signal(ref_seq, 0.0, ref_spec,
+                                                 res.times))
 
 
 def test_criterion_05_mc_vs_closed_form():

@@ -19,8 +19,7 @@ import remag
 from remag.cli import RunWriter, main
 from remag.config import parse_config
 from remag.dynamics import PulseSequence
-from remag.models import (DecayScenario, ValidityWarning, decay_envelope,
-                          mean_signal)
+from remag.models import ValidityWarning, decay_envelope, mean_signal
 from remag.noise import NoiseSpec, exact_mean
 from remag.sensing import ReadoutModel, readout_factors, \
     repeated_readout_gain, sensitivity_ideal
@@ -757,9 +756,9 @@ class TestNoiseRun:
         ("axis = x\nkind = static\nsigma_rel = 0.05\n",
          "kind = rotary_echo\ntheta_pi = 5.0\nomega_mhz = 19.0\n"
          "n_cycles = 6\n",
-         lambda t: mean_signal(DecayScenario(
-             "rotary_echo", "x", "static", sigma=0.05 * W19,
-             theta=5 * math.pi, omega=W19), t)),
+         lambda t: mean_signal(PulseSequence.rotary_echo(5 * math.pi, W19, 6),
+                               0.0, NoiseSpec("x", "static", 0.05 * W19),
+                               t)),
         ("axis = x\nkind = ou\nsigma_rel = 0.05\ntau_c_us = 0.2\n",
          "kind = rotary_echo\ntheta_pi = 1.0\nomega_mhz = 19.0\n"
          "n_cycles = 20\n",
@@ -940,9 +939,9 @@ class TestSensitivity:
         theta, omega = math.pi, mhz_to_rad(17.0)
         cycle = 2 * theta / omega
         times = cycle * np.arange(1, int(5e-6 / cycle) + 1)
-        env = decay_envelope(DecayScenario("rotary_echo", "z", "ou",
-                                           mhz_to_rad(1.0), 0.2e-6, theta,
-                                           omega), times)
+        env = decay_envelope(PulseSequence.rotary_echo(theta, omega, 10),
+                             NoiseSpec("z", "ou", mhz_to_rad(1.0), 0.2e-6),
+                             times)
         r = ReadoutModel(n0=0.0022, n1=0.0015, n_r=100, t_r=1.5e-6,
                          t_d=0.7e-6)
         ideal, corrected = [], []

@@ -1,5 +1,5 @@
 """Smoke test of tools/layer_timings.py: its A/B loop on two loads of this
-checkout."""
+checkout, and its input builders."""
 
 import importlib.util
 import os
@@ -27,6 +27,11 @@ def test_two_loads_of_this_checkout_agree_bit_for_bit():
         assert report["unit"] == "ns per trial-step"
         assert report["this"] > 0 and report["other"] > 0
         assert sum(report["wins"].values()) <= 1
+        # the analysis layers' inputs are built through the package's API
+        # (the sensitivity sweep's through models.decay_envelope)
+        layers = tool.analysis_layers(this)
+        assert "exact_mean" in layers
+        assert layers["sensitivity_sweep"].call(this)
     finally:
         os.environ.clear()
         os.environ.update(environ)

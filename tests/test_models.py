@@ -5,9 +5,9 @@ import pytest
 
 from remag.dynamics import PulseSequence, build_waveform, propagate
 from remag.models import (
-    DecayScenario,
     ValidityWarning,
     decay_envelope,
+    in_validity_window,
     infidelity,
     mean_signal,
     ou_zeta_prime,
@@ -22,6 +22,7 @@ from remag.models import (
     t_prime_ramsey,
     t_prime_re,
 )
+from remag.noise import NoiseSpec
 from remag.units import mhz_to_rad
 
 W17 = mhz_to_rad(17.0)
@@ -128,57 +129,61 @@ class TestEnvelopes:
     def test_decay_envelope_dispatch(self):
         sigma, tau_c = mhz_to_rad(1.0), 2e-7
         t = np.array([0.0, 0.5e-6, 1e-6])
-        re_static = DecayScenario("rotary_echo", "z", "static", sigma,
-                                  theta=math.pi)
-        assert np.allclose(decay_envelope(re_static, t),
+        # the static-z echo envelope reads neither omega nor the cycle count
+        re_static = PulseSequence.rotary_echo(math.pi, W17, 1)
+        assert np.allclose(decay_envelope(re_static,
+                                          NoiseSpec("z", "static", sigma), t),
                            np.exp(-(t / t_prime_re(math.pi, sigma)) ** 2))
-        ram_ou = DecayScenario("ramsey", "z", "ou", sigma, tau_c=tau_c)
-        assert np.allclose(decay_envelope(ram_ou, t),
+        ram_ou = PulseSequence.ramsey(1e-6)
+        assert np.allclose(decay_envelope(ram_ou,
+                                          NoiseSpec("z", "ou", sigma, tau_c),
+                                          t),
                            np.exp(-ou_zeta_prime(sigma, tau_c, t)))
         # static drive noise does not decay full-echo rotary echo
-        re_x = DecayScenario("rotary_echo", "x", "static", sigma,
-                             theta=5 * math.pi, omega=mhz_to_rad(19.0))
-        assert np.all(decay_envelope(re_x, t) == 1.0)
+        re_x = PulseSequence.rotary_echo(5 * math.pi, mhz_to_rad(19.0), 1)
+        assert np.all(decay_envelope(re_x, NoiseSpec("x", "static", sigma),
+                                     t) == 1.0)
 
     def test_validity_window_warning(self):
         # tau_c sigma > theta/2 for theta = 3pi/4 at these parameters
-        scen = DecayScenario("rotary_echo", "z", "ou", sigma=mhz_to_rad(2.0),
-                             tau_c=2e-7, theta=0.75 * math.pi,
-                             omega=mhz_to_rad(20.0))
-        assert not scen.in_validity_window
+        seq = PulseSequence.rotary_echo(0.75 * math.pi, mhz_to_rad(20.0), 1)
+        spec = NoiseSpec("z", "ou", sigma=mhz_to_rad(2.0), tau_c=2e-7)
+        assert not in_validity_window(seq, spec)
         with pytest.warns(ValidityWarning):
-            decay_envelope(scen, 1e-6)
+            decay_envelope(seq, spec, 1e-6)
 
     def test_mean_signal_re(self):
         sigma, tau_c, dw = mhz_to_rad(1.0), 2e-7, mhz_to_rad(2.0)
-        scen = DecayScenario("rotary_echo", "z", "ou", sigma, tau_c=tau_c,
-                             theta=math.pi, omega=mhz_to_rad(20.0))
+        seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 10)
+        spec = NoiseSpec("z", "ou", sigma, tau_c)
         t = 10 * 2 * math.pi / mhz_to_rad(20.0)
-        env = float(decay_envelope(scen, t))
+        env = float(decay_envelope(seq, spec, t))
         expect = 0.5 * (1 + math.cos(2 * dw * t * math.sin(math.pi / 2) / math.pi) * env)
-        assert float(mean_signal(scen, t, dw)) == pytest.approx(expect)
+        assert float(mean_signal(seq, dw, spec, t)) == pytest.approx(expect)
 
     def test_mean_signal_re_off_full_echoes_raises(self):
         omega = mhz_to_rad(2.0)
-        scen = DecayScenario("rotary_echo", "z", "static", mhz_to_rad(1.0),
-                             theta=math.pi, omega=omega)
+        seq = PulseSequence.rotary_echo(math.pi, omega, 6)
+        spec = NoiseSpec("z", "static", mhz_to_rad(1.0))
         cycle = 2 * math.pi / omega
         dw = mhz_to_rad(0.17)
-        assert mean_signal(scen, cycle * np.arange(7), dw).shape == (7,)
+        assert mean_signal(seq, dw, spec, cycle * np.arange(7)).shape == (7,)
         with pytest.raises(ValueError, match="full echoes"):
-            mean_signal(scen, np.linspace(0.0, 6 * cycle, 49), dw)
+            mean_signal(seq, dw, spec, np.linspace(0.0, 6 * cycle, 49))
 
-    @pytest.mark.parametrize("scen", [
-        DecayScenario("rotary_echo", "x", "static", mhz_to_rad(1.0),
-                      theta=math.pi, omega=W17),
-        DecayScenario("rabi", "x", "static", mhz_to_rad(1.0), omega=W17),
-        DecayScenario("rabi", "z", "static", mhz_to_rad(1.0), omega=W17)],
+    @pytest.mark.parametrize("seq, spec", [
+        (PulseSequence.rotary_echo(math.pi, W17, 4),
+         NoiseSpec("x", "static", mhz_to_rad(1.0))),
+        (PulseSequence.rabi(W17, 1e-6),
+         NoiseSpec("x", "static", mhz_to_rad(1.0))),
+        (PulseSequence.rabi(W17, 1e-6),
+         NoiseSpec("z", "static", mhz_to_rad(1.0)))],
         ids=["static-x-echo", "static-x-rabi", "static-z-rabi"])
-    def test_resonant_forms_raise_off_resonance(self, scen):
+    def test_resonant_forms_raise_off_resonance(self, seq, spec):
         t = 2 * math.pi / W17 * np.arange(5)
-        assert mean_signal(scen, t).shape == (5,)
+        assert mean_signal(seq, 0.0, spec, t).shape == (5,)
         with pytest.raises(ValueError, match="resonant"):
-            mean_signal(scen, t, mhz_to_rad(0.5))
+            mean_signal(seq, mhz_to_rad(0.5), spec, t)
 
     def test_rabi_static_z_mean_t0(self):
         assert float(rabi_static_z_mean(W17, mhz_to_rad(1.0), 0.0)) == pytest.approx(1.0)

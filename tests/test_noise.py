@@ -16,11 +16,11 @@ from remag.dynamics import (PulseSequence, build_waveform, full_echo_times,
                             propagate, segment_unitary, su2_step,
                             _hamiltonian_coeffs)
 from remag import noise as noise_module
-from remag.models import (DecayScenario, mean_signal, ou_zeta_prime,
-                          ou_zeta_re_x, ramsey_signal, t_prime_ramsey)
+from remag.models import (mean_signal, ou_zeta_prime, ou_zeta_re_x,
+                          ramsey_signal, t_prime_ramsey)
 from remag.noise import (_BLOCK_STEPS, NoiseSpec, _noise_blocks,
-                         _propagate_batch, decay_scenario, exact_mean,
-                         mc_vs_model, monte_carlo, sample_path)
+                         _propagate_batch, exact_mean, mc_vs_model,
+                         monte_carlo, sample_path)
 from remag.units import mhz_to_rad
 from test_grid import PRESET_OU_CASES
 
@@ -601,13 +601,6 @@ class TestWorkers:
         self.assert_no_children()
 
 
-class TestDecayScenario:
-    def test_static_noise_has_no_correlation_time(self):
-        seq = PulseSequence.ramsey(1e-6)
-        spec = NoiseSpec(axis="z", kind="static", sigma=SIGMA, tau_c=TAU_C)
-        assert decay_scenario(seq, spec).tau_c == 0.0
-
-
 class TestMonteCarlo:
     def test_bit_reproducible(self):
         seq = PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 6)
@@ -655,9 +648,7 @@ class TestMonteCarlo:
                          seed=33)
         res = monte_carlo(seq, 0.0, spec, trials=600,
                           record_times=period * np.arange(11))
-        scen = DecayScenario("rabi", "x", "ou", sigma=0.05 * omega,
-                             tau_c=TAU_C, omega=omega)
-        model = mean_signal(scen, res.times)
+        model = mean_signal(seq, 0.0, spec, res.times)
         se = np.where(res.stderr > 0, res.stderr, 1.0)
         assert np.max(np.abs(res.mean - model) / se) < 4.0
 
@@ -669,7 +660,7 @@ class TestMonteCarlo:
         spec = NoiseSpec(axis="x", kind=kind, sigma=mhz_to_rad(1.0),
                          tau_c=TAU_C, seed=11)
         res = monte_carlo(seq, 0.0, spec, trials=2000)
-        model = mean_signal(decay_scenario(seq, spec), res.times)
+        model = mean_signal(seq, 0.0, spec, res.times)
         se = np.where(res.stderr > 0, res.stderr, np.inf)
         assert np.max(np.abs(res.mean - model) / se) < 4.0
 
@@ -794,7 +785,7 @@ class TestExactMean:
         # their closed forms are exact
         seq, dw, spec, record = PRESET_OU_CASES[label]
         times = full_echo_times(seq) if record is None else record
-        model = mean_signal(decay_scenario(seq, spec), times, dw)
+        model = mean_signal(seq, dw, spec, times)
         assert np.max(np.abs(model - exact_mean(seq, dw, spec, times))) \
             <= 1e-10
 

@@ -387,8 +387,8 @@ def analysis_layers(pkg) -> dict:
             seq = cfg.sequence
             times = pkg.sensing.optimal_interrogation_times(
                 seq.theta, seq.omega, 0.0, cfg["grid"]["t_max_us"] * 1e-6)
-            envelope = 1.0 / pkg.models.decay_envelope(
-                pkg.noise.decay_scenario(seq, cfg.noise), times)
+            envelope = 1.0 / pkg.models.decay_envelope(seq, cfg.noise,
+                                                       times)
             sweeps.append(((seq.kind, times, cfg.readout, envelope),
                            {"theta": seq.theta, "omega": seq.omega,
                             "hyperfine": cfg.hyperfine}))

@@ -6,13 +6,15 @@ non-default readout overheads, `noise` on one OU-z echo whose grid
 crosses several noise time blocks, on OU drive noise on Ramsey, on
 static drive noise on Rabi and on static dephasing on a detuned Rabi
 (no model column, and a warning that says why), on resonant static
-drive noise on Ramsey (also under `sensitivity`) and on an OU-z echo
-whose bath is too strong and slow for the exact mean (no model column,
-a warning), `simulate` on four noiseless families (a pi echo, the
-hyperfine triplet, Rabi and Ramsey), `spectrum` on the
-noiseless triplet, two more whose window leakage clears the
-significance level and on Rabi (no line pairs), and `sensitivity` and
-`spectrum` on a 22 pi echo, which refocuses and so exits 1.  A
+drive noise on Ramsey, on static dephasing on a detuned pi echo and on
+a resonant Rabi (these three also under `sensitivity`, where the Rabi
+has no envelope and exits 1) and on an OU-z echo whose bath is too
+strong and slow for the exact mean (no model column, a warning),
+`simulate` on four noiseless families (a pi echo, the hyperfine
+triplet, Rabi and Ramsey), `spectrum` on the noiseless triplet, two
+more whose window leakage clears the significance level and on Rabi
+(no line pairs), and `sensitivity` and `spectrum` on a 22 pi echo,
+which refocuses and so exits 1.  A
 refactor that must keep outputs byte-identical prints the same lines as
 its parent commit; manifests are hashed without their `started` and
 `finished` timestamps, the only fields allowed to differ between reruns.
@@ -132,6 +134,15 @@ FAMILIES["ou_z_echo_refused"] = (ECHO_PI.replace("n_cycles = 12",
                                  "detuning_mhz = 2.0\n",
                                  "enabled = true\nkind = ou\ntau_c_us = 2.0\n"
                                  "axis = z\nsigma_mhz = 3.0\n")
+# noise and sensitivity: static dephasing on a detuned pi echo (mean_signal's
+# first-order beat times the t_prime_re envelope), and on a resonant Rabi
+# (rabi_static_z_mean; sensitivity refuses it: no multiplicative envelope)
+FAMILIES["static_z_echo"] = (ECHO_PI, "detuning_mhz = 2.0\n",
+                             "enabled = true\nkind = static\naxis = z\n"
+                             "sigma_mhz = 1.0\n")
+FAMILIES["static_z_rabi"] = (RABI, "detuning_mhz = 0.0\n",
+                             "enabled = true\nkind = static\naxis = z\n"
+                             "sigma_mhz = 1.0\n")
 # simulate only: the noiseless trace of a detuned pi echo, Rabi and Ramsey
 # (read between its ideal pi/2 pulses)
 for name, seq in (("noiseless_echo", ECHO_PI), ("noiseless_rabi", RABI),
@@ -155,9 +166,11 @@ COMMANDS = {"simulate": ("noiseless_echo", "noiseless_triplet",
                          "noiseless_rabi", "noiseless_ramsey"),
             "noise": SHARED + ("ou_z_echo_blocks", "ou_x_ramsey",
                                "static_x_rabi", "static_z_rabi_detuned",
-                               "static_x_ramsey", "ou_z_echo_refused"),
+                               "static_x_ramsey", "ou_z_echo_refused",
+                               "static_z_echo", "static_z_rabi"),
             "sensitivity": SHARED + ("ou_z_echo_readout", "even_theta_22",
-                                     "static_x_ramsey"),
+                                     "static_x_ramsey", "static_z_echo",
+                                     "static_z_rabi"),
             "spectrum": ("noiseless_triplet", "triplet_69_cycles",
                          "triplet_90_cycles_filtered", "noiseless_rabi",
                          "even_theta_22")}
