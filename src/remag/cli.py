@@ -28,7 +28,7 @@ from . import __version__, models
 from .calcium import ca_field, ca_required_sensitivity, implied_repetitions
 from .config import ConfigError, ScenarioConfig, config_hash, parse_config
 from .dynamics import GridTooLargeError, PulseSequence, SignalTrace, \
-    build_waveform, cycle_period, propagate, refocuses
+    build_waveform, cycle_period, propagate, refocuses, steps_per_segment
 from .noise import MAX_SEED, EnsembleResult, NoiseSpec, mc_vs_model, \
     _trial_rng, _usable_cpus
 from .sensing import ReadoutModel, optimal_interrogation_times, \
@@ -181,15 +181,18 @@ def _mean_trace(seq: PulseSequence, b: float, hyperfine: float,
     """
     detunings = [b] if hyperfine == 0.0 else [b, hyperfine - b, hyperfine + b]
     if seq.kind == "ramsey":
-        base = propagate(build_waveform(seq, b), dt_max=dt_max)  # the grid
-        values = np.mean([models.ramsey_signal(dw, base.times)
+        # propagate's grid over the one segment
+        wave = build_waveform(seq, b)
+        n_steps = steps_per_segment(wave, dt_max)
+        dt = wave.segment / n_steps
+        times = dt * np.arange(n_steps + 1)
+        values = np.mean([models.ramsey_signal(dw, times)
                           for dw in detunings], axis=0)
-    else:
-        traces = [propagate(build_waveform(seq, dw), dt_max=dt_max)
-                  for dw in detunings]
-        base = traces[0]
-        values = np.mean([t.values for t in traces], axis=0)
-    return SignalTrace(times=base.times, values=values, dt=base.dt)
+        return SignalTrace(times=times, values=values, dt=dt)
+    traces = [propagate(build_waveform(seq, dw), dt_max=dt_max)
+              for dw in detunings]
+    values = np.mean([t.values for t in traces], axis=0)
+    return SignalTrace(times=traces[0].times, values=values, dt=traces[0].dt)
 
 
 def _noiseless_trace(cfg: ScenarioConfig) -> SignalTrace:
@@ -248,9 +251,12 @@ def cmd_spectrum(cfg: ScenarioConfig, w: RunWriter, args) -> None:
     filtered = sp["filter_harmonics"] and rotary
     if filtered:
         trace = harmonic_filter(trace, seq.omega, seq.theta)
-    pgram = periodogram(trace, oversample=sp["oversample"])
-    peaks = peak_significance(pgram, max_peaks=sp["max_peaks"],
-                              level=sp["level"])
+    try:    # too few samples, or a flat trace
+        pgram = periodogram(trace, oversample=sp["oversample"])
+        peaks = peak_significance(pgram, max_peaks=sp["max_peaks"],
+                                  level=sp["level"])
+    except ValueError as exc:
+        raise cfg.error("sequence", exc) from None
     w.csv("spectrum.csv", {"freq_mhz": pgram.frequencies / 1e6,
                            "power": pgram.power},
           extra_meta={"filtered": filtered})

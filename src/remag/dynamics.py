@@ -26,9 +26,6 @@ IDENTITY = np.eye(2, dtype=complex)
 #: hard ceiling on grid size; propagation refuses to build larger grids
 MAX_GRID_STEPS = 50_000_000
 
-#: an OU noise path is sampled at least this many times per correlation time
-OU_MIN_SAMPLES_PER_TAU = 20
-
 
 class GridTooLargeError(ValueError):
     """A uniform grid would take more than :data:`MAX_GRID_STEPS` steps."""
@@ -178,21 +175,18 @@ def build_waveform(seq: PulseSequence, delta_omega: float) -> DriveWaveform:
     return DriveWaveform(seq.duration, np.array([0.0]), delta_omega)
 
 
-def default_dt_max(wave: DriveWaveform, tau_c: float | None = None) -> float:
-    """Default grid step: min(T_Rabi/200, tau_c/20 when noise is present)."""
+def default_dt_max(wave: DriveWaveform) -> float:
+    """Default grid step: T_Rabi/200, or 1/512 of an undriven run."""
     amp = np.max(np.abs(wave.amplitudes))
     if amp > 0.0:
-        dt = (TWO_PI / amp) / 200.0
-    else:
-        dt = wave.total_duration / 512.0
-    if tau_c is not None:
-        dt = min(dt, tau_c / OU_MIN_SAMPLES_PER_TAU)
-    return dt
+        return (TWO_PI / amp) / 200.0
+    return wave.total_duration / 512.0
 
 
-def uniform_grid_step(wave: DriveWaveform, dt_max: float) -> float:
-    """Largest uniform step <= dt_max that lands exactly on every segment
-    boundary; :class:`GridTooLargeError` past :data:`MAX_GRID_STEPS`."""
+def steps_per_segment(wave: DriveWaveform, dt_max: float) -> int:
+    """Steps per segment of the coarsest uniform grid of steps <= dt_max
+    that lands on every segment boundary; :class:`GridTooLargeError` past
+    :data:`MAX_GRID_STEPS` steps in all."""
     if dt_max <= 0.0:
         raise ValueError("dt_max must be positive")
     n_sub = max(1, math.ceil(wave.segment / dt_max - 1e-9))
@@ -200,7 +194,7 @@ def uniform_grid_step(wave: DriveWaveform, dt_max: float) -> float:
     if n_total > MAX_GRID_STEPS:
         raise GridTooLargeError(
             f"grid of {n_total} steps exceeds MAX_GRID_STEPS")
-    return wave.segment / n_sub
+    return n_sub
 
 
 def _su2_factors(hx, hz, ident, dt):
@@ -279,11 +273,10 @@ def propagate(wave: DriveWaveform, noise_values: np.ndarray | None = None,
     """
     if dt_max is None:
         dt_max = default_dt_max(wave)
-    dt = uniform_grid_step(wave, dt_max)
-    n_steps = int(round(wave.total_duration / dt))
+    n_sub = steps_per_segment(wave, dt_max)
+    dt = wave.segment / n_sub
+    n_steps = n_sub * wave.amplitudes.size
     times = dt * np.arange(n_steps + 1)
-
-    n_sub = int(round(wave.segment / dt))    # grid steps per segment
     values = np.empty(n_steps + 1)
     values[0] = 1.0
 

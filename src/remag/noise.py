@@ -11,18 +11,17 @@ steps through as they are drawn, so its memory is O(chunk x block) however
 long the run; a trial's values are the same whichever chunk or block they
 are drawn in, and :func:`sample_path` returns them for one trial.
 
-The grid is sized to the noise (:func:`_noise_grid_step`): one exact step
-per constant run between record times under static noise, tau_c/20 or
-finer under OU noise.  The kernel applies each step as one 2x2 update of
-the state.  Static noise is one row held for the whole run, so each drive
-amplitude's step is computed once, and an interval between records whose
-pattern of steps recurs (every full echo of a rotary echo) is one update
-too, by a product built once; OU noise computes every step anew.  A run
-of several large chunks spreads them over forked worker processes
-(:func:`_workers`), and :func:`mc_vs_model` computes its model while they
-exit; chunks are merged in chunk order, so results do not depend on the
-CPU count or on whether a run forked.  :func:`exact_mean` is the mean an
-OU ensemble estimates, solved with no sampling and no grid.
+The grid is sized to the noise, by the one rule that :func:`_grid` states.
+The kernel applies each step as one 2x2 update of the state.  Static
+noise is one row held for the whole run, so each drive amplitude's step
+is computed once, and an interval between records whose pattern of steps
+recurs (every full echo of a rotary echo) is one update too, by a product
+built once; OU noise computes every step anew.  A run of several large
+chunks spreads them over forked worker processes (:func:`_workers`), and
+:func:`mc_vs_model` computes its model while they exit; chunks are merged
+in chunk order, so results do not depend on the CPU count or on whether a
+run forked.  :func:`exact_mean` is the mean an OU ensemble estimates,
+solved with no sampling and no grid.
 
 Noise strengths are in rad/s on both axes; a drive-noise strength stated
 as a fraction of the Rabi frequency is converted where it arrives
@@ -45,14 +44,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import (OU_MIN_SAMPLES_PER_TAU, DriveWaveform, PulseSequence,
-                       build_waveform, default_dt_max, full_echo_times,
-                       uniform_grid_step)
+from .dynamics import (DriveWaveform, PulseSequence, build_waveform,
+                       default_dt_max, full_echo_times, steps_per_segment)
 from .models import mean_signal
 
 #: largest seed: streams are keyed by 64-bit words, so a larger seed
 #: would silently alias a smaller one
 MAX_SEED = 2**64 - 1
+
+#: an OU noise path is sampled at least this many times per correlation time
+OU_MIN_SAMPLES_PER_TAU = 20
 
 
 @dataclass(frozen=True)
@@ -241,76 +242,91 @@ def _merge_welford(count, mean, m2, batch):
     return total, new_mean, new_m2
 
 
-def _drive_grid(wave: DriveWaveform, spec: NoiseSpec) -> float:
-    """The largest step of at most min(T_Rabi/200, tau_c/20 under OU
-    noise) that lands on every segment boundary."""
-    tau_c = spec.tau_c if spec.kind == "ou" else None
-    return uniform_grid_step(wave, default_dt_max(wave, tau_c))
-
-
-def _default_record_times(seq: PulseSequence, wave: DriveWaveform,
-                          spec: NoiseSpec) -> np.ndarray:
-    """Every full echo of a rotary echo; otherwise up to 512 records about
-    1 ns apart, and no more than :func:`_noise_grid_step` can land on:
-    twice the drive grid's step count over the run's one segment."""
-    if seq.kind == "rotary_echo":
-        return full_echo_times(seq)
-    n_max = 2 * int(round(wave.segment / _drive_grid(wave, spec)))
-    n = min(512, n_max, max(2, int(round(seq.total_duration / 1e-9))))
-    return np.linspace(0.0, seq.total_duration, n + 1)
-
-
-def _noise_grid_step(wave: DriveWaveform, spec: NoiseSpec,
-                     record_times: np.ndarray) -> float:
-    """Grid step of a Monte Carlo run, sized to the noise.
+def _grid(seq: PulseSequence, wave: DriveWaveform, spec: NoiseSpec,
+          record_times, dt_max: float | None) -> tuple[int, np.ndarray]:
+    """Steps per segment and record step indices of a Monte Carlo run:
+    the one statement of the grid rule.
 
     Each step is an exact SU(2) exponential with the noise held constant,
-    so the grid only has to sample the noise.  One rule covers every case:
-    the step is base/n for the segment length base and the least n >= n_min
-    that lands on every breakpoint and every record time
-    (|t/dt - round(t/dt)| < 1e-6), with n_min
+    so the grid only has to sample the noise.  The drive grid has n_drive
+    steps per segment, the fewest of at most min(T_Rabi/200, tau_c/20
+    under OU noise) each.  Records default to every full echo of a rotary
+    echo, otherwise to up to 512 about 1 ns apart and at most 2 n_drive.
+
+    ``dt_max`` forces ``steps_per_segment(wave, dt_max)``.  Otherwise a
+    segment takes the least n >= n_min steps that land on every record
+    time (|t/dt - round(t/dt)| < 1e-6, dt = segment/n), with n_min
 
     - 1 for static noise, on any sequence and either axis: the
       Hamiltonian is constant between breakpoints, so one step per
       constant run between records is exact;
     - tau_c/20 steps for OU dephasing during a rotary echo;
-    - the drive grid min(T_Rabi/200, tau_c/20) for every other case: held
-      over tau_c/20, OU drive noise biases a rotary echo by several
-      standard errors at 10^4 trials (the echo refocuses it to second
-      order, so the standard error is tiny), and OU dephasing biases
-      Ramsey by 0.3 of one.
+    - n_drive for every other case: held over tau_c/20, OU drive noise
+      biases a rotary echo by several standard errors at 10^4 trials
+      (the echo refocuses it to second order, so the standard error is
+      tiny), and OU dephasing biases Ramsey by 0.3 of one.
 
-    n is at most twice the drive grid's step count; when no such n lands
-    on the record times, the drive grid is the fallback, and records off
-    it are taken at their nearest grid step.
+    n is at most 2 n_drive, else the drive grid is the fallback.  Each
+    record is taken at its nearest step; no records, a record off the run
+    and two records on one step are a ValueError.  The drive grid is
+    sized, and refused past ``MAX_GRID_STEPS``, unless both the grid and
+    the records are given: a static run is refused over the drive grid's
+    step count although it takes far fewer steps.
     """
-    drive_grid = _drive_grid(wave, spec)
     base = wave.segment
-    n_drive = int(round(base / drive_grid))
-    if spec.kind == "static":
-        n_min = 1
-    elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # OU-z echo
-        n_min = math.ceil(base / (spec.tau_c / OU_MIN_SAMPLES_PER_TAU) - 1e-9)
+    if record_times is None and seq.kind == "rotary_echo":
+        record_times = full_echo_times(seq)
+    if dt_max is None or record_times is None:
+        drive_max = default_dt_max(wave)
+        if spec.kind == "ou":
+            drive_max = min(drive_max, spec.tau_c / OU_MIN_SAMPLES_PER_TAU)
+        n_drive = steps_per_segment(wave, drive_max)
+    if record_times is None:
+        gaps = min(512, 2 * n_drive, max(2, round(seq.total_duration / 1e-9)))
+        record_times = np.linspace(0.0, seq.total_duration, gaps + 1)
+    record_times = np.asarray(record_times, dtype=float)
+    if dt_max is not None:
+        n = steps_per_segment(wave, dt_max)
     else:
-        n_min = n_drive
-    # segment boundaries lie at multiples of base, so steps of base/n land
-    # on them; a record time at t = (p/q) base lands when q divides n
-    n_max = 2 * n_drive
-    fracs = np.unique(np.asarray(record_times, dtype=float)) / base
-    # any p/q != m with q <= n_max lies 1/n_max or more from the integer m,
-    # so m is the nearest such fraction to a record within 0.5/n_max of it
-    # (q = 1); only the other records need the search
-    near = np.abs(fracs - np.rint(fracs)) < 0.5 / n_max
-    n = 1
-    for f in fracs[~near].tolist():
-        n = math.lcm(n, Fraction(f).limit_denominator(n_max).denominator)
-        if n > n_max:
-            return drive_grid
-    n *= math.ceil(n_min / n)
-    x = fracs * n
-    if n > n_max or np.any(np.abs(x - np.rint(x)) >= 1e-6):
-        return drive_grid
-    return base / n
+        if spec.kind == "static":
+            n_min = 1
+        elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # OU-z echo
+            n_min = math.ceil(base / (spec.tau_c / OU_MIN_SAMPLES_PER_TAU)
+                              - 1e-9)
+        else:
+            n_min = n_drive
+        # segment boundaries lie at multiples of base, so steps of base/n
+        # land on them; a record time at t = (p/q) base lands when q
+        # divides n.  Any p/q != m with q <= n_max lies 1/n_max or more
+        # from the integer m, so m is the nearest such fraction to a
+        # record within 0.5/n_max of it (q = 1); only the other records
+        # need the search
+        n_max = 2 * n_drive
+        fracs = np.unique(record_times) / base
+        near = np.abs(fracs - np.rint(fracs)) < 0.5 / n_max
+        n = 1
+        for f in fracs[~near].tolist():
+            n = math.lcm(n, Fraction(f).limit_denominator(n_max).denominator)
+            if n > n_max:
+                break
+        else:
+            n *= math.ceil(n_min / n)
+            x = fracs * n
+        if n > n_max or np.any(np.abs(x - np.rint(x)) >= 1e-6):
+            n = n_drive
+
+    dt = base / n
+    requested = np.rint(record_times / dt)
+    if requested.size == 0:
+        raise ValueError("record times must not be empty")
+    if not np.all((requested >= 0) & (requested <= n * wave.amplitudes.size)):
+        raise ValueError(
+            f"record times must lie in [0, {wave.total_duration:.6g}] s")
+    record_idx = np.unique(requested.astype(int))
+    if record_idx.size < requested.size:
+        raise ValueError(f"record times must be at least one grid step "
+                         f"(dt = {dt:.6g} s) apart")
+    return n, record_idx
 
 
 def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
@@ -321,49 +337,23 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
 
     Trials are independent, keyed by (spec.seed, trial_index), and
     reduced in a fixed chunked order (Welford merging), so results are
-    bit-reproducible for a given trial count and chunk size.  Defaults:
-    record at full-echo times for rotary echo, a uniform grid otherwise.
+    bit-reproducible for a given trial count and chunk size.
 
-    The noise is held constant over each grid step.  ``dt_max`` forces a
-    grid no coarser than it; by default the grid is sized to the noise
-    (see :func:`_noise_grid_step`): one step per constant run between
-    records under static noise, tau_c/20 under OU dephasing during a
-    rotary echo, and min(T_Rabi/200, tau_c/20) otherwise, each refined
-    until the steps land on the record times.  Records are then taken
-    exactly where requested; records that no step of at most twice the
-    drive grid's count lands on (an irrational fraction of a segment) are
-    taken at their nearest step of the drive grid, and ``times`` holds
-    those snapped times.  No record times, a record time off the run
-    (nearest grid index outside [0, n_steps]) and two record times with
-    the same nearest grid index are errors.
-    ``meta`` records the step ``dt``, the step count ``n_steps`` and the
-    number of trial ``chunks``.  Large chunks may run in forked worker
-    processes (see :func:`_workers`); the result is the same either way.
+    The noise is held constant over each grid step.  The grid and the
+    records, by default and under ``dt_max``, which forces a grid no
+    coarser than it, follow :func:`_grid`; ``times`` holds the grid
+    times the records were taken at.  ``meta`` records the step ``dt``,
+    the step count ``n_steps`` and the number of trial ``chunks``.
+    Large chunks may run in forked worker processes (see
+    :func:`_workers`); the result is the same either way.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wave = build_waveform(seq, delta_omega)
-    if record_times is None:
-        record_times = _default_record_times(seq, wave, spec)
-    if dt_max is None:
-        dt = _noise_grid_step(wave, spec, record_times)
-    else:
-        dt = uniform_grid_step(wave, dt_max)
-    n_steps = int(round(wave.total_duration / dt))
-
-    requested = np.rint(np.asarray(record_times, dtype=float) / dt)
-    if requested.size == 0:
-        raise ValueError("record times must not be empty")
-    if not np.all((requested >= 0) & (requested <= n_steps)):
-        raise ValueError(
-            f"record times must lie in [0, {wave.total_duration:.6g}] s")
-    record_idx = np.unique(requested.astype(int))
-    if record_idx.size < requested.size:
-        raise ValueError(f"record times must be at least one grid step "
-                         f"(dt = {dt:.6g} s) apart")
+    n_sub, record_idx = _grid(seq, wave, spec, record_times, dt_max)
+    dt = wave.segment / n_sub
+    n_steps = n_sub * wave.amplitudes.size
     times = dt * record_idx
-
-    n_sub = int(round(wave.segment / dt))
     amp_steps = np.repeat(wave.amplitudes, n_sub)
 
     def run_chunk(start, stop):

@@ -125,13 +125,12 @@ def repeated_readout_gain(r: ReadoutModel) -> float:
 
 def corrected_sensitivity(eta_ideal: float, c: float, c_a: float,
                           envelope: float, t: float,
-                          readout: ReadoutModel | None = None) -> float:
+                          readout: ReadoutModel) -> float:
     """Apply readout factors, decoherence envelope and time overhead.
 
     eta = eta_ideal * envelope / (C_eff * C_A) * sqrt((t + t_d + n_r t_r)/t),
     where n_r, t_r and t_d come from the readout model and C_eff is C
-    boosted by its repeated-readout gain.  Without a readout model the
-    overhead is 1 and C_eff = C.
+    boosted by its repeated-readout gain.
     """
     if not (0.0 < c <= 1.0) or not (0.0 <= c_a <= 1.0):
         raise ValueError("factors must lie in (0, 1]")
@@ -139,8 +138,6 @@ def corrected_sensitivity(eta_ideal: float, c: float, c_a: float,
         return math.inf  # insensitive interrogation time
     if envelope <= 0.0:
         raise ValueError("envelope must be positive")
-    if readout is None:
-        return eta_ideal * envelope / (c * c_a)
     c_eff = c * repeated_readout_gain(readout)
     overhead = math.sqrt((t + readout.t_d + readout.n_r * readout.t_r) / t)
     return eta_ideal * envelope / (c_eff * c_a) * overhead

@@ -441,6 +441,23 @@ class TestExitCodes:
         assert "re.ini:1: [sequence]" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("body, message", [
+        ("[sequence]\nkind = ramsey\nduration_us = 0.05\n",
+         "need at least 8 samples"),
+        ("[sequence]\nkind = ramsey\n[field]\ndetuning_mhz = 0\n",
+         "spectrum is degenerate; cannot rank peaks")],
+        ids=["six samples", "flat ramsey"])
+    def test_spectrum_of_unrankable_trace_exits_1(self, tmp_path, capsys,
+                                                  body, message):
+        # the periodogram refuses the noiseless trace: a config error
+        cfg = tmp_path / "ramsey.ini"
+        cfg.write_text(body)
+        rc, out = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert rc == 1
+        assert f"ramsey.ini:1: [sequence] {message}" in \
+            capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("theta_pi", ["2.0", "4.0", "22.0", "26.0"])
     def test_sensitivity_at_even_theta_exits_1(self, tmp_path, capsys,
                                                theta_pi):

@@ -14,11 +14,11 @@ from remag.dynamics import (
     propagate,
     refocuses,
     segment_unitary,
+    steps_per_segment,
     su2_step,
     total_propagator,
     triangular_wave,
     u0_on_resonance,
-    uniform_grid_step,
 )
 from remag.models import re_signal, t_prime_re
 from remag.sensing import ReadoutModel, re_coefficient, readout_factors
@@ -125,10 +125,10 @@ class TestRefocusing:
         assert full_echo_times(seq)[1] == seq.cycle_period
 
 
-def test_uniform_grid_step_lands_on_breakpoints():
+def test_steps_per_segment_lands_on_breakpoints():
     seq = PulseSequence.rotary_echo(0.75 * math.pi, W17, 2)
     wave = build_waveform(seq, 0.0)
-    dt = uniform_grid_step(wave, default_dt_max(wave))
+    dt = wave.segment / steps_per_segment(wave, default_dt_max(wave))
     seg = wave.segment
     assert abs(seg / dt - round(seg / dt)) < 1e-9
 
@@ -187,8 +187,8 @@ def _per_segment_reference(wave, dt_max):
     the in-segment offsets, one to the next segment's start state.  This
     is the segment loop that `propagate` ran before it filled all segments
     of one amplitude in one broadcast."""
-    dt = uniform_grid_step(wave, dt_max)
-    n_sub = int(round(wave.segment / dt))
+    n_sub = steps_per_segment(wave, dt_max)
+    dt = wave.segment / n_sub
     values = np.empty(n_sub * wave.amplitudes.size + 1)
     values[0] = 1.0
     psi0, psi1 = 1.0 + 0.0j, 0.0j

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from remag import noise
-from remag.dynamics import (OU_MIN_SAMPLES_PER_TAU, PulseSequence,
-                            build_waveform, default_dt_max, full_echo_times,
-                            propagate, total_propagator)
-from remag.noise import NoiseSpec, monte_carlo, sample_path
+from remag.dynamics import (PulseSequence, build_waveform, default_dt_max,
+                            full_echo_times, propagate, steps_per_segment,
+                            total_propagator)
+from remag.noise import (OU_MIN_SAMPLES_PER_TAU, NoiseSpec, monte_carlo,
+                         sample_path)
 from remag.units import mhz_to_rad
 
 W19 = mhz_to_rad(19.0)
@@ -324,17 +325,25 @@ def test_ou_grid_step_unchanged(label):
     wave = build_waveform(seq, dw)
     if record is None:
         record = full_echo_times(seq)
-    assert noise._noise_grid_step(wave, spec, record) == \
-        wave.segment / OU_STEPS_PER_SEGMENT[label]
+    assert noise._grid(seq, wave, spec, record, None)[0] == \
+        OU_STEPS_PER_SEGMENT[label]
 
 
-def _grid_step_by_search(wave, spec, record_times):
-    """The grid rule with every record through the exact fraction search,
-    as :func:`remag.noise._noise_grid_step` ran before it skipped records
-    near a whole number of segments."""
-    drive_grid = noise._drive_grid(wave, spec)
+def _drive_steps(wave, spec):
+    """Steps per segment of the drive grid, min(T_Rabi/200, tau_c/20 under
+    OU noise)."""
+    dt_max = default_dt_max(wave)
+    if spec.kind == "ou":
+        dt_max = min(dt_max, spec.tau_c / OU_MIN_SAMPLES_PER_TAU)
+    return steps_per_segment(wave, dt_max)
+
+
+def _grid_steps_by_search(wave, spec, record_times):
+    """Steps per segment by the grid rule with every record through the
+    exact fraction search, as :func:`remag.noise._grid` ran before it
+    skipped records near a whole number of segments."""
     base = wave.segment
-    n_drive = int(round(base / drive_grid))
+    n_drive = _drive_steps(wave, spec)
     if spec.kind == "static":
         n_min = 1
     elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):
@@ -347,22 +356,21 @@ def _grid_step_by_search(wave, spec, record_times):
     for f in fracs:
         n = math.lcm(n, Fraction(float(f)).limit_denominator(n_max).denominator)
         if n > n_max:
-            return drive_grid
+            return n_drive
     n *= math.ceil(n_min / n)
     x = fracs * n
     if n > n_max or np.any(np.abs(x - np.rint(x)) >= 1e-6):
-        return drive_grid
-    return base / n
+        return n_drive
+    return n
 
 
-# (wave, spec) of a static echo (n_max 200), an OU-z echo (tau_c/20 floor)
-# and OU-x Rabi (drive-grid floor, one segment)
+# (sequence, detuning, spec) of a static echo (n_max 200), an OU-z echo
+# (tau_c/20 floor) and OU-x Rabi (drive-grid floor, one segment)
 GRID_RULE_CASES = [
-    (build_waveform(PulseSequence.rotary_echo(math.pi, W19, 8), 0.0),
+    (PulseSequence.rotary_echo(math.pi, W19, 8), 0.0,
      NoiseSpec("x", "static", 0.05 * W19)),
-    (build_waveform(PulseSequence.rotary_echo(0.75 * math.pi, W20, 8), DW),
-     _z(1)),
-    (build_waveform(RABI_19[0], 0.0), _x(5, W19)),
+    (PulseSequence.rotary_echo(0.75 * math.pi, W20, 8), DW, _z(1)),
+    (RABI_19[0], 0.0, _x(5, W19)),
 ]
 
 
@@ -383,14 +391,26 @@ def _record_fractions(draw, n_segments, n_max):
     return draw(st.floats(0.0, n_segments))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+# about half the drawn record sets are refused (off the run, or two on one
+# step), so 600 examples check the steps per segment on about 300
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_grid_rule_skip_matches_the_full_search(data):
-    wave, spec = data.draw(st.sampled_from(GRID_RULE_CASES))
-    n_max = 2 * int(round(wave.segment / noise._drive_grid(wave, spec)))
+    seq, dw, spec = data.draw(st.sampled_from(GRID_RULE_CASES))
+    wave = build_waveform(seq, dw)
+    n_max = 2 * _drive_steps(wave, spec)
     fracs = data.draw(st.lists(
         _record_fractions(wave.amplitudes.size, n_max), min_size=1,
         max_size=4))
     record = np.array(fracs) * wave.segment
-    assert noise._noise_grid_step(wave, spec, record) == \
-        _grid_step_by_search(wave, spec, record)
+    n = _grid_steps_by_search(wave, spec, record)
+    # records off the run, or two on one step, are refused on that grid
+    requested = np.rint(record / (wave.segment / n))
+    if (np.unique(requested).size < requested.size
+            or requested.max() > n * wave.amplitudes.size):
+        with pytest.raises(ValueError, match="record times must"):
+            noise._grid(seq, wave, spec, record, None)
+    else:
+        n_sub, record_idx = noise._grid(seq, wave, spec, record, None)
+        assert n_sub == n
+        assert np.array_equal(record_idx, np.unique(requested))

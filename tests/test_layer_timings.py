@@ -32,6 +32,15 @@ def test_two_loads_of_this_checkout_agree_bit_for_bit():
         layers = tool.analysis_layers(this)
         assert "exact_mean" in layers
         assert layers["sensitivity_sweep"].call(this)
+        # each kernel case runs the grid and records that monte_carlo runs
+        inputs = tool.kernel_inputs(this)
+        for label, seq, delta, spec, _, records in tool._cases(this):
+            draw, kernel = inputs[label]
+            res = this.noise.monte_carlo(seq, delta, spec, 1,
+                                         record_times=records)
+            assert draw[1] == res.meta["dt"], label
+            assert draw[4] == kernel[0].size == res.meta["n_steps"], label
+            assert kernel[-1].size == res.times.size, label
     finally:
         os.environ.clear()
         os.environ.update(environ)

@@ -685,14 +685,14 @@ class TestMonteCarlo:
             monte_carlo(seq, 0.0, spec, trials=4, record_times=1e-6 * np.array(
                 [0.0, 0.25, 0.2501, 0.5]))
 
-    @pytest.mark.parametrize("seq, axis, n_steps", [
-        (PulseSequence.ramsey(0.5e-6), "z", 1000),
-        (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "x", 2000),
-        (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "z", 2000),
-        (PulseSequence.rabi(mhz_to_rad(1.0), 0.3e-6), "z", 120)],
+    @pytest.mark.parametrize("seq, axis, n_steps, n_records", [
+        (PulseSequence.ramsey(0.5e-6), "z", 1000, 501),
+        (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "x", 2000, 501),
+        (PulseSequence.rabi(mhz_to_rad(19.0), 0.5e-6), "z", 2000, 501),
+        (PulseSequence.rabi(mhz_to_rad(1.0), 0.3e-6), "z", 120, 121)],
         ids=["ou-z ramsey", "ou-x rabi", "ou-z rabi", "slow ou-z rabi"])
     def test_default_records_are_taken_where_requested(self, seq, axis,
-                                                       n_steps):
+                                                       n_steps, n_records):
         # 500 records of 1 ns: the drive grid (512 steps for Ramsey, 1,900
         # for Rabi at 19 MHz) lands on none but a few of them.  A 1 MHz
         # drive's grid has 60 steps of 5 ns over 0.3 us, and the noise grid
@@ -702,8 +702,8 @@ class TestMonteCarlo:
         res = monte_carlo(seq, mhz_to_rad(2.0), spec, trials=2)
         assert res.meta["n_steps"] == n_steps
         np.testing.assert_allclose(
-            res.times, noise_module._default_record_times(
-                seq, build_waveform(seq, 0.0), spec), rtol=0.0, atol=1e-15)
+            res.times, np.linspace(0.0, seq.total_duration, n_records),
+            rtol=0.0, atol=1e-15)
 
     def test_echo_off_its_full_echoes_has_no_model(self):
         # mean_signal's echo form holds at full echoes only; read between

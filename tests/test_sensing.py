@@ -121,7 +121,7 @@ class TestReadout:
         t = (2 * math.pi / 3) * math.pi / (2 * a * math.sin(math.pi / 2))
         _, c_a, _ = readout_factors(r, math.pi, a, t)
         assert c_a == pytest.approx(0.0, abs=1e-9)
-        assert corrected_sensitivity(1.0, 0.5, 0.0, 1.0, 1e-6) == math.inf
+        assert corrected_sensitivity(1.0, 0.5, 0.0, 1.0, 1e-6, r) == math.inf
 
     def test_corrected_overhead(self):
         r = ReadoutModel(n0=0.0022, n1=0.0015, t_d=3e-6)

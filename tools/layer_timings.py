@@ -245,11 +245,12 @@ def _cases(pkg):
         records = None
         if drawn:   # 0 and 63 distinct times of the drive grid, at seed 1
             wave = dynamics.build_waveform(seq, 0.0)
-            n = int(round(wave.total_duration
-                          / noise._drive_grid(wave, spec)))
+            n_sub, _ = noise._grid(seq, wave, spec, None,
+                                   dynamics.default_dt_max(wave))
             picks = np.random.default_rng(1).choice(
-                np.arange(1, n + 1), RANDOM_RECORDS - 1, replace=False)
-            records = wave.total_duration / n * np.concatenate(
+                np.arange(1, n_sub * wave.amplitudes.size + 1),
+                RANDOM_RECORDS - 1, replace=False)
+            records = wave.segment / n_sub * np.concatenate(
                 ([0], np.sort(picks)))
         out.append((f"static-{theta_pi}pi-x{n_cycles}"
                     + ("-random" if drawn else ""), seq, 0.0, spec,
@@ -257,31 +258,36 @@ def _cases(pkg):
     return out
 
 
+def kernel_inputs(pkg) -> dict:
+    """The `_noise_blocks` and `_propagate_batch` arguments of each case's
+    first chunk, by label, on the grid and records of `noise._grid`."""
+    noise, inputs = pkg.noise, {}
+    for label, seq, delta, spec, trials, records in _cases(pkg):
+        wave = pkg.dynamics.build_waveform(seq, delta)
+        n_sub, record_idx = noise._grid(seq, wave, spec, records, None)
+        dt, count = wave.segment / n_sub, min(trials, CHUNK)
+        draw = (spec, dt, 0, count, n_sub * wave.amplitudes.size,
+                noise._BLOCK_STEPS)
+        inputs[label] = draw, (np.repeat(wave.amplitudes, n_sub), delta,
+                               spec.axis, list(noise._noise_blocks(*draw)),
+                               count, dt, record_idx)
+    return inputs
+
+
 def engine_layers(pkg) -> dict:
     """`ou_draw`, and `kernel` on each case's first chunk, their inputs
     built by ``pkg``."""
-    noise = pkg.noise
     layers = {}
-    for label, seq, delta, spec, trials, records in _cases(pkg):
-        count = min(trials, CHUNK)
-        wave = pkg.dynamics.build_waveform(seq, delta)
-        if records is None:
-            records = noise._default_record_times(seq, wave, spec)
-        dt = noise._noise_grid_step(wave, spec, records)
-        n_steps = int(round(wave.total_duration / dt))
-        draw = (spec, dt, 0, count, n_steps, noise._BLOCK_STEPS)
-        blocks = list(noise._noise_blocks(*draw))
-        kernel = (np.repeat(wave.amplitudes, int(round(wave.segment / dt))),
-                  delta, spec.axis, blocks, count, dt,
-                  np.unique(np.rint(records / dt).astype(int)))
+    for label, (draw, kernel) in kernel_inputs(pkg).items():
+        per = 1e9 / (draw[3] * draw[4])     # per trial-step
         if label == "ou-5.0pi-x24":
             layers["ou_draw"] = Layer(
                 lambda p, a=draw: list(p.noise._noise_blocks(*a)),
-                "ns per value", 1e9 / (count * n_steps))
+                "ns per value", per)
         layers[f"kernel {label}"] = Layer(
             lambda p, a=kernel: p.noise._propagate_batch(
                 *a[:3], iter(a[3]), *a[4:]),
-            "ns per trial-step", 1e9 / (count * n_steps))
+            "ns per trial-step", per)
     return layers
 
 

@@ -39,7 +39,7 @@ null field, and then the names of the fields only this
 checkout writes (`added ...`) and only the other writes (`removed ...`),
 so a change that only moves rounding or adds one field shows in one short
 line.  The last line counts the differing lines and names the largest
-difference.
+difference, and the exit status is 1 if any line differs, 0 if none does.
 Monte Carlo runs (`noise` and `figure`, the subcommands that take
 `--trials`) use 60 trials, and each run's cases run one after another,
 so the whole set takes well under a minute on two cores.
@@ -323,9 +323,9 @@ def _describe(diffs: dict, added: list, removed: list) -> str:
     return "  |d| " + ("; ".join(parts) or "no field differs")
 
 
-def compare(this: Path, other: Path, work: Path) -> list[str]:
+def compare(this: Path, other: Path, work: Path) -> tuple[list[str], int]:
     """Lines that differ between two checkouts, with the numeric size of
-    each changed file's difference."""
+    each changed file's difference, and how many lines differ."""
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
         mine = pool.submit(digests, this, work / "this")
@@ -351,7 +351,7 @@ def compare(this: Path, other: Path, work: Path) -> list[str]:
                 largest = (d, f"{' '.join(key[:3])} {name}")
     out.append(f"{changed} of {len(set(old) | set(new))} lines differ; "
                f"largest |d| {largest[0]:.3g} ({largest[1]})")
-    return out
+    return out, changed
 
 
 def main() -> int:
@@ -365,11 +365,11 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         if args.diff is None:
-            lines = digests(args.src, Path(tmp))
+            lines, changed = digests(args.src, Path(tmp)), 0
         else:
-            lines = compare(args.src, args.diff, Path(tmp))
+            lines, changed = compare(args.src, args.diff, Path(tmp))
     print("\n".join(lines))
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
