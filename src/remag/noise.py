@@ -17,11 +17,11 @@ noise is one row held for the whole run, so each drive amplitude's step
 is computed once, and an interval between records whose pattern of steps
 recurs (every full echo of a rotary echo) is one update too, by a product
 built once; OU noise computes every step anew.  A run of several large
-chunks spreads them over forked worker processes (:func:`_workers`), and
-:func:`mc_vs_model` computes its model while they exit; chunks are merged
-in chunk order, so results do not depend on the CPU count or on whether a
-run forked.  :func:`exact_mean` is the mean an OU ensemble estimates,
-solved with no sampling and no grid.
+chunks spreads them over forked worker processes (:func:`_workers`),
+which :func:`_run_chunks` reaps before :func:`monte_carlo` returns;
+chunks are merged in chunk order, so results do not depend on the CPU
+count or on whether a run forked.  :func:`exact_mean` is the mean an OU
+ensemble estimates, solved with no sampling and no grid.
 
 Noise strengths are in rad/s on both axes; a drive-noise strength stated
 as a fraction of the Rabi frequency is converted where it arrives
@@ -31,7 +31,6 @@ as a fraction of the Rabi frequency is converted where it arrives
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import signal
@@ -367,9 +366,8 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
               for start in range(0, trials, chunk)]
     # _noise_blocks' scipy.special, loaded here rather than in each worker
     import scipy.special  # noqa: F401
-    count, mean, m2 = _run_chunks(
-        run_chunk, chunks, record_idx.size,
-        _workers(len(chunks), min(chunk, trials) * n_steps))
+    count, mean, m2 = _run_chunks(run_chunk, chunks, record_idx.size,
+                                  min(chunk, trials) * n_steps)
 
     if count > 1:
         stderr = np.sqrt(m2 / (count - 1)) / math.sqrt(count)
@@ -382,12 +380,12 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
 
 
 #: a run whose chunks hold fewer trial-steps than this stays in the calling
-#: process.  Forking and reaping a worker costs about 4 ms, and a forked
-#: chunk faults in its own pages.  On 2 vCPUs ``tools/layer_timings.py``
-#: (``crossover``) read a 2-chunk OU-z echo slower forked at 2.5 x 10^4
-#: trial-steps per chunk in each of 4 runs, and faster from 10^5 up in
-#: each (from 5 x 10^4 up in 3 of them).  So the
-#: benchmark's 0.75 pi, pi and 5 pi echoes (2,048 x 64, 108 and 624
+#: process.  On 2 vCPUs ``tools/layer_timings.py`` reads forking and
+#: reaping a worker at 4 to 5 ms (``fork_reap_ms``), and a forked chunk
+#: faults in its own pages; its ``crossover`` read a 2-chunk OU-z echo
+#: slower forked at 2.5 x 10^4 trial-steps per chunk in each of 4 runs,
+#: and faster from 10^5 up in each (from 5 x 10^4 up in 3 of them).  So
+#: the benchmark's 0.75 pi, pi and 5 pi echoes (2,048 x 64, 108 and 624
 #: trial-steps per chunk) fork; small test runs, a 3-trial recompute in
 #: chunks of 2 and 64-trial static runs do not
 _FORK_MIN_TRIAL_STEPS = 100_000
@@ -413,26 +411,21 @@ def _workers(n_chunks: int, chunk_trial_steps: int) -> int:
     return min(_usable_cpus(), n_chunks)
 
 
-#: the list :func:`mc_vs_model` sets to take the workers of its ensemble
-#: unreaped, so that they exit while it computes its model; None, the
-#: default, has :func:`_run_chunks` reap them itself
-_unreaped = contextvars.ContextVar("_unreaped", default=None)
-
-
-def _run_chunks(run_chunk, chunks, n_record: int, workers: int):
+def _run_chunks(run_chunk, chunks, n_record: int, chunk_trial_steps: int):
     """Welford totals (count, mean, M2) of the chunks' batches.
 
     ``run_chunk(start, stop)`` returns the ``(stop - start, n_record)``
-    populations of one chunk.  Chunk c runs in worker c % workers: worker
-    0 is the calling process, each other one a forked child that sends its
-    batches back over a pipe.  Batches are merged in chunk order whichever
-    process ran them, so the totals are bit-identical for any worker
-    count.  A child's failure is raised here as a RuntimeError naming the
-    chunk.  Once every batch is in, the children are reaped here, or
-    handed to the list in ``_unreaped`` if one is set; a child whose
-    batches are not all in is killed and reaped here.  No child outlives
-    the call, or the owner of that list, whether it returns or raises.
+    populations of one chunk, a chunk of at most ``chunk_trial_steps``
+    trial-steps.  The chunks are shared by :func:`_workers` processes:
+    chunk c runs in worker c % workers, worker 0 the calling process and
+    each other one a forked child that sends its batches back over a
+    pipe.  Batches are merged in chunk order whichever process ran them,
+    so the totals are bit-identical for any worker count.  A child's
+    failure is raised here as a RuntimeError naming the chunk.  Every
+    child is reaped before the call returns or raises, killed first if
+    its batches are not all in, so none outlives it.
     """
+    workers = _workers(len(chunks), chunk_trial_steps)
     children = []                   # (pid, read end) of workers 1, 2, ...
     done = False
     try:
@@ -451,21 +444,11 @@ def _run_chunks(run_chunk, chunks, n_record: int, workers: int):
         done = True
         return count, mean, m2
     finally:
-        later = _unreaped.get()
-        if done and later is not None:
-            later.extend(children)
-        else:
-            _reap(children, kill=not done)
-
-
-def _reap(children, kill: bool) -> None:
-    """Close each ``(pid, read end)``'s pipe and wait for the pid to exit,
-    killing it first if ``kill``."""
-    for pid, reader in children:
-        reader.close()
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        for pid, reader in children:
+            reader.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _fork_worker(run_chunk, chunks, w: int, workers: int, n_record: int):
@@ -532,26 +515,17 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     mean_signal for static drive noise or a static-z Rabi off resonance,
     and for a rotary echo read off its full echoes (see its docstring).
 
-    The model is computed once the ensemble's last batch is read, while
-    its worker processes (if it forked any) exit; they are reaped before
-    the call returns or raises.
+    The ensemble's worker processes, if it forked any, are reaped before
+    :func:`monte_carlo` returns, so the model runs after them.
     """
-    unreaped = []
-    token = _unreaped.set(unreaped)
+    res = monte_carlo(seq, delta_omega, spec, trials=trials,
+                      record_times=record_times)
+    model = exact_mean if spec.kind == "ou" else mean_signal
     try:
-        res = monte_carlo(seq, delta_omega, spec, trials=trials,
-                          record_times=record_times)
-        model = exact_mean if spec.kind == "ou" else mean_signal
-        try:
-            return res, np.atleast_1d(model(seq, delta_omega, spec,
-                                            res.times))
-        except ValueError as exc:
-            warnings.warn(f"no model column: {exc}", UserWarning,
-                          stacklevel=2)
-            return res, None
-    finally:
-        _unreaped.reset(token)
-        _reap(unreaped, kill=False)
+        return res, np.atleast_1d(model(seq, delta_omega, spec, res.times))
+    except ValueError as exc:
+        warnings.warn(f"no model column: {exc}", UserWarning, stacklevel=2)
+        return res, None
 
 
 #: :func:`exact_mean`'s first and largest hierarchy depth, and the gap

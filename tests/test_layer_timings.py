@@ -2,6 +2,7 @@
 checkout, and its input builders."""
 
 import importlib.util
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +22,8 @@ def test_two_loads_of_this_checkout_agree_bit_for_bit():
         this = tool.load(ROOT / "src", "remag_smoke_this")
         other = tool.load(ROOT / "src", "remag_smoke_other")
         assert this.noise is not other.noise
-        layer = tool.engine_layers(this)["kernel static-1.0pi-x65"]
+        engine = tool.engine_layers(this)
+        layer = engine["kernel static-1.0pi-x65"]
         report = tool.time_layer(layer, this, other, 1)
         assert report["identical"] is True
         assert report["unit"] == "ns per trial-step"
@@ -41,6 +43,18 @@ def test_two_loads_of_this_checkout_agree_bit_for_bit():
             assert draw[1] == res.meta["dt"], label
             assert draw[4] == kernel[0].size == res.meta["n_steps"], label
             assert kernel[-1].size == res.times.size, label
+        # the runner layer calls mc_vs_model on noise-ou-large's three
+        # echoes, each at its trial count (recorded here, not run)
+        calls, w, mhz = [], tool.w, tool.MHZ
+        this.noise.mc_vs_model = lambda *args: calls.append(args)
+        engine["mc_vs_model"].call(this)
+        assert [(seq.kind, seq.theta / math.pi, seq.n_cycles, seq.omega,
+                 delta, spec.axis, spec.kind, spec.sigma, spec.tau_c, trials)
+                for seq, delta, spec, trials in calls] == [
+            ("rotary_echo", theta_pi, n_cycles, w.OU_OMEGA_MHZ * mhz,
+             w.OU_DETUNING_MHZ * mhz, "z", "ou", w.OU_SIGMA_MHZ * mhz,
+             w.OU_TAU_C_US * 1e-6, w.OU_TRIALS)
+            for theta_pi, n_cycles in w.OU_CASES]
     finally:
         os.environ.clear()
         os.environ.update(environ)

@@ -553,35 +553,23 @@ class TestWorkers:
     MODEL_TRIALS = 2048 + 40
 
     @pytest.mark.parametrize("spec", SPECS, ids=["ou-z", "ou-x", "static-x"])
-    def test_model_beside_a_forked_run_is_bit_identical(self, monkeypatch,
-                                                        forks, spec):
+    def test_model_run_holds_the_monte_carlo_ensemble(self, monkeypatch,
+                                                      forks, spec):
         monkeypatch.setattr(noise_module, "_FORK_MIN_TRIAL_STEPS", math.inf)
         args = (self.SEQ, 0.0, spec, self.MODEL_TRIALS)
+        alone = monte_carlo(*args)
         in_process, model = mc_vs_model(*args)
         assert not forks and model is not None
         self.force(monkeypatch, 2)
         forked, forked_model = mc_vs_model(*args)
         assert len(forks) == 1
         self.assert_no_children()
-        assert np.array_equal(forked.times, in_process.times)
-        assert np.array_equal(forked.mean, in_process.mean)
-        assert np.array_equal(forked.stderr, in_process.stderr)
+        for res in (in_process, forked):
+            assert np.array_equal(res.times, alone.times)
+            assert np.array_equal(res.mean, alone.mean)
+            assert np.array_equal(res.stderr, alone.stderr)
+            assert res.meta == alone.meta
         assert np.array_equal(forked_model, model)
-
-    def test_model_runs_before_the_worker_is_reaped(self, monkeypatch):
-        # the ensemble goes through the public monte_carlo, which tracing
-        # wraps by its module name
-        order, waitpid = [], os.waitpid
-        ensemble, model = noise_module.monte_carlo, noise_module.exact_mean
-        monkeypatch.setattr(os, "waitpid",
-                            lambda *a: order.append("reap") or waitpid(*a))
-        monkeypatch.setattr(noise_module, "monte_carlo", lambda *a, **k:
-                            order.append("ensemble") or ensemble(*a, **k))
-        monkeypatch.setattr(noise_module, "exact_mean",
-                            lambda *a: order.append("model") or model(*a))
-        self.force(monkeypatch, 2)
-        mc_vs_model(self.SEQ, 0.0, self.SPECS[0], self.MODEL_TRIALS)
-        assert order == ["ensemble", "model", "reap"]
 
     @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
     def test_model_error_reaps_the_worker(self, monkeypatch, forks, exc):

@@ -26,8 +26,8 @@ on a shared 2-vCPU host otherwise decide a pair.
 The layers (ROADMAP aim 1, and what perfbench's workloads run):
 
 - `ou_draw`: the whole `noise._noise_blocks` draw of the first 2,048-trial
-  chunk of `noise-ou-large`'s 5 pi echo, 624 steps in five blocks (ns per
-  value);
+  chunk of `noise-ou-large`'s 5 pi echo, 624 steps in five blocks, each
+  block copied out as it arrives (ns per value);
 - `kernel <case>`: `noise._propagate_batch` on blocks drawn beforehand
   (ns per trial-step).  The cases are the first chunk of each
   `noise-ou-large` case (OU dephasing, rotary echoes on the grid
@@ -37,7 +37,12 @@ The layers (ROADMAP aim 1, and what perfbench's workloads run):
   read at 64 record times drawn at seed 1 from its drive grid (`random`),
   whose intervals all differ, so that no product is reused and all
   13,000 steps are stepped;
-- `exact_mean`: the model `noise.mc_vs_model` computes beside each
+- `mc_vs_model`: `noise.mc_vs_model` on the three `noise-ou-large`
+  echoes at 4,096 trials, in one call, as perfbench runs them: each
+  ensemble forked (on two or more CPUs), its workers reaped, then its
+  model (ms); `identical` compares the times, means, standard errors and
+  models;
+- `exact_mean`: the model `noise.mc_vs_model` computes after each
   `noise-ou-large` ensemble, the three in one call (ms);
 - `propagate <size>`: one noiseless `dynamics.propagate` call on a pi
   echo at 17 MHz, at the sizes of the spectrum ops (100 and 510 segments
@@ -274,20 +279,45 @@ def kernel_inputs(pkg) -> dict:
     return inputs
 
 
+def _drain(blocks, out: np.ndarray) -> np.ndarray:
+    """``out`` with each of an OU draw's ``blocks`` copied into its next
+    rows as the block arrives, before the next one is drawn (as the kernel
+    steps through them), so a draw may reuse one buffer for its blocks."""
+    k = 0
+    for block in blocks:
+        out[k:k + len(block)] = block
+        k += len(block)
+    return out
+
+
+def _ensembles(outputs) -> tuple:
+    """What two sides' `mc_vs_model` calls must agree on."""
+    return _bits([(res.times, res.mean, res.stderr, model)
+                  for res, model in outputs])
+
+
 def engine_layers(pkg) -> dict:
-    """`ou_draw`, and `kernel` on each case's first chunk, their inputs
-    built by ``pkg``."""
+    """`ou_draw`, `kernel` on each case's first chunk and `mc_vs_model`,
+    their inputs built by ``pkg``."""
     layers = {}
     for label, (draw, kernel) in kernel_inputs(pkg).items():
         per = 1e9 / (draw[3] * draw[4])     # per trial-step
         if label == "ou-5.0pi-x24":
+            # one buffer for both sides: `ab` reads a side's warm-up
+            # output before the other side draws into it
+            out = np.empty((draw[4], draw[3]))
             layers["ou_draw"] = Layer(
-                lambda p, a=draw: list(p.noise._noise_blocks(*a)),
+                lambda p, a=draw, o=out: _drain(p.noise._noise_blocks(*a), o),
                 "ns per value", per)
         layers[f"kernel {label}"] = Layer(
             lambda p, a=kernel: p.noise._propagate_batch(
                 *a[:3], iter(a[3]), *a[4:]),
             "ns per trial-step", per)
+    echoes = [(seq, delta, spec, trials)
+              for _, seq, delta, spec, trials, _ in _cases(pkg)[:3]]
+    layers["mc_vs_model"] = Layer(
+        lambda p: [p.noise.mc_vs_model(*a) for a in echoes], "ms", 1e3,
+        _ensembles)
     return layers
 
 
