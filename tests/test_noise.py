@@ -553,23 +553,38 @@ class TestWorkers:
     MODEL_TRIALS = 2048 + 40
 
     @pytest.mark.parametrize("spec", SPECS, ids=["ou-z", "ou-x", "static-x"])
-    def test_model_run_holds_the_monte_carlo_ensemble(self, monkeypatch,
-                                                      forks, spec):
+    def test_model_beside_a_forked_run_is_bit_identical(self, monkeypatch,
+                                                        forks, spec):
         monkeypatch.setattr(noise_module, "_FORK_MIN_TRIAL_STEPS", math.inf)
         args = (self.SEQ, 0.0, spec, self.MODEL_TRIALS)
-        alone = monte_carlo(*args)
         in_process, model = mc_vs_model(*args)
         assert not forks and model is not None
         self.force(monkeypatch, 2)
         forked, forked_model = mc_vs_model(*args)
         assert len(forks) == 1
         self.assert_no_children()
-        for res in (in_process, forked):
+        assert np.array_equal(forked.times, in_process.times)
+        assert np.array_equal(forked.mean, in_process.mean)
+        assert np.array_equal(forked.stderr, in_process.stderr)
+        assert np.array_equal(forked_model, model)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["ou-z", "ou-x", "static-x"])
+    def test_model_run_holds_the_monte_carlo_ensemble(self, monkeypatch,
+                                                      forks, spec):
+        # mc_vs_model's ensemble is monte_carlo's on the same arguments,
+        # in process and forked
+        monkeypatch.setattr(noise_module, "_FORK_MIN_TRIAL_STEPS", math.inf)
+        args = (self.SEQ, 0.0, spec, self.MODEL_TRIALS)
+        for n_workers in (1, 2):
+            self.force(monkeypatch, n_workers)
+            alone = monte_carlo(*args)
+            res = mc_vs_model(*args)[0]
             assert np.array_equal(res.times, alone.times)
             assert np.array_equal(res.mean, alone.mean)
             assert np.array_equal(res.stderr, alone.stderr)
             assert res.meta == alone.meta
-        assert np.array_equal(forked_model, model)
+        assert len(forks) == 2
+        self.assert_no_children()
 
     @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
     def test_model_error_reaps_the_worker(self, monkeypatch, forks, exc):
