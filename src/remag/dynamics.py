@@ -51,13 +51,8 @@ def cycle_period(theta: float, omega: float) -> float:
 def on_full_echoes(t, theta: float, omega: float) -> bool:
     """Whether every time in t (a number or an array) is a full echo
     n 2 theta/Omega, to within 1e-6 of a cycle."""
-    cycle = cycle_period(theta, omega)
-    # on Python floats: a sensitivity sweep asks once per time
-    for x in np.ravel(t).tolist():
-        n = x / cycle
-        if abs(n - round(n)) > 1e-6:
-            return False
-    return True
+    n = np.asarray(t, dtype=float) / cycle_period(theta, omega)
+    return bool(np.all(np.abs(n - np.round(n)) <= 1e-6))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ interrogated at complete echo cycles has
 eta_RE = theta / (2 sin^2(theta/2)) / (gamma_e sqrt(t)); Ramsey is
 1/(gamma_e sqrt(t)); Rabi-beat saturates at sqrt(2 Omega)/gamma_e.
 Imperfect optical readout (C), the unpolarized nitrogen nuclear spin
-(C_A) and repeated readout (C_Nr) each enter as divisors.
+(C_A) and repeated readout (C_Nr) each enter as divisors.  The formulas
+take a number or an array of interrogation times.
 """
 
 from __future__ import annotations
@@ -47,16 +48,17 @@ def re_coefficient(theta: float) -> float:
     return theta / (2.0 * s * s)
 
 
-def sensitivity_ideal(kind: str, t: float, theta: float | None = None,
-                      omega: float | None = None) -> float:
-    """Ideal (no decoherence, perfect readout) sensitivity in T/sqrt(Hz).
+def sensitivity_ideal(kind: str, t, theta: float | None = None,
+                      omega: float | None = None) -> np.ndarray:
+    """Ideal (no decoherence, perfect readout) sensitivity in T/sqrt(Hz)
+    at each time of t (a number or an array), shaped like t.
 
     kind "rotary_echo" needs theta and is meant for complete echo cycles
-    t = n 2 theta / Omega (warns when omega is given and t is not);
-    "rabi" needs omega and returns the full t-dependent expression (see
-    rabi_asymptote for the large-t limit).
+    t = n 2 theta / Omega (warns once when omega is given and a t is not);
+    "rabi" needs omega and returns the full t-dependent expression.
     """
-    if t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise ValueError("t must be positive")
     if kind == "rotary_echo":
         if theta is None:
@@ -64,18 +66,17 @@ def sensitivity_ideal(kind: str, t: float, theta: float | None = None,
         if omega is not None and not on_full_echoes(t, theta, omega):
             warnings.warn("rotary-echo sensitivity formula assumes "
                           "complete echo cycles t = n 2 theta/Omega")
-        return re_coefficient(theta) / (GAMMA_E_RAD_PER_S_PER_T
-                                        * math.sqrt(t))
+        return re_coefficient(theta) / (GAMMA_E_RAD_PER_S_PER_T * np.sqrt(t))
     if kind == "ramsey":
-        return 1.0 / (GAMMA_E_RAD_PER_S_PER_T * math.sqrt(t))
+        return 1.0 / (GAMMA_E_RAD_PER_S_PER_T * np.sqrt(t))
     if kind == "rabi":
         if omega is None:
             raise ValueError("rabi needs omega")
         x = t * omega
-        denom = 2.0 - 2.0 * math.cos(x) - x * math.sin(x)
-        if denom <= 0.0:
-            return math.inf  # insensitive phase of the beat
-        return rabi_asymptote(omega) * math.sqrt(x / denom)
+        denom = 2.0 - 2.0 * np.cos(x) - x * np.sin(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = rabi_asymptote(omega) * np.sqrt(x / denom)
+        return np.where(denom <= 0.0, np.inf, eta)  # insensitive beat phase
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -92,13 +93,13 @@ def sensitivity_ratio_re_ramsey(theta: float) -> float:
 
 
 def readout_factors(r: ReadoutModel, theta: float, hyperfine: float,
-                    t: float) -> tuple[float, float, float]:
+                    t) -> tuple[float, np.ndarray, float]:
     """Detection factor C, hyperfine factor C_A, repeated-readout C_Nr.
 
-    All lie in (0, 1] and divide the ideal sensitivity.  C_A vanishes
-    where 1 + 2 cos(2 A t sin(theta/2)/theta) = 0 (the three hyperfine
-    lines interfere destructively); the returned 0.0 flags an unusable
-    interrogation time.
+    C and C_Nr lie in (0, 1], C_A (shaped like t, a number or an array)
+    in [0, 1]; all divide the ideal sensitivity.  C_A vanishes where
+    1 + 2 cos(2 A t sin(theta/2)/theta) = 0 (the three hyperfine lines
+    interfere destructively), which flags an unusable interrogation time.
     """
     if refocuses(theta):
         raise ValueError("theta = 2 pi k: no signal contrast, C undefined")
@@ -109,8 +110,8 @@ def readout_factors(r: ReadoutModel, theta: float, hyperfine: float,
               + 8.0 * r.n0 / (d2 * s2))
     c = 1.0 / math.sqrt(inv_c2)
 
-    arg = 2.0 * hyperfine * t * math.sin(theta / 2.0) / theta
-    c_a = abs(1.0 + 2.0 * math.cos(arg)) / 3.0
+    arg = 2.0 * hyperfine * np.asarray(t) * math.sin(theta / 2.0) / theta
+    c_a = np.abs(1.0 + 2.0 * np.cos(arg)) / 3.0
 
     c_nr = (1.0 + 3.0 * (r.n0 + r.n1) / (r.n_r * d2)) ** -0.5
     return c, c_a, c_nr
@@ -123,24 +124,25 @@ def repeated_readout_gain(r: ReadoutModel) -> float:
     return math.sqrt((1.0 + base) / (1.0 + base / r.n_r))
 
 
-def corrected_sensitivity(eta_ideal: float, c: float, c_a: float,
-                          envelope: float, t: float,
-                          readout: ReadoutModel) -> float:
+def corrected_sensitivity(eta_ideal, c: float, c_a, envelope, t,
+                          readout: ReadoutModel) -> np.ndarray:
     """Apply readout factors, decoherence envelope and time overhead.
 
     eta = eta_ideal * envelope / (C_eff * C_A) * sqrt((t + t_d + n_r t_r)/t),
     where n_r, t_r and t_d come from the readout model and C_eff is C
-    boosted by its repeated-readout gain.
+    boosted by its repeated-readout gain.  eta_ideal, C_A, envelope and
+    t are numbers or arrays of one shape; where C_A = 0, eta is inf.
     """
-    if not (0.0 < c <= 1.0) or not (0.0 <= c_a <= 1.0):
-        raise ValueError("factors must lie in (0, 1]")
-    if c_a == 0.0:
-        return math.inf  # insensitive interrogation time
-    if envelope <= 0.0:
-        raise ValueError("envelope must be positive")
+    c_a, envelope, t = (np.asarray(v, dtype=float) for v in (c_a, envelope, t))
+    if not 0.0 < c <= 1.0 or not np.all((0.0 <= c_a) & (c_a <= 1.0)):
+        raise ValueError("C must lie in (0, 1] and C_A in [0, 1]")
+    if np.any(t <= 0.0) or np.any((envelope <= 0.0) & (c_a != 0.0)):
+        raise ValueError("t and the envelope must be positive")
     c_eff = c * repeated_readout_gain(readout)
-    overhead = math.sqrt((t + readout.t_d + readout.n_r * readout.t_r) / t)
-    return eta_ideal * envelope / (c_eff * c_a) * overhead
+    overhead = np.sqrt((t + readout.t_d + readout.n_r * readout.t_r) / t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = eta_ideal * envelope / (c_eff * c_a) * overhead
+    return np.where(c_a == 0.0, np.inf, eta)  # insensitive interrogation time
 
 
 def sensitivity_sweep(kind: str, times, readout: ReadoutModel, envelope,
@@ -153,14 +155,11 @@ def sensitivity_sweep(kind: str, times, readout: ReadoutModel, envelope,
     use the detection factor of a pi rotation, a rotary echo that of its
     half-echo angle theta.  Returns the two arrays (ideal, corrected).
     """
-    theta_c = theta if kind == "rotary_echo" else math.pi
-    ideal, corrected = [], []
-    for t, env in zip(times, envelope):
-        eta = sensitivity_ideal(kind, t, theta=theta, omega=omega)
-        c, c_a, _ = readout_factors(readout, theta_c, hyperfine, t)
-        ideal.append(eta)
-        corrected.append(corrected_sensitivity(eta, c, c_a, env, t, readout))
-    return np.array(ideal), np.array(corrected)
+    ideal = sensitivity_ideal(kind, times, theta=theta, omega=omega)
+    c, c_a, _ = readout_factors(
+        readout, theta if kind == "rotary_echo" else math.pi, hyperfine, times)
+    return ideal, corrected_sensitivity(ideal, c, c_a, envelope, times,
+                                        readout)
 
 
 def optimal_interrogation_times(theta: float, omega: float, hyperfine: float,

@@ -365,6 +365,18 @@ class TestExitCodes:
         assert "--trials" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("panel", ["1b", "1c", "2a", "2b", "3a", "3b",
+                                       "s5"])
+    def test_trials_on_a_preset_without_monte_carlo_exits_1(
+            self, tmp_path, capsys, panel):
+        # only 4a, 4b, 4c and s4 run an ensemble; the others would ignore it
+        rc, out = run(tmp_path, "figure", panel, "--trials", "7")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"figure {panel} runs no Monte Carlo" in err
+        assert "--trials is for 4a, 4b, 4c and s4" in err
+        assert not out.exists()
+
     def test_noise_refuses_the_hyperfine_triplet(self, tmp_path, capsys):
         # noise runs one line; the trace subcommands average the triplet
         cfg = tmp_path / "triplet.ini"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from remag.sensing import (
     repeated_readout_gain,
     sensitivity_ideal,
     sensitivity_ratio_re_ramsey,
+    sensitivity_sweep,
 )
 from remag.units import GAMMA_E_RAD_PER_S_PER_T as GAMMA
 from remag.units import mhz_to_rad
@@ -136,3 +138,117 @@ class TestReadout:
         assert np.allclose(np.diff(times), spacing, rtol=0.1)
         no_hf = optimal_interrogation_times(math.pi, W17, 0.0, 1e-6)
         assert no_hf.size == int(1e-6 / (2 * math.pi / W17))
+
+
+def reference_sweep(kind, times, r, envelope, theta=None, omega=None,
+                    hyperfine=0.0):
+    """The sensitivity budget one time at a time, on Python floats."""
+    theta_c = theta if kind == "rotary_echo" else math.pi
+    c, _, _ = readout_factors(r, theta_c, 0.0, 1.0)  # C depends on theta alone
+    c_eff = c * repeated_readout_gain(r)
+    ideal, corrected = [], []
+    for t, env in zip(times, envelope):
+        if kind == "rotary_echo":
+            s = math.sin(theta / 2.0)
+            eta = theta / (2.0 * s * s) / (GAMMA * math.sqrt(t))
+        elif kind == "ramsey":
+            eta = 1.0 / (GAMMA * math.sqrt(t))
+        else:
+            x = t * omega
+            denom = 2.0 - 2.0 * math.cos(x) - x * math.sin(x)
+            eta = (math.inf if denom <= 0.0 else
+                   math.sqrt(2.0 * omega) / GAMMA * math.sqrt(x / denom))
+        arg = 2.0 * hyperfine * t * math.sin(theta_c / 2.0) / theta_c
+        c_a = abs(1.0 + 2.0 * math.cos(arg)) / 3.0
+        ideal.append(eta)
+        corrected.append(math.inf if c_a == 0.0 else
+                         eta * env / (c_eff * c_a)
+                         * math.sqrt((t + r.t_d + r.n_r * r.t_r) / t))
+    return np.array(ideal), np.array(corrected)
+
+
+# theta = pi, A = 2.14 MHz: cos(2 A t / pi) is exactly -1/2, so C_A = 0
+CA_NODE_T = 7.095497426332088e-06
+# t Omega = 2 pi at 17 MHz: rounding leaves the Rabi denominator below 0
+RABI_NODE_T = 1.0 / 17e6
+
+
+class TestTimeGrids:
+    """The budget over a whole time grid: one call, the per-time values."""
+
+    CASES = {
+        "re_triplet": ("rotary_echo",
+                       np.append(2 * math.pi / W17 * np.arange(1, 60),
+                                 CA_NODE_T),
+                       ReadoutModel(n0=0.0022, n1=0.0015),
+                       {"theta": math.pi, "hyperfine": mhz_to_rad(2.14)}),
+        "ramsey": ("ramsey", np.linspace(0.2e-6, 6e-6, 50),
+                   ReadoutModel(n0=0.0022, n1=0.0015, n_r=100, t_r=1.5e-6,
+                                t_d=0.7e-6), {}),
+        "rabi": ("rabi", np.append(np.linspace(0.05e-6, 3e-6, 60),
+                                   RABI_NODE_T),
+                 ReadoutModel(n0=0.0022, n1=0.0015), {"omega": W17}),
+        "empty": ("rotary_echo", np.array([]),
+                  ReadoutModel(n0=0.0022, n1=0.0015),
+                  {"theta": 5 * math.pi, "omega": W17}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sweep_is_the_per_time_formulas_bit_for_bit(self, case):
+        kind, times, r, kw = self.CASES[case]
+        envelope = [math.exp((t / 2e-6) ** 2) for t in times]
+        want = reference_sweep(kind, times, r, envelope, **kw)
+        got = sensitivity_sweep(kind, times, r, envelope, **kw)
+        for w, g in zip(want, got):
+            assert g.shape == times.shape
+            assert np.array_equal(g, w)
+        if case in ("re_triplet", "rabi"):  # the node reads inf
+            assert got[1][-1] == math.inf
+
+    def test_a_number_gives_a_0d_value(self):
+        assert np.shape(sensitivity_ideal("ramsey", 2e-6)) == ()
+        _, c_a, _ = readout_factors(ReadoutModel(n0=0.0022, n1=0.0015),
+                                    math.pi, mhz_to_rad(2.14), CA_NODE_T)
+        assert np.shape(c_a) == () and c_a == 0.0
+
+    def test_any_time_at_or_below_zero_raises(self):
+        r = ReadoutModel(n0=0.0022, n1=0.0015)
+        for t in ([1e-6, 0.0], [-1e-6, 1e-6]):
+            with pytest.raises(ValueError, match="t must be positive"):
+                sensitivity_ideal("ramsey", t)
+            with pytest.raises(ValueError, match="t and the envelope"):
+                corrected_sensitivity(1.0, 0.5, [1.0, 1.0], [1.0, 1.0], t, r)
+            with pytest.raises(ValueError):
+                sensitivity_sweep("ramsey", t, r, [1.0, 1.0])
+
+    def test_envelope_is_checked_only_where_ca_is_nonzero(self):
+        r = ReadoutModel(n0=0.0022, n1=0.0015)
+        eta = corrected_sensitivity(1.0, 0.5, [0.0, 0.5], [-1.0, 2.0],
+                                    [1e-6, 1e-6], r)
+        assert eta[0] == math.inf and np.isfinite(eta[1])
+        for env in ([1.0, 0.0], [1.0, -2.0]):
+            with pytest.raises(ValueError, match="t and the envelope"):
+                corrected_sensitivity(1.0, 0.5, [0.0, 0.5], env,
+                                      [1e-6, 1e-6], r)
+
+    @pytest.mark.parametrize("c, c_a", [(0.0, [0.5]), (1.5, [0.5]),
+                                        (0.5, [0.5, 1.5]), (0.5, [-0.1])])
+    def test_factor_range_message(self, c, c_a):
+        r = ReadoutModel(n0=0.0022, n1=0.0015)
+        with pytest.raises(ValueError, match=re.escape(
+                "C must lie in (0, 1] and C_A in [0, 1]")):
+            corrected_sensitivity(1.0, c, c_a, 1.0, 1e-6, r)
+
+    def test_one_warning_per_grid_off_the_full_echoes(self):
+        cycle = 2 * math.pi / W17
+        times = cycle * np.array([1.0, 2.0, 2.5, 3.5])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sensitivity_ideal("rotary_echo", times, theta=math.pi, omega=W17)
+        assert [w.category for w in caught] == [UserWarning]
+        theta = 0.507 * math.pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sensitivity_ideal("rotary_echo",
+                              2 * theta / W17 * np.arange(1, 190),
+                              theta=theta, omega=W17)

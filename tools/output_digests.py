@@ -40,8 +40,8 @@ checkout writes (`added ...`) and only the other writes (`removed ...`),
 so a change that only moves rounding or adds one field shows in one short
 line.  The last line counts the differing lines and names the largest
 difference, and the exit status is 1 if any line differs, 0 if none does.
-Monte Carlo runs (`noise` and `figure`, the subcommands that take
-`--trials`) use 60 trials, and each run's cases run one after another,
+Monte Carlo runs (`noise` and figures 4a, 4b, 4c and s4, the runs that
+take `--trials`) use 60 trials, and each run's cases run one after another,
 so the whole set takes well under a minute on two cores.
 """
 
@@ -62,6 +62,7 @@ from pathlib import Path
 
 SEED = "11"
 TRIALS = "60"
+MONTE_CARLO_PANELS = ("4a", "4b", "4c", "s4")  # the presets that take --trials
 
 # one config per scenario family: (sequence section, field section, noise section)
 ECHO_PI = "kind = rotary_echo\ntheta_pi = 1.0\nomega_mhz = 20.0\nn_cycles = 12\n"
@@ -217,8 +218,10 @@ def _digest_lines(tag: str, path: Path) -> list[str]:
 
 def _run(main, tag: str, argv: list[str], work: Path) -> list[str]:
     out = work / tag.replace(" ", "_")
-    # only the Monte Carlo subcommands take a trial count
-    trials = ["--trials", TRIALS] if argv[0] in ("noise", "figure") else []
+    # only the Monte Carlo runs take a trial count
+    monte_carlo = argv[0] == "noise" or (argv[0] == "figure"
+                                         and argv[1] in MONTE_CARLO_PANELS)
+    trials = ["--trials", TRIALS] if monte_carlo else []
     with contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv + ["--out", str(out), "--seed", SEED] + trials)
     if rc != 0:
