@@ -13,15 +13,15 @@ are drawn in, and :func:`sample_path` returns them for one trial.
 
 The grid is sized to the noise, by the one rule that :func:`_grid` states.
 The kernel applies each step as one 2x2 update of the state.  Static
-noise is one row held for the whole run, so each drive amplitude's step
-is computed once, and an interval between records whose pattern of steps
-recurs (every full echo of a rotary echo) is one update too, by a product
-built once; OU noise computes every step anew.  A run of several large
-chunks spreads them over forked worker processes (:func:`_workers`),
-which :func:`_run_chunks` reaps before :func:`monte_carlo` returns;
-chunks are merged in chunk order, so results do not depend on the CPU
-count or on whether a run forked.  :func:`exact_mean` is the mean an OU
-ensemble estimates, solved with no sampling and no grid.
+noise is one row held for the whole run, so each distinct interval
+between records is one update, the product of one exact step per run of
+equal drive amplitude, built once; OU noise computes every step anew.
+A run of several large chunks spreads them over forked worker processes
+(:func:`_workers`), which :func:`_run_chunks` reaps before
+:func:`monte_carlo` returns; chunks are merged in chunk order, so results
+do not depend on the CPU count or on whether a run forked.
+:func:`exact_mean` is the mean an OU ensemble estimates, solved with no
+sampling and no grid.
 
 Noise strengths are in rad/s on both axes; a drive-noise strength stated
 as a fraction of the Rabi frequency is converted where it arrives
@@ -37,9 +37,9 @@ import signal
 import threading
 import traceback
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -257,8 +257,9 @@ def _grid(seq: PulseSequence, wave: DriveWaveform, spec: NoiseSpec,
     time (|t/dt - round(t/dt)| < 1e-6, dt = segment/n), with n_min
 
     - 1 for static noise, on any sequence and either axis: the
-      Hamiltonian is constant between breakpoints, so one step per
-      constant run between records is exact;
+      Hamiltonian is constant between breakpoints and the kernel takes
+      one exact step per run of equal amplitude, so any grid is exact
+      and the coarsest that lands on the records is taken;
     - tau_c/20 steps for OU dephasing during a rotary echo;
     - n_drive for every other case: held over tau_c/20, OU drive noise
       biases a rotary echo by several standard errors at 10^4 trials
@@ -683,13 +684,15 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
 
     Every update of the state is one 2x2 matrix (m00, m01, m10, m11).  A
     static block (row stride 0: the read-only view that
-    :func:`_noise_blocks` yields, a run's only block) computes each drive
-    amplitude's step once and is cut at the records into intervals: the
-    first interval of each pattern of amplitudes is stepped, and a pattern
-    of several steps that recurs gets its product, built from the same
-    steps on the basis vectors, which each later interval applies in one
-    update (a few ulps from stepping).  Other blocks compute each row's
-    step anew.  Nothing is stepped past the last record.
+    :func:`_noise_blocks` yields, a run's only block) is cut at the
+    records into intervals.  Each distinct pattern of amplitudes gets one
+    update, built once on the basis vectors: the product of one exact step
+    per run of equal amplitude, the step with the run's length in place of
+    dt.  Each interval applies it once.  That has the bits of stepping one
+    grid step at a time over an interval of one-step runs that holds one
+    run or starts at step 0, and rounds a few ulps apart otherwise.  Other
+    blocks compute each row's step anew.  Nothing is stepped past the last
+    record.
 
     Each record's state is copied into a buffer of ``_RECORD_ROWS`` rows,
     which is turned into populations when it fills and at the end.
@@ -738,10 +741,10 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
 
     # per step, -h dt = (-hx dt, -hz dt) is one component that the noise
     # moves, gain * noise + offset, and one that it does not, fixed; all
-    # three follow from the step's drive amplitude
+    # three follow from the step's drive amplitude and its half length
     half = 0.5 * dt
 
-    def coeffs(amp):
+    def coeffs(amp, half):
         if axis == "x":
             # the noise adds to the drive's magnitude (to the drive
             # itself where there is none)
@@ -749,7 +752,8 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
             return gain, -half * amp, half * delta_omega
         return half, half * delta_omega, -half * amp
 
-    step_coeffs = {amp: coeffs(amp) for amp in np.unique(amp_steps).tolist()}
+    step_coeffs = {amp: coeffs(amp, half)
+                   for amp in np.unique(amp_steps).tolist()}
 
     moved, phi, sinc = np.empty(count), np.empty(count), np.empty(count)
     a, b = np.empty(count, dtype=complex), np.zeros(count, dtype=complex)
@@ -762,9 +766,9 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     # gives the identity
     tiny = np.finfo(float).tiny
 
-    def step(noise, amp):
-        # the step's update (a, b, b, conj(a)), in the shared buffers
-        g, o, f = step_coeffs[amp]
+    def step(noise, g, o, f):
+        # the update (a, b, b, conj(a)) of coefficients (g, o, f), in the
+        # shared buffers
         np.multiply(noise, g, out=moved)
         np.add(moved, o, out=moved)
         np.multiply(moved, moved, out=phi)
@@ -780,30 +784,24 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
         return a, b, b, a_conj
 
     def static_block(noise):
-        # steps 0 .. the last record, under one noise row
-        held = {amp: tuple(m.copy() for m in step(noise, amp))
-                for amp in set(amps[:records[-1]])}
+        # intervals from step 0 to the last record, under one noise row
         bounds = [0, *records[pos:]]
-        patterns = [tuple(amps[s:e]) for s, e in zip(bounds, bounds[1:])]
-        recurs = Counter(p for p in patterns if len(p) > 1)
         products = {}
-        for pattern in patterns:
-            if pattern in products:
-                apply(*products[pattern])
-            else:
-                updates = [held[amp] for amp in pattern]
-                for m00, m01, m10, m11 in updates:
-                    apply(m00, m01, m10, m11)
-                if recurs[pattern] > 1:
-                    # the product's columns, the images of the basis
-                    # vectors (psi0 rows p0, psi1 rows p1), stepped in
-                    # apply's operand order: complex multiply does not
-                    # commute bit for bit
-                    p0, p1 = np.repeat(np.eye(2, dtype=complex)[:, :, None],
-                                       count, 2)
-                    for m00, m01, m10, m11 in updates:
-                        p0, p1 = m00 * p0 + m01 * p1, p1 * m11 + m10 * p0
-                    products[pattern] = (*p0, *p1)
+        for s, e in zip(bounds, bounds[1:]):
+            pattern = tuple(amps[s:e])
+            if pattern not in products:
+                # the product's columns, the images of the basis vectors
+                # (psi0 rows p0, psi1 rows p1), one exact step per run of
+                # equal amplitude, in apply's operand order: complex
+                # multiply does not commute bit for bit
+                p0, p1 = np.repeat(np.eye(2, dtype=complex)[:, :, None],
+                                   count, 2)
+                for amp, run in groupby(pattern):
+                    m00, m01, m10, m11 = step(
+                        noise, *coeffs(amp, half * len(list(run))))
+                    p0, p1 = m00 * p0 + m01 * p1, p1 * m11 + m10 * p0
+                products[pattern] = (*p0, *p1)
+            apply(*products[pattern])
             record()
 
     k = 0
@@ -814,8 +812,7 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
             static_block(block[0])
             break
         for noise in block:
-            step(noise, amps[k])
-            apply(a, b, b, a_conj)
+            apply(*step(noise, *step_coeffs[amps[k]]))
             k += 1
             if records[pos] == k:
                 record()

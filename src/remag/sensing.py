@@ -55,7 +55,9 @@ def sensitivity_ideal(kind: str, t, theta: float | None = None,
 
     kind "rotary_echo" needs theta and is meant for complete echo cycles
     t = n 2 theta / Omega (warns once when omega is given and a t is not);
-    "rabi" needs omega and returns the full t-dependent expression.
+    "rabi" needs omega and returns the full t-dependent expression
+    sqrt(2 Omega)/gamma_e sqrt(x/|d|), x = t Omega, from the response
+    d = 2 - 2 cos x - x sin x of the |1> population to dw^2.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
@@ -73,10 +75,11 @@ def sensitivity_ideal(kind: str, t, theta: float | None = None,
         if omega is None:
             raise ValueError("rabi needs omega")
         x = t * omega
-        denom = 2.0 - 2.0 * np.cos(x) - x * np.sin(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eta = rabi_asymptote(omega) * np.sqrt(x / denom)
-        return np.where(denom <= 0.0, np.inf, eta)  # insensitive beat phase
+        # d = -4 Omega^2 dP1/d(dw^2) takes either sign; only where it
+        # vanishes does the population not respond (eta = inf)
+        d = np.abs(2.0 - 2.0 * np.cos(x) - x * np.sin(x))
+        with np.errstate(divide="ignore"):
+            return rabi_asymptote(omega) * np.sqrt(x / d)
     raise ValueError(f"unknown kind {kind!r}")
 
 

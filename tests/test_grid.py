@@ -267,13 +267,39 @@ STATIC_CASES = {
 }
 
 
+class _CountingNumpy:
+    """``numpy``, counting calls of ``multiply``: the kernel's 2x2 updates
+    and step coefficients each make a fixed number of them."""
+
+    def __init__(self):
+        self.multiply_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        self.multiply_calls += 1
+        return np.multiply(*args, **kwargs)
+
+
 @pytest.mark.parametrize("label", STATIC_CASES)
-def test_static_collapsed_grid_matches_drive_grid(label):
+def test_static_collapsed_grid_matches_drive_grid(label, monkeypatch):
     seq, dw, spec, record = STATIC_CASES[label]
     wave = build_waveform(seq, dw)
-    collapsed = monte_carlo(seq, dw, spec, trials=64, record_times=record)
-    drive = monte_carlo(seq, dw, spec, trials=64, record_times=record,
-                        dt_max=default_dt_max(wave))
+
+    def counted(**grid):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(noise, "np", counting)
+        res = monte_carlo(seq, dw, spec, trials=64, record_times=record,
+                          **grid)
+        monkeypatch.setattr(noise, "np", np)
+        return res, counting.multiply_calls
+
+    collapsed, collapsed_work = counted()
+    drive, drive_work = counted(dt_max=default_dt_max(wave))
+    # one exact step per run of equal amplitude: the drive grid's longer
+    # runs cost the kernel no more updates
+    assert drive_work == collapsed_work > 0
     assert collapsed.meta["n_steps"] < drive.meta["n_steps"]
     np.testing.assert_allclose(collapsed.times, drive.times, rtol=1e-12,
                                atol=0.0)

@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -258,8 +259,8 @@ class TestKernel:
     def test_static_block_reuses_steps_bit_for_bit(self, axis, amp_steps,
                                                    ramsey):
         # the static block's rows share one row (stride 0), so the kernel
-        # computes each amplitude's step once; its copy is stepped row by
-        # row as OU noise is
+        # builds each distinct interval's update once, here one step of
+        # one amplitude; its copy is stepped row by row as OU noise is
         spec = NoiseSpec(axis=axis, kind="static", sigma=3 * SIGMA, seed=3)
         dt, delta = TAU_C / 20, mhz_to_rad(2.0)
         block, = _noise_blocks(spec, dt, 0, 16, amp_steps.size, _BLOCK_STEPS)
@@ -271,7 +272,7 @@ class TestKernel:
                      for b in (block, copy))
         assert np.array_equal(got, want)
 
-    # record sets over the 260 steps of the three sequences above: every
+    # record sets over the 260 steps of the sequences below: every
     # full echo of 26 steps and every 13 steps (repeating intervals), every
     # 13 steps from step 52 on (a first interval of 52 steps from step 0),
     # every 13 steps up to step 195 only (nothing stepped past it), gaps
@@ -291,14 +292,16 @@ class TestKernel:
     @pytest.mark.parametrize("axis", ["z", "x"])
     @pytest.mark.parametrize("amp_steps, ramsey", [
         (np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
+        (np.repeat([1.0, -1.0] * 130, 1) * mhz_to_rad(20.0), False),
         (np.full(260, mhz_to_rad(20.0)), False),
         (np.zeros(260), True),
-    ], ids=["echo", "rabi", "ramsey"])
+    ], ids=["echo", "echo-1step", "rabi", "ramsey"])
     @pytest.mark.parametrize("records", RECORD_SETS)
     def test_interval_products_match_stepping(self, axis, amp_steps, ramsey,
                                               records):
-        # the static block applies one 2x2 product per repeated interval
-        # between records; its copy is stepped row by row
+        # the static block applies one 2x2 product per distinct interval
+        # between records, one exact step per run of equal amplitude; its
+        # copy is stepped row by row
         spec = NoiseSpec(axis=axis, kind="static", sigma=3 * SIGMA, seed=3)
         dt, delta = TAU_C / 20, mhz_to_rad(2.0)
         block, = _noise_blocks(spec, dt, 0, 16, amp_steps.size, _BLOCK_STEPS)
@@ -307,25 +310,24 @@ class TestKernel:
                                       dt, record_idx, ramsey)
                      for b in (block, np.ascontiguousarray(block)))
         assert np.max(np.abs(got - want)) <= 1e-13
-        # bit for bit up to the first interval from step 0 whose pattern
-        # of several steps came before, the first that applies a kept
-        # product: the records up to that interval's start
+        # bit for bit up to the first interval from step 0 that holds a
+        # run of several grid steps (one exact step in place of several)
+        # or that holds several runs and starts after step 0 (a product
+        # applied to a state that is not a basis vector): the records up
+        # to that interval's start
         bounds = np.union1d([0], record_idx)
-        seen, first_reuse = set(), len(bounds) - 1
+        first_inexact = len(bounds) - 1
         for j, (s, e) in enumerate(zip(bounds, bounds[1:])):
-            pattern = tuple(amp_steps[s:e])
-            if len(pattern) > 1 and pattern in seen:
-                first_reuse = j
+            runs = [len(list(run)) for _, run in groupby(amp_steps[s:e])]
+            if max(runs) > 1 or (len(runs) > 1 and s > 0):
+                first_inexact = j
                 break
-            seen.add(pattern)
-        exact = np.searchsorted(record_idx, bounds[first_reuse], "right")
+        exact = np.searchsorted(record_idx, bounds[first_inexact], "right")
         assert np.array_equal(got[:, :exact], want[:, :exact])
-        if records == "distinct":
-            assert first_reuse == len(bounds) - 1
-        elif records.startswith("every"):    # a product from interval 3 on
-            assert first_reuse <= 2
-        elif records != "random":            # and from interval 3 or 4 on
-            assert first_reuse <= 3
+        # so the first interval is exact only on the one-step echo, whose
+        # runs are single steps: the grid the CLI's echoes run on
+        one_step = np.all(amp_steps[1:] != amp_steps[:-1])
+        assert first_inexact == (1 if one_step else 0)
 
     def test_static_record_buffer_is_bounded(self):
         # 5,000 full echoes of one step per half echo at 256 trials: the

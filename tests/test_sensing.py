@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from remag.models import re_signal_full_echo
+from remag.models import rabi_signal, re_signal_full_echo
 from remag.sensing import (
     ReadoutModel,
     corrected_sensitivity,
@@ -68,9 +68,24 @@ class TestIdeal:
 
     def test_rabi_insensitive_phase(self):
         # near t Omega = 2 pi k the signal has no field dependence;
-        # rounding may leave a huge finite value instead of inf
+        # rounding leaves a huge finite value, not inf
         eta = sensitivity_ideal("rabi", 2 * math.pi / W17, omega=W17)
         assert eta > 100 * rabi_asymptote(W17)
+
+    def test_rabi_matches_a_finite_difference_of_the_signal(self):
+        # eta = sqrt(2 Omega x/|d|)/gamma with d = -4 Omega^2 dP1/du, the
+        # response of P1 = 1 - rabi_signal to u = dw^2 at u = 0: here a
+        # central difference over u = 0 and 2h, the slope at u = h; at
+        # h = 1e-10 Omega^2 that and rounding move eta by about 1e-6
+        t = np.linspace(0.05e-6, 3e-6, 256)
+        x, h = t * W17, 1e-10 * W17 ** 2
+        dp1 = rabi_signal(W17, 0.0, t) - rabi_signal(W17, math.sqrt(2 * h), t)
+        d = -4.0 * W17 ** 2 * dp1 / (2.0 * h)
+        away = np.abs(d) > 0.1              # away from the zeros of d
+        assert np.sum(away & (d < 0.0)) > 100   # about half of each period
+        want = np.sqrt(2.0 * W17 * x[away] / np.abs(d[away])) / GAMMA
+        got = sensitivity_ideal("rabi", t[away], omega=W17)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=0.0)
 
     def test_full_echo_warning(self):
         with pytest.warns(UserWarning):
@@ -155,9 +170,9 @@ def reference_sweep(kind, times, r, envelope, theta=None, omega=None,
             eta = 1.0 / (GAMMA * math.sqrt(t))
         else:
             x = t * omega
-            denom = 2.0 - 2.0 * math.cos(x) - x * math.sin(x)
-            eta = (math.inf if denom <= 0.0 else
-                   math.sqrt(2.0 * omega) / GAMMA * math.sqrt(x / denom))
+            d = abs(2.0 - 2.0 * math.cos(x) - x * math.sin(x))
+            eta = (math.inf if d == 0.0 else
+                   math.sqrt(2.0 * omega) / GAMMA * math.sqrt(x / d))
         arg = 2.0 * hyperfine * t * math.sin(theta_c / 2.0) / theta_c
         c_a = abs(1.0 + 2.0 * math.cos(arg)) / 3.0
         ideal.append(eta)
@@ -169,7 +184,7 @@ def reference_sweep(kind, times, r, envelope, theta=None, omega=None,
 
 # theta = pi, A = 2.14 MHz: cos(2 A t / pi) is exactly -1/2, so C_A = 0
 CA_NODE_T = 7.095497426332088e-06
-# t Omega = 2 pi at 17 MHz: rounding leaves the Rabi denominator below 0
+# t Omega = 2 pi at 17 MHz: rounding leaves the Rabi response d just off 0
 RABI_NODE_T = 1.0 / 17e6
 
 
@@ -202,8 +217,11 @@ class TestTimeGrids:
         for w, g in zip(want, got):
             assert g.shape == times.shape
             assert np.array_equal(g, w)
-        if case in ("re_triplet", "rabi"):  # the node reads inf
+        if case == "re_triplet":    # the node reads inf
             assert got[1][-1] == math.inf
+        if case == "rabi":          # the node reads a huge finite value
+            assert math.isfinite(got[0][-1])
+            assert got[0][-1] > 100 * rabi_asymptote(W17)
 
     def test_a_number_gives_a_0d_value(self):
         assert np.shape(sensitivity_ideal("ramsey", 2e-6)) == ()

@@ -35,8 +35,8 @@ The layers (ROADMAP aim 1, and what perfbench's workloads run):
   pi echo of 65 cycles (one step per half echo), `noise-static-small`'s
   longest op at seed 1, a 0.507 pi echo of 189 cycles, and the pi echo
   read at 64 record times drawn at seed 1 from its drive grid (`random`),
-  whose intervals all differ, so that no product is reused and all
-  13,000 steps are stepped;
+  whose intervals all differ, so that each interval's update is built
+  once, from one exact step per run of equal amplitude in it;
 - `mc_vs_model`: `noise.mc_vs_model` on the three `noise-ou-large`
   echoes at 4,096 trials, in one call, as perfbench runs them: each
   ensemble forked (on two or more CPUs), its workers reaped, then its
