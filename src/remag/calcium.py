@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import MU_0, ELEMENTARY_CHARGE
+from .units import MU_0, ELEMENTARY_CHARGE, require_finite
 
 MU_0_OVER_4PI = MU_0 / (4.0 * math.pi)
 
@@ -27,6 +27,7 @@ class CaDomainSpec:
     repetitions: float = 1.0  # N averaging repetitions
 
     def __post_init__(self):
+        require_finite(self)
         if self.ion_count < 0:
             raise ValueError("ion count must be nonnegative")
         for name in ("travel_distance", "flux_duration", "standoff",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import TWO_PI
+from .units import TWO_PI, require_finite
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
@@ -72,6 +72,7 @@ class PulseSequence:
     duration: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind not in ("rotary_echo", "rabi", "ramsey"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "rotary_echo":
@@ -121,7 +122,10 @@ class DriveWaveform:
     The sign of the amplitude encodes the pi phase flips of the square
     wave; for a rotary-echo waveform the amplitude integral over each
     full cycle is exactly zero.  Segment i spans
-    [segment * i, segment * (i + 1)].
+    [segment * i, segment * (i + 1)].  :func:`build_waveform` never makes
+    two equal neighbouring segments.  The Monte Carlo kernel takes one
+    exact step per segment piece, so a hand-built wave that has them
+    rounds a few ulps apart from the same drive with them merged.
     """
 
     segment: float           # seconds, the length of every segment

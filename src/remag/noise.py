@@ -12,10 +12,9 @@ long the run; a trial's values are the same whichever chunk or block they
 are drawn in, and :func:`sample_path` returns them for one trial.
 
 The grid is sized to the noise, by the one rule that :func:`_grid` states.
-The kernel applies each step as one 2x2 update of the state.  Static
-noise is one row held for the whole run, so each distinct interval
-between records is one update, the product of one exact step per run of
-equal drive amplitude, built once; OU noise computes every step anew.
+The kernel applies each OU step as one 2x2 update of the state, and under
+static noise each distinct interval between records as one, built once
+from one exact step per segment piece.
 A run of several large chunks spreads them over forked worker processes
 (:func:`_workers`), which :func:`_run_chunks` reaps before
 :func:`monte_carlo` returns; chunks are merged in chunk order, so results
@@ -39,13 +38,13 @@ import traceback
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
 from .dynamics import (DriveWaveform, PulseSequence, build_waveform,
                        default_dt_max, full_echo_times, steps_per_segment)
 from .models import mean_signal
+from .units import require_finite
 
 #: largest seed: streams are keyed by 64-bit words, so a larger seed
 #: would silently alias a smaller one
@@ -72,6 +71,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.axis not in ("z", "x"):
             raise ValueError("axis must be 'z' or 'x'")
         if self.kind not in ("static", "ou"):
@@ -258,8 +258,8 @@ def _grid(seq: PulseSequence, wave: DriveWaveform, spec: NoiseSpec,
 
     - 1 for static noise, on any sequence and either axis: the
       Hamiltonian is constant between breakpoints and the kernel takes
-      one exact step per run of equal amplitude, so any grid is exact
-      and the coarsest that lands on the records is taken;
+      one exact step per segment piece, so any grid is exact and the
+      coarsest that lands on the records is taken;
     - tau_c/20 steps for OU dephasing during a rotary echo;
     - n_drive for every other case: held over tau_c/20, OU drive noise
       biases a rotary echo by several standard errors at 10^4 trials
@@ -354,13 +354,12 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     dt = wave.segment / n_sub
     n_steps = n_sub * wave.amplitudes.size
     times = dt * record_idx
-    amp_steps = np.repeat(wave.amplitudes, n_sub)
 
     def run_chunk(start, stop):
         blocks = _noise_blocks(spec, dt, start, stop - start, n_steps,
                                _BLOCK_STEPS)
-        return _propagate_batch(amp_steps, delta_omega, spec.axis, blocks,
-                                stop - start, dt, record_idx,
+        return _propagate_batch(wave, n_sub, spec.axis, blocks,
+                                stop - start, record_idx,
                                 ramsey=seq.kind == "ramsey")
 
     chunks = [(start, min(start + chunk, trials))
@@ -515,9 +514,6 @@ def mc_vs_model(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     why).  exact_mean raises for a bath past its hierarchy's level cap;
     mean_signal for static drive noise or a static-z Rabi off resonance,
     and for a rotary echo read off its full echoes (see its docstring).
-
-    The ensemble's worker processes, if it forked any, are reaped before
-    :func:`monte_carlo` returns, so the model runs after them.
     """
     res = monte_carlo(seq, delta_omega, spec, trials=trials,
                       record_times=record_times)
@@ -668,14 +664,15 @@ def _population(psi0, psi1, ramsey):
     return np.abs(psi0) ** 2
 
 
-def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
-                     record_idx, ramsey=False):
+def _propagate_batch(wave, n_sub, axis, blocks, count, record_idx,
+                     ramsey=False):
     """Propagate a batch of ``count`` trials through their noise blocks.
 
     Each ``(m, count)`` block of ``blocks``, one row per step, is stepped
     through as soon as it is drawn; returns populations (count, n_record).
-    A step applies exp(-i (hx sx + hz sz) dt), with hx = amp/2 and
-    hz = -w/2 for drive amplitude amp and total detuning w, in place:
+    A step, of dt = segment/n_sub for ``n_sub`` steps per segment of the
+    drive ``wave``, applies exp(-i (hx sx + hz sz) dt), with hx = amp/2
+    and hz = -w/2 for drive amplitude amp and total detuning w, in place:
     a = cos(phi) - i hz dt sinc, b = -i hx dt sinc, with phi = |h| dt and
     sinc = sin(phi)/phi, then psi0' = a psi0 + b psi1 and
     psi1' = b psi0 + conj(a) psi1.  It drops the global phase
@@ -685,14 +682,14 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     Every update of the state is one 2x2 matrix (m00, m01, m10, m11).  A
     static block (row stride 0: the read-only view that
     :func:`_noise_blocks` yields, a run's only block) is cut at the
-    records into intervals.  Each distinct pattern of amplitudes gets one
-    update, built once on the basis vectors: the product of one exact step
-    per run of equal amplitude, the step with the run's length in place of
-    dt.  Each interval applies it once.  That has the bits of stepping one
-    grid step at a time over an interval of one-step runs that holds one
-    run or starts at step 0, and rounds a few ulps apart otherwise.  Other
-    blocks compute each row's step anew.  Nothing is stepped past the last
-    record.
+    records into intervals, and an interval at segment boundaries into
+    pieces.  Each distinct interval gets one update, built once on the
+    basis vectors: the product of one exact step per segment piece, the
+    step with the piece's length in place of dt.  Each interval applies it
+    once.  That has the bits of stepping one grid step at a time over an
+    interval of one-step pieces that holds one piece or starts at step 0,
+    and rounds a few ulps apart otherwise.  Other blocks compute each
+    row's step anew.  Nothing is stepped past the last record.
 
     Each record's state is copied into a buffer of ``_RECORD_ROWS`` rows,
     which is turned into populations when it fills and at the end.
@@ -718,7 +715,7 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
         psi1 += tmp
         psi0, new0 = new0, psi0
 
-    amps, records = amp_steps.tolist(), record_idx.tolist()
+    amps, records = wave.amplitudes.tolist(), record_idx.tolist()
     rows0 = np.empty((min(n_record, _RECORD_ROWS), count), dtype=complex)
     rows1 = np.empty_like(rows0) if ramsey else None
     pos = filled = 0                    # records taken, of them unflushed
@@ -742,18 +739,17 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
     # per step, -h dt = (-hx dt, -hz dt) is one component that the noise
     # moves, gain * noise + offset, and one that it does not, fixed; all
     # three follow from the step's drive amplitude and its half length
-    half = 0.5 * dt
+    half = 0.5 * (wave.segment / n_sub)
 
     def coeffs(amp, half):
         if axis == "x":
             # the noise adds to the drive's magnitude (to the drive
             # itself where there is none)
             gain = -math.copysign(half, amp) if amp != 0.0 else -half
-            return gain, -half * amp, half * delta_omega
-        return half, half * delta_omega, -half * amp
+            return gain, -half * amp, half * wave.detuning
+        return half, half * wave.detuning, -half * amp
 
-    step_coeffs = {amp: coeffs(amp, half)
-                   for amp in np.unique(amp_steps).tolist()}
+    step_coeffs = {amp: coeffs(amp, half) for amp in set(amps)}
 
     moved, phi, sinc = np.empty(count), np.empty(count), np.empty(count)
     a, b = np.empty(count, dtype=complex), np.zeros(count, dtype=complex)
@@ -788,20 +784,24 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
         bounds = [0, *records[pos:]]
         products = {}
         for s, e in zip(bounds, bounds[1:]):
-            pattern = tuple(amps[s:e])
-            if pattern not in products:
+            first, last = s // n_sub, (e - 1) // n_sub
+            # its offset into a segment sets its pieces only past a boundary
+            key = (e - s, s % n_sub if last > first else 0,
+                   *amps[first:last + 1])
+            if key not in products:
                 # the product's columns, the images of the basis vectors
-                # (psi0 rows p0, psi1 rows p1), one exact step per run of
-                # equal amplitude, in apply's operand order: complex
-                # multiply does not commute bit for bit
+                # (psi0 rows p0, psi1 rows p1), one exact step per segment
+                # piece, in apply's operand order: complex multiply does
+                # not commute bit for bit
                 p0, p1 = np.repeat(np.eye(2, dtype=complex)[:, :, None],
                                    count, 2)
-                for amp, run in groupby(pattern):
-                    m00, m01, m10, m11 = step(
-                        noise, *coeffs(amp, half * len(list(run))))
+                cuts = [s, *range((first + 1) * n_sub, e, n_sub), e]
+                for amp, lo, hi in zip(amps[first:last + 1], cuts, cuts[1:]):
+                    m00, m01, m10, m11 = step(noise,
+                                              *coeffs(amp, half * (hi - lo)))
                     p0, p1 = m00 * p0 + m01 * p1, p1 * m11 + m10 * p0
-                products[pattern] = (*p0, *p1)
-            apply(*products[pattern])
+                products[key] = (*p0, *p1)
+            apply(*products[key])
             record()
 
     k = 0
@@ -812,7 +812,7 @@ def _propagate_batch(amp_steps, delta_omega, axis, blocks, count, dt,
             static_block(block[0])
             break
         for noise in block:
-            apply(*step(noise, *step_coeffs[amps[k]]))
+            apply(*step(noise, *step_coeffs[amps[k // n_sub]]))
             k += 1
             if records[pos] == k:
                 record()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import cycle_period, on_full_echoes, refocuses
-from .units import GAMMA_E_RAD_PER_S_PER_T
+from .units import GAMMA_E_RAD_PER_S_PER_T, require_finite
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class ReadoutModel:
     t_d: float = 0.0     # dead time per shot, s
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.n0 > self.n1 >= 0.0):
             raise ValueError("need n0 > n1 >= 0")
         if self.n_r < 1:

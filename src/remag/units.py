@@ -24,3 +24,12 @@ def mhz_to_rad(f_mhz):
 
 def us_to_s(t_us):
     return t_us * 1e-6
+
+
+def require_finite(obj) -> None:
+    """ValueError naming the first float field of dataclass ``obj`` that
+    is not finite: NaN fails every range check silently, and inf passes
+    the one-sided ones."""
+    for name, value in vars(obj).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")

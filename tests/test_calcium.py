@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 import scipy.constants
@@ -47,6 +48,16 @@ def test_validation():
         CaDomainSpec(-1.0, 200e-9, 10e-6, 10e-9)
     with pytest.raises(ValueError):
         CaDomainSpec(1e5, 200e-9, -1.0, 10e-9)
+
+
+@pytest.mark.parametrize("field", ["ion_count", "travel_distance",
+                                   "flux_duration", "standoff",
+                                   "repetitions"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_rejected(field, value):
+    # NaN fails every range check silently, +inf passes them all
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        replace(SPEC, **{field: value})
 
 
 def test_constants_are_codata_2022_literals():

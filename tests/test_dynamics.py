@@ -70,6 +70,21 @@ def test_rotary_echo_waveform_layout():
     assert seq.cycle_period == pytest.approx(2 * half)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda x: PulseSequence.rotary_echo(x, W17, 3), "theta"),
+    (lambda x: PulseSequence.rotary_echo(math.pi, x, 3), "omega"),
+    (lambda x: PulseSequence.rotary_echo(math.pi, W17, x), "n_cycles"),
+    (lambda x: PulseSequence.rabi(W17, x), "duration"),
+    (lambda x: PulseSequence.rabi(x, 1e-6), "omega"),
+    (lambda x: PulseSequence.ramsey(x), "duration"),
+], ids=["echo-theta", "echo-omega", "echo-cycles", "rabi-duration",
+        "rabi-omega", "ramsey-duration"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_sequence_rejected(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make(value)
+
+
 def test_full_echo_times():
     seq = PulseSequence.rotary_echo(5 * math.pi, W17, 4)
     t = full_echo_times(seq)

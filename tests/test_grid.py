@@ -12,6 +12,7 @@ propagation and against the drive grid.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -282,29 +283,65 @@ class _CountingNumpy:
         return np.multiply(*args, **kwargs)
 
 
+def _counted(label, monkeypatch, **grid):
+    """``monte_carlo`` on ``STATIC_CASES[label]`` at 64 trials, and the
+    ``multiply`` calls it made."""
+    seq, dw, spec, record = STATIC_CASES[label]
+    counting = _CountingNumpy()
+    monkeypatch.setattr(noise, "np", counting)
+    res = monte_carlo(seq, dw, spec, trials=64, record_times=record, **grid)
+    monkeypatch.setattr(noise, "np", np)
+    return res, counting.multiply_calls
+
+
+def _drive_grid(label):
+    seq, dw, _, _ = STATIC_CASES[label]
+    return {"dt_max": default_dt_max(build_waveform(seq, dw))}
+
+
 @pytest.mark.parametrize("label", STATIC_CASES)
 def test_static_collapsed_grid_matches_drive_grid(label, monkeypatch):
-    seq, dw, spec, record = STATIC_CASES[label]
-    wave = build_waveform(seq, dw)
-
-    def counted(**grid):
-        counting = _CountingNumpy()
-        monkeypatch.setattr(noise, "np", counting)
-        res = monte_carlo(seq, dw, spec, trials=64, record_times=record,
-                          **grid)
-        monkeypatch.setattr(noise, "np", np)
-        return res, counting.multiply_calls
-
-    collapsed, collapsed_work = counted()
-    drive, drive_work = counted(dt_max=default_dt_max(wave))
-    # one exact step per run of equal amplitude: the drive grid's longer
-    # runs cost the kernel no more updates
+    collapsed, collapsed_work = _counted(label, monkeypatch)
+    drive, drive_work = _counted(label, monkeypatch, **_drive_grid(label))
+    # one exact step per segment piece: the drive grid's longer pieces
+    # cost the kernel no more updates
     assert drive_work == collapsed_work > 0
     assert collapsed.meta["n_steps"] < drive.meta["n_steps"]
     np.testing.assert_allclose(collapsed.times, drive.times, rtol=1e-12,
                                atol=0.0)
     assert np.max(np.abs(collapsed.mean - drive.mean)) <= 1e-11
     assert np.max(np.abs(collapsed.stderr - drive.stderr)) <= 1e-11
+
+
+# ``multiply`` calls of each static case, on either grid: each distinct
+# interval's product is built once, and an interval inside one segment is
+# keyed without its offset into it
+STATIC_MULTIPLIES = {"static-x 5pi echo": 68, "static-x rabi": 64,
+                     "static-z ramsey": 196,
+                     "static-z detuned 3pi4 echo": 56}
+
+
+@pytest.mark.parametrize("label", STATIC_CASES)
+def test_static_products_are_reused(label, monkeypatch):
+    for grid in ({}, _drive_grid(label)):
+        _, work = _counted(label, monkeypatch, **grid)
+        assert work == STATIC_MULTIPLIES[label], grid
+
+
+def test_static_run_memory_does_not_grow_with_its_grid():
+    # 64 trials read at 0 and T on a forced grid of 2 x 10^5 steps: one
+    # amplitude per grid step alone would take 1.6 MB
+    seq = PulseSequence.ramsey(1e-6)
+    spec = NoiseSpec("z", "static", 0.05 * W20, seed=37)
+    tracemalloc.start()
+    try:
+        res = monte_carlo(seq, DW, spec, trials=64, dt_max=1e-6 / 200_000,
+                          record_times=[0.0, 1e-6])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.meta["n_steps"] == 200_000
+    assert peak < 1e6
 
 
 def test_static_record_off_every_coarser_step_keeps_drive_grid():

@@ -5,7 +5,11 @@ import importlib.util
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,8 +45,37 @@ def test_two_loads_of_this_checkout_agree_bit_for_bit():
             res = this.noise.monte_carlo(seq, delta, spec, 1,
                                          record_times=records)
             assert draw[1] == res.meta["dt"], label
-            assert draw[4] == kernel[0].size == res.meta["n_steps"], label
+            assert (draw[4] == kernel[1] * kernel[0].amplitudes.size
+                    == res.meta["n_steps"]), label
             assert kernel[-1].size == res.times.size, label
+        # `kernel ou-x` steps the first chunk of figure 4c's pi echo over
+        # its first ten full echoes (recorded here, not run)
+        presets = []
+        this.cli._write_cases = lambda w, files, trials: presets.extend(
+            case for cases in files.values() for case in cases.values())
+        this.cli.fig_4c(SimpleNamespace(seed=tool.FIGURE_SEED), None)
+        fig, = presets
+        kernels = []
+        this.noise._propagate_batch = lambda *args: kernels.append(args)
+        engine["kernel ou-x"].call(this)
+        (wave, n_sub, axis, blocks, count, record_idx), = kernels
+        assert np.array_equal(wave.amplitudes, np.tile(
+            [fig.seq.omega, -fig.seq.omega], 10))
+        assert wave.segment == fig.seq.theta / fig.seq.omega
+        assert (n_sub, axis, count, record_idx.size) == (100, "x", 2048, 11)
+        assert sum(map(len, blocks)) == 2000
+        assert inputs["ou-x"][0][0] == fig.spec
+        # the figures layer runs the Monte Carlo presets at 2,048 trials
+        # and seed 11 (recorded here, not run)
+        with tempfile.TemporaryDirectory() as work:
+            layer, _ = tool.cli_layer("figures", tool.FIGURE_ARGVS,
+                                      Path(work))
+            argvs = []
+            this.cli.main = lambda argv: argvs.append(argv) or 0
+            layer.call(this)
+        assert [argv[:-2] for argv in argvs] == [
+            ["figure", panel, "--trials", "2048", "--seed", "11"]
+            for panel in ("4a", "4b", "4c", "s4")]
         # the runner layer calls mc_vs_model on noise-ou-large's three
         # echoes, each at its trial count (recorded here, not run)
         calls, w, mhz = [], tool.w, tool.MHZ

@@ -13,9 +13,9 @@ from scipy.linalg import expm
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from remag.dynamics import (PulseSequence, build_waveform, full_echo_times,
-                            propagate, segment_unitary, su2_step,
-                            _hamiltonian_coeffs)
+from remag.dynamics import (DriveWaveform, PulseSequence, build_waveform,
+                            full_echo_times, propagate, segment_unitary,
+                            su2_step, _hamiltonian_coeffs)
 from remag import noise as noise_module
 from remag.models import (mean_signal, ou_zeta_prime, ou_zeta_re_x,
                           ramsey_signal, t_prime_ramsey)
@@ -128,6 +128,16 @@ class TestGenerator:
         with pytest.raises(ValueError):
             NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=0.0)
 
+    @pytest.mark.parametrize("kind, field", [
+        ("static", "sigma"), ("ou", "sigma"), ("ou", "tau_c")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spec_rejected(self, kind, field, value):
+        # a NaN sigma drew a NaN ensemble; an OU-z tau_c of inf made the
+        # grid rule divide by a zero step count
+        args = {"sigma": SIGMA, "tau_c": TAU_C, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NoiseSpec(axis="z", kind=kind, **args)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits_rejected(self, seed):
         # masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 + 5 seed 5
@@ -227,57 +237,71 @@ class TestBlockedStreams:
         assert peak < 4e6
 
 
+W20 = mhz_to_rad(20.0)
+# (segment amplitudes, steps per segment) of 260-step drives: a 20-cycle
+# rotary echo at 20 MHz, the same echo at one step per segment, Rabi and
+# a Ramsey free evolution (amp 0)
+ECHO = (np.array([1.0, -1.0] * 10) * W20, 13)
+ECHO_1STEP = (np.array([1.0, -1.0] * 130) * W20, 1)
+RABI = (np.array([W20]), 260)
+RAMSEY = (np.zeros(1), 260)
+
+
+def kernel_drive(amps, n_sub, delta=mhz_to_rad(2.0), dt=TAU_C / 20):
+    """The wave of segment amplitudes ``amps``, n_sub steps of about dt
+    per segment, its grid step as the kernel takes it, and the drive
+    expanded to one amplitude per step for the references."""
+    wave = DriveWaveform(n_sub * dt, amps, delta)
+    return wave, wave.segment / n_sub, np.repeat(amps, n_sub)
+
+
 class TestKernel:
-    # a 260-step rotary echo at 20 MHz and a Ramsey free evolution (amp
-    # 0), each under dephasing (z) and under drive (x) noise
-    @pytest.mark.parametrize("axis, amp_steps, ramsey", [
-        ("z", np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
-        ("x", np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
-        ("z", np.zeros(260), True),
-        ("x", np.zeros(260), True),
+    # the echo and Ramsey drives, each under dephasing (z) and under drive
+    # (x) noise
+    @pytest.mark.parametrize("axis, drive, ramsey", [
+        ("z", ECHO, False),
+        ("x", ECHO, False),
+        ("z", RAMSEY, True),
+        ("x", RAMSEY, True),
     ], ids=["ou-z-echo", "ou-x-echo", "ou-z-ramsey", "ou-x-ramsey"])
-    def test_step_matches_su2_step(self, axis, amp_steps, ramsey):
+    def test_step_matches_su2_step(self, axis, drive, ramsey):
         spec = NoiseSpec(axis=axis, kind="ou", sigma=SIGMA, tau_c=TAU_C,
                          seed=3)
-        dt, delta = TAU_C / 20, mhz_to_rad(2.0)
+        wave, dt, amp_steps = kernel_drive(*drive)
         blocks = list(_noise_blocks(replace(spec, sigma=3 * SIGMA), dt, 0, 16,
                                     amp_steps.size, _BLOCK_STEPS))
-        got = _propagate_batch(amp_steps, delta, axis, iter(blocks), 16, dt,
+        got = _propagate_batch(wave, drive[1], axis, iter(blocks), 16,
                                np.arange(amp_steps.size + 1), ramsey)
-        want = reference_populations(amp_steps, delta, axis,
+        want = reference_populations(amp_steps, wave.detuning, axis,
                                      np.concatenate(blocks), dt, ramsey)
         assert np.max(np.abs(got - want)) < 1e-13
 
-    # a 20-cycle rotary echo, Rabi and a Ramsey free evolution (amp 0),
-    # 13 steps per segment
     @pytest.mark.parametrize("axis", ["z", "x"])
-    @pytest.mark.parametrize("amp_steps, ramsey", [
-        (np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
-        (np.full(260, mhz_to_rad(20.0)), False),
-        (np.zeros(260), True),
+    @pytest.mark.parametrize("drive, ramsey", [
+        (ECHO, False), (RABI, False), (RAMSEY, True),
     ], ids=["echo", "rabi", "ramsey"])
-    def test_static_block_reuses_steps_bit_for_bit(self, axis, amp_steps,
+    def test_static_block_reuses_steps_bit_for_bit(self, axis, drive,
                                                    ramsey):
         # the static block's rows share one row (stride 0), so the kernel
         # builds each distinct interval's update once, here one step of
         # one amplitude; its copy is stepped row by row as OU noise is
         spec = NoiseSpec(axis=axis, kind="static", sigma=3 * SIGMA, seed=3)
-        dt, delta = TAU_C / 20, mhz_to_rad(2.0)
+        wave, dt, amp_steps = kernel_drive(*drive)
         block, = _noise_blocks(spec, dt, 0, 16, amp_steps.size, _BLOCK_STEPS)
         copy = np.ascontiguousarray(block)
         assert block.strides[0] == 0 and copy.strides[0] != 0
         record_idx = np.arange(amp_steps.size + 1)
-        got, want = (_propagate_batch(amp_steps, delta, axis, iter([b]), 16,
-                                      dt, record_idx, ramsey)
+        got, want = (_propagate_batch(wave, drive[1], axis, iter([b]), 16,
+                                      record_idx, ramsey)
                      for b in (block, copy))
         assert np.array_equal(got, want)
 
-    # record sets over the 260 steps of the sequences below: every
-    # full echo of 26 steps and every 13 steps (repeating intervals), every
-    # 13 steps from step 52 on (a first interval of 52 steps from step 0),
-    # every 13 steps up to step 195 only (nothing stepped past it), gaps
-    # of 1, 2, .. 22 steps, shuffled (no interval repeats), and 40 steps
-    # drawn at random
+    # record sets over the 260 steps of the drives: every full echo of 26
+    # steps and every 13 steps (repeating intervals), every 13 steps from
+    # step 52 on (a first interval of 52 steps from step 0), every 13
+    # steps up to step 195 only (nothing stepped past it), gaps of 1, 2,
+    # .. 22 steps, shuffled (no interval repeats), and 40 steps drawn at
+    # random
     RECORD_SETS = {
         "every-26": np.arange(0, 261, 26),
         "every-13": np.arange(0, 261, 13),
@@ -290,31 +314,29 @@ class TestKernel:
     }
 
     @pytest.mark.parametrize("axis", ["z", "x"])
-    @pytest.mark.parametrize("amp_steps, ramsey", [
-        (np.repeat([1.0, -1.0] * 10, 13) * mhz_to_rad(20.0), False),
-        (np.repeat([1.0, -1.0] * 130, 1) * mhz_to_rad(20.0), False),
-        (np.full(260, mhz_to_rad(20.0)), False),
-        (np.zeros(260), True),
+    @pytest.mark.parametrize("drive, ramsey", [
+        (ECHO, False), (ECHO_1STEP, False), (RABI, False), (RAMSEY, True),
     ], ids=["echo", "echo-1step", "rabi", "ramsey"])
     @pytest.mark.parametrize("records", RECORD_SETS)
-    def test_interval_products_match_stepping(self, axis, amp_steps, ramsey,
+    def test_interval_products_match_stepping(self, axis, drive, ramsey,
                                               records):
         # the static block applies one 2x2 product per distinct interval
-        # between records, one exact step per run of equal amplitude; its
-        # copy is stepped row by row
+        # between records, one exact step per segment piece; its copy is
+        # stepped row by row
         spec = NoiseSpec(axis=axis, kind="static", sigma=3 * SIGMA, seed=3)
-        dt, delta = TAU_C / 20, mhz_to_rad(2.0)
+        wave, dt, amp_steps = kernel_drive(*drive)
         block, = _noise_blocks(spec, dt, 0, 16, amp_steps.size, _BLOCK_STEPS)
         record_idx = self.RECORD_SETS[records]
-        got, want = (_propagate_batch(amp_steps, delta, axis, iter([b]), 16,
-                                      dt, record_idx, ramsey)
+        got, want = (_propagate_batch(wave, drive[1], axis, iter([b]), 16,
+                                      record_idx, ramsey)
                      for b in (block, np.ascontiguousarray(block)))
         assert np.max(np.abs(got - want)) <= 1e-13
         # bit for bit up to the first interval from step 0 that holds a
-        # run of several grid steps (one exact step in place of several)
-        # or that holds several runs and starts after step 0 (a product
+        # piece of several grid steps (one exact step in place of several)
+        # or that holds several pieces and starts after step 0 (a product
         # applied to a state that is not a basis vector): the records up
-        # to that interval's start
+        # to that interval's start.  Neighbouring segments differ, so a
+        # piece is a run of equal amplitude
         bounds = np.union1d([0], record_idx)
         first_inexact = len(bounds) - 1
         for j, (s, e) in enumerate(zip(bounds, bounds[1:])):
@@ -325,7 +347,7 @@ class TestKernel:
         exact = np.searchsorted(record_idx, bounds[first_inexact], "right")
         assert np.array_equal(got[:, :exact], want[:, :exact])
         # so the first interval is exact only on the one-step echo, whose
-        # runs are single steps: the grid the CLI's echoes run on
+        # pieces are single steps: the grid the CLI's echoes run on
         one_step = np.all(amp_steps[1:] != amp_steps[:-1])
         assert first_inexact == (1 if one_step else 0)
 
@@ -333,16 +355,17 @@ class TestKernel:
         # 5,000 full echoes of one step per half echo at 256 trials: the
         # (256, 5,001) populations take 10 MB, a complex copy of every
         # record would take twice that
-        amp_steps = np.tile([1.0, -1.0], 5000) * mhz_to_rad(20.0)
+        wave, dt, _ = kernel_drive(np.tile([1.0, -1.0], 5000) * W20, 1, 0.0,
+                                   math.pi / W20)
         spec = NoiseSpec(axis="x", kind="static", sigma=SIGMA, seed=4)
-        dt = math.pi / mhz_to_rad(20.0)
-        record_idx = np.arange(0, amp_steps.size + 1, 2)
+        record_idx = np.arange(0, wave.amplitudes.size + 1, 2)
         tracemalloc.start()
         try:
             out = _propagate_batch(
-                amp_steps, 0.0, "x",
-                _noise_blocks(spec, dt, 0, 256, amp_steps.size, _BLOCK_STEPS),
-                256, dt, record_idx)
+                wave, 1, "x",
+                _noise_blocks(spec, dt, 0, 256, wave.amplitudes.size,
+                              _BLOCK_STEPS),
+                256, record_idx)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,9 +375,10 @@ class TestKernel:
     def test_zero_field_step_is_the_identity(self):
         # noise of exactly -delta cancels the only field of a Ramsey run
         delta, n_steps = mhz_to_rad(2.0), 50
+        wave, _, _ = kernel_drive(np.zeros(1), n_steps, delta, 1e-8)
         blocks = [np.full((n_steps, 4), -delta)]
-        got = _propagate_batch(np.zeros(n_steps), delta, "z", iter(blocks), 4,
-                               1e-8, np.arange(n_steps + 1), ramsey=True)
+        got = _propagate_batch(wave, n_steps, "z", iter(blocks), 4,
+                               np.arange(n_steps + 1), ramsey=True)
         assert np.all(got == got[:, :1])
         assert np.allclose(got, 1.0, rtol=0.0, atol=1e-15)
 

@@ -145,6 +145,15 @@ class TestReadout:
         eta = corrected_sensitivity(1.0, 1.0, 1.0, 1.0, t=1e-6, readout=r)
         assert eta == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"n0": math.nan}, {"n0": math.inf}, {"n1": math.nan},
+        {"n_r": math.inf}, {"t_r": math.nan}, {"t_r": math.inf},
+        {"t_d": math.inf}])
+    def test_non_finite_fields_rejected(self, fields):
+        args = {"n0": 0.0022, "n1": 0.0015, **fields}
+        with pytest.raises(ValueError, match=f"{[*fields][0]} must be finite"):
+            ReadoutModel(**args)
+
     def test_optimal_times_spacing(self):
         a = mhz_to_rad(2.17)
         times = optimal_interrogation_times(math.pi, W17, a, 5e-6)

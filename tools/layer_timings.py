@@ -29,14 +29,20 @@ The layers (ROADMAP aim 1, and what perfbench's workloads run):
   chunk of `noise-ou-large`'s 5 pi echo, 624 steps in five blocks, each
   block copied out as it arrives (ns per value);
 - `kernel <case>`: `noise._propagate_batch` on blocks drawn beforehand
-  (ns per trial-step).  The cases are the first chunk of each
-  `noise-ou-large` case (OU dephasing, rotary echoes on the grid
-  `monte_carlo` picks), and static drive noise at 19 MHz on 64 trials: a
-  pi echo of 65 cycles (one step per half echo), `noise-static-small`'s
+  (ns per trial-step), on the grid and records that `noise._grid` picks.
+  The cases are the first chunk of each `noise-ou-large` case (OU
+  dephasing, rotary echoes); static drive noise at 19 MHz on 64 trials:
+  a pi echo of 65 cycles (one step per half echo), `noise-static-small`'s
   longest op at seed 1, a 0.507 pi echo of 189 cycles, and the pi echo
   read at 64 record times drawn at seed 1 from its drive grid (`random`),
   whose intervals all differ, so that each interval's update is built
-  once, from one exact step per run of equal amplitude in it;
+  once, from one exact step per segment piece in it; and `ou-x`, OU
+  drive noise: the first 2,048-trial chunk of figure 4c's pi echo at
+  seed 11 (100 steps per half echo) over its first ten full echoes,
+  2,000 steps and 33 MB of noise drawn beforehand (the whole chunk's
+  would take 311 MB).  The kernel takes the drive waveform and its steps
+  per segment; a side whose kernel takes one amplitude per step reports
+  this side alone;
 - `mc_vs_model`: `noise.mc_vs_model` on the three `noise-ou-large`
   echoes at 4,096 trials, in one call, as perfbench runs them: each
   ensemble forked (on two or more CPUs), its workers reaped, then its
@@ -61,7 +67,9 @@ The layers (ROADMAP aim 1, and what perfbench's workloads run):
   `remag.cli.main`, each op after `malloc_trim(0)` as perfbench's are (ms
   per pass), and the first op of each side's first pass apart
   (`first_op_ms`); `identical` compares every artifact's bytes,
-  manifests without their timestamps;
+  manifests without their timestamps.  `cli figures` is one pass of the
+  Monte Carlo presets, `remag figure 4a`, `4b`, `4c` and `s4` at
+  `--trials 2048 --seed 11`, mostly OU drive noise;
 - `cold_start <run>`: a fresh interpreter that imports `remag.cli` and,
   but for the bare import, runs one command through `remag.cli.main`
   (`calcium`, `figure 1b`, `figure 2b`, `spectrum`, `figure 4a`, and
@@ -90,7 +98,8 @@ alone, because `noise._FORK_MIN_TRIAL_STEPS` rests on them:
     python tools/layer_timings.py --src OTHER/src    # this against OTHER
 
 Prints one JSON object (BLAS pinned to one thread).  A run takes about
-three minutes on two cores at the default `--repeats`.
+four minutes on two cores at the default `--repeats`, about two of them
+in `cli figures` (9 to 10 s a pass).
 """
 
 from __future__ import annotations
@@ -224,6 +233,9 @@ CHUNK = 2048            # monte_carlo's default trial chunk
 # theta/pi, cycles, record times drawn at random
 STATIC_CASES = ((1.0, 65, False), (0.507, 189, False), (1.0, 65, True))
 RANDOM_RECORDS = 64     # record times of a `random` case, 0 among them
+FIGURE_SEED = 11        # of `cli figures` and the `ou-x` kernel case
+FIGURE_TRIALS = 2048
+OU_X_CYCLES = 10        # full echoes of figure 4c's pi echo kept by `ou-x`
 
 
 def _ou_spec(noise):
@@ -260,6 +272,12 @@ def _cases(pkg):
         out.append((f"static-{theta_pi}pi-x{n_cycles}"
                     + ("-random" if drawn else ""), seq, 0.0, spec,
                     w.STATIC_TRIALS, records))
+    # figure 4c's pi echo (`cli.fig_4c`), cut to its first full echoes
+    omega = pkg.cli.OMEGA_19
+    out.append(("ou-x", dynamics.PulseSequence.rotary_echo(
+        math.pi, omega, OU_X_CYCLES), 0.0, noise.NoiseSpec(
+        "x", "ou", 0.05 * omega, pkg.cli.TAU_C, FIGURE_SEED),
+        FIGURE_TRIALS, None))
     return out
 
 
@@ -273,9 +291,9 @@ def kernel_inputs(pkg) -> dict:
         dt, count = wave.segment / n_sub, min(trials, CHUNK)
         draw = (spec, dt, 0, count, n_sub * wave.amplitudes.size,
                 noise._BLOCK_STEPS)
-        inputs[label] = draw, (np.repeat(wave.amplitudes, n_sub), delta,
-                               spec.axis, list(noise._noise_blocks(*draw)),
-                               count, dt, record_idx)
+        inputs[label] = draw, (wave, n_sub, spec.axis,
+                               list(noise._noise_blocks(*draw)), count,
+                               record_idx)
     return inputs
 
 
@@ -482,18 +500,28 @@ def _artifacts(out: Path) -> dict:
     return files
 
 
-def cli_layer(name: str, work: Path) -> tuple[Layer, dict]:
-    """A seed-1 pass of workload ``name`` through `cli.main`, and the first
-    op times (ms) of each side's first pass, filled as the layer runs."""
-    ops = _seed_1_ops(name)
+#: argv of each run of `cli figures`
+FIGURE_ARGVS = [["figure", panel, "--trials", str(FIGURE_TRIALS), "--seed",
+                 str(FIGURE_SEED)] for panel in ("4a", "4b", "4c", "s4")]
+
+
+def workload_argvs(name: str, work: Path) -> list:
+    """argv of each seed-1 op of workload ``name``, its config written
+    under ``work``."""
     argvs = []
-    for i, op in enumerate(ops):
+    for i, op in enumerate(_seed_1_ops(name)):
         argv = list(op.argv)
         if op.config is not None:
             cfg = work / f"{name}-op{i}.ini"
             cfg.write_text(op.config, encoding="utf-8")
             argv += ["--config", str(cfg)]
         argvs.append(argv)
+    return argvs
+
+
+def cli_layer(name: str, argvs: list, work: Path) -> tuple[Layer, dict]:
+    """A pass of ``argvs`` through `cli.main`, and the first run's time
+    (ms) in each side's first pass, filled as the layer runs."""
     first = {}
 
     def run_pass(p):
@@ -504,7 +532,7 @@ def cli_layer(name: str, work: Path) -> tuple[Layer, dict]:
             with contextlib.redirect_stderr(io.StringIO()):
                 rc = p.cli.main(argv + ["--out", str(out / f"op{i}")])
             if rc:
-                raise RuntimeError(f"{name} op {ops[i].key} exited {rc}")
+                raise RuntimeError(f"{name}: {' '.join(argv)} exited {rc}")
             first.setdefault(p.__name__, (time.perf_counter() - start) * 1e3)
         return out
 
@@ -579,8 +607,10 @@ def main() -> int:
                 else evaluations(other, layer)}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name in w.WORKLOADS:
-            layer, first = cli_layer(name, work)
+        passes = {name: workload_argvs(name, work) for name in w.WORKLOADS}
+        passes["figures"] = FIGURE_ARGVS
+        for name, argvs in passes.items():
+            layer, first = cli_layer(name, argvs, work)
             layers[f"cli {name}"] = time_layer(layer, this, other, few)
             layers[f"cli {name}"]["first_op_ms"] = {
                 "this": first.get(this.__name__),
