@@ -391,7 +391,7 @@ B_LINE = mhz_to_rad(0.17)
 A_HYPERFINE = mhz_to_rad(2.14)
 
 
-def fig_1b(w: RunWriter, trials: int) -> None:
+def fig_1b(w: RunWriter) -> None:
     """Ideal sensitivity vs interrogation time under a static bath."""
     sigma = math.sqrt(2.0) / T2_STAR_FIT
     times = np.linspace(0.05e-6, 6.0e-6, 240)
@@ -413,7 +413,7 @@ def fig_1b(w: RunWriter, trials: int) -> None:
           extra_meta={"sigma_mhz": sigma / (2e6 * math.pi)})
 
 
-def fig_1c(w: RunWriter, trials: int) -> None:
+def fig_1c(w: RunWriter) -> None:
     """A pi rotary-echo trace with its first-order model and the
     even-harmonic-filtered version used for spectral analysis."""
     theta = math.pi
@@ -442,17 +442,17 @@ def _spectrum_preset(w: RunWriter, tag: str, b: float, t_total: float,
     _write_lines(w, f"{tag}_", pgram, peaks, trace, math.pi, OMEGA_17)
 
 
-def fig_2a(w: RunWriter, trials: int) -> None:
+def fig_2a(w: RunWriter) -> None:
     """Six-line spectrum of a 5 us pi-RE trace over the hyperfine triplet."""
     _spectrum_preset(w, "fig2a", B_LINE, 5e-6, w.seed)
 
 
-def fig_2b(w: RunWriter, trials: int) -> None:
+def fig_2b(w: RunWriter) -> None:
     """15 us trace resolving a 64 kHz line pair."""
     _spectrum_preset(w, "fig2b", mhz_to_rad(0.064), 15e-6, w.seed)
 
 
-def fig_3a(w: RunWriter, trials: int) -> None:
+def fig_3a(w: RunWriter) -> None:
     """Full-echo signal vs detuning after n = 4 pi-RE cycles."""
     dw = mhz_to_rad(np.linspace(-10.0, 10.0, 401))
     sbar = models.re_signal_full_echo(math.pi, OMEGA_17, dw, 4)
@@ -460,7 +460,7 @@ def fig_3a(w: RunWriter, trials: int) -> None:
                                "sbar": sbar})
 
 
-def fig_3b(w: RunWriter, trials: int) -> None:
+def fig_3b(w: RunWriter) -> None:
     """Corrected pi-RE sensitivity at the usable interrogation times."""
     theta = math.pi
     t_p = models.t_prime_re(theta, math.sqrt(2.0) / T2_STAR_FIT)
@@ -480,6 +480,12 @@ OMEGA_20 = mhz_to_rad(20.0)
 TAU_C = 200e-9
 
 
+def _case_seed(w: RunWriter, i: int) -> int:
+    """Stream seed of a preset's case i: the run's seed plus i, wrapped
+    into [0, 2**64) so that every run seed is a valid one."""
+    return (w.seed + i) % (MAX_SEED + 1)
+
+
 def fig_4a(w: RunWriter, trials: int) -> None:
     """Rabi peak decay under static and OU drive noise."""
     period = 2.0 * math.pi / OMEGA_19
@@ -487,7 +493,7 @@ def fig_4a(w: RunWriter, trials: int) -> None:
     record = period * np.arange(21)
     _write_cases(w, {"fig4a_rabi_peaks.csv": {
         kind: Case(seq, NoiseSpec("x", kind, 0.05 * OMEGA_19, TAU_C,
-                                  w.seed + i), record_times=record)
+                                  _case_seed(w, i)), record_times=record)
         for i, kind in enumerate(("static", "ou"))}}, trials)
 
 
@@ -496,7 +502,7 @@ def fig_4b(w: RunWriter, trials: int) -> None:
     seq = PulseSequence.rotary_echo(5.0 * math.pi, OMEGA_19, 20)
     _write_cases(w, {"fig4b_re5pi_peaks.csv": {
         kind: Case(seq, NoiseSpec("x", kind, 0.05 * OMEGA_19, TAU_C,
-                                  w.seed + i))
+                                  _case_seed(w, i)))
         for i, kind in enumerate(("static", "ou"))}}, trials)
 
 
@@ -517,10 +523,10 @@ def fig_s4(w: RunWriter, trials: int) -> None:
               "re_5pi": PulseSequence.rotary_echo(5.0 * math.pi, OMEGA_20, 24)}
 
     def bath(i):
-        return NoiseSpec("z", "ou", 0.05 * OMEGA_20, TAU_C, w.seed + i)
+        return NoiseSpec("z", "ou", 0.05 * OMEGA_20, TAU_C, _case_seed(w, i))
 
     def drive(i):
-        return NoiseSpec("x", "ou", 0.05 * OMEGA_20, TAU_C, w.seed + i)
+        return NoiseSpec("x", "ou", 0.05 * OMEGA_20, TAU_C, _case_seed(w, i))
 
     cases = {f"figs4a_{label}.csv": Case(seq, bath(i), dw)
              for i, (label, seq) in enumerate(echoes.items())}
@@ -533,7 +539,7 @@ def fig_s4(w: RunWriter, trials: int) -> None:
     _write_cases(w, {name: {"": case} for name, case in cases.items()}, trials)
 
 
-def fig_s5(w: RunWriter, trials: int) -> None:
+def fig_s5(w: RunWriter) -> None:
     """Sensitivity with repeated readout: Ramsey vs pi-RE vs 11pi-RE."""
     t2_star = 3e-6
     sigma = math.sqrt(2.0) / t2_star
@@ -559,11 +565,16 @@ def fig_s5(w: RunWriter, trials: int) -> None:
 FIGURES = {"1b": fig_1b, "1c": fig_1c, "2a": fig_2a, "2b": fig_2b,
            "3a": fig_3a, "3b": fig_3b, "4a": fig_4a, "4b": fig_4b,
            "4c": fig_4c, "s4": fig_s4, "s5": fig_s5}
+#: the presets that run Monte Carlo ensembles: only these take a trial
+#: count, and ``--trials``
+MONTE_CARLO_FIGURES = ("4a", "4b", "4c", "s4")
 
 
 def cmd_figure(cfg: ScenarioConfig, w: RunWriter, args) -> None:
-    trials = args.trials or 1000
-    FIGURES[args.panel](w, trials)
+    if args.panel in MONTE_CARLO_FIGURES:
+        FIGURES[args.panel](w, args.trials or 1000)
+    else:
+        FIGURES[args.panel](w)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +630,10 @@ def main(argv=None) -> int:
         if args.trials is not None and args.trials < 1:
             raise ConfigError("--trials must be >= 1")
         if args.trials is not None and args.subcommand == "figure" \
-                and args.panel not in ("4a", "4b", "4c", "s4"):
+                and args.panel not in MONTE_CARLO_FIGURES:
+            *rest, last = MONTE_CARLO_FIGURES
             raise ConfigError(f"figure {args.panel} runs no Monte Carlo; "
-                              "--trials is for 4a, 4b, 4c and s4")
+                              f"--trials is for {', '.join(rest)} and {last}")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

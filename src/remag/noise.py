@@ -242,7 +242,7 @@ def _merge_welford(count, mean, m2, batch):
 
 
 def _grid(seq: PulseSequence, wave: DriveWaveform, spec: NoiseSpec,
-          record_times, dt_max: float | None) -> tuple[int, np.ndarray]:
+          record_times) -> tuple[int, np.ndarray]:
     """Steps per segment and record step indices of a Monte Carlo run:
     the one statement of the grid rule.
 
@@ -252,8 +252,7 @@ def _grid(seq: PulseSequence, wave: DriveWaveform, spec: NoiseSpec,
     under OU noise) each.  Records default to every full echo of a rotary
     echo, otherwise to up to 512 about 1 ns apart and at most 2 n_drive.
 
-    ``dt_max`` forces ``steps_per_segment(wave, dt_max)``.  Otherwise a
-    segment takes the least n >= n_min steps that land on every record
+    A segment takes the least n >= n_min steps that land on every record
     time (|t/dt - round(t/dt)| < 1e-6, dt = segment/n), with n_min
 
     - 1 for static noise, on any sequence and either axis: the
@@ -269,51 +268,45 @@ def _grid(seq: PulseSequence, wave: DriveWaveform, spec: NoiseSpec,
     n is at most 2 n_drive, else the drive grid is the fallback.  Each
     record is taken at its nearest step; no records, a record off the run
     and two records on one step are a ValueError.  The drive grid is
-    sized, and refused past ``MAX_GRID_STEPS``, unless both the grid and
-    the records are given: a static run is refused over the drive grid's
-    step count although it takes far fewer steps.
+    always sized, and refused past ``MAX_GRID_STEPS``: a static run is
+    refused over the drive grid's step count although it takes far fewer
+    steps.
     """
     base = wave.segment
+    drive_max = default_dt_max(wave)
+    if spec.kind == "ou":
+        drive_max = min(drive_max, spec.tau_c / OU_MIN_SAMPLES_PER_TAU)
+    n_drive = steps_per_segment(wave, drive_max)
     if record_times is None and seq.kind == "rotary_echo":
         record_times = full_echo_times(seq)
-    if dt_max is None or record_times is None:
-        drive_max = default_dt_max(wave)
-        if spec.kind == "ou":
-            drive_max = min(drive_max, spec.tau_c / OU_MIN_SAMPLES_PER_TAU)
-        n_drive = steps_per_segment(wave, drive_max)
     if record_times is None:
         gaps = min(512, 2 * n_drive, max(2, round(seq.total_duration / 1e-9)))
         record_times = np.linspace(0.0, seq.total_duration, gaps + 1)
     record_times = np.asarray(record_times, dtype=float)
-    if dt_max is not None:
-        n = steps_per_segment(wave, dt_max)
+    if spec.kind == "static":
+        n_min = 1
+    elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # OU-z echo
+        n_min = math.ceil(base / (spec.tau_c / OU_MIN_SAMPLES_PER_TAU) - 1e-9)
     else:
-        if spec.kind == "static":
-            n_min = 1
-        elif spec.axis == "z" and np.any(wave.amplitudes < 0.0):  # OU-z echo
-            n_min = math.ceil(base / (spec.tau_c / OU_MIN_SAMPLES_PER_TAU)
-                              - 1e-9)
-        else:
-            n_min = n_drive
-        # segment boundaries lie at multiples of base, so steps of base/n
-        # land on them; a record time at t = (p/q) base lands when q
-        # divides n.  Any p/q != m with q <= n_max lies 1/n_max or more
-        # from the integer m, so m is the nearest such fraction to a
-        # record within 0.5/n_max of it (q = 1); only the other records
-        # need the search
-        n_max = 2 * n_drive
-        fracs = np.unique(record_times) / base
-        near = np.abs(fracs - np.rint(fracs)) < 0.5 / n_max
-        n = 1
-        for f in fracs[~near].tolist():
-            n = math.lcm(n, Fraction(f).limit_denominator(n_max).denominator)
-            if n > n_max:
-                break
-        else:
-            n *= math.ceil(n_min / n)
-            x = fracs * n
-        if n > n_max or np.any(np.abs(x - np.rint(x)) >= 1e-6):
-            n = n_drive
+        n_min = n_drive
+    # segment boundaries lie at multiples of base, so steps of base/n land
+    # on them; a record time at t = (p/q) base lands when q divides n.  Any
+    # p/q != m with q <= n_max lies 1/n_max or more from the integer m, so
+    # m is the nearest such fraction to a record within 0.5/n_max of it
+    # (q = 1); only the other records need the search
+    n_max = 2 * n_drive
+    fracs = np.unique(record_times) / base
+    near = np.abs(fracs - np.rint(fracs)) < 0.5 / n_max
+    n = 1
+    for f in fracs[~near].tolist():
+        n = math.lcm(n, Fraction(f).limit_denominator(n_max).denominator)
+        if n > n_max:
+            break
+    else:
+        n *= math.ceil(n_min / n)
+        x = fracs * n
+    if n > n_max or np.any(np.abs(x - np.rint(x)) >= 1e-6):
+        n = n_drive
 
     dt = base / n
     requested = np.rint(record_times / dt)
@@ -330,8 +323,7 @@ def _grid(seq: PulseSequence, wave: DriveWaveform, spec: NoiseSpec,
 
 
 def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
-                trials: int, dt_max: float | None = None,
-                record_times: np.ndarray | None = None,
+                trials: int, record_times: np.ndarray | None = None,
                 chunk: int = 2048) -> EnsembleResult:
     """Ensemble average of the exactly propagated signal over noise paths.
 
@@ -340,17 +332,17 @@ def monte_carlo(seq: PulseSequence, delta_omega: float, spec: NoiseSpec,
     bit-reproducible for a given trial count and chunk size.
 
     The noise is held constant over each grid step.  The grid and the
-    records, by default and under ``dt_max``, which forces a grid no
-    coarser than it, follow :func:`_grid`; ``times`` holds the grid
-    times the records were taken at.  ``meta`` records the step ``dt``,
-    the step count ``n_steps`` and the number of trial ``chunks``.
+    records, given or by default, follow :func:`_grid`, the one rule for
+    every run; ``times`` holds the grid times the records were taken at.
+    ``meta`` records the step ``dt``, the step count ``n_steps`` and the
+    number of trial ``chunks``.
     Large chunks may run in forked worker processes (see
     :func:`_workers`); the result is the same either way.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wave = build_waveform(seq, delta_omega)
-    n_sub, record_idx = _grid(seq, wave, spec, record_times, dt_max)
+    n_sub, record_idx = _grid(seq, wave, spec, record_times)
     dt = wave.segment / n_sub
     n_steps = n_sub * wave.amplitudes.size
     times = dt * record_idx

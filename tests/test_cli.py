@@ -407,13 +407,15 @@ class TestExitCodes:
         rc, out = run(tmp_path, "simulate", "--seed", str(2**64 - 1))
         assert rc == 0
 
-    def test_figure_case_seed_past_64_bits_fails_clean(self, tmp_path, capsys):
-        # 4a seeds its second case with seed + 1, which would wrap to 0
-        rc, out = run(tmp_path, "figure", "4a", "--seed", str(2**64 - 1),
+    @pytest.mark.parametrize("panel", ["4a", "4b", "s4"])
+    def test_figure_case_seeds_wrap_at_the_largest_seed(self, tmp_path,
+                                                        panel):
+        # case i of a preset is seeded (seed + i) mod 2**64: at the largest
+        # seed, case 1 takes seed 0 rather than failing the run
+        rc, out = run(tmp_path, "figure", panel, "--seed", str(2**64 - 1),
                       "--trials", "2")
-        assert rc == 2
-        assert "seed" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert rc == 0
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("line", ["theta_pi = nan", "omega_mhz = inf"])
     def test_non_finite_value_exits_1(self, tmp_path, capsys, line):

@@ -283,26 +283,37 @@ class _CountingNumpy:
         return np.multiply(*args, **kwargs)
 
 
-def _counted(label, monkeypatch, **grid):
-    """``monte_carlo`` on ``STATIC_CASES[label]`` at 64 trials, and the
-    ``multiply`` calls it made."""
+def _counted(label, monkeypatch, drive_grid=False):
+    """The 64 trials of ``STATIC_CASES[label]``, their static block stepped
+    by ``_propagate_batch`` on the grid ``_grid`` picks (collapsed) or on
+    the drive grid (T_Rabi/200, or 1/512 of an undriven run), and the
+    ``multiply`` calls the kernel made."""
     seq, dw, spec, record = STATIC_CASES[label]
+    wave = build_waveform(seq, dw)
+    n_sub, record_idx = noise._grid(seq, wave, spec, record)
+    if drive_grid:
+        n_sub = steps_per_segment(wave, default_dt_max(wave))
+        if record is None:
+            record = full_echo_times(seq)
+        record_idx = np.rint(record / (wave.segment / n_sub)).astype(int)
+    dt, n_steps = wave.segment / n_sub, n_sub * wave.amplitudes.size
+    blocks = noise._noise_blocks(spec, dt, 0, 64, n_steps, noise._BLOCK_STEPS)
     counting = _CountingNumpy()
     monkeypatch.setattr(noise, "np", counting)
-    res = monte_carlo(seq, dw, spec, trials=64, record_times=record, **grid)
+    pops = noise._propagate_batch(wave, n_sub, spec.axis, blocks, 64,
+                                  record_idx, seq.kind == "ramsey")
     monkeypatch.setattr(noise, "np", np)
+    res = noise.EnsembleResult(
+        times=dt * record_idx, mean=pops.mean(axis=0),
+        stderr=pops.std(axis=0, ddof=1) / math.sqrt(64), trials=64,
+        meta={"n_steps": n_steps})
     return res, counting.multiply_calls
-
-
-def _drive_grid(label):
-    seq, dw, _, _ = STATIC_CASES[label]
-    return {"dt_max": default_dt_max(build_waveform(seq, dw))}
 
 
 @pytest.mark.parametrize("label", STATIC_CASES)
 def test_static_collapsed_grid_matches_drive_grid(label, monkeypatch):
     collapsed, collapsed_work = _counted(label, monkeypatch)
-    drive, drive_work = _counted(label, monkeypatch, **_drive_grid(label))
+    drive, drive_work = _counted(label, monkeypatch, drive_grid=True)
     # one exact step per segment piece: the drive grid's longer pieces
     # cost the kernel no more updates
     assert drive_work == collapsed_work > 0
@@ -323,20 +334,22 @@ STATIC_MULTIPLIES = {"static-x 5pi echo": 68, "static-x rabi": 64,
 
 @pytest.mark.parametrize("label", STATIC_CASES)
 def test_static_products_are_reused(label, monkeypatch):
-    for grid in ({}, _drive_grid(label)):
-        _, work = _counted(label, monkeypatch, **grid)
-        assert work == STATIC_MULTIPLIES[label], grid
+    for drive_grid in (False, True):
+        _, work = _counted(label, monkeypatch, drive_grid)
+        assert work == STATIC_MULTIPLIES[label], drive_grid
 
 
 def test_static_run_memory_does_not_grow_with_its_grid():
-    # 64 trials read at 0 and T on a forced grid of 2 x 10^5 steps: one
+    # 64 trials of a 50 us Rabi read at 0, T/200,000 and T: the second
+    # record puts the run on its drive grid, 2 x 10^5 steps, where one
     # amplitude per grid step alone would take 1.6 MB
-    seq = PulseSequence.ramsey(1e-6)
+    t_total = 50e-6
+    seq = PulseSequence.rabi(W20, t_total)
     spec = NoiseSpec("z", "static", 0.05 * W20, seed=37)
     tracemalloc.start()
     try:
-        res = monte_carlo(seq, DW, spec, trials=64, dt_max=1e-6 / 200_000,
-                          record_times=[0.0, 1e-6])
+        res = monte_carlo(seq, DW, spec, trials=64, record_times=[
+            0.0, t_total / 200_000, t_total])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -388,7 +401,7 @@ def test_ou_grid_step_unchanged(label):
     wave = build_waveform(seq, dw)
     if record is None:
         record = full_echo_times(seq)
-    assert noise._grid(seq, wave, spec, record, None)[0] == \
+    assert noise._grid(seq, wave, spec, record)[0] == \
         OU_STEPS_PER_SEGMENT[label]
 
 
@@ -472,8 +485,8 @@ def test_grid_rule_skip_matches_the_full_search(data):
     if (np.unique(requested).size < requested.size
             or requested.max() > n * wave.amplitudes.size):
         with pytest.raises(ValueError, match="record times must"):
-            noise._grid(seq, wave, spec, record, None)
+            noise._grid(seq, wave, spec, record)
     else:
-        n_sub, record_idx = noise._grid(seq, wave, spec, record, None)
+        n_sub, record_idx = noise._grid(seq, wave, spec, record)
         assert n_sub == n
         assert np.array_equal(record_idx, np.unique(requested))

@@ -201,35 +201,39 @@ class TestBlockedStreams:
                          for i in range(2, 2 + count)])
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("seq, dt_max, spec", [
+    @pytest.mark.parametrize("seq, spec, record", [
         # tau_c/20 grid: 13 steps per half echo, 390 steps
-        (PulseSequence.rotary_echo(5 * math.pi, mhz_to_rad(20.0), 15), None,
+        (PulseSequence.rotary_echo(5 * math.pi, mhz_to_rad(20.0), 15),
          NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C,
-                   seed=BIG_SEED)),
-        # 201 steps per half echo, 402 steps
-        (PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 1), 25e-9 / 200.5,
-         NoiseSpec(axis="x", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=17)),
-        (PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 1), 25e-9 / 200.5,
-         NoiseSpec(axis="x", kind="static", sigma=SIGMA, seed=BIG_SEED)),
+                   seed=BIG_SEED), None),
+        # drive grid: 101 steps per half echo, 606 steps
+        (PulseSequence.rotary_echo(1.01 * math.pi, mhz_to_rad(20.0), 3),
+         NoiseSpec(axis="x", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=17),
+         None),
+        # a record at 1/199 of a half echo: 199 steps per half echo, 398
+        (PulseSequence.rotary_echo(math.pi, mhz_to_rad(20.0), 1),
+         NoiseSpec(axis="x", kind="static", sigma=SIGMA, seed=BIG_SEED),
+         25e-9 * np.array([0.0, 1 / 199, 1.0, 2.0])),
     ], ids=BLOCK_IDS)
-    def test_monte_carlo_matches_per_trial_recompute(self, seq, dt_max, spec):
+    def test_monte_carlo_matches_per_trial_recompute(self, seq, spec, record):
         # five trials in unequal chunks of 3 and 2
         delta = mhz_to_rad(2.0)
-        res = monte_carlo(seq, delta, spec, trials=5, dt_max=dt_max, chunk=3)
+        res = monte_carlo(seq, delta, spec, trials=5, record_times=record,
+                          chunk=3)
         assert res.meta["n_steps"] % 4 != 0
         assert res.meta["n_steps"] > 3 * _BLOCK_STEPS
         assert res.meta["chunks"] == 2
         assert np.max(np.abs(res.mean - recompute(seq, delta, spec, res))) < 1e-12
 
     def test_memory_stays_bounded_on_long_runs(self):
-        # 256 trials x 10,000 steps: the whole path array would be 20 MB
-        seq = PulseSequence.ramsey(10e-6)
+        # 256 trials x 10,000 steps of tau_c/20: the whole path array
+        # would be 20 MB
+        seq = PulseSequence.ramsey(100e-6)
         spec = NoiseSpec(axis="z", kind="ou", sigma=SIGMA, tau_c=TAU_C, seed=8)
         tracemalloc.start()
         try:
             res = monte_carlo(seq, mhz_to_rad(1.0), spec, trials=256,
-                              dt_max=1e-9,
-                              record_times=np.linspace(0.0, 10e-6, 11))
+                              record_times=np.linspace(0.0, 100e-6, 11))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -262,8 +262,8 @@ def _cases(pkg):
         records = None
         if drawn:   # 0 and 63 distinct times of the drive grid, at seed 1
             wave = dynamics.build_waveform(seq, 0.0)
-            n_sub, _ = noise._grid(seq, wave, spec, None,
-                                   dynamics.default_dt_max(wave))
+            n_sub = dynamics.steps_per_segment(
+                wave, dynamics.default_dt_max(wave))
             picks = np.random.default_rng(1).choice(
                 np.arange(1, n_sub * wave.amplitudes.size + 1),
                 RANDOM_RECORDS - 1, replace=False)
@@ -287,7 +287,7 @@ def kernel_inputs(pkg) -> dict:
     noise, inputs = pkg.noise, {}
     for label, seq, delta, spec, trials, records in _cases(pkg):
         wave = pkg.dynamics.build_waveform(seq, delta)
-        n_sub, record_idx = noise._grid(seq, wave, spec, records, None)
+        n_sub, record_idx = noise._grid(seq, wave, spec, records)
         dt, count = wave.segment / n_sub, min(trials, CHUNK)
         draw = (spec, dt, 0, count, n_sub * wave.amplitudes.size,
                 noise._BLOCK_STEPS)
